@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
-from .errors import InvalidConfigError, IOFailureError
+from .errors import InvalidConfigError, IOFailureError, KdnlsError
 from .lax import PhasePolynomial, make_plane_wave_seed, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, sample
 from .verify import peak_analysis
@@ -283,9 +283,20 @@ def _effective(ns: argparse.Namespace):
     return solution, params, parse_grid(grid_spec), grid_spec, precision
 
 
+def _checked_field(solution: str, params: dict, precision: str):
+    """`build_field`, with its errors reported as invalid configuration: it
+    only constructs objects, so whatever it raises is a bad parameter."""
+    try:
+        return build_field(solution, params, precision)
+    except InvalidConfigError:
+        raise
+    except (KdnlsError, ValueError) as exc:
+        raise InvalidConfigError(f"invalid parameters for {solution}: {exc}") from None
+
+
 def cmd_generate(ns: argparse.Namespace) -> int:
     solution, params, grid, grid_spec, precision = _effective(ns)
-    field = build_field(solution, params, precision)
+    field = _checked_field(solution, params, precision)
     fld = sample(field, grid)
     output = Path(ns.output)
     try:
@@ -306,7 +317,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
     solution, params, grid, grid_spec, precision = _effective(ns)
-    field = build_field(solution, params, precision)
+    field = _checked_field(solution, params, precision)
     fld = sample(field, grid)
     intensity = ComplexField2D(grid, np.abs(fld.values) ** 2, fld.invalid)
     ps = peak_analysis(intensity, cluster_radius=ns.cluster_radius)

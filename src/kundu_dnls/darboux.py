@@ -1,10 +1,12 @@
 """One-fold and determinant-form n-fold Darboux transformations.
 
-The n-fold map is evaluated through four 2n x 2n determinants built from the
+The n-fold map is a combination of four 2n x 2n determinants built from the
 spectral data; only determinant ratios reach the output, so any common
-rescaling of a row cancels (gauge covariance).  Degenerate (coalescing)
-spectral configurations are handled numerically with a small perturbation
-radius and, when that radius is tiny, extended-precision determinants.
+rescaling of a row cancels (gauge covariance).  On conjugate-reduced sets two
+of the four follow from the other two by conjugation, so only two are
+eliminated.  Degenerate (coalescing) spectral configurations are handled
+numerically with a small perturbation radius and, when that radius is tiny,
+extended-precision determinants.
 """
 from __future__ import annotations
 
@@ -31,7 +33,11 @@ _MP_DPS = 40
 
 @dataclass
 class SpectralSet:
-    """Ordered spectral data of even length 2n, optionally conjugate-reduced."""
+    """Ordered spectral data of even length 2n, optionally conjugate-reduced.
+
+    A reduced set lists each representative followed by its conjugate
+    partner, so every odd datum's eigenvalue conjugates the one before it.
+    """
 
     data: list
     reduction: bool = False
@@ -48,6 +54,11 @@ class SpectralSet:
                     if li == lj:
                         raise ValueError(
                             "reduced sets need pairwise distinct eigenvalues")
+            for rep, partner in zip(lams[0::2], lams[1::2]):
+                if partner != np.conj(rep):
+                    raise ValueError(
+                        f"reduced sets pair each eigenvalue with its conjugate; "
+                        f"{rep} is followed by {partner}")
 
     @property
     def order(self) -> int:
@@ -88,23 +99,33 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
 class DTOutput:
     """A transformed solution: vectorized field closures plus conditioning data.
 
-    Q(x, t) returns NaN at flagged points (transformation poles, condition
-    blowups); `at` is the scalar accessor that raises instead.
+    `evaluate(x, t)` is the one pass behind every accessor: it returns
+    (Q, R, pivot_ratio).  Q(x, t) returns NaN at flagged points
+    (transformation poles, condition blowups); `at` is the scalar accessor
+    that raises instead.
     """
 
-    Q: Callable
-    R: Callable
-    condition_estimate: Callable
+    evaluate: Callable
     condition_bound: float = DEFAULT_CONDITION_BOUND
+    Q: Callable = field(init=False)
+    R: Callable = field(init=False)
+    condition_estimate: Callable = field(init=False)
+
+    def __post_init__(self):
+        evaluate = self.evaluate
+        self.Q = lambda x, t: evaluate(x, t)[0]
+        self.R = lambda x, t: evaluate(x, t)[1]
+        self.condition_estimate = lambda x, t: evaluate(x, t)[2]
 
     def at(self, x: float, t: float) -> complex:
-        cond = float(self.condition_estimate(x, t))
+        q, _, cond = self.evaluate(x, t)
+        cond = float(cond)
         if not np.isfinite(cond):
             raise SingularOmegaError(f"main determinant vanishes near ({x}, {t})")
         if cond > self.condition_bound:
             raise ConditionBlowupError(
                 f"pivot ratio {cond:.3e} exceeds bound {self.condition_bound:.3e} at ({x}, {t})")
-        q = complex(np.asarray(self.Q(x, t)).reshape(()))
+        q = complex(np.asarray(q).reshape(()))
         if not np.isfinite(q):
             raise DenominatorVanishesError(f"transformation denominator vanishes at ({x}, {t})")
         return q
@@ -127,12 +148,13 @@ def one_fold(spectral_set: SpectralSet, seed: Seed,
     d1, d2 = spectral_set.data
     l1, l2 = d1.lam, d2.lam
 
-    def fields(x, t):
+    def evaluate(x, t):
         p1, v1 = d1.phi(x, t), d1.varphi(x, t)
         p2, v2 = d2.phi(x, t), d2.varphi(x, t)
         den_a = p1 * v2 * l1 - v1 * p2 * l2        # denominator of a2
         num_a = v1 * p2 * l1 - p1 * v2 * l2
         factor = l1 * l1 - l2 * l2
+        Q, eim, eip, ra = _seed_terms(seed, x, t)
         with np.errstate(all="ignore"):
             a2 = num_a / den_a
             d2_el = 1.0 / a2
@@ -144,36 +166,18 @@ def one_fold(spectral_set: SpectralSet, seed: Seed,
             else:
                 b1 = p1 * p2 * factor / (-den_a)
                 c1 = v1 * v2 * factor / (-num_a)
-        return a2, d2_el, b1, c1, den_a
-
-    def Q_new(x, t):
-        a2, d2_el, _, c1, _ = fields(x, t)
-        Q, eim, _, ra = _seed_terms(seed, x, t)
-        with np.errstate(all="ignore"):
-            out = (d2_el / a2) * Q - c1 * eim / (a2 * ra)
-        return np.where(np.isfinite(out), out, np.nan + 0j)
-
-    def R_new(x, t):
-        a2, d2_el, b1, _, _ = fields(x, t)
-        Q, _, eip, ra = _seed_terms(seed, x, t)
-        R = -np.conj(Q)
-        with np.errstate(all="ignore"):
-            out = (a2 / d2_el) * R + b1 * eip / (d2_el * ra)
-        return np.where(np.isfinite(out), out, np.nan + 0j)
-
-    def cond(x, t):
-        v1, p2 = d1.varphi(x, t), d2.phi(x, t)
-        v2, p1 = d2.varphi(x, t), d1.phi(x, t)
-        shape = np.broadcast(p1, p2).shape
-        M = np.zeros(shape + (2, 2), dtype=complex)
+            q = (d2_el / a2) * Q - c1 * eim / (a2 * ra)
+            r = (a2 / d2_el) * -np.conj(Q) + b1 * eip / (d2_el * ra)
+        M = np.zeros(np.broadcast(p1, p2).shape + (2, 2), dtype=complex)
         M[..., 0, 0] = l1 * v1
         M[..., 0, 1] = p1
         M[..., 1, 0] = l2 * v2
         M[..., 1, 1] = p2
-        _, r = batched_det(M)
-        return r
+        _, ratios = batched_det(M)
+        return (np.where(np.isfinite(q), q, np.nan + 0j),
+                np.where(np.isfinite(r), r, np.nan + 0j), ratios)
 
-    return DTOutput(Q=Q_new, R=R_new, condition_estimate=cond, condition_bound=condition_bound)
+    return DTOutput(evaluate, condition_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,20 @@ def one_fold(spectral_set: SpectralSet, seed: Seed,
 # ---------------------------------------------------------------------------
 
 def _component_table(spectral_set: SpectralSet, x, t) -> tuple[list, list, list]:
+    """Eigenvalues and both components of every datum over the point shape.
+
+    A reduced set evaluates its representatives only: each partner's
+    components are the representative's, conjugated and exchanged.
+    """
     lams, phis, vphs = [], [], []
+    if spectral_set.reduction:
+        for rep, partner in zip(spectral_set.data[0::2], spectral_set.data[1::2]):
+            p = np.asarray(rep.phi(x, t), dtype=complex)
+            v = np.asarray(rep.varphi(x, t), dtype=complex)
+            lams += [rep.lam, partner.lam]
+            phis += [p, np.conj(v)]
+            vphs += [v, np.conj(p)]
+        return lams, phis, vphs
     for d in spectral_set.data:
         lams.append(d.lam)
         phis.append(np.asarray(d.phi(x, t), dtype=complex))
@@ -195,73 +212,95 @@ def _omega_matrix(lams, phis, vphs, swap: bool, shifted: bool) -> Array:
     Row j alternates descending powers of lam_j against the two components:
     odd powers weight varphi, even powers weight phi (swap exchanges roles);
     `shifted` replaces the leading column with lam^{2n} times the even-power
-    component.
+    component.  The entries are stored matrix-first, so the returned
+    (..., m, m) view is already in the batch-last order `batched_det` uses.
     """
     m = len(lams)
     shape = np.broadcast(phis[0], vphs[0]).shape
-    M = np.zeros(shape + (m, m), dtype=complex)
+    M = np.empty((m, m) + shape, dtype=complex)
     for j in range(m):
         f, v = (phis[j], vphs[j]) if not swap else (vphs[j], phis[j])
         lam = lams[j]
         for col in range(m):
             power = m - 1 - col
-            M[..., j, col] = (lam ** power) * (v if power % 2 == 1 else f)
+            M[j, col] = (lam ** power) * (v if power % 2 == 1 else f)
         if shifted:
-            M[..., j, 0] = (lam ** m) * f
-    return M
+            M[j, 0] = (lam ** m) * f
+    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
-def _omega_matrix_mp(spectral_set: SpectralSet, x: float, t: float,
-                     swap: bool, shifted: bool):
-    m = len(spectral_set.data)
-    M = [[None] * m for _ in range(m)]
-    for j, d in enumerate(spectral_set.data):
+def _mp_component_table(spectral_set: SpectralSet, x: float, t: float) -> list:
+    """(lam, phi, varphi) in mpmath for every datum at one point, partners of a
+    reduced set conjugated from their representative as in `_component_table`."""
+    reps = spectral_set.data[0::2] if spectral_set.reduction else spectral_set.data
+    rows = []
+    for k, d in enumerate(reps):
         if d.mp_components is None:
             p, v = mp.mpc(complex(d.phi(x, t))), mp.mpc(complex(d.varphi(x, t)))
         else:
             p, v = d.mp_components(x, t)
+        rows.append((mp.mpc(d.lam), p, v))
+        if spectral_set.reduction:
+            rows.append((mp.mpc(spectral_set.data[2 * k + 1].lam), mp.conj(v), mp.conj(p)))
+    return rows
+
+
+def _omega_matrix_mp(rows: list, swap: bool, shifted: bool) -> list:
+    m = len(rows)
+    M = []
+    for lam, p, v in rows:
         if swap:
             p, v = v, p
-        lam = mp.mpc(d.lam)
-        for col in range(m):
-            power = m - 1 - col
-            M[j][col] = (lam ** power) * (v if power % 2 == 1 else p)
+        row = [(lam ** (m - 1 - col)) * (v if (m - 1 - col) % 2 == 1 else p)
+               for col in range(m)]
         if shifted:
-            M[j][0] = (lam ** m) * p
+            row[0] = (lam ** m) * p
+        M.append(row)
     return M
+
+
+def _omega_dets(spectral_set: SpectralSet, stack_det: Callable):
+    """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
+
+    `stack_det(swap, shifted)` eliminates one determinant stack.  On a
+    reduced set the swapped matrix is the conjugate of the main one with each
+    representative's row exchanged with its partner's, so
+    swapped = (-1)^n conj(main), and likewise for the shifted pair: two
+    eliminations instead of four.  The sign is left out, because the
+    transformation only uses swapped^2 and swapped * swapped_shift.
+    """
+    main, ratios = stack_det(False, False)
+    main_shift, _ = stack_det(False, True)
+    if spectral_set.reduction:
+        return main, np.conj(main), main_shift, np.conj(main_shift), ratios
+    swapped, _ = stack_det(True, False)
+    swapped_shift, _ = stack_det(True, True)
+    return main, swapped, main_shift, swapped_shift, ratios
 
 
 def _omega_dets_double(spectral_set: SpectralSet, x, t):
     lams, phis, vphs = _component_table(spectral_set, x, t)
-    out = {}
-    ratios = None
-    for name, swap, shifted in (("main", False, False), ("swapped", True, False),
-                                ("main_shift", False, True), ("swapped_shift", True, True)):
-        M = _omega_matrix(lams, phis, vphs, swap, shifted)
-        d, r = batched_det(M)
-        out[name] = d
-        if name == "main":
-            ratios = r
-    return out, ratios
+
+    def stack_det(swap, shifted):
+        return batched_det(_omega_matrix(lams, phis, vphs, swap, shifted))
+
+    return _omega_dets(spectral_set, stack_det)
 
 
 def _omega_dets_extended(spectral_set: SpectralSet, x, t):
-    xs = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(x, t).shape).ravel()
-    ts = np.broadcast_to(np.asarray(t, dtype=float), np.broadcast(x, t).shape).ravel()
     shape = np.broadcast(x, t).shape
-    out = {}
-    ratios = None
+    xs = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
     with mp.workdps(_MP_DPS):
-        for name, swap, shifted in (("main", False, False), ("swapped", True, False),
-                                    ("main_shift", False, True), ("swapped_shift", True, True)):
-            mats = [_omega_matrix_mp(spectral_set, float(xi), float(ti), swap, shifted)
-                    for xi, ti in zip(xs, ts)]
-            dd = DDComplexArray.from_mp(np.asarray(mats, dtype=object))
-            d, r = dd_batched_det(dd)
-            out[name] = d.to_complex().reshape(shape)
-            if name == "main":
-                ratios = np.asarray(r).reshape(shape)
-    return out, ratios
+        tables = [_mp_component_table(spectral_set, float(xi), float(ti))
+                  for xi, ti in zip(xs, ts)]
+
+        def stack_det(swap, shifted):
+            mats = [_omega_matrix_mp(rows, swap, shifted) for rows in tables]
+            d, r = dd_batched_det(DDComplexArray.from_mp(np.asarray(mats, dtype=object)))
+            return d.to_complex().reshape(shape), np.asarray(r).reshape(shape)
+
+        return _omega_dets(spectral_set, stack_det)
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
@@ -272,38 +311,20 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
         raise ValueError(f"supported orders are 1..3, got {n}")
     if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
+    dets = _omega_dets_extended if precision == "extended" else _omega_dets_double
 
-    def dets(x, t):
-        if precision == "extended":
-            return _omega_dets_extended(spectral_set, x, t)
-        return _omega_dets_double(spectral_set, x, t)
-
-    def Q_new(x, t):
-        om, ratios = dets(x, t)
-        Q, eim, _, ra = _seed_terms(seed, x, t)
+    def evaluate(x, t):
+        main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, x, t)
+        Q, eim, eip, ra = _seed_terms(seed, x, t)
+        keep = ratios <= condition_bound
         with np.errstate(all="ignore"):
-            main2 = om["main"] ** 2
-            out = (om["swapped"] ** 2 / main2) * Q \
-                + eim / ra * om["swapped"] * om["swapped_shift"] / main2
-            out = np.where(np.isfinite(out) & (ratios <= condition_bound), out, np.nan + 0j)
-        return out
+            main2, sw2 = main ** 2, swapped ** 2
+            q = (sw2 / main2) * Q + eim / ra * swapped * swapped_shift / main2
+            r = (main2 / sw2) * -np.conj(Q) - eip / ra * main * main_shift / sw2
+        return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
+                np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 
-    def R_new(x, t):
-        om, ratios = dets(x, t)
-        Q, _, eip, ra = _seed_terms(seed, x, t)
-        R = -np.conj(Q)
-        with np.errstate(all="ignore"):
-            sw2 = om["swapped"] ** 2
-            out = (om["main"] ** 2 / sw2) * R \
-                - eip / ra * om["main"] * om["main_shift"] / sw2
-            out = np.where(np.isfinite(out) & (ratios <= condition_bound), out, np.nan + 0j)
-        return out
-
-    def cond(x, t):
-        _, ratios = dets(x, t)
-        return ratios
-
-    return DTOutput(Q=Q_new, R=R_new, condition_estimate=cond, condition_bound=condition_bound)
+    return DTOutput(evaluate, condition_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +403,9 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
     mirror = n_fold(_degenerate_set(spec, seed, [-o for o in spec.offsets], pairing), seed,
                     precision=precision, condition_bound=condition_bound)
 
-    def Q_avg(x, t):
-        return 0.5 * (main.Q(x, t) + mirror.Q(x, t))
+    def evaluate(x, t):
+        qa, ra, ca = main.evaluate(x, t)
+        qb, rb, cb = mirror.evaluate(x, t)
+        return 0.5 * (qa + qb), 0.5 * (ra + rb), np.maximum(ca, cb)
 
-    def R_avg(x, t):
-        return 0.5 * (main.R(x, t) + mirror.R(x, t))
-
-    def cond(x, t):
-        return np.maximum(main.condition_estimate(x, t), mirror.condition_estimate(x, t))
-
-    return DTOutput(Q=Q_avg, R=R_avg, condition_estimate=cond, condition_bound=condition_bound)
+    return DTOutput(evaluate, condition_bound)

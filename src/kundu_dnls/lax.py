@@ -88,10 +88,17 @@ def frequency_from_constraint(a: float, c: float, alpha: float) -> float:
     return -alpha * c * c * a - 2.0 - a * a - 2.0 * a - alpha * c * c
 
 
-def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
-                         theta_p: float = 1.0, theta_q: float = 1.0) -> PlaneWaveSeed:
+def _check_coupling(alpha: float):
+    """The engine scales by sqrt(alpha), so the coupling must be positive."""
     if alpha == 0.0:
         raise ZeroCouplingError("coupling alpha must be nonzero")
+    if alpha < 0:
+        raise ValueError(f"coupling alpha must be positive, got {alpha}")
+
+
+def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
+                         theta_p: float = 1.0, theta_q: float = 1.0) -> PlaneWaveSeed:
+    _check_coupling(alpha)
     if c < 0:
         raise ValueError("amplitude c must be >= 0")
     return PlaneWaveSeed(a=a, c=c, b=frequency_from_constraint(a, c, alpha),
@@ -99,8 +106,7 @@ def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
 
 
 def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) -> ZeroSeed:
-    if alpha == 0.0:
-        raise ZeroCouplingError("coupling alpha must be nonzero")
+    _check_coupling(alpha)
     return ZeroSeed(alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 

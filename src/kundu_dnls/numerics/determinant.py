@@ -1,10 +1,12 @@
 """Dense complex determinants by row elimination with partial pivoting.
 
-The batched form works on arrays of shape (..., m, m) so whole grids of
-small transformation determinants evaluate in a handful of vectorized
-passes.  Alongside the determinant it reports the pivot-magnitude ratio
-max|p_k| / min|p_k|, the conditioning estimate used to detect near-singular
-evaluation points in the degenerate regimes.
+The batched form takes arrays of shape (..., m, m) so whole grids of small
+transformation determinants evaluate in a handful of vectorized passes.
+Internally the stack is copied once into an (m, m, N) layout: every
+elimination step then works on contiguous length-N rows instead of strided
+gathers across the batch.  Alongside the determinant it reports the
+pivot-magnitude ratio max|p_k| / min|p_k|, the conditioning estimate used to
+detect near-singular evaluation points in the degenerate regimes.
 """
 from __future__ import annotations
 
@@ -21,35 +23,38 @@ def batched_det(mats: Array) -> tuple[Array, Array]:
     Returns (det, pivot_ratio), each of shape mats.shape[:-2].  A zero pivot
     yields det 0 and pivot_ratio inf.
     """
-    a = np.array(mats, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    m = a.shape[-1]
-    lead = a.shape[:-2]
-    a = a.reshape((-1, m, m))
-    n = a.shape[0]
+    mats = np.asarray(mats)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {mats.shape}")
+    m = mats.shape[-1]
+    lead = mats.shape[:-2]
+    # the one copy: batch on the last axis, so a[i, j] is a contiguous row
+    a = np.array(mats.reshape((-1, m, m)).transpose(1, 2, 0), dtype=complex, order="C")
+    n = a.shape[-1]
     sign = np.ones(n, dtype=complex)
     piv_max = np.zeros(n)
     piv_min = np.full(n, np.inf)
     det_val = np.ones(n, dtype=complex)
     for k in range(m):
-        rel = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
+        rel = np.argmax(np.abs(a[k:, k]), axis=0) + k
         swap = np.flatnonzero(rel != k)
         if swap.size:
+            # columns left of k are never read again, so only k: moves
             r = rel[swap]
-            tmp = a[swap, k, :].copy()
-            a[swap, k, :] = a[swap, r, :]
-            a[swap, r, :] = tmp
+            tmp = a[k, k:, swap]
+            a[k, k:, swap] = a[r, k:, swap]
+            a[r, k:, swap] = tmp
             sign[swap] = -sign[swap]
-        piv = a[:, k, k]
+        piv = a[k, k]
         ap = np.abs(piv)
         piv_max = np.maximum(piv_max, ap)
         piv_min = np.minimum(piv_min, ap)
         det_val *= piv
-        if k < m - 1:
+        nonzero = ap > 0
+        for i in range(k + 1, m):
             with np.errstate(divide="ignore", invalid="ignore"):
-                factor = np.where(ap[:, None] > 0, a[:, k + 1:, k] / piv[:, None], 0.0)
-            a[:, k + 1:, k:] -= factor[:, :, None] * a[:, None, k, k:]
+                factor = np.where(nonzero, a[i, k] / piv, 0.0)
+            a[i, k:] -= factor * a[k, k:]
     det_val *= sign
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)

@@ -86,21 +86,14 @@ class ComplexField2D:
 
 
 def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
-    """Evaluate f(x, t) on every grid node; non-finite results are masked, not fatal."""
+    """Evaluate the vectorized f(X, T) once over the grid mesh.
+
+    Non-finite results are masked, not fatal; exceptions from f propagate,
+    and a result whose shape is not the grid's raises GridMismatchError.
+    """
     X, T = grid.mesh()
     with np.errstate(all="ignore"):
-        try:
-            values = np.asarray(f(X, T), dtype=complex)
-            if values.shape != X.shape:
-                raise TypeError
-        except Exception:
-            values = np.empty(X.shape, dtype=complex)
-            for i in range(grid.nx):
-                for j in range(grid.nt):
-                    try:
-                        values[i, j] = complex(f(X[i, j], T[i, j]))
-                    except (ZeroDivisionError, OverflowError, FloatingPointError):
-                        values[i, j] = np.nan
+        values = np.asarray(f(X, T), dtype=complex)
     return ComplexField2D(grid, values)
 
 

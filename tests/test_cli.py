@@ -82,6 +82,18 @@ def test_missing_solution_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("params", [
+    ["--solution", "engine-nfold", "--param", "seed=zero", "--param", "alpha=-1"],
+    ["--solution", "engine-nfold", "--param", "lam1_im=0"],
+    ["--solution", "positon", "--param", "alpha=-1"],
+], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog"])
+def test_bad_parameter_values_exit_2(tmp_path, params):
+    out = tmp_path / "x.csv"
+    rc = run(["generate", *params, "--grid", "-1:1:11,-1:1:11",
+              "--output", str(out), "--quiet"])
+    assert rc == 2 and not out.exists()
+
+
 def test_io_failure_exit_code(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory")

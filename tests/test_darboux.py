@@ -1,4 +1,6 @@
 """Transformation-engine tests: one-fold, n-fold, reduction, degeneration."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -123,14 +125,121 @@ def test_gauge_covariance_under_common_rescaling():
         assert abs(va - vb) <= 1e-10 * max(1.0, abs(va))
 
 
+def general(sset):
+    """The same data without the reduction flag: all four determinants are
+    eliminated from every datum's own closures."""
+    return SpectralSet(list(sset.data), reduction=False)
+
+
 def test_reduction_symmetry_companion_field():
-    out = n_fold(build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0), SEED0)
+    # the reduced path derives its swapped determinants by conjugation, so R
+    # comes from the general path, whose determinants are eliminated apart
     pts = grid_pts(100, -5, 5, seed=23)
     X, T = pts[:, 0], pts[:, 1]
-    assert np.max(np.abs(out.R(X, T) + np.conj(out.Q(X, T)))) <= 1e-8
+    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
+    q, r = n_fold(sset, SEED0).Q(X, T), n_fold(general(sset), SEED0).R(X, T)
+    assert np.max(np.abs(r + np.conj(q))) <= 1e-8
 
-    outp = n_fold(build_reduced_set([0.5 + 0.5j], SEEDP), SEEDP)
-    assert np.max(np.abs(outp.R(X, T) + np.conj(outp.Q(X, T)))) <= 1e-8
+    ssetp = build_reduced_set([0.5 + 0.5j], SEEDP)
+    qp, rp = n_fold(ssetp, SEEDP).Q(X, T), n_fold(general(ssetp), SEEDP).R(X, T)
+    assert np.max(np.abs(rp + np.conj(qp))) <= 1e-8
+
+
+def _coalescing(lam_c, eps, n):
+    return [lam_c * (1 + eps * np.exp(2j * np.pi * k / n)) for k in range(n)]
+
+
+@pytest.mark.parametrize("seed, lams", [
+    (SEED0, [1 + 2j]),
+    (SEED0, [0.7 + 0.3j, 0.5 + 0.5j]),
+    (SEED0, [0.7 + 0.3j, 0.5 + 0.5j, 0.4 + 0.9j]),
+    (SEED0, _coalescing(0.8 + 0.8j, 2e-3, 2)),
+    (SEED0, _coalescing(0.8 + 0.8j, 2e-3, 3)),
+    (SEEDP, [0.5 + 0.5j]),
+    (SEEDP, [0.5 + 0.5j, 0.4 + 0.9j]),
+    (SEEDP, [0.5 + 0.5j, 0.4 + 0.9j, 0.8 + 0.6j]),
+    (SEEDP, _coalescing(1 + 1j, 2e-3, 2)),
+    (SEEDP, _coalescing(1 + 1j, 2e-3, 3)),
+])
+def test_reduced_path_matches_general_path(seed, lams):
+    sset = build_reduced_set(lams, seed)
+    X, T = grid_pts(200, -4, 4, seed=5).T
+    q, r, cond = n_fold(sset, seed).evaluate(X, T)
+    qg, rg, condg = n_fold(general(sset), seed).evaluate(X, T)
+    assert np.all(np.isfinite(qg))
+    assert np.max(np.abs(q - qg)) <= 1e-12 * np.max(np.abs(qg))
+    assert np.max(np.abs(r - rg)) <= 1e-12 * np.max(np.abs(rg))
+    assert np.array_equal(cond, condg)
+
+
+def test_reduced_path_evaluates_representatives_once(monkeypatch):
+    import kundu_dnls.darboux as dx
+    sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j, 0.8 + 0.6j], SEEDP)
+    calls = {"components": 0, "stacks": 0}
+
+    def counted(f):
+        def g(x, t):
+            calls["components"] += 1
+            return f(x, t)
+        return g
+    for d in sset.data:
+        d.phi, d.varphi = counted(d.phi), counted(d.varphi)
+    real_det = dx.batched_det
+
+    def counted_det(mats):
+        calls["stacks"] += 1
+        return real_det(mats)
+    monkeypatch.setattr(dx, "batched_det", counted_det)
+    X, T = grid_pts(50).T
+    n_fold(sset, SEEDP).Q(X, T)
+    # one phi and one varphi per representative, two determinant stacks
+    assert calls == {"components": 6, "stacks": 2}
+    calls.update(components=0, stacks=0)
+    n_fold(general(sset), SEEDP).Q(X, T)
+    assert calls["stacks"] == 4
+
+
+def test_reduced_set_rejects_unpaired_eigenvalues():
+    d1 = kd.zero_seed_eigenfunction(1 + 2j)
+    d2 = kd.zero_seed_eigenfunction(1 + 2.5j)
+    with pytest.raises(ValueError):
+        SpectralSet([d1, d2], reduction=True)
+    with pytest.raises(ValueError):
+        SpectralSet([d1, d2.conjugate_partner(), d2, d1.conjugate_partner()], reduction=True)
+    SpectralSet([d1, d2], reduction=False)
+    SpectralSet([d1, d1.conjugate_partner(), d2, d2.conjugate_partner()], reduction=True)
+
+
+@dataclass(frozen=True)
+class _NanSeed:
+    """A zero background whose value is not finite at the origin."""
+
+    alpha: float = 1.0
+
+    def value(self, x, t):
+        return np.where((np.asarray(x) == 0) & (np.asarray(t) == 0), np.nan, 0.0) + 0j
+
+    def theta(self, x, t):
+        return x + t
+
+
+def test_scalar_accessor_raises_on_flagged_points():
+    synthetic = SpectralSet([
+        SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: np.ones_like(x + t + 0j), "synthetic"),
+        SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: 2.0 * np.ones_like(x + t + 0j), "synthetic")])
+    with pytest.raises(SingularOmegaError):
+        n_fold(synthetic, SEED0).at(0.0, 0.0)
+
+    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
+    with pytest.raises(ConditionBlowupError):
+        n_fold(sset, SEED0, condition_bound=1.0).at(0.3, 0.2)
+    with pytest.raises(DenominatorVanishesError):
+        n_fold(sset, _NanSeed()).at(0.0, 0.0)
+
+    out = n_fold(sset, SEED0)
+    assert out.at(0.3, 0.2) == complex(out.Q(0.3, 0.2))
 
 
 def test_n_fold_rejects_unsupported_order():

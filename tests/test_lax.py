@@ -39,6 +39,14 @@ def test_zero_coupling_rejected():
         zero_seed(0.0)
 
 
+def test_negative_coupling_rejected():
+    # the engine scales by sqrt(alpha); a negative coupling would give NaN fields
+    with pytest.raises(ValueError):
+        make_plane_wave_seed(-2.0, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        zero_seed(-1.0)
+
+
 # ---------------------------------------------------------------------------
 # zero-seed eigenfunctions
 # ---------------------------------------------------------------------------

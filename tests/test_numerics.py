@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kundu_dnls.errors import GridTooSmallError, NonFiniteError
+from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteError
 from kundu_dnls.lax import zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, central_diff, dd_batched_det, det,
@@ -82,6 +82,60 @@ def test_batched_det_pivot_ratio_flags_singular():
     assert r[0] > 1e12 or np.isinf(r[0])
 
 
+def row_major_batched_det(mats):
+    """Reference: the elimination with the batch on the first axis, kept to
+    pin down that the batch-last layout changes no bit of the result."""
+    a = np.array(mats, dtype=complex)
+    m = a.shape[-1]
+    lead = a.shape[:-2]
+    a = a.reshape((-1, m, m))
+    n = a.shape[0]
+    sign = np.ones(n, dtype=complex)
+    piv_max = np.zeros(n)
+    piv_min = np.full(n, np.inf)
+    det_val = np.ones(n, dtype=complex)
+    for k in range(m):
+        rel = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
+        swap = np.flatnonzero(rel != k)
+        if swap.size:
+            r = rel[swap]
+            tmp = a[swap, k, :].copy()
+            a[swap, k, :] = a[swap, r, :]
+            a[swap, r, :] = tmp
+            sign[swap] = -sign[swap]
+        piv = a[:, k, k]
+        ap = np.abs(piv)
+        piv_max = np.maximum(piv_max, ap)
+        piv_min = np.minimum(piv_min, ap)
+        det_val *= piv
+        if k < m - 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                factor = np.where(ap[:, None] > 0, a[:, k + 1:, k] / piv[:, None], 0.0)
+            a[:, k + 1:, k:] -= factor[:, :, None] * a[:, None, k, k:]
+    det_val *= sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)
+    return det_val.reshape(lead), ratio.reshape(lead)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_batched_det_bit_identical_to_row_major_reference(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((12, 25, m, m)) + 1j * rng.standard_normal((12, 25, m, m))
+    a[0, :, 1, 0] = a[0, :, 0, 0]                   # exact pivot-magnitude ties
+    a[1, :, 1, 0] = 1j * a[1, :, 0, 0]
+    a[2, :, :, 0] = 0                               # zero pivot in the first column
+    a[3, :, 1] = a[3, :, 0]                         # singular: tiny pivot later on
+    a[4] = np.round(a[4])                           # many ties among small integers
+    keep = a.copy()
+    d, r = batched_det(a)
+    d_ref, r_ref = row_major_batched_det(a)
+    assert d.shape == r.shape == (12, 25)
+    assert np.array_equal(d, d_ref) and np.array_equal(r, r_ref)
+    assert np.isinf(r[2]).all() and (r[3] > 1e12).all()
+    assert np.array_equal(a, keep)                  # the input is never modified
+
+
 # ---------------------------------------------------------------------------
 # grids, sampling, stencils
 # ---------------------------------------------------------------------------
@@ -108,6 +162,17 @@ def test_sample_flags_non_finite_instead_of_raising():
     g = Grid2D(-1, 1, -1, 1, 5, 5)
     f = sample(lambda x, t: np.where(np.abs(x) < 1e-12, np.nan, 1.0 + 0j), g)
     assert f.invalid[2].all() and not f.invalid[0].any()
+
+
+def test_sample_propagates_errors_and_rejects_wrong_shapes():
+    g = Grid2D(-1, 1, -1, 1, 5, 5)
+
+    def broken(x, t):
+        raise ZeroDivisionError("no scalar fallback")
+    with pytest.raises(ZeroDivisionError):
+        sample(broken, g)
+    with pytest.raises(GridMismatchError):
+        sample(lambda x, t: x[:, :2] + t[:, :2], g)
 
 
 def test_central_diff_exponential_and_order():
