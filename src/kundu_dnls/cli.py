@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -88,11 +89,22 @@ def resolve_params(solution: str, raw: dict) -> dict:
             if val not in ("zero", "planewave"):
                 raise InvalidConfigError("seed must be 'zero' or 'planewave'")
             params[key] = val
-        elif key == "n":
-            params[key] = int(val)
         else:
-            params[key] = float(val)
+            params[key] = _number(key, val, integer=key == "n")
     return params
+
+
+def _number(key: str, val, integer: bool):
+    """A finite float (or a whole number, for `integer`); anything else is
+    invalid configuration, not a crash, a truncation or an all-NaN grid."""
+    kind = "an integer" if integer else "a finite number"
+    try:
+        out = float(val)
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"parameter {key} must be {kind}, got {val!r}") from None
+    if not math.isfinite(out) or (integer and not out.is_integer()):
+        raise InvalidConfigError(f"parameter {key} must be {kind}, got {val!r}")
+    return int(out) if integer else out
 
 
 def _make_seed(params: dict):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConditionBlowupError, DegeneratePairError,
                      DenominatorVanishesError, SingularOmegaError)
-from .lax import (PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
+from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
@@ -27,8 +27,6 @@ Array = np.ndarray
 
 EXTENDED_EPS_THRESHOLD = 1e-3   # degeneration radius at or below which dd kicks in
 DEFAULT_CONDITION_BOUND = 1e12
-
-_MP_DPS = 40
 
 
 @dataclass
@@ -184,123 +182,109 @@ def one_fold(spectral_set: SpectralSet, seed: Seed,
 # n-fold determinants
 # ---------------------------------------------------------------------------
 
-def _component_table(spectral_set: SpectralSet, x, t) -> tuple[list, list, list]:
-    """Eigenvalues and both components of every datum over the point shape.
+def _component_table(spectral_set: SpectralSet, components: Callable):
+    """Eigenvalues and both components of every datum, (lams, phis, varphis).
 
-    A reduced set evaluates its representatives only: each partner's
+    `components(datum)` returns the datum's (phi, varphi) over the point
+    shape.  A reduced set evaluates its representatives only: each partner's
     components are the representative's, conjugated and exchanged.
     """
     lams, phis, vphs = [], [], []
-    if spectral_set.reduction:
-        for rep, partner in zip(spectral_set.data[0::2], spectral_set.data[1::2]):
-            p = np.asarray(rep.phi(x, t), dtype=complex)
-            v = np.asarray(rep.varphi(x, t), dtype=complex)
-            lams += [rep.lam, partner.lam]
-            phis += [p, np.conj(v)]
-            vphs += [v, np.conj(p)]
-        return lams, phis, vphs
-    for d in spectral_set.data:
+    data = spectral_set.data
+    reps = data[0::2] if spectral_set.reduction else data
+    for k, d in enumerate(reps):
+        p, v = components(d)
         lams.append(d.lam)
-        phis.append(np.asarray(d.phi(x, t), dtype=complex))
-        vphs.append(np.asarray(d.varphi(x, t), dtype=complex))
+        phis.append(p)
+        vphs.append(v)
+        if spectral_set.reduction:
+            lams.append(data[2 * k + 1].lam)
+            phis.append(np.conj(v))
+            vphs.append(np.conj(p))
     return lams, phis, vphs
 
 
-def _omega_matrix(lams, phis, vphs, swap: bool, shifted: bool) -> Array:
-    """Stack of the 2n x 2n determinant matrices over the broadcast point shape.
+def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
+    """Stack of the unshifted 2n x 2n determinant matrices over the point shape.
 
     Row j alternates descending powers of lam_j against the two components:
-    odd powers weight varphi, even powers weight phi (swap exchanges roles);
-    `shifted` replaces the leading column with lam^{2n} times the even-power
-    component.  The entries are stored matrix-first, so the returned
-    (..., m, m) view is already in the batch-last order `batched_det` uses.
+    odd powers weight varphi, even powers weight phi (swap exchanges roles).
+    Complex components give a complex stack; object arrays of mpmath values,
+    with mpmath eigenvalues, give an mpmath stack.  The entries are stored
+    matrix-first, so the returned (..., m, m) view is already in the
+    batch-last order `batched_det` uses.
     """
     m = len(lams)
     shape = np.broadcast(phis[0], vphs[0]).shape
-    M = np.empty((m, m) + shape, dtype=complex)
+    M = np.empty((m, m) + shape, dtype=np.result_type(phis[0], vphs[0]))
     for j in range(m):
-        f, v = (phis[j], vphs[j]) if not swap else (vphs[j], phis[j])
-        lam = lams[j]
+        f, v = (vphs[j], phis[j]) if swap else (phis[j], vphs[j])
         for col in range(m):
             power = m - 1 - col
-            M[j, col] = (lam ** power) * (v if power % 2 == 1 else f)
-        if shifted:
-            M[j, 0] = (lam ** m) * f
+            # scalar first: numpy's complex product is not commutative bit for
+            # bit; np.multiply stops `mpc * array` converting the whole array
+            M[j, col] = np.multiply(lams[j] ** power, v if power % 2 == 1 else f)
     return np.moveaxis(M, (0, 1), (-2, -1))
 
 
-def _mp_component_table(spectral_set: SpectralSet, x: float, t: float) -> list:
-    """(lam, phi, varphi) in mpmath for every datum at one point, partners of a
-    reduced set conjugated from their representative as in `_component_table`."""
-    reps = spectral_set.data[0::2] if spectral_set.reduction else spectral_set.data
-    rows = []
-    for k, d in enumerate(reps):
-        if d.mp_components is None:
-            p, v = mp.mpc(complex(d.phi(x, t))), mp.mpc(complex(d.varphi(x, t)))
-        else:
-            p, v = d.mp_components(x, t)
-        rows.append((mp.mpc(d.lam), p, v))
-        if spectral_set.reduction:
-            rows.append((mp.mpc(spectral_set.data[2 * k + 1].lam), mp.conj(v), mp.conj(p)))
-    return rows
-
-
-def _omega_matrix_mp(rows: list, swap: bool, shifted: bool) -> list:
-    m = len(rows)
-    M = []
-    for lam, p, v in rows:
-        if swap:
-            p, v = v, p
-        row = [(lam ** (m - 1 - col)) * (v if (m - 1 - col) % 2 == 1 else p)
-               for col in range(m)]
-        if shifted:
-            row[0] = (lam ** m) * p
-        M.append(row)
-    return M
-
-
-def _omega_dets(spectral_set: SpectralSet, stack_det: Callable):
+def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
 
-    `stack_det(swap, shifted)` eliminates one determinant stack.  On a
-    reduced set the swapped matrix is the conjugate of the main one with each
-    representative's row exchanged with its partner's, so
-    swapped = (-1)^n conj(main), and likewise for the shifted pair: two
+    `stack_det(stack)` eliminates one determinant stack without modifying
+    it.  The shifted matrix differs from the unshifted one in its leading
+    column only, which holds lam^{2n} times the even-power component, so
+    that column is overwritten in place once the unshifted stack is
+    eliminated.  On a reduced set the swapped matrix is the conjugate of the
+    main one with each representative's row exchanged with its partner's,
+    so swapped = (-1)^n conj(main), and likewise for the shifted pair: two
     eliminations instead of four.  The sign is left out, because the
     transformation only uses swapped^2 and swapped * swapped_shift.
     """
-    main, ratios = stack_det(False, False)
-    main_shift, _ = stack_det(False, True)
+    m = len(lams)
+
+    def dets(swap):
+        M = _omega_matrix(lams, phis, vphs, swap)
+        unshifted, ratios = stack_det(M)
+        for j, f in enumerate(vphs if swap else phis):
+            M[..., j, 0] = np.multiply(lams[j] ** m, f)
+        return unshifted, stack_det(M)[0], ratios
+
+    main, main_shift, ratios = dets(False)
     if spectral_set.reduction:
         return main, np.conj(main), main_shift, np.conj(main_shift), ratios
-    swapped, _ = stack_det(True, False)
-    swapped_shift, _ = stack_det(True, True)
+    swapped, swapped_shift, _ = dets(True)
     return main, swapped, main_shift, swapped_shift, ratios
 
 
 def _omega_dets_double(spectral_set: SpectralSet, x, t):
-    lams, phis, vphs = _component_table(spectral_set, x, t)
+    def components(d):
+        return (np.asarray(d.phi(x, t), dtype=complex),
+                np.asarray(d.varphi(x, t), dtype=complex))
 
-    def stack_det(swap, shifted):
-        return batched_det(_omega_matrix(lams, phis, vphs, swap, shifted))
-
-    return _omega_dets(spectral_set, stack_det)
+    lams, phis, vphs = _component_table(spectral_set, components)
+    return _omega_dets(spectral_set, lams, phis, vphs, batched_det)
 
 
 def _omega_dets_extended(spectral_set: SpectralSet, x, t):
     shape = np.broadcast(x, t).shape
-    xs = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
-    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel()
-    with mp.workdps(_MP_DPS):
-        tables = [_mp_component_table(spectral_set, float(xi), float(ti))
-                  for xi, ti in zip(xs, ts)]
+    xs = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel().tolist()
+    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel().tolist()
 
-        def stack_det(swap, shifted):
-            mats = [_omega_matrix_mp(rows, swap, shifted) for rows in tables]
-            d, r = dd_batched_det(DDComplexArray.from_mp(np.asarray(mats, dtype=object)))
-            return d.to_complex().reshape(shape), np.asarray(r).reshape(shape)
+    def components(d):
+        mp_components = d.mp_components or (lambda xi, ti: (
+            mp.mpc(complex(d.phi(xi, ti))), mp.mpc(complex(d.varphi(xi, ti)))))
+        pv = np.empty((len(xs), 2), dtype=object)
+        pv[:] = [mp_components(xi, ti) for xi, ti in zip(xs, ts)]
+        return pv[:, 0].reshape(shape), pv[:, 1].reshape(shape)
 
-        return _omega_dets(spectral_set, stack_det)
+    def stack_det(M):
+        d, r = dd_batched_det(DDComplexArray.from_mp(M))
+        return d.to_complex(), r
+
+    with mp.workdps(MP_DPS):
+        lams, phis, vphs = _component_table(spectral_set, components)
+        lams = [mp.mpc(lam) for lam in lams]
+        return _omega_dets(spectral_set, lams, phis, vphs, stack_det)
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",

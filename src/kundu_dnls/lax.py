@@ -14,7 +14,6 @@ are the arbiter; see tests).  That sign is used throughout.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,6 +27,7 @@ from .numerics.grid import Grid2D
 Array = np.ndarray
 
 H_LAX_REL = 1e-4  # step for the internal x-derivative inside the time-flow matrix
+MP_DPS = 40       # digits of the eigenfunction constants and the extended path
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class ZeroSeed:
     def value(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=complex) + np.asarray(t, dtype=complex))
 
-    def value_x(self, x, t):
-        return self.value(x, t)
-
     def theta(self, x, t):
         return self.theta_p * x + self.theta_q * t
 
@@ -73,9 +70,6 @@ class PlaneWaveSeed:
 
     def value(self, x, t):
         return self.c * np.exp(1j * (self.a * np.asarray(x) + self.b * np.asarray(t)))
-
-    def value_x(self, x, t):
-        return 1j * self.a * self.value(x, t)
 
     def theta(self, x, t):
         return self.theta_p * x + self.theta_q * t
@@ -114,9 +108,10 @@ def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) ->
 class SpectralDatum:
     """One eigenvalue with its two-component eigenfunction samples.
 
-    `phi` and `varphi` are vectorized callables (x, t) -> complex.
-    `mp_components`, when present, evaluates both components in mpmath for
-    the extended-precision determinant path.
+    `phi` and `varphi` are vectorized callables (x, t) -> complex (the
+    constructors below give `ExpSum`s).  `mp_components`, when present,
+    evaluates both components in mpmath for the extended-precision
+    determinant path.
     """
 
     lam: complex
@@ -146,8 +141,35 @@ class SpectralDatum:
 
 
 # ---------------------------------------------------------------------------
-# zero-seed eigenfunctions
+# eigenfunction components as exponential sums
 # ---------------------------------------------------------------------------
+
+class ExpSum:
+    """One eigenfunction component, sum_k c_k exp(kx_k x + kt_k t).
+
+    The constants are mpmath values, computed once at `MP_DPS` digits.
+    Calling the sum evaluates it in double, vectorized over any array
+    shape; `mp(x, t)` evaluates it in mpmath at one point, at the working
+    precision of the caller.
+    """
+
+    def __init__(self, terms):
+        self.terms = [tuple(term) for term in terms]
+        self._double = [tuple(complex(v) for v in term) for term in self.terms]
+
+    def __call__(self, x, t):
+        x, t = np.asarray(x), np.asarray(t)
+        return sum(c * np.exp(kx * x + kt * t) for c, kx, kt in self._double)
+
+    def mp(self, x, t):
+        x, t = mp.mpf(x), mp.mpf(t)
+        return sum(c * mp.exp(kx * x + kt * t) for c, kx, kt in self.terms)
+
+
+def _datum(lam: complex, phi: ExpSum, varphi: ExpSum, provenance: str) -> SpectralDatum:
+    return SpectralDatum(lam=lam, phi=phi, varphi=varphi, provenance=provenance,
+                         mp_components=lambda x, t: (phi.mp(x, t), varphi.mp(x, t)))
+
 
 def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:
     """Exponential eigenfunction of the zero background.
@@ -159,24 +181,11 @@ def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:
     if lam == 0:
         raise ZeroEigenvalueError("lambda must be nonzero")
     lam = complex(lam)
-    c2 = -0.25j * lam * lam
-    c4 = -0.125j * time_sign * lam ** 4
-
-    def phase(x, t):
-        return c2 * np.asarray(x) + c4 * np.asarray(t)
-
-    def mp_components(x, t):
+    with mp.workdps(MP_DPS):
         lm = mp.mpc(lam)
-        e = mp.mpc(0, -0.125) * (2 * lm ** 2 * mp.mpf(x) + time_sign * lm ** 4 * mp.mpf(t))
-        return mp.exp(e), mp.exp(-e)
-
-    return SpectralDatum(
-        lam=lam,
-        phi=lambda x, t: np.exp(phase(x, t)),
-        varphi=lambda x, t: np.exp(-phase(x, t)),
-        provenance="zero-seed",
-        mp_components=mp_components,
-    )
+        kx = mp.mpc(0, -0.25) * lm ** 2
+        kt = mp.mpc(0, -0.125) * time_sign * lm ** 4
+        return _datum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]), "zero-seed")
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +222,6 @@ def critical_eigenvalue(seed: PlaneWaveSeed, guess: complex = 1 + 1j,
     raise ArithmeticError("Newton iteration for the critical eigenvalue did not converge")
 
 
-def _pw_pieces(lam: complex, seed: PlaneWaveSeed):
-    """Shared scalars of the plane-wave eigenfunction at one eigenvalue."""
-    a, c = seed.a, seed.c
-    if c == 0:
-        raise ZeroAmplitudeError("plane-wave eigenfunctions require c != 0")
-    if lam == 0:
-        raise ZeroEigenvalueError("lambda must be nonzero")
-    s = complex(branch_quantity(lam, seed))
-    pref_m = (2 - lam * lam + 2 * a - s) / (2 * lam * c)
-    pref_p = (2 - lam * lam + 2 * a + s) / (2 * lam * c)
-    return s, 1 + pref_m, 1 + pref_p
-
-
 def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
                              weights: tuple[complex, complex] = (1.0, 1.0),
                              pairing: str = "reference") -> SpectralDatum:
@@ -236,66 +232,37 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
     (1, 1) both pairings coincide and the datum reduces to the unweighted
     eigenfunction.
     """
-    lam = complex(lam)
-    D1, D2 = complex(weights[0]), complex(weights[1])
-    a, c = seed.a, seed.c
-    s, u_m, u_p = _pw_pieces(lam, seed)
-    lam2 = lam * lam
-    # phase pieces: shat = (s/8)(-2x + (lam^2+2a+2+2c^2) t); ph0 affine in (x, t)
-    k_t = (lam2 + 2 * a + 2 + 2 * c * c)
-    ph0_x = (a + 1) / 2.0
-    ph0_t = -(a + 1) * (a + 1 + c * c) / 2.0
-
+    if seed.c == 0:
+        raise ZeroAmplitudeError("plane-wave eigenfunctions require c != 0")
+    if lam == 0:
+        raise ZeroEigenvalueError("lambda must be nonzero")
     if pairing not in ("reference", "alternate"):
         raise ValueError(f"unknown pairing {pairing!r}")
-
-    def components(x, t):
-        x = np.asarray(x)
-        t = np.asarray(t)
-        shat = (s / 8.0) * (-2.0 * x + k_t * t)
-        ph0 = ph0_x * x + ph0_t * t
-        e_p = np.exp(1j * (shat - ph0))
-        e_m = np.exp(-1j * (shat + ph0))
-        g_p = np.exp(1j * (ph0 + shat))
-        g_m = np.exp(1j * (ph0 - shat))
-        if pairing == "reference":
-            phi = D1 * u_m * e_p + D2 * u_p * e_m
-            vph = D1 * u_p * g_p + D2 * u_m * g_m
-        else:
-            phi = (D1 * (u_m - 1) + D2) * e_p + (D1 + D2 * (u_p - 1)) * e_m
-            vph = (D1 + D2 * (u_p - 1)) * g_p + (D1 * (u_m - 1) + D2) * g_m
-        return phi, vph
-
-    def mp_components(x, t):
-        lm = mp.mpc(lam)
+    lam = complex(lam)
+    D1, D2 = complex(weights[0]), complex(weights[1])
+    with mp.workdps(MP_DPS):
+        lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
         lm2 = lm * lm
-        a_m, c_m = mp.mpf(a), mp.mpf(c)
-        rad = 4 * a_m ** 2 - 4 * a_m * lm2 + 8 * a_m + lm2 ** 2 - 4 * lm2 + 4 - 4 * lm2 * c_m ** 2
-        s_m = mp.sqrt(rad)
-        um = 1 + (2 - lm2 + 2 * a_m - s_m) / (2 * lm * c_m)
-        up = 1 + (2 - lm2 + 2 * a_m + s_m) / (2 * lm * c_m)
-        xm, tm = mp.mpf(x), mp.mpf(t)
-        shat = (s_m / 8) * (-2 * xm + (lm2 + 2 * a_m + 2 + 2 * c_m ** 2) * tm)
-        ph0 = mp.mpf(ph0_x) * xm + mp.mpf(ph0_t) * tm
+        s = mp.sqrt(4 * a * a - 4 * a * lm2 + 8 * a + lm2 * lm2 - 4 * lm2 + 4 - 4 * lm2 * c * c)
+        u_m = 1 + (2 - lm2 + 2 * a - s) / (2 * lm * c)
+        u_p = 1 + (2 - lm2 + 2 * a + s) / (2 * lm * c)
+        # phases: shat = (s/8)(-2x + (lam^2 + 2a + 2 + 2c^2) t) and
+        # ph0 = (a+1)/2 x - (a+1)(a+1+c^2)/2 t; phi carries exp(i(+-shat - ph0)),
+        # varphi carries exp(i(+-shat + ph0))
+        sx, st = -s / 4, s * (lm2 + 2 * a + 2 + 2 * c * c) / 8
+        px, pt = (a + 1) / 2, -(a + 1) * (a + 1 + c * c) / 2
         I = mp.mpc(0, 1)
-        D1m, D2m = mp.mpc(D1), mp.mpc(D2)
-        e_p = mp.exp(I * (shat - ph0))
-        e_m = mp.exp(-I * (shat + ph0))
-        g_p = mp.exp(I * (ph0 + shat))
-        g_m = mp.exp(I * (ph0 - shat))
+        e_p, e_m = (I * (sx - px), I * (st - pt)), (I * (-sx - px), I * (-st - pt))
+        g_p, g_m = (I * (sx + px), I * (st + pt)), (I * (px - sx), I * (pt - st))
+        W1, W2 = mp.mpc(D1), mp.mpc(D2)
         if pairing == "reference":
-            return (D1m * um * e_p + D2m * up * e_m,
-                    D1m * up * g_p + D2m * um * g_m)
-        return ((D1m * (um - 1) + D2m) * e_p + (D1m + D2m * (up - 1)) * e_m,
-                (D1m + D2m * (up - 1)) * g_p + (D1m * (um - 1) + D2m) * g_m)
-
-    return SpectralDatum(
-        lam=lam,
-        phi=lambda x, t: components(x, t)[0],
-        varphi=lambda x, t: components(x, t)[1],
-        provenance=f"plane-wave(D1={D1:g}, D2={D2:g})",
-        mp_components=mp_components,
-    )
+            phi_c, vph_c = (W1 * u_m, W2 * u_p), (W1 * u_p, W2 * u_m)
+        else:
+            first, second = W1 * (u_m - 1) + W2, W1 + W2 * (u_p - 1)
+            phi_c, vph_c = (first, second), (second, first)
+        return _datum(lam, ExpSum([(phi_c[0], *e_p), (phi_c[1], *e_m)]),
+                      ExpSum([(vph_c[0], *g_p), (vph_c[1], *g_m)]),
+                      f"plane-wave(D1={D1:g}, D2={D2:g})")
 
 
 def unfolded_four_term_components(lam: complex, seed: PlaneWaveSeed,
@@ -334,9 +301,10 @@ def unfolded_four_term_components(lam: complex, seed: PlaneWaveSeed,
 # Lax matrices and residual checks
 # ---------------------------------------------------------------------------
 
-def lax_matrices(seed: Seed, Q_field: Optional[Callable], lam: complex,
-                 x: float, t: float, v_conjugation: str = "independent") -> tuple[Array, Array]:
-    """(U, V) at one point.
+def _lax_entries(seed: Seed, lam: complex, x, t, Q, Qx,
+                 v_conjugation: str) -> tuple[tuple, tuple]:
+    """Entries (U11, U12, U21, U22) and (V11, V12, V21, V22) at the field Q
+    with x-derivative Qx, vectorized over x, t.
 
     U is fixed by the spectral problem.  The time-flow matrix V admits two
     documented readings of its upper off-diagonal entry: "gstar" takes the
@@ -345,24 +313,14 @@ def lax_matrices(seed: Seed, Q_field: Optional[Callable], lam: complex,
     residual checks single out).  The cubic term of the generator carries a
     minus sign in the "independent" reading.
     """
-    if Q_field is None:
-        Q_field = seed.value
     alpha = seed.alpha
     ra = np.sqrt(alpha)
     th = seed.theta(x, t)
     thx = seed.theta_p
-    Q = complex(Q_field(x, t))
-    R = -np.conj(Q)
-    h = H_LAX_REL * max(1.0, abs(x))
-    Qx = complex(Q_field(x + h, t) - Q_field(x - h, t)) / (2 * h)
-    Rx = -np.conj(Qx)
-    eip = np.exp(1j * th)
-    eim = np.exp(-1j * th)
+    R, Rx = -np.conj(Q), -np.conj(Qx)
+    eip, eim = np.exp(1j * th), np.exp(-1j * th)
     lam2 = lam * lam
-    U = np.array([
-        [-0.25j * lam2, 0.5j * lam * ra * R * eim],
-        [0.5j * lam * ra * Q * eip, 0.25j * lam2],
-    ])
+    U = (-0.25j * lam2, 0.5j * lam * ra * R * eim, 0.5j * lam * ra * Q * eip, 0.25j * lam2)
     diag = 1j * (lam ** 4 / 8.0 - 0.25 * alpha * lam2 * Q * R)
     if v_conjugation == "gstar":
         G = (lam / 4) * ra * (-lam2 * Q * eip + 2j * (Qx * eip + 1j * Q * eip * thx)
@@ -376,8 +334,19 @@ def lax_matrices(seed: Seed, Q_field: Optional[Callable], lam: complex,
         V12, V21 = 1j * Gm, 1j * G
     else:
         raise ValueError(f"unknown v_conjugation {v_conjugation!r}")
-    V = np.array([[diag, V12], [V21, -diag]])
-    return U, V
+    return U, (diag, V12, V21, -diag)
+
+
+def lax_matrices(seed: Seed, Q_field: Optional[Callable], lam: complex,
+                 x: float, t: float, v_conjugation: str = "independent") -> tuple[Array, Array]:
+    """(U, V) at one point; see `_lax_entries` for the two readings of V."""
+    if Q_field is None:
+        Q_field = seed.value
+    Q = complex(Q_field(x, t))
+    h = H_LAX_REL * max(1.0, abs(x))
+    Qx = complex(Q_field(x + h, t) - Q_field(x - h, t)) / (2 * h)
+    U, V = _lax_entries(seed, lam, x, t, Q, Qx, v_conjugation)
+    return np.array(U).reshape(2, 2), np.array(V).reshape(2, 2)
 
 
 @dataclass
@@ -398,44 +367,15 @@ def check_lax_residual(datum: SpectralDatum, seed: Seed, grid: Grid2D,
         raise GridTooSmallError("need an interior for the residual norms")
     X, T = grid.mesh()
     Xi, Ti = X[1:-1, 1:-1], T[1:-1, 1:-1]
-    alpha = seed.alpha
-    ra = np.sqrt(alpha)
-    lam = datum.lam
-    lam2 = lam * lam
+    hl = H_LAX_REL
+    Qx = (seed.value(Xi + hl, Ti) - seed.value(Xi - hl, Ti)) / (2 * hl)
+    U, V = _lax_entries(seed, datum.lam, Xi, Ti, seed.value(Xi, Ti), Qx, v_conjugation)
 
     def psi(x, t):
         return datum.phi(x, t), datum.varphi(x, t)
 
-    def seed_QR(x, t):
-        Q = seed.value(x, t)
-        return Q, -np.conj(Q)
-
-    def U_apply(x, t, p, v):
-        Q, R = seed_QR(x, t)
-        th = seed.theta(x, t)
-        return (-0.25j * lam2 * p + 0.5j * lam * ra * R * np.exp(-1j * th) * v,
-                0.5j * lam * ra * Q * np.exp(1j * th) * p + 0.25j * lam2 * v)
-
-    def V_apply(x, t, p, v):
-        Q, R = seed_QR(x, t)
-        th = seed.theta(x, t)
-        thx = seed.theta_p
-        hl = H_LAX_REL
-        Qx = (seed.value(x + hl, t) - seed.value(x - hl, t)) / (2 * hl)
-        Rx = -np.conj(Qx)
-        eip, eim = np.exp(1j * th), np.exp(-1j * th)
-        diag = 1j * (lam ** 4 / 8.0 - 0.25 * alpha * lam2 * Q * R)
-        if v_conjugation == "gstar":
-            G = (lam / 4) * ra * (-lam2 * Q * eip + 2j * (Qx * eip + 1j * Q * eip * thx)
-                                  + 2 * alpha * Q * Q * np.conj(Q) * eip)
-            V12, V21 = 1j * np.conj(G), 1j * G
-        else:
-            G = (lam / 4) * ra * (-lam2 * Q * eip + 2j * (Qx * eip + 1j * Q * eip * thx)
-                                  - 2 * alpha * Q * Q * np.conj(Q) * eip)
-            Gm = (lam / 4) * ra * (-lam2 * R * eim + 2j * Rx * eim + 2 * R * eim * thx
-                                   - 2 * alpha * R * R * Q * eim)
-            V12, V21 = 1j * Gm, 1j * G
-        return (diag * p + V12 * v, V21 * p - diag * v)
+    def apply(M, p, v):
+        return M[0] * p + M[1] * v, M[2] * p + M[3] * v
 
     norms_x, norms_t = [], []
     for h in (min(grid.hx, grid.ht), min(grid.hx, grid.ht) / 2):
@@ -444,10 +384,10 @@ def check_lax_residual(datum: SpectralDatum, seed: Seed, grid: Grid2D,
         pxm, vxm = psi(Xi - h, Ti)
         ptp, vtp = psi(Xi, Ti + h)
         ptm, vtm = psi(Xi, Ti - h)
-        up, uv = U_apply(Xi, Ti, p0, v0)
+        up, uv = apply(U, p0, v0)
         rx = np.maximum(np.abs((pxp - pxm) / (2 * h) - up),
                         np.abs((vxp - vxm) / (2 * h) - uv))
-        wp, wv = V_apply(Xi, Ti, p0, v0)
+        wp, wv = apply(V, p0, v0)
         rt = np.maximum(np.abs((ptp - ptm) / (2 * h) - wp),
                         np.abs((vtp - vtm) / (2 * h) - wv))
         norms_x.append((h, float(np.max(rx)), float(np.mean(rx))))

@@ -169,69 +169,47 @@ class DDComplexArray:
 def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     """Pivoted elimination determinant over a (..., m, m) double-double stack.
 
-    Mirrors `determinant.batched_det`: returns (det, pivot_ratio).
+    Mirrors `determinant.batched_det`, layout included: the stack is copied
+    once into (m, m, N), and only columns k: of a swapped row move.  Returns
+    (det, pivot_ratio).
     """
     shp = mat.shape
     m = shp[-1]
     if len(shp) < 2 or shp[-2] != m:
         raise ValueError(f"expected square matrices, got shape {shp}")
     lead = shp[:-2]
-    n = int(np.prod(lead)) if lead else 1
-    a = DDComplexArray(mat.re_hi.reshape(n, m, m).copy(), mat.re_lo.reshape(n, m, m).copy(),
-                       mat.im_hi.reshape(n, m, m).copy(), mat.im_lo.reshape(n, m, m).copy())
+    a = DDComplexArray(*(np.array(part.reshape((-1, m, m)).transpose(1, 2, 0), order="C")
+                         for part in (mat.re_hi, mat.re_lo, mat.im_hi, mat.im_lo)))
+    n = a.shape[-1]
     det = DDComplexArray.from_complex(np.ones(n, dtype=complex))
     sign = np.ones(n)
     piv_max = np.zeros(n)
     piv_min = np.full(n, np.inf)
-    idx = np.arange(n)
     for k in range(m):
-        mags = a[idx[:, None], np.arange(k, m)[None, :], k].abs_hi()
-        rel = np.argmax(mags, axis=1) + k
+        rel = np.argmax(a[k:, k].abs_hi(), axis=0) + k
         swap = np.flatnonzero(rel != k)
         if swap.size:
             r = rel[swap]
-            for part in ("re_hi", "re_lo", "im_hi", "im_lo"):
-                arr = getattr(a, part)
-                tmp = arr[swap, k, :].copy()
-                arr[swap, k, :] = arr[swap, r, :]
-                arr[swap, r, :] = tmp
+            tmp = a[k, k:, swap]
+            a[k, k:, swap] = a[r, k:, swap]
+            a[r, k:, swap] = tmp
             sign[swap] = -sign[swap]
-        piv = a[:, k, k]
+        piv = a[k, k]
         ap = piv.abs_hi()
         piv_max = np.maximum(piv_max, ap)
         piv_min = np.minimum(piv_min, ap)
         det = det * piv
-        if k < m - 1:
-            safe = ap > 0
-            piv_safe = DDComplexArray(np.where(safe, piv.re_hi, 1.0), np.where(safe, piv.re_lo, 0.0),
-                                      np.where(safe, piv.im_hi, 0.0), np.where(safe, piv.im_lo, 0.0))
-            below = a[:, k + 1:, k]
-            factor = below / DDComplexArray(
-                np.broadcast_to(piv_safe.re_hi[:, None], below.shape).copy(),
-                np.broadcast_to(piv_safe.re_lo[:, None], below.shape).copy(),
-                np.broadcast_to(piv_safe.im_hi[:, None], below.shape).copy(),
-                np.broadcast_to(piv_safe.im_lo[:, None], below.shape).copy())
-            zero = np.zeros(factor.shape)
-            factor = DDComplexArray(np.where(safe[:, None], factor.re_hi, zero),
-                                    np.where(safe[:, None], factor.re_lo, zero),
-                                    np.where(safe[:, None], factor.im_hi, zero),
-                                    np.where(safe[:, None], factor.im_lo, zero))
-            fexp = DDComplexArray(
-                np.broadcast_to(factor.re_hi[:, :, None], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(factor.re_lo[:, :, None], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(factor.im_hi[:, :, None], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(factor.im_lo[:, :, None], (n, m - k - 1, m - k)).copy())
-            prow = a[:, k, k:]
-            pexp = DDComplexArray(
-                np.broadcast_to(prow.re_hi[:, None, :], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(prow.re_lo[:, None, :], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(prow.im_hi[:, None, :], (n, m - k - 1, m - k)).copy(),
-                np.broadcast_to(prow.im_lo[:, None, :], (n, m - k - 1, m - k)).copy())
-            a[:, k + 1:, k:] = a[:, k + 1:, k:] - fexp * pexp
-    sgn = DDComplexArray(sign, np.zeros(n), np.zeros(n), np.zeros(n))
-    det = det * sgn
+        safe = ap > 0
+        piv_safe = DDComplexArray(np.where(safe, piv.re_hi, 1.0), np.where(safe, piv.re_lo, 0.0),
+                                  np.where(safe, piv.im_hi, 0.0), np.where(safe, piv.im_lo, 0.0))
+        for i in range(k + 1, m):
+            f = a[i, k] / piv_safe
+            f = DDComplexArray(np.where(safe, f.re_hi, 0.0), np.where(safe, f.re_lo, 0.0),
+                               np.where(safe, f.im_hi, 0.0), np.where(safe, f.im_lo, 0.0))
+            a[i, k:] = a[i, k:] - f * a[k, k:]
+    det = det * DDComplexArray(sign, np.zeros(n), np.zeros(n), np.zeros(n))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)
-    det_out = DDComplexArray(det.re_hi.reshape(lead), det.re_lo.reshape(lead),
-                             det.im_hi.reshape(lead), det.im_lo.reshape(lead))
-    return det_out, ratio.reshape(lead)
+    return (DDComplexArray(*(part.reshape(lead) for part in (det.re_hi, det.re_lo,
+                                                             det.im_hi, det.im_lo))),
+            ratio.reshape(lead))

@@ -86,10 +86,27 @@ def test_missing_solution_rejected(tmp_path):
     ["--solution", "engine-nfold", "--param", "seed=zero", "--param", "alpha=-1"],
     ["--solution", "engine-nfold", "--param", "lam1_im=0"],
     ["--solution", "positon", "--param", "alpha=-1"],
-], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog"])
+    ["--solution", "engine-degenerate", "--param", "n=abc"],
+    ["--solution", "rogue2", "--param", "eps=abc"],
+    ["--solution", "soliton1", "--param", "m1=nan"],
+], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
+        "unparsable-order", "unparsable-radius", "non-finite-value"])
 def test_bad_parameter_values_exit_2(tmp_path, params):
     out = tmp_path / "x.csv"
     rc = run(["generate", *params, "--grid", "-1:1:11,-1:1:11",
+              "--output", str(out), "--quiet"])
+    assert rc == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("job", [
+    {"solution": "rogue2", "params": {"eps": [1]}},
+    {"solution": "engine-degenerate", "params": {"n": 2.5}},
+], ids=["list-valued", "fractional-order"])
+def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job))
+    out = tmp_path / "x.csv"
+    rc = run(["generate", "--config", str(cfg), "--grid", "-1:1:11,-1:1:11",
               "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists()
 

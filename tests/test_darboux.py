@@ -198,6 +198,79 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     n_fold(general(sset), SEEDP).Q(X, T)
     assert calls["stacks"] == 4
 
+    # extended path: mp_components once per representative per node
+    for d in sset.data:
+        d.mp_components = counted(d.mp_components)
+    real_dd = dx.dd_batched_det
+
+    def counted_dd(mat):
+        calls["stacks"] += 1
+        return real_dd(mat)
+    monkeypatch.setattr(dx, "dd_batched_det", counted_dd)
+    calls.update(components=0, stacks=0)
+    n_fold(sset, SEEDP, precision="extended").Q(X[:5], T[:5])
+    assert calls == {"components": 3 * 5, "stacks": 2}
+
+
+def _wrapped_eigenfunction(make):
+    """`make` with the datum's components replaced by plain callables, as an
+    instrumenting caller does after construction."""
+    def wrapped(*args, **kwargs):
+        datum = make(*args, **kwargs)
+        phi, varphi, mp_components = datum.phi, datum.varphi, datum.mp_components
+        datum.phi = lambda x, t: phi(x, t)
+        datum.varphi = lambda x, t: varphi(x, t)
+        datum.mp_components = lambda x, t: mp_components(x, t)
+        return datum
+    return wrapped
+
+
+def test_wrapped_components_give_the_same_field(monkeypatch):
+    import kundu_dnls.darboux as dx
+    X, T = grid_pts(40).T
+    lams = [0.5 + 0.5j, 0.4 + 0.9j]
+    plain = build_reduced_set(lams, SEEDP)
+    spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
+    plain_ext = degenerate_limit(spec, SEEDP).Q(X[:5], T[:5])
+    monkeypatch.setattr(dx, "plane_wave_eigenfunction",
+                        _wrapped_eigenfunction(dx.plane_wave_eigenfunction))
+    wrapped = build_reduced_set(lams, SEEDP)
+    assert wrapped.data[1].provenance.endswith("*")
+    for a, b in ((plain, wrapped), (general(plain), general(wrapped))):
+        assert np.array_equal(n_fold(a, SEEDP).Q(X, T), n_fold(b, SEEDP).Q(X, T))
+    assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X[:5], T[:5]), plain_ext)
+
+
+def test_benchmark_tracer_records_both_precisions():
+    # the benchmark's tracer replaces components after construction; load
+    # it by path and run one double and one extended evaluation under it
+    import importlib.util
+    from pathlib import Path
+
+    import kundu_dnls.darboux as dx
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    X, T = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 2), indexing="ij")
+    inst.install()
+    tracer.active = True
+    try:
+        q = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j], SEEDP), SEEDP).Q(X, T)
+        qe = dx.degenerate_limit(dx.DegenerationSpec(1 + 1j, 1e-3, 1), SEEDP).Q(X, T)
+    finally:
+        tracer.active = False
+        inst.uninstall()
+    assert np.all(np.isfinite(q)) and np.all(np.isfinite(qe))
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert {"lax.components", "lax.mp_components", "darboux.q",
+            "numerics.doubledouble.dd_batched_det"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
+    assert metrics["darboux.extended_nodes"] == X.size
+    assert metrics["lax.mp_component_calls"] == 2 * X.size   # the n = 1 pair and its mirror
+
 
 def test_reduced_set_rejects_unpaired_eigenvalues():
     d1 = kd.zero_seed_eigenfunction(1 + 2j)

@@ -1,4 +1,5 @@
 """Seed, eigenfunction, and Lax-residual tests."""
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,36 @@ def test_plane_wave_branch_flip_swaps_weights():
     phi_flip = (D1 * (u0 - u1 * s2) * np.exp(1j * (s2 * k - ph0))
                 + D2 * (u0 + u1 * s2) * np.exp(-1j * (s2 * k + ph0)))
     assert complex(a_.phi(x, t)) == pytest.approx(complex(phi_flip), rel=1e-12)
+
+
+_PW = make_plane_wave_seed(-2.0, 1.0, 1.0)
+_LAM_NEAR = (1 + 1j) * (1 + 2e-3)               # coalescing, as the rogue limits use
+_S_NEAR = complex(branch_quantity(_LAM_NEAR, _PW))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zero_seed_eigenfunction(0.9 + 1.1j),
+    lambda: zero_seed_eigenfunction(0.7 - 0.4j, time_sign=1),
+    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW),
+    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, pairing="alternate"),
+    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, weights=(0.4 - 0.7j, 1.3 + 0.2j)),
+    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, weights=(0.4 - 0.7j, 1.3 + 0.2j),
+                                     pairing="alternate"),
+    lambda: plane_wave_eigenfunction(
+        _LAM_NEAR, _PW, weights=(np.exp(-1j * _S_NEAR), np.exp(1j * _S_NEAR))),
+], ids=["zero", "zero-time-plus", "wave-ref", "wave-alt", "wave-ref-weighted",
+        "wave-alt-weighted", "wave-coalescing"])
+def test_exponential_sums_agree_in_double_and_mpmath(make):
+    d = make()
+    pts = np.random.default_rng(4).uniform(-3, 3, (20, 2))
+    with mp.workdps(40):
+        for comp in (d.phi, d.varphi):
+            values = comp(pts[:, 0], pts[:, 1])
+            for (x, t), v in zip(pts, values):
+                ref = comp.mp(x, t)
+                assert abs(v - complex(ref)) <= 1e-14 * abs(complex(ref))
+        x, t = pts[0]
+        assert d.mp_components(x, t) == (d.phi.mp(x, t), d.varphi.mp(x, t))
 
 
 # ---------------------------------------------------------------------------

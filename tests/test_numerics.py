@@ -270,3 +270,83 @@ def test_dd_from_mp_preserves_extra_digits():
         dd = DDComplexArray.from_mp(np.array([[val]], dtype=object))
         err = abs(mp.mpf(dd.re_hi[0, 0]) + mp.mpf(dd.re_lo[0, 0]) - mp.mpf(1) / 3)
     assert err < mp.mpf(10) ** -30
+
+
+def batch_first_dd_batched_det(mat):
+    """Reference: the double-double elimination with the batch on the first
+    axis, kept to pin down that the batch-last layout changes no bit."""
+    shp = mat.shape
+    m = shp[-1]
+    lead = shp[:-2]
+    n = int(np.prod(lead)) if lead else 1
+    a = DDComplexArray(mat.re_hi.reshape(n, m, m).copy(), mat.re_lo.reshape(n, m, m).copy(),
+                       mat.im_hi.reshape(n, m, m).copy(), mat.im_lo.reshape(n, m, m).copy())
+    det = DDComplexArray.from_complex(np.ones(n, dtype=complex))
+    sign = np.ones(n)
+    piv_max = np.zeros(n)
+    piv_min = np.full(n, np.inf)
+    idx = np.arange(n)
+    parts = ("re_hi", "re_lo", "im_hi", "im_lo")
+    for k in range(m):
+        mags = a[idx[:, None], np.arange(k, m)[None, :], k].abs_hi()
+        rel = np.argmax(mags, axis=1) + k
+        swap = np.flatnonzero(rel != k)
+        if swap.size:
+            r = rel[swap]
+            for part in parts:
+                arr = getattr(a, part)
+                tmp = arr[swap, k, :].copy()
+                arr[swap, k, :] = arr[swap, r, :]
+                arr[swap, r, :] = tmp
+            sign[swap] = -sign[swap]
+        piv = a[:, k, k]
+        ap = piv.abs_hi()
+        piv_max = np.maximum(piv_max, ap)
+        piv_min = np.minimum(piv_min, ap)
+        det = det * piv
+        if k < m - 1:
+            safe = ap > 0
+            piv_safe = DDComplexArray(np.where(safe, piv.re_hi, 1.0), np.where(safe, piv.re_lo, 0.0),
+                                      np.where(safe, piv.im_hi, 0.0), np.where(safe, piv.im_lo, 0.0))
+            below = a[:, k + 1:, k]
+            factor = below / DDComplexArray(*(
+                np.broadcast_to(getattr(piv_safe, p)[:, None], below.shape).copy() for p in parts))
+            factor = DDComplexArray(*(np.where(safe[:, None], getattr(factor, p), 0.0)
+                                      for p in parts))
+            fexp = DDComplexArray(*(np.broadcast_to(getattr(factor, p)[:, :, None],
+                                                    (n, m - k - 1, m - k)).copy() for p in parts))
+            prow = a[:, k, k:]
+            pexp = DDComplexArray(*(np.broadcast_to(getattr(prow, p)[:, None, :],
+                                                    (n, m - k - 1, m - k)).copy() for p in parts))
+            a[:, k + 1:, k:] = a[:, k + 1:, k:] - fexp * pexp
+    det = det * DDComplexArray(sign, np.zeros(n), np.zeros(n), np.zeros(n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)
+    return (DDComplexArray(*(getattr(det, p).reshape(lead) for p in parts)),
+            ratio.reshape(lead))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_dd_batched_det_bit_identical_to_batch_first_reference(m):
+    rng = np.random.default_rng(m)
+    hi = rng.standard_normal((12, 5, m, m)) + 1j * rng.standard_normal((12, 5, m, m))
+    hi[0, :, 1, 0] = hi[0, :, 0, 0]                 # exact pivot-magnitude ties
+    hi[1, :, 1, 0] = 1j * hi[1, :, 0, 0]
+    hi[2, :, :, 0] = 0                              # zero pivot in the first column
+    hi[3, :, 1] = hi[3, :, 0]                       # singular: tiny pivot later on
+    hi[4] = np.round(hi[4])                         # many ties among small integers
+    hi[5, :, m - 1] = 0                             # a zero row
+    lo = 1e-17 * (rng.standard_normal(hi.shape) + 1j * rng.standard_normal(hi.shape))
+    lo[hi == 0] = 0
+    hi[6, :, :, 0] = 0                              # a column of low words only
+    mat = DDComplexArray(hi.real.copy(), lo.real.copy(), hi.imag.copy(), lo.imag.copy())
+    keep = mat.copy()
+    d, r = dd_batched_det(mat)
+    d_ref, r_ref = batch_first_dd_batched_det(mat)
+    assert d.shape == r.shape == (12, 5)
+    for part in ("re_hi", "re_lo", "im_hi", "im_lo"):
+        assert np.array_equal(getattr(d, part), getattr(d_ref, part))
+        assert np.array_equal(getattr(mat, part), getattr(keep, part))
+    assert np.array_equal(r, r_ref)
+    assert np.isinf(r[2]).all() and np.isinf(r[5]).all() and np.isinf(r[6]).all()
+    assert (r[3] > 1e12).all()
