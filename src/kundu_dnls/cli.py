@@ -118,6 +118,7 @@ def _make_seed(params: dict):
 
 def build_field(solution: str, params: dict, precision: str):
     """Vectorized (x, t) -> complex closure for the requested solution."""
+    kw = {} if precision == "auto" else {"precision": precision}
     if solution == "soliton1":
         return catalog.one_soliton(params["m1"], params["n1"], params["alpha"],
                                    params["theta_p"], params["theta_q"]).eval
@@ -139,19 +140,19 @@ def build_field(solution: str, params: dict, precision: str):
         spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=params["eps"], n=order,
                                 phases=PhasePolynomial(params["S0"], params["S1"],
                                                        params["S2"]))
-        kw = {} if precision == "auto" else {"precision": precision}
         return degenerate_limit(spec, seed, **kw).Q
     if solution == "engine-nfold":
         seed = _make_seed(params)
         lams = []
         for k in (1, 2, 3):
             re, im = params.get(f"lam{k}_re"), params.get(f"lam{k}_im")
-            if re is not None and im is not None:
+            if (re is None) != (im is None):
+                raise InvalidConfigError(f"lam{k} needs both lam{k}_re and lam{k}_im")
+            if re is not None:
                 lams.append(complex(re, im))
         if not lams:
             raise InvalidConfigError("engine-nfold needs at least lam1_re/lam1_im")
         sset = build_reduced_set(lams, seed)
-        kw = {} if precision == "auto" else {"precision": precision}
         return n_fold(sset, seed, **kw).Q
     if solution == "engine-degenerate":
         seed = _make_seed(params)
@@ -159,7 +160,6 @@ def build_field(solution: str, params: dict, precision: str):
                                 epsilon=params["eps"], n=int(params["n"]),
                                 phases=PhasePolynomial(params["S0"], params["S1"],
                                                        params["S2"]))
-        kw = {} if precision == "auto" else {"precision": precision}
         return degenerate_limit(spec, seed, **kw).Q
     raise InvalidConfigError(f"unknown solution {solution!r}")
 

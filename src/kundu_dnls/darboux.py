@@ -34,7 +34,9 @@ class SpectralSet:
     """Ordered spectral data of even length 2n, optionally conjugate-reduced.
 
     A reduced set lists each representative followed by its conjugate
-    partner, so every odd datum's eigenvalue conjugates the one before it.
+    partner (lam*, varphi*, phi*).  Construction checks the eigenvalues and,
+    at one point, the components; the engine then evaluates representatives
+    only, so components replaced after construction are not checked.
     """
 
     data: list
@@ -57,10 +59,24 @@ class SpectralSet:
                     raise ValueError(
                         f"reduced sets pair each eigenvalue with its conjugate; "
                         f"{rep} is followed by {partner}")
+            x, t = 0.3, 0.2     # away from the origin, where zero-seed components are 1
+            for k, (rep, partner) in enumerate(zip(self.data[0::2], self.data[1::2])):
+                p, v = rep.phi(x, t), rep.varphi(x, t)
+                tol = 1e-12 * max(abs(p), abs(v))
+                if (abs(partner.phi(x, t) - np.conj(v)) > tol
+                        or abs(partner.varphi(x, t) - np.conj(p)) > tol):
+                    raise ValueError(
+                        f"datum {2 * k + 1} is not the conjugate partner (lam*, varphi*, "
+                        f"phi*) of datum {2 * k}")
 
     @property
     def order(self) -> int:
         return len(self.data) // 2
+
+    @property
+    def evaluated(self) -> list:
+        """The data whose components the engine evaluates."""
+        return self.data[0::2] if self.reduction else self.data
 
 
 def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
@@ -191,8 +207,7 @@ def _component_table(spectral_set: SpectralSet, components: Callable):
     """
     lams, phis, vphs = [], [], []
     data = spectral_set.data
-    reps = data[0::2] if spectral_set.reduction else data
-    for k, d in enumerate(reps):
+    for k, d in enumerate(spectral_set.evaluated):
         p, v = components(d)
         lams.append(d.lam)
         phis.append(p)
@@ -271,10 +286,8 @@ def _omega_dets_extended(spectral_set: SpectralSet, x, t):
     ts = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel().tolist()
 
     def components(d):
-        mp_components = d.mp_components or (lambda xi, ti: (
-            mp.mpc(complex(d.phi(xi, ti))), mp.mpc(complex(d.varphi(xi, ti)))))
         pv = np.empty((len(xs), 2), dtype=object)
-        pv[:] = [mp_components(xi, ti) for xi, ti in zip(xs, ts)]
+        pv[:] = [d.mp_components(xi, ti) for xi, ti in zip(xs, ts)]
         return pv[:, 0].reshape(shape), pv[:, 1].reshape(shape)
 
     def stack_det(M):
@@ -295,6 +308,9 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
         raise ValueError(f"supported orders are 1..3, got {n}")
     if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
+    if precision == "extended" and any(d.mp_components is None
+                                       for d in spectral_set.evaluated):
+        raise ValueError("extended precision needs mp_components on every evaluated datum")
     dets = _omega_dets_extended if precision == "extended" else _omega_dets_double
 
     def evaluate(x, t):

@@ -192,12 +192,18 @@ def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:
 # plane-wave eigenfunctions
 # ---------------------------------------------------------------------------
 
+def _radicand(lam2, a, c):
+    """The square of the branch quantity, one operation order for numpy,
+    complex and mpmath values alike."""
+    return 4 * a * a - 4 * a * lam2 + 8 * a + lam2 * lam2 - 4 * lam2 + 4 - 4 * lam2 * c * c
+
+
 def branch_quantity(lam: complex, seed: PlaneWaveSeed):
     """s(lam) = sqrt(4a^2 - 4a lam^2 + 8a + lam^4 - 4 lam^2 + 4 - 4 lam^2 c^2),
     principal branch.  Its zero marks the breather-to-rogue critical eigenvalue."""
     a, c = seed.a, seed.c
     lam2 = np.asarray(lam) ** 2
-    rad = 4 * a * a - 4 * a * lam2 + 8 * a + lam2 * lam2 - 4 * lam2 + 4 - 4 * lam2 * c * c
+    rad = _radicand(lam2, a, c)
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
@@ -207,8 +213,7 @@ def critical_eigenvalue(seed: PlaneWaveSeed, guess: complex = 1 + 1j,
     a, c = seed.a, seed.c
 
     def f(z):
-        z2 = z * z
-        return 4 * a * a - 4 * a * z2 + 8 * a + z2 * z2 - 4 * z2 + 4 - 4 * z2 * c * c
+        return _radicand(z * z, a, c)
 
     def fp(z):
         return -8 * a * z + 4 * z ** 3 - 8 * z - 8 * z * c * c
@@ -243,7 +248,7 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
     with mp.workdps(MP_DPS):
         lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
         lm2 = lm * lm
-        s = mp.sqrt(4 * a * a - 4 * a * lm2 + 8 * a + lm2 * lm2 - 4 * lm2 + 4 - 4 * lm2 * c * c)
+        s = mp.sqrt(_radicand(lm2, a, c))
         u_m = 1 + (2 - lm2 + 2 * a - s) / (2 * lm * c)
         u_p = 1 + (2 - lm2 + 2 * a + s) / (2 * lm * c)
         # phases: shat = (s/8)(-2x + (lam^2 + 2a + 2 + 2c^2) t) and

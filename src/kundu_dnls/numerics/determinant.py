@@ -1,4 +1,4 @@
-"""Dense complex determinants by row elimination with partial pivoting.
+"""Determinants by row elimination with partial pivoting.
 
 The batched form takes arrays of shape (..., m, m) so whole grids of small
 transformation determinants evaluate in a handful of vectorized passes.
@@ -17,6 +17,43 @@ from ..errors import NonFiniteError
 Array = np.ndarray
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def eliminate(a, one, where) -> tuple:
+    """Pivoted elimination of an (m, m, N) stack in place: (det, pivot_ratio).
+
+    Serves complex and double-double arrays alike: `abs` gives the pivot
+    magnitudes, `where(mask, x, y)` selects per entry, and `one` is the unit
+    of the entry type (shape (), broadcast over N).  A zero pivot yields det 0
+    and pivot_ratio inf; the factors it would divide are masked to 0.
+    """
+    m, n = a.shape[0], a.shape[-1]
+    sign = np.ones(n)
+    piv_max = np.zeros(n)
+    piv_min = np.full(n, np.inf)
+    det = one
+    for k in range(m):
+        rel = np.argmax(abs(a[k:, k]), axis=0) + k
+        swap = np.flatnonzero(rel != k)
+        if swap.size:
+            # columns left of k are never read again, so only k: moves
+            r = rel[swap]
+            tmp = a[k, k:, swap]
+            a[k, k:, swap] = a[r, k:, swap]
+            a[r, k:, swap] = tmp
+            sign[swap] = -sign[swap]
+        piv = a[k, k]
+        ap = abs(piv)
+        piv_max = np.maximum(piv_max, ap)
+        piv_min = np.minimum(piv_min, ap)
+        det = det * piv
+        nonzero = ap > 0
+        for i in range(k + 1, m):
+            a[i, k:] -= where(nonzero, a[i, k] / piv, 0.0) * a[k, k:]
+    # multiplying by a unit, not negating det, keeps the signs of zeros
+    det = det * where(sign > 0, one, -one)
+    return det, np.where(piv_min > 0, piv_max / piv_min, np.inf)
+
+
 def batched_det(mats: Array) -> tuple[Array, Array]:
     """Determinants and pivot ratios of a stack of square complex matrices.
 
@@ -30,34 +67,7 @@ def batched_det(mats: Array) -> tuple[Array, Array]:
     lead = mats.shape[:-2]
     # the one copy: batch on the last axis, so a[i, j] is a contiguous row
     a = np.array(mats.reshape((-1, m, m)).transpose(1, 2, 0), dtype=complex, order="C")
-    n = a.shape[-1]
-    sign = np.ones(n, dtype=complex)
-    piv_max = np.zeros(n)
-    piv_min = np.full(n, np.inf)
-    det_val = np.ones(n, dtype=complex)
-    for k in range(m):
-        rel = np.argmax(np.abs(a[k:, k]), axis=0) + k
-        swap = np.flatnonzero(rel != k)
-        if swap.size:
-            # columns left of k are never read again, so only k: moves
-            r = rel[swap]
-            tmp = a[k, k:, swap]
-            a[k, k:, swap] = a[r, k:, swap]
-            a[r, k:, swap] = tmp
-            sign[swap] = -sign[swap]
-        piv = a[k, k]
-        ap = np.abs(piv)
-        piv_max = np.maximum(piv_max, ap)
-        piv_min = np.minimum(piv_min, ap)
-        det_val *= piv
-        nonzero = ap > 0
-        for i in range(k + 1, m):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = np.where(nonzero, a[i, k] / piv, 0.0)
-            a[i, k:] -= factor * a[k, k:]
-    det_val *= sign
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)
+    det_val, ratio = eliminate(a, np.ones((), dtype=complex), np.where)
     return det_val.reshape(lead), ratio.reshape(lead)
 
 
@@ -70,10 +80,3 @@ def det(matrix: Array) -> complex:
         raise NonFiniteError("matrix contains NaN or Inf entries")
     d, _ = batched_det(a[None])
     return complex(d[0])
-
-
-def pivot_ratio(matrix: Array) -> float:
-    """max/min pivot magnitude from the pivoted elimination of one matrix."""
-    a = np.asarray(matrix, dtype=complex)
-    _, r = batched_det(a[None])
-    return float(r[0])

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
+
+from .determinant import eliminate
 
 Array = np.ndarray
 
@@ -83,11 +84,6 @@ class DDComplexArray:
         return np.shape(self.re_hi)
 
     @classmethod
-    def zeros(cls, shape) -> "DDComplexArray":
-        z = np.zeros(shape)
-        return cls(z.copy(), z.copy(), z.copy(), z.copy())
-
-    @classmethod
     def from_complex(cls, z: Array) -> "DDComplexArray":
         z = np.asarray(z, dtype=complex)
         zero = np.zeros(z.shape)
@@ -97,21 +93,10 @@ class DDComplexArray:
     def from_mp(cls, values) -> "DDComplexArray":
         """Build from an array-like of mpmath mpc values (shape preserved)."""
         arr = np.asarray(values, dtype=object)
-        flat = arr.ravel()
-        re_hi = np.empty(flat.shape)
-        re_lo = np.empty(flat.shape)
-        im_hi = np.empty(flat.shape)
-        im_lo = np.empty(flat.shape)
-        for i, v in enumerate(flat):
-            v = mp.mpc(v)
-            rh = float(v.real)
-            ih = float(v.imag)
-            re_hi[i] = rh
-            im_hi[i] = ih
-            re_lo[i] = float(v.real - mp.mpf(rh))
-            im_lo[i] = float(v.imag - mp.mpf(ih))
-        return cls(re_hi.reshape(arr.shape), re_lo.reshape(arr.shape),
-                   im_hi.reshape(arr.shape), im_lo.reshape(arr.shape))
+        hi = arr.astype(complex)
+        # the remainder is taken in mpmath at the working precision
+        lo = (arr - hi).astype(complex)
+        return cls(hi.real, lo.real, hi.imag, lo.imag)
 
     def to_complex(self) -> Array:
         return (self.re_hi + self.re_lo) + 1j * (self.im_hi + self.im_lo)
@@ -165,12 +150,22 @@ class DDComplexArray:
         """Leading-order magnitude, used for pivot selection."""
         return np.hypot(self.re_hi, self.im_hi)
 
+    __abs__ = abs_hi
+
+    @staticmethod
+    def where(mask: Array, x, y) -> "DDComplexArray":
+        """Entrywise select; plain numbers are taken as double-double."""
+        x, y = (v if isinstance(v, DDComplexArray) else DDComplexArray.from_complex(v)
+                for v in (x, y))
+        return DDComplexArray(np.where(mask, x.re_hi, y.re_hi), np.where(mask, x.re_lo, y.re_lo),
+                              np.where(mask, x.im_hi, y.im_hi), np.where(mask, x.im_lo, y.im_lo))
+
 
 def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     """Pivoted elimination determinant over a (..., m, m) double-double stack.
 
-    Mirrors `determinant.batched_det`, layout included: the stack is copied
-    once into (m, m, N), and only columns k: of a swapped row move.  Returns
+    The stack is copied once into (m, m, N) and eliminated by
+    `determinant.eliminate`, the routine behind `batched_det`.  Returns
     (det, pivot_ratio).
     """
     shp = mat.shape
@@ -180,36 +175,8 @@ def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     lead = shp[:-2]
     a = DDComplexArray(*(np.array(part.reshape((-1, m, m)).transpose(1, 2, 0), order="C")
                          for part in (mat.re_hi, mat.re_lo, mat.im_hi, mat.im_lo)))
-    n = a.shape[-1]
-    det = DDComplexArray.from_complex(np.ones(n, dtype=complex))
-    sign = np.ones(n)
-    piv_max = np.zeros(n)
-    piv_min = np.full(n, np.inf)
-    for k in range(m):
-        rel = np.argmax(a[k:, k].abs_hi(), axis=0) + k
-        swap = np.flatnonzero(rel != k)
-        if swap.size:
-            r = rel[swap]
-            tmp = a[k, k:, swap]
-            a[k, k:, swap] = a[r, k:, swap]
-            a[r, k:, swap] = tmp
-            sign[swap] = -sign[swap]
-        piv = a[k, k]
-        ap = piv.abs_hi()
-        piv_max = np.maximum(piv_max, ap)
-        piv_min = np.minimum(piv_min, ap)
-        det = det * piv
-        safe = ap > 0
-        piv_safe = DDComplexArray(np.where(safe, piv.re_hi, 1.0), np.where(safe, piv.re_lo, 0.0),
-                                  np.where(safe, piv.im_hi, 0.0), np.where(safe, piv.im_lo, 0.0))
-        for i in range(k + 1, m):
-            f = a[i, k] / piv_safe
-            f = DDComplexArray(np.where(safe, f.re_hi, 0.0), np.where(safe, f.re_lo, 0.0),
-                               np.where(safe, f.im_hi, 0.0), np.where(safe, f.im_lo, 0.0))
-            a[i, k:] = a[i, k:] - f * a[k, k:]
-    det = det * DDComplexArray(sign, np.zeros(n), np.zeros(n), np.zeros(n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(piv_min > 0, piv_max / piv_min, np.inf)
+    det, ratio = eliminate(a, DDComplexArray.from_complex(np.ones(())),
+                           DDComplexArray.where)
     return (DDComplexArray(*(part.reshape(lead) for part in (det.re_hi, det.re_lo,
                                                              det.im_hi, det.im_lo))),
             ratio.reshape(lead))

@@ -89,8 +89,9 @@ def test_missing_solution_rejected(tmp_path):
     ["--solution", "engine-degenerate", "--param", "n=abc"],
     ["--solution", "rogue2", "--param", "eps=abc"],
     ["--solution", "soliton1", "--param", "m1=nan"],
+    ["--solution", "engine-nfold", "--param", "lam2_re=0.5"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
-        "unparsable-order", "unparsable-radius", "non-finite-value"])
+        "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue"])
 def test_bad_parameter_values_exit_2(tmp_path, params):
     out = tmp_path / "x.csv"
     rc = run(["generate", *params, "--grid", "-1:1:11,-1:1:11",

@@ -283,6 +283,26 @@ def test_reduced_set_rejects_unpaired_eigenvalues():
     SpectralSet([d1, d1.conjugate_partner(), d2, d2.conjugate_partner()], reduction=True)
 
 
+def test_reduced_set_checks_partner_components():
+    rep = kd.zero_seed_eigenfunction(1 + 2j)
+    true = rep.conjugate_partner()
+    scaled = SpectralDatum(true.lam, lambda x, t: 3.0 * true.phi(x, t), true.varphi,
+                           "synthetic")
+    with pytest.raises(ValueError):
+        SpectralSet([rep, scaled], reduction=True)
+    SpectralSet([rep, scaled], reduction=False)
+    # every constructed set passes: both seeds, both pairings, complex weights
+    # and the split-phase degenerate sets of the mapped figures
+    build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j, 0.4 + 0.9j], SEED0)
+    for pairing in ("reference", "alternate"):
+        build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP,
+                          weights_per_lambda=[(1.0, 2.0 - 1j), (0.3j, 1.5)], pairing=pairing)
+    for n, eps, phases in ((2, 2e-3, (0, 500, 0)), (3, 4e-3, (0, 500, 0)),
+                           (3, 4e-3, (0, 0, 1000)), (1, 1e-4, (0, 0, 0))):
+        spec = DegenerationSpec(1 + 1j, eps, n, phases=kd.PhasePolynomial(*phases))
+        degenerate_limit(spec, SEEDP)
+
+
 @dataclass(frozen=True)
 class _NanSeed:
     """A zero background whose value is not finite at the origin."""
@@ -328,6 +348,26 @@ def test_extended_precision_path_agrees_with_double():
     qe = n_fold(sset, SEED0, precision="extended").Q
     for x, t in grid_pts(6, -2, 2):
         assert complex(qd(x, t)) == pytest.approx(complex(qe(x, t)), rel=1e-10)
+
+
+def test_extended_path_refuses_data_without_mp_components():
+    synthetic = SpectralSet([
+        SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: np.ones_like(x + t + 0j), "synthetic"),
+        SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: 2.0 * np.ones_like(x + t + 0j), "synthetic")])
+    n_fold(synthetic, SEED0)
+    with pytest.raises(ValueError):
+        n_fold(synthetic, SEED0, precision="extended")
+    # a reduced set evaluates its representatives only
+    sset = build_reduced_set([0.7 + 0.3j], SEED0)
+    sset.data[1].mp_components = None
+    n_fold(sset, SEED0, precision="extended")
+    with pytest.raises(ValueError):
+        n_fold(general(sset), SEED0, precision="extended")
+    sset.data[0].mp_components = None
+    with pytest.raises(ValueError):
+        n_fold(sset, SEED0, precision="extended")
 
 
 def test_condition_estimate_grows_toward_degeneracy():
