@@ -1,8 +1,9 @@
 """Command-line surface: generate solution grids, verify, analyze patterns.
 
-Exit codes: 0 success, 2 invalid configuration, 3 I/O failure,
-4 verification failure.  Artifacts are byte-deterministic: floats are
-written with 17 significant digits, lowercase exponent, LF line endings.
+Exit codes: 0 success, 1 internal error (a bug), 2 invalid configuration,
+3 I/O failure, 4 verification failure.  Artifacts are byte-deterministic:
+floats are written with 17 significant digits, lowercase exponent, LF line
+endings.
 """
 from __future__ import annotations
 
@@ -194,15 +195,49 @@ def json_text(obj) -> str:
     return _fmt(obj)
 
 
+# Rows (t-rows for csv, x-rows for json) formatted and written per block:
+# the writers hold one block of strings at a time, whatever the grid size.
+_BLOCK_ROWS = 16
+
+
+def _float_strs(a: np.ndarray) -> list[str]:
+    """`_fmt` of every element of a float array, the finite ones formatted in
+    one call ("%.17g" gives the same bytes as format(x, ".17g"))."""
+    a = a.ravel()
+    out = ("%.17g\0" * a.size % tuple(a.tolist())).split("\0")
+    out.pop()
+    for k in np.flatnonzero(~np.isfinite(a)):
+        out[k] = _fmt(a[k])
+    return out
+
+
+def _intensity(v: np.ndarray) -> np.ndarray:
+    """|v|^2 with the bits of the scalar `abs(v) ** 2`: np.abs on complex
+    arrays and h ** 2 each round differently on some inputs."""
+    return np.float_power(np.hypot(v.real, v.imag), 2.0)
+
+
 def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
-    xs, ts = grid.xs, grid.ts
-    lines = ["x,t,intensity,re,im"]
-    for j, t in enumerate(ts):           # x varies fastest within each t row block
-        for i, x in enumerate(xs):
-            v = values[i, j]
-            lines.append(",".join(_fmt(float(w)) for w in
-                                  (x, t, abs(v) ** 2, v.real, v.imag)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # one t row's template: x varies fastest, and x and t are formatted once
+    row = "".join(x + ",{t},%s,%s,%s\n" for x in _float_strs(grid.xs))
+    ts = _float_strs(grid.ts)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("x,t,intensity,re,im\n")
+        for j in range(0, grid.nt, _BLOCK_ROWS):
+            v = values[:, j:j + _BLOCK_ROWS].T.ravel()
+            block = "".join(row.replace("{t}", t) for t in ts[j:j + _BLOCK_ROWS])
+            f.write(block % tuple(_float_strs(np.stack([_intensity(v), v.real, v.imag],
+                                                       axis=1))))
+
+
+def _write_matrix(f, values: np.ndarray, part):
+    """json_text of `part(values)` as a list of x-rows, block by block."""
+    row = "[" + ",".join(["%s"] * values.shape[1]) + "]"
+    f.write("[")
+    for i in range(0, values.shape[0], _BLOCK_ROWS):
+        block = part(values[i:i + _BLOCK_ROWS])
+        f.write(("," if i else "") + ",".join([row] * len(block)) % tuple(_float_strs(block)))
+    f.write("]")
 
 
 def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
@@ -211,15 +246,19 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
         "params": params,
         "grid": dict(x_min=grid.x_min, x_max=grid.x_max, t_min=grid.t_min,
                      t_max=grid.t_max, nx=grid.nx, nt=grid.nt),
-        "data": [[float(abs(values[i, j]) ** 2) for j in range(grid.nt)]
-                 for i in range(grid.nx)],
     }
+    matrices = {"data": _intensity}
     if include_complex:
-        doc["re"] = [[float(values[i, j].real) for j in range(grid.nt)]
-                     for i in range(grid.nx)]
-        doc["im"] = [[float(values[i, j].imag) for j in range(grid.nt)]
-                     for i in range(grid.nx)]
-    path.write_text(json_text(doc) + "\n", encoding="utf-8", newline="\n")
+        matrices.update(re=np.real, im=np.imag)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("{")
+        for n, key in enumerate(sorted([*doc, *matrices])):   # json_text's key order
+            f.write(("," if n else "") + json.dumps(key) + ":")
+            if key in doc:
+                f.write(json_text(doc[key]))
+            else:
+                _write_matrix(f, values, matrices[key])
+        f.write("}\n")
 
 
 def write_pgm(path: Path, values: np.ndarray):
@@ -233,7 +272,7 @@ def write_pgm(path: Path, values: np.ndarray):
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str):
+                precision: str, masked_nodes: int):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
@@ -242,6 +281,7 @@ def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: 
         "params": params,
         "grid": grid_spec,
         "format": fmt,
+        "masked_nodes": masked_nodes,
     }
     Path(str(output) + ".meta.json").write_text(json_text(meta) + "\n",
                                                 encoding="utf-8", newline="\n")
@@ -319,7 +359,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             write_json(output, grid, fld.values, params, ns.include_complex)
         else:
             write_pgm(output, fld.values)
-        _write_meta(output, ns.format, solution, params, grid_spec, precision)
+        _write_meta(output, ns.format, solution, params, grid_spec, precision,
+                    int(np.count_nonzero(fld.invalid)))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None
     if not ns.quiet:

@@ -1,11 +1,14 @@
 """CLI contract tests: formats, determinism, exit codes, config handling."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kundu_dnls import cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
 from kundu_dnls.errors import InvalidConfigError
+from kundu_dnls.numerics.grid import Grid2D
 
 
 def run(args):
@@ -58,6 +61,7 @@ def test_generate_json_and_meta(tmp_path):
     meta = json.loads((tmp_path / "r1.json.meta.json").read_text())
     assert meta["precision"] == "auto"
     assert "independent" in meta["convention_variant"]
+    assert meta["masked_nodes"] == 0
 
 
 def test_generate_pgm_header(tmp_path):
@@ -177,3 +181,117 @@ def test_json_text_fixed_formatting():
     s = json_text({"a": 1.0 / 3.0, "b": [1e-300, 2]})
     assert "e-300" in s and "E" not in s
     assert s == json_text({"b": [1e-300, 2], "a": 1.0 / 3.0})
+
+
+def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
+    def field(X, T):
+        out = np.exp(1j * X) * np.cosh(T)
+        out[X == 1.0] = np.nan                   # the last x column: 5 nodes
+        out[(X == -1.0) & (T == -1.0)] = np.inf  # one more corner node
+        return out
+    monkeypatch.setattr(cli, "build_field", lambda *args: field)
+    out = tmp_path / "masked.csv"
+    rc = run(["generate", "--solution", "rogue1", "--grid", "-1:1:5,-1:1:5",
+              "--output", str(out), "--quiet"])
+    assert rc == 0
+    meta = json.loads((tmp_path / "masked.csv.meta.json").read_text())
+    assert meta["masked_nodes"] == 6
+    assert out.read_text().count('"nan"') == 5 * 2   # intensity and re of each NaN node
+
+
+# --- reference: the scalar writers the block writers replace, kept as they were ---
+
+def _ref_fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        if not np.isfinite(v):
+            return '"%s"' % repr(float(v))
+        return format(float(v), ".17g")
+    raise TypeError(f"unexpected scalar {type(v)}")
+
+
+def _ref_json_text(obj) -> str:
+    if isinstance(obj, dict):
+        inner = ",".join(f"{json.dumps(k)}:{_ref_json_text(v)}" for k, v in sorted(obj.items()))
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_ref_json_text(v) for v in obj) + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return _ref_fmt(obj)
+
+
+def ref_write_csv(path, grid, values):
+    xs, ts = grid.xs, grid.ts
+    lines = ["x,t,intensity,re,im"]
+    for j, t in enumerate(ts):
+        for i, x in enumerate(xs):
+            v = values[i, j]
+            lines.append(",".join(_ref_fmt(float(w)) for w in
+                                  (x, t, abs(v) ** 2, v.real, v.imag)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def ref_write_json(path, grid, values, params, include_complex):
+    doc = {
+        "params": params,
+        "grid": dict(x_min=grid.x_min, x_max=grid.x_max, t_min=grid.t_min,
+                     t_max=grid.t_max, nx=grid.nx, nt=grid.nt),
+        "data": [[float(abs(values[i, j]) ** 2) for j in range(grid.nt)]
+                 for i in range(grid.nx)],
+    }
+    if include_complex:
+        doc["re"] = [[float(values[i, j].real) for j in range(grid.nt)]
+                     for i in range(grid.nx)]
+        doc["im"] = [[float(values[i, j].imag) for j in range(grid.nt)]
+                     for i in range(grid.nx)]
+    path.write_text(_ref_json_text(doc) + "\n", encoding="utf-8", newline="\n")
+
+
+_B = cli._BLOCK_ROWS
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308,
+            complex(1e308, 1e308), complex(1.5, np.nan), complex(np.inf, -2.0),
+            complex(-0.0, np.inf), complex(3e-320, -0.0), complex(1e200, 1e200)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("nx, nt", [(2, 2), (_B - 3, _B - 3), (3, 2 * _B + 5),
+                                    (2 * _B + 5, _B - 3)])
+def test_block_writers_match_scalar_reference(tmp_path, nx, nt):
+    rng = np.random.default_rng(nx * 1000 + nt)
+    bits = rng.integers(0, 2**64, size=(2, nx, nt), dtype=np.uint64).view(np.float64)
+    flat = bits[0].ravel() + 1j * bits[1].ravel()          # every exponent, NaN payloads
+    flat[::3] = rng.normal(size=flat[::3].size) * (1 + 1j)  # and values of order one
+    k = min(len(_SPECIAL), flat[1::7].size)
+    flat[1::7][:k] = _SPECIAL[:k]
+    values = flat.reshape(nx, nt)
+    grid = Grid2D(-1 / 3, 7.1, -2.2, 3.3e-5, nx, nt)
+    params = {"S1": 500.0, "eps": 1 / 3, "seed": "zero", "n": 2, "lam2_re": None}
+    cases = [("csv", cli.write_csv, ref_write_csv, (grid, values))]
+    for include_complex in (False, True):
+        args = (grid, values, params, include_complex)
+        cases.append((f"json{include_complex}", cli.write_json, ref_write_json, args))
+    for name, new, ref, args in cases:
+        new(tmp_path / f"new.{name}", *args)
+        ref(tmp_path / f"ref.{name}", *args)
+        assert (tmp_path / f"new.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
+
+
+def test_block_writers_hold_bounded_memory(tmp_path):
+    grid = Grid2D(-4.0, 4.0, -4.0, 4.0, 401, 401)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(401, 401)) + 1j * rng.normal(size=(401, 401))
+    for write in (lambda: cli.write_csv(tmp_path / "a.csv", grid, values),
+                  lambda: cli.write_json(tmp_path / "a.json", grid, values, {}, True)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
