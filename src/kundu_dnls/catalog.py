@@ -196,30 +196,34 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
             dphi, dvph = -1j * dE * phi, 1j * dE * vph
             shape = np.broadcast(x, t).shape
 
-            def omega(swap: bool, shifted: bool) -> Array:
+            def omega(swap: bool) -> Array:
                 f, v = (phi, vph) if not swap else (vph, phi)
                 df, dv = (dphi, dvph) if not swap else (dvph, dphi)
                 fo, vo = (vph, phi) if not swap else (phi, vph)
                 dfo, dvo = (dvph, dphi) if not swap else (dphi, dvph)
-                M = np.zeros(shape + (4, 4), dtype=complex)
+                M = np.empty((4, 4) + shape, dtype=complex)
                 for col in range(4):
                     p = 3 - col
                     comp, dcomp = (v, dv) if p % 2 == 1 else (f, df)
                     comp_o, dcomp_o = (vo, dvo) if p % 2 == 1 else (fo, dfo)
-                    M[..., 0, col] = lam ** p * comp
-                    M[..., 1, col] = np.conj(lam ** p * comp_o)
-                    M[..., 2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
-                    M[..., 3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
-                if shifted:
-                    M[..., 0, 0] = lam ** 4 * f
-                    M[..., 1, 0] = np.conj(lam ** 4 * fo)
-                    M[..., 2, 0] = 4 * lam ** 3 * f + lam ** 4 * df
-                    M[..., 3, 0] = np.conj(4 * lam ** 3 * fo + lam ** 4 * dfo)
-                return M
+                    M[0, col] = lam ** p * comp
+                    M[1, col] = np.conj(lam ** p * comp_o)
+                    M[2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
+                    M[3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
+                # stored matrix-first: the (..., 4, 4) view is already in the
+                # batch-last order batched_det copies into
+                return np.moveaxis(M, (0, 1), (-2, -1))
 
-            main, _ = batched_det(omega(False, False))
-            swapped, _ = batched_det(omega(True, False))
-            swapped_shift, _ = batched_det(omega(True, True))
+            main, _ = batched_det(omega(False))
+            M = omega(True)
+            swapped, _ = batched_det(M)
+            # batched_det copies its input, so the swapped stack is intact;
+            # the shifted matrix differs from it in column 0 only
+            M[..., 0, 0] = lam ** 4 * vph
+            M[..., 1, 0] = np.conj(lam ** 4 * phi)
+            M[..., 2, 0] = 4 * lam ** 3 * vph + lam ** 4 * dvph
+            M[..., 3, 0] = np.conj(4 * lam ** 3 * phi + lam ** 4 * dphi)
+            swapped_shift, _ = batched_det(M)
             th = theta_p * x + theta_q * t
             return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * main ** 2)
     elif form == "as_published":

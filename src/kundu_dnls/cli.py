@@ -213,8 +213,11 @@ def _float_strs(a: np.ndarray) -> list[str]:
 
 def _intensity(v: np.ndarray) -> np.ndarray:
     """|v|^2 with the bits of the scalar `abs(v) ** 2`: np.abs on complex
-    arrays and h ** 2 each round differently on some inputs."""
-    return np.float_power(np.hypot(v.real, v.imag), 2.0)
+    arrays and h ** 2 each round differently on some inputs.  A finite v
+    with |v| above about 1.34e154 gives inf, which the sidecar counts as
+    `overflow_nodes`."""
+    with np.errstate(over="ignore"):
+        return np.float_power(np.hypot(v.real, v.imag), 2.0)
 
 
 def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
@@ -262,7 +265,8 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
 
 
 def write_pgm(path: Path, values: np.ndarray):
-    I = np.abs(values) ** 2
+    with np.errstate(over="ignore"):   # counted as overflow_nodes; drawn white
+        I = np.abs(values) ** 2
     finite = I[np.isfinite(I)]
     top = finite.max() if finite.size and finite.max() > 0 else 1.0
     img = np.nan_to_num(I / top, nan=0.0, posinf=1.0, neginf=0.0)
@@ -272,7 +276,7 @@ def write_pgm(path: Path, values: np.ndarray):
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str, masked_nodes: int):
+                precision: str, masked_nodes: int, overflow_nodes: int):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
@@ -282,6 +286,7 @@ def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: 
         "grid": grid_spec,
         "format": fmt,
         "masked_nodes": masked_nodes,
+        "overflow_nodes": overflow_nodes,
     }
     Path(str(output) + ".meta.json").write_text(json_text(meta) + "\n",
                                                 encoding="utf-8", newline="\n")
@@ -360,7 +365,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         else:
             write_pgm(output, fld.values)
         _write_meta(output, ns.format, solution, params, grid_spec, precision,
-                    int(np.count_nonzero(fld.invalid)))
+                    int(np.count_nonzero(fld.invalid)),
+                    int(np.count_nonzero(~fld.invalid & np.isinf(_intensity(fld.values)))))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None
     if not ns.quiet:

@@ -370,8 +370,8 @@ def check_lax_residual(datum: SpectralDatum, seed: Seed, grid: Grid2D,
     """Finite-difference residual of both Lax equations over the grid interior."""
     if grid.nx < 3 or grid.nt < 3:
         raise GridTooSmallError("need an interior for the residual norms")
-    X, T = grid.mesh()
-    Xi, Ti = X[1:-1, 1:-1], T[1:-1, 1:-1]
+    # interior nodes on broadcast axes: x-only and t-only terms stay 1-D
+    Xi, Ti = grid.xs[1:-1, None], grid.ts[None, 1:-1]
     hl = H_LAX_REL
     Qx = (seed.value(Xi + hl, Ti) - seed.value(Xi - hl, Ti)) / (2 * hl)
     U, V = _lax_entries(seed, datum.lam, Xi, Ti, seed.value(Xi, Ti), Qx, v_conjugation)

@@ -86,14 +86,25 @@ class ComplexField2D:
 
 
 def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
-    """Evaluate the vectorized f(X, T) once over the grid mesh.
+    """Evaluate the vectorized f(x, t) once over the grid, on broadcast axes.
 
-    Non-finite results are masked, not fatal; exceptions from f propagate,
-    and a result whose shape is not the grid's raises GridMismatchError.
+    f receives x of shape (nx, 1) and t of shape (1, nt), so a subexpression
+    of x alone or of t alone costs nx or nt values, not nx * nt; elementwise
+    numpy operations round the same on broadcast operands, so the samples
+    carry the bits of f(*grid.mesh()).  A 2-D result whose axes each have
+    length 1 or the grid's length (an x-only field, say) is expanded to
+    (nx, nt).  Any other result raises GridMismatchError, a scalar or 1-D
+    array included: write a constant field as c + 0 * x + 0 * t.
+    Non-finite results are masked, not fatal; exceptions from f propagate.
     """
-    X, T = grid.mesh()
+    shape = (grid.nx, grid.nt)
     with np.errstate(all="ignore"):
-        values = np.asarray(f(X, T), dtype=complex)
+        values = np.asarray(f(grid.xs[:, None], grid.ts[None, :]), dtype=complex)
+    if values.ndim != 2 or any(n not in (1, full) for n, full in zip(values.shape, shape)):
+        raise GridMismatchError(f"f returned shape {values.shape}, which does not "
+                                f"broadcast to the grid's {shape}")
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape).copy()
     return ComplexField2D(grid, values)
 
 

@@ -115,6 +115,44 @@ def test_positon_is_coalescence_limit_of_engine():
     assert err <= 2e-2
 
 
+def _batch_first_positon(lam, x, t):
+    """Reference: the exact positon with its three 4x4 stacks built
+    batch-first, each in full, with the shifted column written into a fresh
+    swapped stack."""
+    E = (2 * lam ** 2 * x - lam ** 4 * t) / 8
+    dE = lam * (x - lam ** 2 * t) / 2
+    phi, vph = np.exp(-1j * E), np.exp(1j * E)
+    dphi, dvph = -1j * dE * phi, 1j * dE * vph
+
+    def omega(swap, shifted):
+        f, v, df, dv = (vph, phi, dvph, dphi) if swap else (phi, vph, dphi, dvph)
+        fo, vo, dfo, dvo = (phi, vph, dphi, dvph) if swap else (vph, phi, dvph, dphi)
+        M = np.zeros(np.broadcast(x, t).shape + (4, 4), dtype=complex)
+        for col in range(4):
+            p = 3 - col
+            comp, dcomp = (v, dv) if p % 2 == 1 else (f, df)
+            comp_o, dcomp_o = (vo, dvo) if p % 2 == 1 else (fo, dfo)
+            M[..., 0, col] = lam ** p * comp
+            M[..., 1, col] = np.conj(lam ** p * comp_o)
+            M[..., 2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
+            M[..., 3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
+        if shifted:
+            M[..., 0, 0] = lam ** 4 * f
+            M[..., 1, 0] = np.conj(lam ** 4 * fo)
+            M[..., 2, 0] = 4 * lam ** 3 * f + lam ** 4 * df
+            M[..., 3, 0] = np.conj(4 * lam ** 3 * fo + lam ** 4 * dfo)
+        return kd.numerics.batched_det(M)[0]
+
+    num = np.exp(-1j * (x + t)) * omega(True, False) * omega(True, True)
+    return catalog._guard(num, omega(False, False) ** 2)
+
+
+def test_positon_matrix_first_build_keeps_the_bits():
+    X, T = kd.Grid2D(-10, 10, -7, 9, 37, 29).mesh()
+    got = catalog.positon(0.8, 0.8).eval(X, T)
+    assert got.tobytes() == _batch_first_positon(0.8 + 0.8j, X, T).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # breather
 # ---------------------------------------------------------------------------

@@ -184,11 +184,10 @@ def test_json_text_fixed_formatting():
 
 
 def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
-    def field(X, T):
-        out = np.exp(1j * X) * np.cosh(T)
-        out[X == 1.0] = np.nan                   # the last x column: 5 nodes
-        out[(X == -1.0) & (T == -1.0)] = np.inf  # one more corner node
-        return out
+    def field(x, t):
+        out = np.exp(1j * x) * np.cosh(t)
+        out = np.where(x == 1.0, np.nan, out)                    # the last x column: 5 nodes
+        return np.where((x == -1.0) & (t == -1.0), np.inf, out)  # one more corner node
     monkeypatch.setattr(cli, "build_field", lambda *args: field)
     out = tmp_path / "masked.csv"
     rc = run(["generate", "--solution", "rogue1", "--grid", "-1:1:5,-1:1:5",
@@ -197,6 +196,30 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
     meta = json.loads((tmp_path / "masked.csv.meta.json").read_text())
     assert meta["masked_nodes"] == 6
     assert out.read_text().count('"nan"') == 5 * 2   # intensity and re of each NaN node
+    assert meta["overflow_nodes"] == 0
+
+
+def test_sidecar_counts_overflowing_intensity(tmp_path, monkeypatch):
+    def field(x, t):
+        # finite everywhere but at one node; |v| ~ 1.4e200 squares past the
+        # largest double on the two columns x > 0
+        out = np.where(x > 0, 1e200 + 1e200j, np.exp(1j * x) * np.cosh(t))
+        return np.where((x == -1.0) & (t == 0.0), np.nan, out)
+    monkeypatch.setattr(cli, "build_field", lambda *args: field)
+    grid = "-1:1:5,-1:1:5"
+    for fmt in ("csv", "json", "pgm"):
+        out = tmp_path / f"big.{fmt}"
+        rc = run(["generate", "--solution", "rogue1", "--grid", grid, "--format", fmt,
+                  "--output", str(out), "--quiet"])   # an overflow warning fails the test
+        assert rc == 0
+        meta = json.loads((tmp_path / f"big.{fmt}.meta.json").read_text())
+        assert (meta["masked_nodes"], meta["overflow_nodes"]) == (1, 10)
+    csv = (tmp_path / "big.csv").read_text()
+    assert csv.count('"inf"') == 10 and csv.count(format(1e200, ".17g")) == 20
+    values = cli.sample(field, parse_grid(grid)).values
+    with np.errstate(over="ignore"):
+        ref_write_csv(tmp_path / "ref.csv", parse_grid(grid), values)
+    assert (tmp_path / "big.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # --- reference: the scalar writers the block writers replace, kept as they were ---

@@ -270,6 +270,43 @@ def test_time_flow_reading_discrimination():
     assert bad.norms_t[-1][1] > 0.1
 
 
+def _mesh_lax_norms(datum, seed, grid, v_conjugation):
+    """Reference: the (norms_x, norms_t) of check_lax_residual evaluated on
+    the materialized interior mesh instead of broadcast axes."""
+    X, T = grid.mesh()
+    Xi, Ti = X[1:-1, 1:-1], T[1:-1, 1:-1]
+    hl = kd.lax.H_LAX_REL
+    Qx = (seed.value(Xi + hl, Ti) - seed.value(Xi - hl, Ti)) / (2 * hl)
+    U, V = kd.lax._lax_entries(seed, datum.lam, Xi, Ti, seed.value(Xi, Ti), Qx,
+                               v_conjugation)
+    norms_x, norms_t = [], []
+    for h in (min(grid.hx, grid.ht), min(grid.hx, grid.ht) / 2):
+        p0, v0 = datum.phi(Xi, Ti), datum.varphi(Xi, Ti)
+        for M, norms, dx, dt in ((U, norms_x, h, 0), (V, norms_t, 0, h)):
+            pp, vp = datum.phi(Xi + dx, Ti + dt), datum.varphi(Xi + dx, Ti + dt)
+            pm, vm = datum.phi(Xi - dx, Ti - dt), datum.varphi(Xi - dx, Ti - dt)
+            r = np.maximum(np.abs((pp - pm) / (2 * h) - (M[0] * p0 + M[1] * v0)),
+                           np.abs((vp - vm) / (2 * h) - (M[2] * p0 + M[3] * v0)))
+            norms.append((h, float(np.max(r)), float(np.mean(r))))
+    return norms_x, norms_t
+
+
+@pytest.mark.parametrize("v_conjugation", ["independent", "gstar"])
+@pytest.mark.parametrize("case", ["zero", "plane-wave"])
+def test_lax_residual_on_broadcast_axes_matches_mesh(case, v_conjugation):
+    if case == "zero":
+        seed, d = zero_seed(), zero_seed_eigenfunction(1 + 2j)
+    else:
+        seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+        d = plane_wave_eigenfunction(0.5 + 1j, seed, weights=(1.0, 0.5 - 0.25j))
+    g = kd.Grid2D(-1.3, 0.9, -0.7, 1.1, 37, 29)
+    rep = check_lax_residual(d, seed, g, v_conjugation=v_conjugation)
+    norms_x, norms_t = _mesh_lax_norms(d, seed, g, v_conjugation)
+    assert rep.norms_x == norms_x and rep.norms_t == norms_t
+    assert rep.order_x == np.log2(norms_x[0][1] / norms_x[1][1])
+    assert rep.order_t == np.log2(norms_t[0][1] / norms_t[1][1])
+
+
 def test_degenerate_pair_detection():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     with pytest.raises(DegeneratePairError):

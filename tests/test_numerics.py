@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kundu_dnls import catalog
+from kundu_dnls.cli import build_field
+from kundu_dnls.darboux import (DegenerationSpec, build_reduced_set, degenerate_limit,
+                                one_fold)
 from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteError
-from kundu_dnls.lax import zero_seed_eigenfunction
+from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, central_diff, dd_batched_det, det,
                                  sample)
@@ -173,6 +177,63 @@ def test_sample_propagates_errors_and_rejects_wrong_shapes():
         sample(broken, g)
     with pytest.raises(GridMismatchError):
         sample(lambda x, t: x[:, :2] + t[:, :2], g)
+
+
+def test_sample_passes_broadcast_axes_and_expands_one_axis_results():
+    g = Grid2D(-1, 1, 0, 2, 5, 7)
+
+    def probe(x, t):
+        assert x.shape == (5, 1) and t.shape == (1, 7)
+        return x + 1j * t
+    X, T = g.mesh()
+    assert np.array_equal(sample(probe, g).values, X + 1j * T)
+    for f, want in ((lambda x, t: x + 0j, X + 0j), (lambda x, t: 1j * t, 1j * T)):
+        fld = sample(f, g)
+        assert fld.values.shape == (5, 7) and np.array_equal(fld.values, want)
+        fld.values[0, 0] = 99.0               # a real copy, not a broadcast view
+        assert fld.values[1, 1] != 99.0 and fld.values[0, 1] != 99.0
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, t: 1.5 + 0j,                    # scalar: write c + 0 * x + 0 * t
+    lambda x, t: np.zeros(5, dtype=complex),  # (nt,) would read as x-constant
+    lambda x, t: x[:, 0] + 0j,                # (nx,)
+    lambda x, t: (x + t)[None],               # 3-D
+], ids=["scalar", "1-d-nt", "1-d-nx", "3-d"])
+def test_sample_rejects_results_that_do_not_broadcast_to_the_grid(f):
+    with pytest.raises(GridMismatchError):
+        sample(f, Grid2D(-1, 1, -1, 1, 5, 5))
+
+
+def _catalog_fields():
+    for make, args, forms, window in [
+            (catalog.one_soliton, (1.0, 2.0), ("exact", "as_published"), (-3, 3, -1, 1)),
+            (catalog.two_soliton, (0.7, 0.3, 0.5, 0.5), ("exact",), (-10, 10, -10, 10)),
+            (catalog.positon, (0.8, 0.8), ("exact", "as_published"), (-10, 10, -10, 10)),
+            (catalog.breather, (), ("exact", "as_published"), (-5, 5, -3, 3)),
+            (catalog.rogue1, (), ("exact", "as_published"), (-4, 4, -4, 4)),
+            (catalog.rogue2, (), ("exact", "as_published"), (-4, 4, -4, 4))]:
+        for form in forms:
+            yield pytest.param(make(*args, form=form).eval, Grid2D(*window, 41, 37),
+                               id=f"{make.__name__}-{form}")
+
+
+def _engine_fields():
+    seed0, seed = zero_seed(), make_plane_wave_seed(-2.0, 1.0, 1.0)
+    yield pytest.param(one_fold(build_reduced_set([1 + 2j], seed0), seed0).Q,
+                       Grid2D(-3, 3, -1, 1, 21, 17), id="one_fold")
+    fig9 = build_field("rogue3", dict(S0=0.0, S1=500.0, S2=0.0, eps=4e-3), "double")
+    yield pytest.param(fig9, Grid2D(-40, 40, -40, 40, 23, 19), id="n_fold-fig9")
+    extended = degenerate_limit(DegenerationSpec(1 + 1j, 5e-4, 2), seed, precision="extended")
+    yield pytest.param(extended.Q, Grid2D(-2, 2, -1.5, 1.5, 5, 5),
+                       id="degenerate_limit-extended")
+
+
+@pytest.mark.parametrize("f, g", [*_catalog_fields(), *_engine_fields()])
+def test_sample_gives_the_bits_of_the_materialized_mesh(f, g):
+    with np.errstate(all="ignore"):
+        want = np.asarray(f(*g.mesh()), dtype=complex)
+    assert sample(f, g).values.tobytes() == want.tobytes()
 
 
 def test_central_diff_exponential_and_order():
