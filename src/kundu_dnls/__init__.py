@@ -8,7 +8,7 @@ from .lax import (PhasePolynomial, PlaneWaveSeed, SpectralDatum, ZeroSeed,
                   branch_quantity, check_lax_residual, critical_eigenvalue,
                   lax_matrices, make_plane_wave_seed, plane_wave_eigenfunction,
                   zero_seed, zero_seed_eigenfunction)
-from .numerics import ComplexField2D, Grid2D, central_diff, det, sample
+from .numerics import ComplexField2D, Grid2D, det, sample
 from .verify import (ALL_VARIANTS, ConventionVariant, PeakSet, ResidualReport,
                      compare_fields, convergence_study, pde_residual,
                      peak_analysis, pin_down_convention)
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "catalog", "darboux", "errors", "lax", "verify",
-    "Grid2D", "ComplexField2D", "sample", "central_diff", "det",
+    "Grid2D", "ComplexField2D", "sample", "det",
     "ZeroSeed", "PlaneWaveSeed", "SpectralDatum", "PhasePolynomial",
     "make_plane_wave_seed", "zero_seed", "zero_seed_eigenfunction",
     "plane_wave_eigenfunction", "branch_quantity", "critical_eigenvalue",

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import catalog
+from . import catalog, cli
 from .darboux import (DegenerationSpec, SpectralSet, build_reduced_set, degenerate_limit,
                       n_fold)
-from .lax import PhasePolynomial, make_plane_wave_seed, plane_wave_eigenfunction, zero_seed
-from .numerics.grid import ComplexField2D, Grid2D, sample
+from .lax import make_plane_wave_seed, plane_wave_eigenfunction, zero_seed
+from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import (ConventionVariant, compare_fields, convergence_study,
                      exact_seed_residual, pde_residual, peak_analysis,
                      pin_down_convention)
@@ -151,30 +151,23 @@ def check_degeneration_convergence() -> CheckResult:
     return CheckResult("degeneration_convergence", ok, detail)
 
 
+# (solution, params, grid) invocations: the split patterns are the mapped
+# figures themselves, so the criterion and the figures cannot drift apart
 PATTERN_CONFIGS = {
-    "triangle2": dict(n=2, eps=2e-3, phases=(0.0, 500.0, 0.0),
-                      window=30.0, nodes=401),
-    "ring3": dict(n=3, eps=4e-3, phases=(0.0, 0.0, 1000.0),
-                  window=25.0, nodes=401),
-    "fused2": dict(n=2, eps=2e-3, phases=(0.0, 0.0, 0.0),
-                   window=8.0, nodes=161),
-    "triangle3": dict(n=3, eps=4e-3, phases=(0.0, 500.0, 0.0),
-                      window=40.0, nodes=401),
-    "fused3": dict(n=3, eps=2e-3, phases=(0.0, 0.0, 0.0),
-                   window=8.0, nodes=161),
+    "triangle2": cli.FIGURE_MAP["fig7"],
+    "ring3": cli.FIGURE_MAP["fig10"],
+    "triangle3": cli.FIGURE_MAP["fig9"],
+    "fused2": ("engine-degenerate", {"n": 2, "eps": 2e-3}, "-8:8:161,-8:8:161"),
 }
 
 
 def pattern_field(config_name: str) -> ComplexField2D:
-    cfg = PATTERN_CONFIGS[config_name]
-    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
-    spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=cfg["eps"], n=cfg["n"],
-                            phases=PhasePolynomial(*cfg["phases"]))
-    out = degenerate_limit(spec, seed)
-    w, nn = cfg["window"], cfg["nodes"]
-    grid = Grid2D(-w, w, -w, w, nn, nn)
-    fld = sample(out.Q, grid)
-    return ComplexField2D(grid, np.abs(fld.values) ** 2, fld.invalid)
+    """Intensity of one pattern field, built as `kdnls generate` builds it."""
+    solution, params, grid_spec = PATTERN_CONFIGS[config_name]
+    grid = cli.parse_grid(grid_spec)
+    field_fn = cli.build_field(solution, cli.resolve_params(solution, dict(params)), "auto")
+    fld = sample(field_fn, grid)
+    return ComplexField2D(grid, intensity(fld.values), fld.invalid)
 
 
 @_timed
@@ -282,13 +275,11 @@ def check_figure_reproduction() -> CheckResult:
     import tempfile
     from pathlib import Path
 
-    from .cli import FIGURE_MAP, main as cli_main
-
     fails = []
     with tempfile.TemporaryDirectory() as tmp:
-        for fig in sorted(FIGURE_MAP):
+        for fig in sorted(cli.FIGURE_MAP):
             out = str(Path(tmp) / f"{fig}.json")
-            rc = cli_main(["generate", "--figure", fig, "--format", "json",
+            rc = cli.main(["generate", "--figure", fig, "--format", "json",
                            "--output", out, "--quiet"])
             if rc != 0:
                 fails.append(f"{fig}: exit {rc}")

@@ -31,9 +31,6 @@ class CatalogEntry:
     params: dict = field(default_factory=dict)
     eval: Callable = None  # vectorized (x, t) -> complex
 
-    def intensity(self, x, t) -> Array:
-        return np.abs(self.eval(x, t)) ** 2
-
 
 def _guard(num: Array, den: Array) -> Array:
     """num/den with pole flagging by magnitude threshold."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -18,9 +17,10 @@ import numpy as np
 
 from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
-from .errors import InvalidConfigError, IOFailureError, KdnlsError
+from .errors import (InvalidConfigError, IOFailureError, KdnlsError,
+                     ResolutionTooCoarseError)
 from .lax import PhasePolynomial, make_plane_wave_seed, zero_seed
-from .numerics.grid import ComplexField2D, Grid2D, sample
+from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import peak_analysis
 
 SOLUTIONS = {
@@ -211,15 +211,6 @@ def _float_strs(a: np.ndarray) -> list[str]:
     return out
 
 
-def _intensity(v: np.ndarray) -> np.ndarray:
-    """|v|^2 with the bits of the scalar `abs(v) ** 2`: np.abs on complex
-    arrays and h ** 2 each round differently on some inputs.  A finite v
-    with |v| above about 1.34e154 gives inf, which the sidecar counts as
-    `overflow_nodes`."""
-    with np.errstate(over="ignore"):
-        return np.float_power(np.hypot(v.real, v.imag), 2.0)
-
-
 def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
     # one t row's template: x varies fastest, and x and t are formatted once
     row = "".join(x + ",{t},%s,%s,%s\n" for x in _float_strs(grid.xs))
@@ -229,7 +220,7 @@ def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
         for j in range(0, grid.nt, _BLOCK_ROWS):
             v = values[:, j:j + _BLOCK_ROWS].T.ravel()
             block = "".join(row.replace("{t}", t) for t in ts[j:j + _BLOCK_ROWS])
-            f.write(block % tuple(_float_strs(np.stack([_intensity(v), v.real, v.imag],
+            f.write(block % tuple(_float_strs(np.stack([intensity(v), v.real, v.imag],
                                                        axis=1))))
 
 
@@ -250,7 +241,7 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
         "grid": dict(x_min=grid.x_min, x_max=grid.x_max, t_min=grid.t_min,
                      t_max=grid.t_max, nx=grid.nx, nt=grid.nt),
     }
-    matrices = {"data": _intensity}
+    matrices = {"data": intensity}
     if include_complex:
         matrices.update(re=np.real, im=np.imag)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -265,8 +256,7 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
 
 
 def write_pgm(path: Path, values: np.ndarray):
-    with np.errstate(over="ignore"):   # counted as overflow_nodes; drawn white
-        I = np.abs(values) ** 2
+    I = intensity(values)   # an overflow is counted as overflow_nodes and drawn white
     finite = I[np.isfinite(I)]
     top = finite.max() if finite.size and finite.max() > 0 else 1.0
     img = np.nan_to_num(I / top, nan=0.0, posinf=1.0, neginf=0.0)
@@ -275,8 +265,15 @@ def write_pgm(path: Path, values: np.ndarray):
     path.write_bytes(header + pix.tobytes())
 
 
+def _node_counts(fld: ComplexField2D, I: np.ndarray) -> dict:
+    """Nodes whose field value is not finite, and nodes whose value is finite
+    but whose intensity I overflows."""
+    return {"masked_nodes": int(np.count_nonzero(fld.invalid)),
+            "overflow_nodes": int(np.count_nonzero(~fld.invalid & np.isinf(I)))}
+
+
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str, masked_nodes: int, overflow_nodes: int):
+                precision: str, counts: dict):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
@@ -285,8 +282,7 @@ def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: 
         "params": params,
         "grid": grid_spec,
         "format": fmt,
-        "masked_nodes": masked_nodes,
-        "overflow_nodes": overflow_nodes,
+        **counts,
     }
     Path(str(output) + ".meta.json").write_text(json_text(meta) + "\n",
                                                 encoding="utf-8", newline="\n")
@@ -332,9 +328,8 @@ def _effective(ns: argparse.Namespace):
     if not grid_spec:
         raise InvalidConfigError("no grid given (use --grid min:max:n,min:max:n)")
     params = resolve_params(solution, raw_params)
-    # explicit flag > environment override > config field > auto selection
-    precision = (ns.precision or os.environ.get("KDNLS_PRECISION")
-                 or cfg.get("precision") or "auto")
+    # explicit flag > config field > auto selection
+    precision = ns.precision or cfg.get("precision") or "auto"
     if precision not in ("auto", "double", "extended"):
         raise InvalidConfigError(f"precision must be double or extended, got {precision!r}")
     return solution, params, parse_grid(grid_spec), grid_spec, precision
@@ -365,8 +360,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         else:
             write_pgm(output, fld.values)
         _write_meta(output, ns.format, solution, params, grid_spec, precision,
-                    int(np.count_nonzero(fld.invalid)),
-                    int(np.count_nonzero(~fld.invalid & np.isinf(_intensity(fld.values)))))
+                    _node_counts(fld, intensity(fld.values)))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None
     if not ns.quiet:
@@ -378,8 +372,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     solution, params, grid, grid_spec, precision = _effective(ns)
     field = _checked_field(solution, params, precision)
     fld = sample(field, grid)
-    intensity = ComplexField2D(grid, np.abs(fld.values) ** 2, fld.invalid)
-    ps = peak_analysis(intensity, cluster_radius=ns.cluster_radius)
+    I = intensity(fld.values)
+    try:
+        ps = peak_analysis(ComplexField2D(grid, I, fld.invalid),
+                           cluster_radius=ns.cluster_radius)
+    except ResolutionTooCoarseError as exc:
+        raise InvalidConfigError(str(exc)) from None
     doc = {
         "solution": solution,
         "params": params,
@@ -390,6 +388,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         "structure_count": len(ps.structures),
         "peaks": [list(p) for p in ps.peaks],
         "structures": [list(p) for p in ps.structures],
+        **_node_counts(fld, I),
     }
     text = json_text(doc) + "\n"
     if ns.output:

@@ -80,8 +80,7 @@ class SpectralSet:
 
 
 def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
-                      weights_per_lambda: Optional[Sequence] = None,
-                      pairing: str = "reference") -> SpectralSet:
+                      weights_per_lambda: Optional[Sequence] = None) -> SpectralSet:
     """Complete each upper-half representative with its conjugate partner.
 
     The partner carries (lam*, varphi*, phi*), which is what makes the
@@ -102,7 +101,7 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
                 raise DegeneratePairError(
                     f"branch quantity vanishes at lambda {lam}; the two basis "
                     "solutions coincide and the eigenfunction degenerates")
-            datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w), pairing=pairing)
+            datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w))
         else:
             datum = zero_seed_eigenfunction(lam)
         data += [datum, datum.conjugate_partner()]
@@ -115,12 +114,11 @@ class DTOutput:
 
     `evaluate(x, t)` is the one pass behind every accessor: it returns
     (Q, R, pivot_ratio).  Q(x, t) returns NaN at flagged points
-    (transformation poles, condition blowups); `at` is the scalar accessor
-    that raises instead.
+    (transformation poles, pivot ratios above `DEFAULT_CONDITION_BOUND`);
+    `at` is the scalar accessor that raises instead.
     """
 
     evaluate: Callable
-    condition_bound: float = DEFAULT_CONDITION_BOUND
     Q: Callable = field(init=False)
     R: Callable = field(init=False)
     condition_estimate: Callable = field(init=False)
@@ -136,16 +134,14 @@ class DTOutput:
         cond = float(cond)
         if not np.isfinite(cond):
             raise SingularOmegaError(f"main determinant vanishes near ({x}, {t})")
-        if cond > self.condition_bound:
+        if cond > DEFAULT_CONDITION_BOUND:
             raise ConditionBlowupError(
-                f"pivot ratio {cond:.3e} exceeds bound {self.condition_bound:.3e} at ({x}, {t})")
+                f"pivot ratio {cond:.3e} exceeds bound {DEFAULT_CONDITION_BOUND:.3e} "
+                f"at ({x}, {t})")
         q = complex(np.asarray(q).reshape(()))
         if not np.isfinite(q):
             raise DenominatorVanishesError(f"transformation denominator vanishes at ({x}, {t})")
         return q
-
-    def intensity(self, x, t) -> Array:
-        return np.abs(self.Q(x, t)) ** 2
 
 
 def _seed_terms(seed: Seed, x, t):
@@ -154,8 +150,7 @@ def _seed_terms(seed: Seed, x, t):
     return Q, np.exp(-1j * th), np.exp(1j * th), np.sqrt(seed.alpha)
 
 
-def one_fold(spectral_set: SpectralSet, seed: Seed,
-             condition_bound: float = DEFAULT_CONDITION_BOUND) -> DTOutput:
+def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
     """Single-step transformation from one eigenvalue pair via its matrix elements."""
     if len(spectral_set.data) != 2:
         raise ValueError("one_fold needs a spectral set of exactly 2 data")
@@ -191,7 +186,7 @@ def one_fold(spectral_set: SpectralSet, seed: Seed,
         return (np.where(np.isfinite(q), q, np.nan + 0j),
                 np.where(np.isfinite(r), r, np.nan + 0j), ratios)
 
-    return DTOutput(evaluate, condition_bound)
+    return DTOutput(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +295,7 @@ def _omega_dets_extended(spectral_set: SpectralSet, x, t):
         return _omega_dets(spectral_set, lams, phis, vphs, stack_det)
 
 
-def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
-           condition_bound: float = DEFAULT_CONDITION_BOUND) -> DTOutput:
+def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
     """Determinant-form transformation of order n = len(set)/2 (n in 1..3)."""
     n = spectral_set.order
     if n not in (1, 2, 3):
@@ -316,7 +310,7 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
     def evaluate(x, t):
         main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, x, t)
         Q, eim, eip, ra = _seed_terms(seed, x, t)
-        keep = ratios <= condition_bound
+        keep = ratios <= DEFAULT_CONDITION_BOUND
         with np.errstate(all="ignore"):
             main2, sw2 = main ** 2, swapped ** 2
             q = (sw2 / main2) * Q + eim / ra * swapped * swapped_shift / main2
@@ -324,7 +318,7 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double",
         return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
                 np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 
-    return DTOutput(evaluate, condition_bound)
+    return DTOutput(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +341,15 @@ class DegenerationSpec:
     epsilon: float
     n: int
     phases: PhasePolynomial = field(default_factory=PhasePolynomial)
-    offsets: Optional[Sequence[complex]] = None
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 0.1):
             raise ValueError("epsilon must lie in (0, 0.1]")
         if self.n not in (1, 2, 3):
             raise ValueError("order must be 1, 2 or 3")
-        offs = list(self.offsets) if self.offsets is not None else _default_offsets(self.n)
-        if len(offs) != self.n:
-            raise ValueError("need exactly n offsets")
-        for i, oi in enumerate(offs):
-            if abs(abs(oi) - 1.0) > 1e-12:
-                raise ValueError("offsets must have unit modulus")
-            for oj in offs[:i]:
-                if abs(oi - oj) < 1e-12:
-                    raise ValueError("offsets must be pairwise distinct")
-        self.offsets = [complex(o) for o in offs]
 
 
-def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets,
-                    pairing: str) -> SpectralSet:
+def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
     lams, weights = [], []
     for off in offsets:
         eps_j = spec.epsilon * off
@@ -379,33 +361,31 @@ def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets,
             weights.append((np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j)))
         else:
             weights.append((1.0, 1.0))
-    return build_reduced_set(lams, seed, weights_per_lambda=weights, pairing=pairing)
+    return build_reduced_set(lams, seed, weights_per_lambda=weights)
 
 
 def degenerate_limit(spec: DegenerationSpec, seed: Seed,
-                     precision: Optional[str] = None,
-                     pairing: str = "reference",
-                     condition_bound: float = DEFAULT_CONDITION_BOUND) -> DTOutput:
+                     precision: Optional[str] = None) -> DTOutput:
     """Coalescing-eigenvalue approximation of the order-n degenerate solution.
 
-    Perturbed eigenvalues sit at lambda_c (1 + eps * offset_j) with the
-    offsets spread over the unit circle.  For n = 1 the single offset makes
-    the leading error linear in eps, so the output averages the +offset and
+    Perturbed eigenvalues sit at lambda_c (1 + eps * offset_j), with the
+    n-th roots of unity as offsets.  For n = 1 the single offset makes the
+    leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
     root-of-unity symmetry already cancels the linear term.
     """
     if precision is None:
         precision = "extended" if spec.epsilon <= EXTENDED_EPS_THRESHOLD else "double"
-    main = n_fold(_degenerate_set(spec, seed, spec.offsets, pairing), seed,
-                  precision=precision, condition_bound=condition_bound)
+    offsets = _default_offsets(spec.n)
+    main = n_fold(_degenerate_set(spec, seed, offsets), seed, precision=precision)
     if spec.n > 1:
         return main
-    mirror = n_fold(_degenerate_set(spec, seed, [-o for o in spec.offsets], pairing), seed,
-                    precision=precision, condition_bound=condition_bound)
+    mirror = n_fold(_degenerate_set(spec, seed, [-o for o in offsets]), seed,
+                    precision=precision)
 
     def evaluate(x, t):
         qa, ra, ca = main.evaluate(x, t)
         qb, rb, cb = mirror.evaluate(x, t)
         return 0.5 * (qa + qb), 0.5 * (ra + rb), np.maximum(ca, cb)
 
-    return DTOutput(evaluate, condition_bound)
+    return DTOutput(evaluate)

@@ -228,21 +228,17 @@ def critical_eigenvalue(seed: PlaneWaveSeed, guess: complex = 1 + 1j,
 
 
 def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
-                             weights: tuple[complex, complex] = (1.0, 1.0),
-                             pairing: str = "reference") -> SpectralDatum:
+                             weights: tuple[complex, complex] = (1.0, 1.0)) -> SpectralDatum:
     """Weighted superposition eigenfunction on the plane-wave background.
 
     The two-branch basis splits along the branch quantity s; `weights`
     stirs the two branches (the hump-splitting mechanism).  With weights
-    (1, 1) both pairings coincide and the datum reduces to the unweighted
-    eigenfunction.
+    (1, 1) the datum reduces to the unweighted eigenfunction.
     """
     if seed.c == 0:
         raise ZeroAmplitudeError("plane-wave eigenfunctions require c != 0")
     if lam == 0:
         raise ZeroEigenvalueError("lambda must be nonzero")
-    if pairing not in ("reference", "alternate"):
-        raise ValueError(f"unknown pairing {pairing!r}")
     lam = complex(lam)
     D1, D2 = complex(weights[0]), complex(weights[1])
     with mp.workdps(MP_DPS):
@@ -260,13 +256,8 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
         e_p, e_m = (I * (sx - px), I * (st - pt)), (I * (-sx - px), I * (-st - pt))
         g_p, g_m = (I * (sx + px), I * (st + pt)), (I * (px - sx), I * (pt - st))
         W1, W2 = mp.mpc(D1), mp.mpc(D2)
-        if pairing == "reference":
-            phi_c, vph_c = (W1 * u_m, W2 * u_p), (W1 * u_p, W2 * u_m)
-        else:
-            first, second = W1 * (u_m - 1) + W2, W1 + W2 * (u_p - 1)
-            phi_c, vph_c = (first, second), (second, first)
-        return _datum(lam, ExpSum([(phi_c[0], *e_p), (phi_c[1], *e_m)]),
-                      ExpSum([(vph_c[0], *g_p), (vph_c[1], *g_m)]),
+        return _datum(lam, ExpSum([(W1 * u_m, *e_p), (W2 * u_p, *e_m)]),
+                      ExpSum([(W1 * u_p, *g_p), (W2 * u_m, *g_m)]),
                       f"plane-wave(D1={D1:g}, D2={D2:g})")
 
 

@@ -11,6 +11,15 @@ from ..errors import GridMismatchError, GridTooSmallError
 Array = np.ndarray
 
 
+def intensity(v: Array) -> Array:
+    """|v|^2 with the bits of the scalar `abs(v) ** 2`: np.abs on complex
+    arrays and h ** 2 each round differently on some inputs.  A finite v
+    with |v| above about 1.34e154 gives inf without a warning; callers
+    count such nodes as overflow."""
+    with np.errstate(over="ignore"):
+        return np.float_power(np.hypot(v.real, v.imag), 2.0)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform sample grid over [x_min, x_max] x [t_min, t_max]."""
@@ -79,10 +88,7 @@ class ComplexField2D:
 
     @property
     def intensity(self) -> Array:
-        return np.abs(self.values) ** 2
-
-    def same_grid(self, other: "ComplexField2D") -> bool:
-        return self.grid == other.grid
+        return intensity(self.values)
 
 
 def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
@@ -107,40 +113,3 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
         values = np.broadcast_to(values, shape).copy()
     return ComplexField2D(grid, values)
 
-
-def _diff_1d(values: Array, h: float, axis: int, order: int) -> Array:
-    """Second-order stencils: central interior, one-sided of matching order at edges."""
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    elif order == 2:
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    else:
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    return np.moveaxis(out, 0, axis)
-
-
-def central_diff(fld: ComplexField2D, axis: str, order: int = 1) -> ComplexField2D:
-    """d/dx or d/dt (or second derivatives) of a sampled field.
-
-    Boundary rows/columns use shifted one-sided stencils of the same formal
-    order; they are flagged in the result's `degraded` attribute so residual
-    norms can stay interior-only.
-    """
-    ax = {"x": 0, "t": 1}[axis]
-    n = fld.values.shape[ax]
-    if n < 5:
-        raise GridTooSmallError(f"need >= 5 samples along {axis}, got {n}")
-    h = fld.grid.hx if ax == 0 else fld.grid.ht
-    out = ComplexField2D(fld.grid, _diff_1d(fld.values, h, ax, order), fld.invalid.copy())
-    degraded = np.zeros_like(out.invalid)
-    sl = [slice(None), slice(None)]
-    sl[ax] = [0, -1]
-    degraded[tuple(sl)] = True
-    out.degraded = degraded
-    return out

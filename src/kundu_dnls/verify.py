@@ -223,8 +223,13 @@ class PeakSet:
     classification: str         # fundamental | triangular | ring | unclassified
 
 
-def peak_analysis(intensity: ComplexField2D, background_window: float = 0.1,
-                  threshold_ratio: float = 4.0, cluster_radius: float = 3.0) -> PeakSet:
+# the background is the median over a frame this fraction of each axis wide;
+# a peak must reach this multiple of it
+BACKGROUND_FRAME = 0.1
+PEAK_TO_BACKGROUND = 4.0
+
+
+def peak_analysis(intensity: ComplexField2D, cluster_radius: float = 3.0) -> PeakSet:
     """Detect and classify intensity humps.
 
     The grid must resolve the narrowest fundamental hump with >= 5 nodes
@@ -237,12 +242,12 @@ def peak_analysis(intensity: ComplexField2D, background_window: float = 0.1,
             f"grid spacing {max(grid.hx, grid.ht):.3f} too coarse for hump detection")
     I = np.real(intensity.values)
     nx, nt = I.shape
-    fx = max(1, int(round(background_window * nx)))
-    ft = max(1, int(round(background_window * nt)))
+    fx = max(1, int(round(BACKGROUND_FRAME * nx)))
+    ft = max(1, int(round(BACKGROUND_FRAME * nt)))
     frame = np.ones_like(I, dtype=bool)
     frame[fx:-fx, ft:-ft] = False
     background = float(np.median(I[frame]))
-    thresh = background * threshold_ratio
+    thresh = background * PEAK_TO_BACKGROUND
 
     C = I[1:-1, 1:-1]
     neighbours = [I[2:, 1:-1], I[:-2, 1:-1], I[1:-1, 2:], I[1:-1, :-2],

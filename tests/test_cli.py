@@ -86,20 +86,24 @@ def test_missing_solution_rejected(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("params", [
-    ["--solution", "engine-nfold", "--param", "seed=zero", "--param", "alpha=-1"],
-    ["--solution", "engine-nfold", "--param", "lam1_im=0"],
-    ["--solution", "positon", "--param", "alpha=-1"],
-    ["--solution", "engine-degenerate", "--param", "n=abc"],
-    ["--solution", "rogue2", "--param", "eps=abc"],
-    ["--solution", "soliton1", "--param", "m1=nan"],
-    ["--solution", "engine-nfold", "--param", "lam2_re=0.5"],
+_GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_GEN, "--solution", "engine-nfold", "--param", "seed=zero", "--param", "alpha=-1"],
+    [*_GEN, "--solution", "engine-nfold", "--param", "lam1_im=0"],
+    [*_GEN, "--solution", "positon", "--param", "alpha=-1"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "n=abc"],
+    [*_GEN, "--solution", "rogue2", "--param", "eps=abc"],
+    [*_GEN, "--solution", "soliton1", "--param", "m1=nan"],
+    [*_GEN, "--solution", "engine-nfold", "--param", "lam2_re=0.5"],
+    ["analyze", "--solution", "rogue1", "--grid=-1:1:5,-1:1:5"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
-        "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue"])
-def test_bad_parameter_values_exit_2(tmp_path, params):
+        "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
+        "analyze-grid-too-coarse"])
+def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
-    rc = run(["generate", *params, "--grid", "-1:1:11,-1:1:11",
-              "--output", str(out), "--quiet"])
+    rc = run([*argv, "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists()
 
 
@@ -139,16 +143,6 @@ def test_config_file_with_flag_override(tmp_path):
     assert doc["params"]["n1"] == 1.0 and doc["params"]["m1"] == 1.0
 
 
-def test_env_var_precision(tmp_path, monkeypatch):
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("KDNLS_PRECISION", "double")
-    rc = run(["generate", "--solution", "rogue3", "--grid", "-1:1:5,-1:1:5",
-              "--format", "json", "--output", str(out), "--quiet"])
-    assert rc == 0
-    meta = json.loads((tmp_path / "r.json.meta.json").read_text())
-    assert meta["precision"] == "double"
-
-
 def test_analyze_reports_three_split_humps(tmp_path):
     out = tmp_path / "peaks.json"
     rc = run(["analyze", "--solution", "rogue2", "--param", "S1=500",
@@ -158,6 +152,20 @@ def test_analyze_reports_three_split_humps(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["structure_count"] == 3
     assert doc["classification"] == "triangular"
+    assert (doc["masked_nodes"], doc["overflow_nodes"]) == (0, 0)
+
+
+def test_analyze_counts_overflowing_intensity(tmp_path, monkeypatch):
+    def field(x, t):
+        # |v| ~ 1.4e200 squares past the largest double on the 20 columns x > 0
+        return np.where(x > 0, 1e200 + 1e200j, np.exp(1j * x) * np.cosh(t))
+    monkeypatch.setattr(cli, "build_field", lambda *args: field)
+    out = tmp_path / "peaks.json"
+    rc = run(["analyze", "--solution", "rogue1", "--grid", "-5:5:41,-5:5:41",
+              "--output", str(out), "--quiet"])   # an overflow warning fails the test
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    assert (doc["masked_nodes"], doc["overflow_nodes"]) == (0, 820)
 
 
 def test_figure_map_complete_and_invocable(tmp_path):

@@ -291,12 +291,11 @@ def test_reduced_set_checks_partner_components():
     with pytest.raises(ValueError):
         SpectralSet([rep, scaled], reduction=True)
     SpectralSet([rep, scaled], reduction=False)
-    # every constructed set passes: both seeds, both pairings, complex weights
-    # and the split-phase degenerate sets of the mapped figures
+    # every constructed set passes: both seeds, complex weights and the
+    # split-phase degenerate sets of the mapped figures
     build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j, 0.4 + 0.9j], SEED0)
-    for pairing in ("reference", "alternate"):
-        build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP,
-                          weights_per_lambda=[(1.0, 2.0 - 1j), (0.3j, 1.5)], pairing=pairing)
+    build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP,
+                      weights_per_lambda=[(1.0, 2.0 - 1j), (0.3j, 1.5)])
     for n, eps, phases in ((2, 2e-3, (0, 500, 0)), (3, 4e-3, (0, 500, 0)),
                            (3, 4e-3, (0, 0, 1000)), (1, 1e-4, (0, 0, 0))):
         spec = DegenerationSpec(1 + 1j, eps, n, phases=kd.PhasePolynomial(*phases))
@@ -316,7 +315,7 @@ class _NanSeed:
         return x + t
 
 
-def test_scalar_accessor_raises_on_flagged_points():
+def test_scalar_accessor_raises_on_flagged_points(monkeypatch):
     synthetic = SpectralSet([
         SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
                       lambda x, t: np.ones_like(x + t + 0j), "synthetic"),
@@ -326,8 +325,11 @@ def test_scalar_accessor_raises_on_flagged_points():
         n_fold(synthetic, SEED0).at(0.0, 0.0)
 
     sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
-    with pytest.raises(ConditionBlowupError):
-        n_fold(sset, SEED0, condition_bound=1.0).at(0.3, 0.2)
+    with monkeypatch.context() as m:
+        m.setattr(kd.darboux, "DEFAULT_CONDITION_BOUND", 1.0)   # read when called
+        with pytest.raises(ConditionBlowupError):
+            n_fold(sset, SEED0).at(0.3, 0.2)
+        assert np.isnan(n_fold(sset, SEED0).Q(0.3, 0.2))
     with pytest.raises(DenominatorVanishesError):
         n_fold(sset, _NanSeed()).at(0.0, 0.0)
 
@@ -404,12 +406,6 @@ def test_degeneration_spec_validation():
         DegenerationSpec(1 + 1j, 0.5, 1)       # radius out of range
     with pytest.raises(ValueError):
         DegenerationSpec(1 + 1j, 1e-2, 4)      # unsupported order
-    with pytest.raises(ValueError):
-        DegenerationSpec(1 + 1j, 1e-2, 2, offsets=[1.0, 1.0])
-    with pytest.raises(ValueError):
-        DegenerationSpec(1 + 1j, 1e-2, 1, offsets=[0.5])
-    spec = DegenerationSpec(1 + 1j, 1e-2, 2)
-    assert spec.offsets == [(1 + 0j), (-1 + 0j)]
 
 
 def test_positon_family_converges_and_is_monotone():
@@ -469,9 +465,9 @@ def test_degenerate_limit_engages_extended_automatically():
     import kundu_dnls.darboux as dx
     orig = dx.n_fold
 
-    def spy(sset, seed, precision="double", condition_bound=dx.DEFAULT_CONDITION_BOUND):
+    def spy(sset, seed, precision="double"):
         captured["precision"] = precision
-        return orig(sset, seed, precision=precision, condition_bound=condition_bound)
+        return orig(sset, seed, precision=precision)
 
     dx.n_fold = spy
     try:

@@ -190,14 +190,10 @@ _S_NEAR = complex(branch_quantity(_LAM_NEAR, _PW))
     lambda: zero_seed_eigenfunction(0.9 + 1.1j),
     lambda: zero_seed_eigenfunction(0.7 - 0.4j, time_sign=1),
     lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW),
-    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, pairing="alternate"),
     lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, weights=(0.4 - 0.7j, 1.3 + 0.2j)),
-    lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, weights=(0.4 - 0.7j, 1.3 + 0.2j),
-                                     pairing="alternate"),
     lambda: plane_wave_eigenfunction(
         _LAM_NEAR, _PW, weights=(np.exp(-1j * _S_NEAR), np.exp(1j * _S_NEAR))),
-], ids=["zero", "zero-time-plus", "wave-ref", "wave-alt", "wave-ref-weighted",
-        "wave-alt-weighted", "wave-coalescing"])
+], ids=["zero", "zero-time-plus", "wave-ref", "wave-ref-weighted", "wave-coalescing"])
 def test_exponential_sums_agree_in_double_and_mpmath(make):
     d = make()
     pts = np.random.default_rng(4).uniform(-3, 3, (20, 2))
