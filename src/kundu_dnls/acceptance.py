@@ -95,7 +95,7 @@ def check_engine_oracle_equivalence() -> CheckResult:
     g1 = Grid2D(-3, 3, -2, 2, 101, 101)
     out1 = n_fold(build_reduced_set([1 + 2j], seed), seed)
     err1, _ = compare_fields(sample(out1.Q, g1),
-                             sample(catalog.one_soliton(1, 2).eval, g1), "intensity")
+                             sample(catalog.one_soliton(1, 2).eval, g1))
     g2 = Grid2D(-10, 10, -10, 10, 201, 201)
     out2 = n_fold(build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], seed), seed)
     Ie = np.abs(sample(out2.Q, g2).values) ** 2

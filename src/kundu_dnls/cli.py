@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
-from .errors import (InvalidConfigError, IOFailureError, KdnlsError,
-                     ResolutionTooCoarseError)
-from .lax import PhasePolynomial, make_plane_wave_seed, zero_seed
+from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
+                     KdnlsError, ResolutionTooCoarseError)
+from .lax import PhasePolynomial, critical_eigenvalue, make_plane_wave_seed, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import peak_analysis
 
@@ -118,27 +118,36 @@ def _make_seed(params: dict):
 
 
 def build_field(solution: str, params: dict, precision: str):
-    """Vectorized (x, t) -> complex closure for the requested solution."""
-    kw = {} if precision == "auto" else {"precision": precision}
+    """Vectorized (x, t) -> complex closure for the requested solution.
+
+    A closed-form solution is evaluated in double whatever the precision, so
+    a precision other than "auto" is invalid configuration there."""
+    entry = None
     if solution == "soliton1":
-        return catalog.one_soliton(params["m1"], params["n1"], params["alpha"],
-                                   params["theta_p"], params["theta_q"]).eval
-    if solution == "soliton2":
-        return catalog.two_soliton(params["m1"], params["n1"], params["m2"], params["n2"],
-                                   params["alpha"], params["theta_p"], params["theta_q"]).eval
-    if solution == "positon":
-        return catalog.positon(params["re1"], params["im1"], params["alpha"],
-                               params["theta_p"], params["theta_q"]).eval
-    if solution == "breather":
-        return catalog.breather().eval
-    if solution == "rogue1":
-        return catalog.rogue1().eval
+        entry = catalog.one_soliton(params["m1"], params["n1"], params["alpha"],
+                                    params["theta_p"], params["theta_q"])
+    elif solution == "soliton2":
+        entry = catalog.two_soliton(params["m1"], params["n1"], params["m2"], params["n2"],
+                                    params["alpha"], params["theta_p"], params["theta_q"])
+    elif solution == "positon":
+        entry = catalog.positon(params["re1"], params["im1"], params["alpha"],
+                                params["theta_p"], params["theta_q"])
+    elif solution == "breather":
+        entry = catalog.breather()
+    elif solution == "rogue1":
+        entry = catalog.rogue1()
+    elif solution == "rogue2" and params["S0"] == params["S1"] == params["S2"] == 0.0:
+        entry = catalog.rogue2()
+    if entry is not None:
+        if precision != "auto":
+            raise InvalidConfigError(f"{solution} is closed-form: precision {precision!r} "
+                                     "applies only to the Darboux engine")
+        return entry.eval
+    kw = {} if precision == "auto" else {"precision": precision}
     if solution in ("rogue2", "rogue3"):
-        order = 2 if solution == "rogue2" else 3
-        if order == 2 and params["S0"] == params["S1"] == params["S2"] == 0.0:
-            return catalog.rogue2().eval
         seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
-        spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=params["eps"], n=order,
+        spec = DegenerationSpec(lambda_c=critical_eigenvalue(seed), epsilon=params["eps"],
+                                n=2 if solution == "rogue2" else 3,
                                 phases=PhasePolynomial(params["S0"], params["S1"],
                                                        params["S2"]))
         return degenerate_limit(spec, seed, **kw).Q
@@ -376,7 +385,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     try:
         ps = peak_analysis(ComplexField2D(grid, I, fld.invalid),
                            cluster_radius=ns.cluster_radius)
-    except ResolutionTooCoarseError as exc:
+    except (ResolutionTooCoarseError, AllNodesExcludedError) as exc:
         raise InvalidConfigError(str(exc)) from None
     doc = {
         "solution": solution,

@@ -14,19 +14,19 @@ are the arbiter; see tests).  That sign is used throughout.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
 
-from .errors import (GridTooSmallError, ZeroAmplitudeError, ZeroCouplingError,
-                     ZeroEigenvalueError)
+from .errors import (DegeneratePairError, GridTooSmallError, ZeroAmplitudeError,
+                     ZeroCouplingError, ZeroEigenvalueError)
 from .numerics.grid import Grid2D
 
 Array = np.ndarray
 
-H_LAX_REL = 1e-4  # step for the internal x-derivative inside the time-flow matrix
 MP_DPS = 40       # digits of the eigenfunction constants and the extended path
 
 
@@ -53,6 +53,10 @@ class ZeroSeed:
     def value(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=complex) + np.asarray(t, dtype=complex))
 
+    def value_x(self, x, t):
+        """Exact x-derivative of `value`: zero."""
+        return self.value(x, t)
+
     def theta(self, x, t):
         return self.theta_p * x + self.theta_q * t
 
@@ -63,23 +67,28 @@ class PlaneWaveSeed:
 
     a: float
     c: float
-    b: float
     alpha: float = 1.0
     theta_p: float = 1.0
     theta_q: float = 1.0
 
+    @property
+    def b(self) -> float:
+        """The frequency fixed by the closure constraint."""
+        a, c, alpha = self.a, self.c, self.alpha
+        return -alpha * c * c * a - 2.0 - a * a - 2.0 * a - alpha * c * c
+
     def value(self, x, t):
         return self.c * np.exp(1j * (self.a * np.asarray(x) + self.b * np.asarray(t)))
+
+    def value_x(self, x, t):
+        """Exact x-derivative of `value`: i a times the seed."""
+        return 1j * self.a * self.value(x, t)
 
     def theta(self, x, t):
         return self.theta_p * x + self.theta_q * t
 
 
 Seed = ZeroSeed | PlaneWaveSeed
-
-
-def frequency_from_constraint(a: float, c: float, alpha: float) -> float:
-    return -alpha * c * c * a - 2.0 - a * a - 2.0 * a - alpha * c * c
 
 
 def _check_coupling(alpha: float):
@@ -95,8 +104,7 @@ def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
     _check_coupling(alpha)
     if c < 0:
         raise ValueError("amplitude c must be >= 0")
-    return PlaneWaveSeed(a=a, c=c, b=frequency_from_constraint(a, c, alpha),
-                         alpha=alpha, theta_p=theta_p, theta_q=theta_q)
+    return PlaneWaveSeed(a=a, c=c, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 
 def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) -> ZeroSeed:
@@ -207,24 +215,16 @@ def branch_quantity(lam: complex, seed: PlaneWaveSeed):
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
-def critical_eigenvalue(seed: PlaneWaveSeed, guess: complex = 1 + 1j,
-                        tol: float = 1e-13, max_iter: int = 60) -> complex:
-    """Root of the branch-quantity radicand (Newton in lam), i.e. s(lam)=0."""
+def critical_eigenvalue(seed: PlaneWaveSeed) -> complex:
+    """The first-quadrant zero of s(lam), where the breather turns into the
+    rogue wave.  The radicand vanishes at lam^2 = 2(a+1+c^2) +- 2c
+    sqrt(c^2+2(a+1)); this is the principal root of the + branch.  A real
+    root has no conjugate partner and raises DegeneratePairError."""
     a, c = seed.a, seed.c
-
-    def f(z):
-        return _radicand(z * z, a, c)
-
-    def fp(z):
-        return -8 * a * z + 4 * z ** 3 - 8 * z - 8 * z * c * c
-
-    z = complex(guess)
-    for _ in range(max_iter):
-        step = f(z) / fp(z)
-        z -= step
-        if abs(step) < tol:
-            return z
-    raise ArithmeticError("Newton iteration for the critical eigenvalue did not converge")
+    lam = cmath.sqrt(2 * (a + 1 + c * c) + 2 * c * cmath.sqrt(c * c + 2 * (a + 1)))
+    if lam.imag == 0:
+        raise DegeneratePairError(f"critical eigenvalue {lam} is real for a={a}, c={c}")
+    return lam
 
 
 def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
@@ -297,51 +297,49 @@ def unfolded_four_term_components(lam: complex, seed: PlaneWaveSeed,
 # Lax matrices and residual checks
 # ---------------------------------------------------------------------------
 
-def _lax_entries(seed: Seed, lam: complex, x, t, Q, Qx,
+def _lax_entries(seed: Seed, lam: complex, x, t,
                  v_conjugation: str) -> tuple[tuple, tuple]:
-    """Entries (U11, U12, U21, U22) and (V11, V12, V21, V22) at the field Q
-    with x-derivative Qx, vectorized over x, t.
+    """Entries (U11, U12, U21, U22) and (V11, V12, V21, V22) at the seed,
+    vectorized over x, t; V takes the seed's exact x-derivative `value_x`.
 
-    U is fixed by the spectral problem.  The time-flow matrix V admits two
-    documented readings of its upper off-diagonal entry: "gstar" takes the
-    literal complex conjugate of the lower entry's generator, "independent"
-    uses the mirror generator of the coupled system (the reading that the
-    residual checks single out).  The cubic term of the generator carries a
-    minus sign in the "independent" reading.
+    U is fixed by the spectral problem.  The off-diagonal entries of the
+    time-flow matrix V come from one generator g(F, F_x, e, theta_x, cubic
+    sign), with V21 = i g(Q, Q_x, e^{i theta}, theta_x, .).  V12 has two
+    documented readings: "gstar" takes i conj of that lower generator;
+    "independent" takes the mirror generator of the coupled system,
+    i g(R, R_x, e^{-i theta}, -theta_x, +1), while the lower generator
+    carries the opposite cubic sign, -1 (the reading that the residual
+    checks single out).
     """
     alpha = seed.alpha
     ra = np.sqrt(alpha)
+    Q, Qx = seed.value(x, t), seed.value_x(x, t)
+    R, Rx = -np.conj(Q), -np.conj(Qx)
     th = seed.theta(x, t)
     thx = seed.theta_p
-    R, Rx = -np.conj(Q), -np.conj(Qx)
     eip, eim = np.exp(1j * th), np.exp(-1j * th)
     lam2 = lam * lam
+
+    def g(F, Fx, e, F_thx, cubic_sign):
+        return (lam / 4) * ra * (-lam2 * F * e + 2j * (Fx * e + 1j * F * e * F_thx)
+                                 + cubic_sign * 2 * alpha * F * F * np.conj(F) * e)
+
     U = (-0.25j * lam2, 0.5j * lam * ra * R * eim, 0.5j * lam * ra * Q * eip, 0.25j * lam2)
     diag = 1j * (lam ** 4 / 8.0 - 0.25 * alpha * lam2 * Q * R)
     if v_conjugation == "gstar":
-        G = (lam / 4) * ra * (-lam2 * Q * eip + 2j * (Qx * eip + 1j * Q * eip * thx)
-                              + 2 * alpha * Q * Q * np.conj(Q) * eip)
+        G = g(Q, Qx, eip, thx, 1)
         V12, V21 = 1j * np.conj(G), 1j * G
     elif v_conjugation == "independent":
-        G = (lam / 4) * ra * (-lam2 * Q * eip + 2j * (Qx * eip + 1j * Q * eip * thx)
-                              - 2 * alpha * Q * Q * np.conj(Q) * eip)
-        Gm = (lam / 4) * ra * (-lam2 * R * eim + 2j * Rx * eim + 2 * R * eim * thx
-                               - 2 * alpha * R * R * Q * eim)
-        V12, V21 = 1j * Gm, 1j * G
+        V12, V21 = 1j * g(R, Rx, eim, -thx, 1), 1j * g(Q, Qx, eip, thx, -1)
     else:
         raise ValueError(f"unknown v_conjugation {v_conjugation!r}")
     return U, (diag, V12, V21, -diag)
 
 
-def lax_matrices(seed: Seed, Q_field: Optional[Callable], lam: complex,
-                 x: float, t: float, v_conjugation: str = "independent") -> tuple[Array, Array]:
+def lax_matrices(seed: Seed, lam: complex, x: float, t: float,
+                 v_conjugation: str = "independent") -> tuple[Array, Array]:
     """(U, V) at one point; see `_lax_entries` for the two readings of V."""
-    if Q_field is None:
-        Q_field = seed.value
-    Q = complex(Q_field(x, t))
-    h = H_LAX_REL * max(1.0, abs(x))
-    Qx = complex(Q_field(x + h, t) - Q_field(x - h, t)) / (2 * h)
-    U, V = _lax_entries(seed, lam, x, t, Q, Qx, v_conjugation)
+    U, V = _lax_entries(seed, lam, x, t, v_conjugation)
     return np.array(U).reshape(2, 2), np.array(V).reshape(2, 2)
 
 
@@ -363,9 +361,7 @@ def check_lax_residual(datum: SpectralDatum, seed: Seed, grid: Grid2D,
         raise GridTooSmallError("need an interior for the residual norms")
     # interior nodes on broadcast axes: x-only and t-only terms stay 1-D
     Xi, Ti = grid.xs[1:-1, None], grid.ts[None, 1:-1]
-    hl = H_LAX_REL
-    Qx = (seed.value(Xi + hl, Ti) - seed.value(Xi - hl, Ti)) / (2 * hl)
-    U, V = _lax_entries(seed, datum.lam, Xi, Ti, seed.value(Xi, Ti), Qx, v_conjugation)
+    U, V = _lax_entries(seed, datum.lam, Xi, Ti, v_conjugation)
 
     def psi(x, t):
         return datum.phi(x, t), datum.varphi(x, t)

@@ -120,6 +120,47 @@ def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
     assert rc == 2 and not out.exists()
 
 
+_CLOSED_FORM = ["soliton1", "soliton2", "positon", "breather", "rogue1", "rogue2"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("solution", _CLOSED_FORM)
+def test_precision_on_closed_form_solution_exits_2(tmp_path, solution, source):
+    # these are evaluated in double whatever is asked, so asking is an error
+    out = tmp_path / "x.csv"
+    argv = ["generate", "--solution", solution, "--grid", "-1:1:11,-1:1:11"]
+    if source == "flag":
+        argv += ["--precision", "extended"]
+    else:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"precision": "double"}))
+        argv += ["--config", str(cfg)]
+    assert run([*argv, "--output", str(out), "--quiet"]) == 2 and not out.exists()
+
+
+def test_precision_on_split_rogue2_is_recorded(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["generate", "--solution", "rogue2", "--param", "S1=1", "--precision", "double",
+                "--grid", "-1:1:5,-1:1:5", "--output", str(out), "--quiet"]) == 0
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision"] == "double"
+
+
+@pytest.mark.parametrize("solution", sorted(cli.SOLUTIONS))
+def test_every_solution_and_format_is_deterministic(tmp_path, solution):
+    for fmt in ("csv", "json", "pgm"):
+        blobs = []
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir / f"x.{fmt}"
+            assert run(["generate", "--solution", solution, "--grid", "-2:2:7,-2:2:5",
+                        "--format", fmt, "--output", str(out), "--quiet"]) == 0
+            meta = tmp_path / run_dir / f"x.{fmt}.meta.json"
+            counts = json.loads(meta.read_text())
+            assert isinstance(counts["masked_nodes"], int)
+            assert isinstance(counts["overflow_nodes"], int)
+            blobs.append((out.read_bytes(), meta.read_bytes()))
+        assert blobs[0] == blobs[1]
+
+
 def test_io_failure_exit_code(tmp_path):
     target = tmp_path / "blocked"
     target.write_text("file, not a directory")
@@ -166,6 +207,27 @@ def test_analyze_counts_overflowing_intensity(tmp_path, monkeypatch):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert (doc["masked_nodes"], doc["overflow_nodes"]) == (0, 820)
+
+
+def test_analyze_background_skips_masked_nodes(tmp_path, monkeypatch):
+    rogue1 = cli.catalog.rogue1().eval
+
+    def corner_nan(x, t):
+        return np.where((x == -4.0) & (t == -4.0), np.nan, rogue1(x, t))
+
+    def frame_nan(x, t):   # NaN on every frame node, the centre left intact
+        return np.where((np.abs(x) > 3.0) | (np.abs(t) > 3.0), np.nan, rogue1(x, t))
+
+    grid = "-4:4:201,-4:4:201"
+    out = tmp_path / "peaks.json"
+    monkeypatch.setattr(cli, "build_field", lambda *args: corner_nan)
+    assert run(["analyze", "--solution", "rogue1", "--grid", grid, "--output", str(out),
+                "--quiet"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["masked_nodes"] == 1 and doc["peak_count"] == 1
+    assert doc["classification"] == "fundamental" and doc["background"] == pytest.approx(1.0, abs=0.1)
+    monkeypatch.setattr(cli, "build_field", lambda *args: frame_nan)
+    assert run(["analyze", "--solution", "rogue1", "--grid", grid, "--quiet"]) == 2
 
 
 def test_figure_map_complete_and_invocable(tmp_path):

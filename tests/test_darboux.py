@@ -30,7 +30,7 @@ def test_one_fold_matches_catalog_soliton():
     out = one_fold(build_reduced_set([1 + 2j], SEED0), SEED0)
     cat = catalog.one_soliton(1, 2)
     g = kd.Grid2D(-3, 3, -2, 2, 101, 101)
-    err, _ = kd.compare_fields(kd.sample(out.Q, g), kd.sample(cat.eval, g), "intensity")
+    err, _ = kd.compare_fields(kd.sample(out.Q, g), kd.sample(cat.eval, g))
     assert err <= 1e-9
 
 
@@ -427,7 +427,7 @@ def test_degenerate_two_solitons_differ_then_converge():
     for eps in (1e-1, 1e-2, 1e-3):
         spec = DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=eps, n=2)
         fld = kd.sample(degenerate_limit(spec, SEED0, precision="double").Q, ref.grid)
-        err, _ = kd.compare_fields(fld, ref, "intensity")
+        err, _ = kd.compare_fields(fld, ref)
         errs.append(err)
         assert err > 0
     assert errs[0] > errs[1] > errs[2]
@@ -496,7 +496,7 @@ def test_engine_respects_general_gauge_and_coupling():
     out_a = n_fold(build_reduced_set([1 + 2j], seed_a), seed_a)
     cat = catalog.one_soliton(1, 2, alpha=2.5)
     g = kd.Grid2D(-2, 2, -1, 1, 61, 61)
-    err, _ = kd.compare_fields(kd.sample(out_a.Q, g), kd.sample(cat.eval, g), "intensity")
+    err, _ = kd.compare_fields(kd.sample(out_a.Q, g), kd.sample(cat.eval, g))
     assert err <= 1e-9
 
 

@@ -97,8 +97,25 @@ def test_branch_quantity_reduces_on_reference_background():
 def test_branch_point_at_critical_eigenvalue():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     assert abs(branch_quantity(1 + 1j, seed)) <= 1e-12
-    root = critical_eigenvalue(seed, guess=1.2 + 0.8j)
-    assert root == pytest.approx(1 + 1j, abs=1e-10)
+    assert critical_eigenvalue(seed) == 1 + 1j   # sqrt(2i), exactly
+
+
+@pytest.mark.parametrize("a, c, newton_root", [
+    (-3.0, 0.5, 0.4999999999999999 + 1.9364916731037085j),
+    (-2.5, 1.2, 1.2 + 1.2489995996796797j),
+], ids=["a-3-c0.5", "a-2.5-c1.2"])
+def test_critical_eigenvalue_matches_newton_root(a, c, newton_root):
+    # the roots of a Newton iteration on the radicand started at 1 + 1j
+    seed = make_plane_wave_seed(a, c, 1.0)
+    root = critical_eigenvalue(seed)
+    assert abs(root - newton_root) <= 1e-12
+    assert root.real > 0 and root.imag > 0
+    assert abs(branch_quantity(root, seed)) <= 1e-7
+
+
+def test_critical_eigenvalue_rejects_a_real_root():
+    with pytest.raises(DegeneratePairError):
+        critical_eigenvalue(make_plane_wave_seed(-1.3, 0.8, 1.0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,7 +231,7 @@ def test_exponential_sums_agree_in_double_and_mpmath(make):
 def test_lax_matrices_zero_seed_diagonal():
     seed = kd.zero_seed()
     lam = 1 + 2j
-    U, V = lax_matrices(seed, None, lam, 0.3, -0.4)
+    U, V = lax_matrices(seed, lam, 0.3, -0.4)
     assert U[0, 1] == 0 and U[1, 0] == 0
     assert U[0, 0] == pytest.approx(-0.25j * lam ** 2)
     assert V[0, 0] == pytest.approx(0.125j * lam ** 4)
@@ -224,7 +241,7 @@ def test_lax_matrices_zero_seed_diagonal():
 def test_lax_matrices_plane_wave_offdiagonal_modulus():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     lam = 1 + 1j
-    U, _ = lax_matrices(seed, None, lam, 0.0, 0.0)
+    U, _ = lax_matrices(seed, lam, 0.0, 0.0)
     assert abs(U[0, 1]) == pytest.approx(abs(lam) / 2, rel=1e-12)
     assert abs(U[1, 0]) == pytest.approx(abs(lam) / 2, rel=1e-12)
 
@@ -266,15 +283,34 @@ def test_time_flow_reading_discrimination():
     assert bad.norms_t[-1][1] > 0.1
 
 
+def test_pin_down_datum_closes_the_t_equation_at_second_order():
+    # exact seed derivatives leave only the stencil error of the eigenfunction
+    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+    d = plane_wave_eigenfunction(0.5 + 1j, seed)
+    g = kd.Grid2D(-1, 1, -1, 1, 81, 81)
+    rep = check_lax_residual(d, seed, g, v_conjugation="independent")
+    assert 1.999 <= rep.order_t <= 2.001
+
+
+def test_time_flow_readings_share_one_generator():
+    # the lower generator differs between the readings by its cubic sign only,
+    # and the gstar upper entry is i conj of that lower generator
+    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+    lam, x, t = 0.5 + 1j, 0.3, -0.4
+    _, Vg = lax_matrices(seed, lam, x, t, v_conjugation="gstar")
+    _, Vi = lax_matrices(seed, lam, x, t, v_conjugation="independent")
+    Q, th = seed.value(x, t), seed.theta(x, t)
+    cubic = 0.5j * lam * Q * Q * np.conj(Q) * np.exp(1j * th)   # i (lam/4) 2 alpha |Q|^2 Q e
+    assert Vg[1, 0] - Vi[1, 0] == pytest.approx(2 * cubic, rel=1e-13)
+    assert Vg[0, 1] == pytest.approx(-np.conj(Vg[1, 0]), rel=1e-15)
+
+
 def _mesh_lax_norms(datum, seed, grid, v_conjugation):
     """Reference: the (norms_x, norms_t) of check_lax_residual evaluated on
     the materialized interior mesh instead of broadcast axes."""
     X, T = grid.mesh()
     Xi, Ti = X[1:-1, 1:-1], T[1:-1, 1:-1]
-    hl = kd.lax.H_LAX_REL
-    Qx = (seed.value(Xi + hl, Ti) - seed.value(Xi - hl, Ti)) / (2 * hl)
-    U, V = kd.lax._lax_entries(seed, datum.lam, Xi, Ti, seed.value(Xi, Ti), Qx,
-                               v_conjugation)
+    U, V = kd.lax._lax_entries(seed, datum.lam, Xi, Ti, v_conjugation)
     norms_x, norms_t = [], []
     for h in (min(grid.hx, grid.ht), min(grid.hx, grid.ht) / 2):
         p0, v0 = datum.phi(Xi, Ti), datum.varphi(Xi, Ti)
