@@ -42,6 +42,14 @@ class PhasePolynomial:
         return self.S0 + self.S1 * eps + self.S2 * eps * eps
 
 
+def _check_coupling(alpha: float):
+    """The engine scales by sqrt(alpha), so the coupling must be positive."""
+    if alpha == 0.0:
+        raise ZeroCouplingError("coupling alpha must be nonzero")
+    if not alpha > 0:
+        raise ValueError(f"coupling alpha must be positive, got {alpha}")
+
+
 @dataclass(frozen=True)
 class ZeroSeed:
     """Vanishing background."""
@@ -49,6 +57,9 @@ class ZeroSeed:
     alpha: float = 1.0
     theta_p: float = 1.0
     theta_q: float = 1.0
+
+    def __post_init__(self):
+        _check_coupling(self.alpha)
 
     def value(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=complex) + np.asarray(t, dtype=complex))
@@ -71,6 +82,11 @@ class PlaneWaveSeed:
     theta_p: float = 1.0
     theta_q: float = 1.0
 
+    def __post_init__(self):
+        _check_coupling(self.alpha)
+        if not self.c >= 0:
+            raise ValueError(f"amplitude c must be >= 0, got {self.c}")
+
     @property
     def b(self) -> float:
         """The frequency fixed by the closure constraint."""
@@ -91,24 +107,12 @@ class PlaneWaveSeed:
 Seed = ZeroSeed | PlaneWaveSeed
 
 
-def _check_coupling(alpha: float):
-    """The engine scales by sqrt(alpha), so the coupling must be positive."""
-    if alpha == 0.0:
-        raise ZeroCouplingError("coupling alpha must be nonzero")
-    if alpha < 0:
-        raise ValueError(f"coupling alpha must be positive, got {alpha}")
-
-
 def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
                          theta_p: float = 1.0, theta_q: float = 1.0) -> PlaneWaveSeed:
-    _check_coupling(alpha)
-    if c < 0:
-        raise ValueError("amplitude c must be >= 0")
     return PlaneWaveSeed(a=a, c=c, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 
 def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) -> ZeroSeed:
-    _check_coupling(alpha)
     return ZeroSeed(alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 

@@ -34,6 +34,9 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise GridTooSmallError(f"need at least 2 samples per axis, got {self.nx}x{self.nt}")
+        if not np.all(np.isfinite((self.x_min, self.x_max, self.t_min, self.t_max,
+                                   self.hx, self.ht))):
+            raise ValueError("grid extents and spacings must be finite")
         if not (self.x_max > self.x_min and self.t_max > self.t_min):
             raise ValueError("grid extents must be strictly increasing")
 
@@ -91,25 +94,44 @@ class ComplexField2D:
         return intensity(self.values)
 
 
-def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
-    """Evaluate the vectorized f(x, t) once over the grid, on broadcast axes.
+# fewer nodes than this in a block keeps a complex temporary (16 bytes a node)
+# under numpy's 256 KiB threshold for reusing temporaries in place, which can
+# swap the operands of a product and so move its last bits
+_BLOCK_NODES = 2 ** 14
 
-    f receives x of shape (nx, 1) and t of shape (1, nt), so a subexpression
-    of x alone or of t alone costs nx or nt values, not nx * nt; elementwise
-    numpy operations round the same on broadcast operands, so the samples
-    carry the bits of f(*grid.mesh()).  A 2-D result whose axes each have
-    length 1 or the grid's length (an x-only field, say) is expanded to
-    (nx, nt).  Any other result raises GridMismatchError, a scalar or 1-D
-    array included: write a constant field as c + 0 * x + 0 * t.
+
+def _row_blocks(nx: int, nt: int):
+    """Row ranges (i, j) that tile 0..nx in order: each block is the largest
+    number of whole x-rows with fewer than _BLOCK_NODES nodes (one row when a
+    row alone is longer)."""
+    rows = max(1, (_BLOCK_NODES - 1) // nt)
+    return [(i, min(i + rows, nx)) for i in range(0, nx, rows)]
+
+
+def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
+    """Evaluate the vectorized f(x, t) over the grid, one block of whole
+    x-rows at a time, on broadcast axes.
+
+    For the rows i:j of a block (see `_row_blocks`), f receives x of shape
+    (j - i, 1) and t of shape (1, nt), so a subexpression of x alone or of t
+    alone costs j - i or nt values, and every temporary stays a few MiB.
+    Each block carries the bits of f on the mesh of that block, and a
+    block-sized temporary is too small for numpy to compute a product in
+    place in it (see _BLOCK_NODES), so a node's sample does not depend on
+    the size of the grid around it.  A 2-D block result whose axes each
+    have length 1 or the block's length (an x-only field, say) is expanded
+    to the block.  Any other result raises GridMismatchError, a scalar or
+    1-D array included: write a constant field as c + 0 * x + 0 * t.
     Non-finite results are masked, not fatal; exceptions from f propagate.
     """
-    shape = (grid.nx, grid.nt)
+    xs, ts = grid.xs, grid.ts[None, :]
+    values = np.empty((grid.nx, grid.nt), dtype=complex)
     with np.errstate(all="ignore"):
-        values = np.asarray(f(grid.xs[:, None], grid.ts[None, :]), dtype=complex)
-    if values.ndim != 2 or any(n not in (1, full) for n, full in zip(values.shape, shape)):
-        raise GridMismatchError(f"f returned shape {values.shape}, which does not "
-                                f"broadcast to the grid's {shape}")
-    if values.shape != shape:
-        values = np.broadcast_to(values, shape).copy()
+        for i, j in _row_blocks(grid.nx, grid.nt):
+            block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
+            shape = (j - i, grid.nt)
+            if block.ndim != 2 or any(n not in (1, full) for n, full in zip(block.shape, shape)):
+                raise GridMismatchError(f"f returned shape {block.shape} on rows {i}:{j}, "
+                                        f"which does not broadcast to the block's {shape}")
+            values[i:j] = block
     return ComplexField2D(grid, values)
-

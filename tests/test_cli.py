@@ -98,9 +98,11 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     [*_GEN, "--solution", "soliton1", "--param", "m1=nan"],
     [*_GEN, "--solution", "engine-nfold", "--param", "lam2_re=0.5"],
     ["analyze", "--solution", "rogue1", "--grid=-1:1:5,-1:1:5"],
+    ["generate", "--solution", "rogue1", "--grid=-inf:inf:5,-1:1:5"],
+    ["generate", "--solution", "rogue1", "--grid=-1:1e400:5,-1:1:5"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
-        "analyze-grid-too-coarse"])
+        "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])

@@ -241,17 +241,23 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X[:5], T[:5]), plain_ext)
 
 
-def test_benchmark_tracer_records_both_precisions():
-    # the benchmark's tracer replaces components after construction; load
-    # it by path and run one double and one extended evaluation under it
+def _benchmark_tracing():
+    """The benchmark's tracer module, loaded by path."""
     import importlib.util
     from pathlib import Path
 
-    import kundu_dnls.darboux as dx
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_records_both_precisions():
+    # the benchmark's tracer replaces components after construction; run one
+    # double and one extended evaluation under it
+    import kundu_dnls.darboux as dx
+    tracing = _benchmark_tracing()
     tracer = tracing.Tracer()
     inst = tracing.Instrumentation(tracer)
     X, T = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 2), indexing="ij")
@@ -270,6 +276,32 @@ def test_benchmark_tracer_records_both_precisions():
     metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
     assert metrics["darboux.extended_nodes"] == X.size
     assert metrics["lax.mp_component_calls"] == 2 * X.size   # the n = 1 pair and its mirror
+
+
+def test_benchmark_tracer_counts_exactly_over_sampling_blocks():
+    # a sampled field is evaluated one block of rows at a time; the per-node
+    # counters must still add up over the blocks
+    import kundu_dnls.darboux as dx
+    from kundu_dnls.numerics import grid as grid_mod
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    g = kd.Grid2D(-3, 3, -3, 3, 70, 601)          # blocks of 27 rows: 27, 27, 16
+    inst.install()
+    tracer.active = True
+    try:
+        out = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP), SEEDP)
+        fld = grid_mod.sample(out.Q, g)
+    finally:
+        tracer.active = False
+        inst.uninstall()
+    assert not fld.invalid.any()
+    q_spans = [s for s in tracer.spans if s[tracing.NAME] == "darboux.q"]
+    assert [s[tracing.ATTRS]["nodes"] for s in q_spans] == [27 * 601, 27 * 601, 16 * 601]
+    metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
+    assert metrics["darboux.dets_per_node"] == 2
+    assert metrics["numerics.determinant.matrices"] == 2 * 70 * 601
+    assert metrics["numerics.grid.scalar_fallback_nodes"] == 0
 
 
 def test_reduced_set_rejects_unpaired_eigenvalues():

@@ -48,6 +48,26 @@ def test_negative_coupling_rejected():
         zero_seed(-1.0)
 
 
+def test_directly_built_seeds_check_themselves():
+    # the checks live in the seed types, so no constructor path skips them
+    with pytest.raises(ZeroCouplingError):
+        kd.ZeroSeed(alpha=0.0)
+    with pytest.raises(ZeroCouplingError):
+        kd.PlaneWaveSeed(a=-2.0, c=1.0, alpha=0.0)
+    with pytest.raises(ValueError):
+        kd.ZeroSeed(alpha=-1.0)
+    with pytest.raises(ValueError):
+        kd.PlaneWaveSeed(a=-2.0, c=1.0, alpha=-1.0)
+    with pytest.raises(ValueError):
+        kd.PlaneWaveSeed(a=-2.0, c=-1.0)
+    for bad in (dict(alpha=np.nan), dict(c=np.nan)):   # NaN fails every comparison
+        with pytest.raises(ValueError):
+            kd.PlaneWaveSeed(**{"a": -2.0, "c": 1.0, **bad})
+    with pytest.raises(ValueError):
+        kd.ZeroSeed(alpha=np.nan)
+    assert kd.PlaneWaveSeed(a=0.0, c=0.0).b == -2.0
+
+
 # ---------------------------------------------------------------------------
 # zero-seed eigenfunctions
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Grid, stencil, determinant, and extended-precision unit tests."""
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -157,6 +159,10 @@ def test_grid_validation():
         Grid2D(0, 1, 0, 1, 1, 10)
     with pytest.raises(ValueError):
         Grid2D(1, 0, 0, 1, 10, 10)
+    for extents in ((-np.inf, np.inf, 0, 1), (0, 1, -1, float("1e400")), (0, 1, np.nan, 1),
+                    (-1e308, 1e308, 0, 1)):   # the last: finite extents, infinite spacing
+        with pytest.raises(ValueError):
+            Grid2D(*extents, 5, 5)
     g = Grid2D(-1, 1, 0, 1, 5, 3)
     assert g.hx == pytest.approx(0.5) and g.ht == pytest.approx(0.5)
 
@@ -213,6 +219,50 @@ def test_sample_rejects_results_that_do_not_broadcast_to_the_grid(f):
         sample(f, Grid2D(-1, 1, -1, 1, 5, 5))
 
 
+def _blocks(g):
+    """The row blocks of the sampling contract, stated independently: the
+    largest number of whole x-rows with fewer than 2**14 nodes."""
+    rows = max(1, (2 ** 14 - 1) // g.nt)
+    return [(i, min(i + rows, g.nx)) for i in range(0, g.nx, rows)]
+
+
+@pytest.mark.parametrize("nx, nt", [(40, 1000), (3, 20000), (150, 241), (10, 4096)])
+def test_sample_evaluates_blocks_of_whole_rows(nx, nt):
+    g = Grid2D(-1, 1, 0, 2, nx, nt)
+    xs, calls = g.xs, []
+
+    def probe(x, t):
+        i = int(np.flatnonzero(xs == x[0, 0])[0])
+        calls.append((i, i + x.shape[0]))
+        assert x.shape[1] == 1 and t.shape == (1, nt)
+        assert np.array_equal(x[:, 0], xs[i:i + x.shape[0]]) and np.array_equal(t[0], g.ts)
+        return x + 1j * t
+    X, T = g.mesh()
+    assert np.array_equal(sample(probe, g).values, X + 1j * T)
+    assert calls == _blocks(g) and len(calls) >= 3
+    for i, j in calls:   # whole rows, fewer than 2**14 nodes unless one row alone is longer
+        assert (j - i) * nt < 2 ** 14 or j - i == 1
+
+
+def test_sample_expands_one_axis_results_in_every_block():
+    g = Grid2D(-1, 1, 0, 2, 40, 1000)
+    X, T = g.mesh()
+    for f, want in ((lambda x, t: x + 0j, X + 0j), (lambda x, t: 1j * t, 1j * T),
+                    (lambda x, t: np.full((1, 1), 2.5 + 0j), np.full(X.shape, 2.5 + 0j))):
+        calls = []
+
+        def counted(x, t, f=f):
+            calls.append(x.shape[0])
+            return f(x, t)
+        fld = sample(counted, g)
+        assert len(calls) == len(_blocks(g)) >= 3
+        assert fld.values.shape == (40, 1000) and np.array_equal(fld.values, want)
+    for f in (lambda x, t: x[:, 0] + 0j,                     # 1-D, per block
+              lambda x, t: np.zeros((40, 1), dtype=complex)):  # x-only of the whole grid
+        with pytest.raises(GridMismatchError):
+            sample(f, g)
+
+
 def _catalog_fields():
     for make, args, forms, window in [
             (catalog.one_soliton, (1.0, 2.0), ("exact", "as_published"), (-3, 3, -1, 1)),
@@ -222,26 +272,69 @@ def _catalog_fields():
             (catalog.rogue1, (), ("exact", "as_published"), (-4, 4, -4, 4)),
             (catalog.rogue2, (), ("exact", "as_published"), (-4, 4, -4, 4))]:
         for form in forms:
-            yield pytest.param(make(*args, form=form).eval, Grid2D(*window, 41, 37),
+            yield pytest.param(make(*args, form=form).eval, window, (41, 37), True,
                                id=f"{make.__name__}-{form}")
 
 
 def _engine_fields():
     seed0, seed = zero_seed(), make_plane_wave_seed(-2.0, 1.0, 1.0)
-    yield pytest.param(one_fold(build_reduced_set([1 + 2j], seed0), seed0).Q,
-                       Grid2D(-3, 3, -1, 1, 21, 17), id="one_fold")
-    fig9 = build_field("rogue3", dict(S0=0.0, S1=500.0, S2=0.0, eps=4e-3), "double")
-    yield pytest.param(fig9, Grid2D(-40, 40, -40, 40, 23, 19), id="n_fold-fig9")
+    yield pytest.param(one_fold(build_reduced_set([1 + 2j], seed0), seed0).Q, (-3, 3, -1, 1),
+                       (21, 17), True, id="one_fold")
+    yield pytest.param(_fig9(), (-40, 40, -40, 40), (23, 19), True, id="n_fold-fig9")
+    # the extended path costs about a millisecond a node: single block only
     extended = degenerate_limit(DegenerationSpec(1 + 1j, 5e-4, 2), seed, precision="extended")
-    yield pytest.param(extended.Q, Grid2D(-2, 2, -1.5, 1.5, 5, 5),
+    yield pytest.param(extended.Q, (-2, 2, -1.5, 1.5), (5, 5), False,
                        id="degenerate_limit-extended")
 
 
-@pytest.mark.parametrize("f, g", [*_catalog_fields(), *_engine_fields()])
-def test_sample_gives_the_bits_of_the_materialized_mesh(f, g):
+def _fig9():
+    return build_field("rogue3", dict(S0=0.0, S1=500.0, S2=0.0, eps=4e-3), "double")
+
+
+@pytest.mark.parametrize("f, window, shape, multi_block",
+                         [*_catalog_fields(), *_engine_fields()])
+def test_sample_gives_the_bits_of_the_materialized_mesh(f, window, shape, multi_block):
+    # a single-block grid carries the bits of f on the whole mesh ...
+    g = Grid2D(*window, *shape)
+    assert len(_blocks(g)) == 1
     with np.errstate(all="ignore"):
         want = np.asarray(f(*g.mesh()), dtype=complex)
     assert sample(f, g).values.tobytes() == want.tobytes()
+    if not multi_block:
+        return
+    # ... and a larger grid those of f on the mesh of each block
+    g = Grid2D(*window, 150, 241)
+    X, T = g.mesh()
+    assert len(_blocks(g)) == 3
+    with np.errstate(all="ignore"):
+        want = np.concatenate([np.asarray(f(X[i:j], T[i:j]), dtype=complex)
+                               for i, j in _blocks(g)])
+    assert sample(f, g).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("f", [
+    catalog.positon(0.8, 0.8).eval,
+    catalog.two_soliton(0.7, 0.3, 0.5, 0.5).eval,
+    _fig9(),
+], ids=["positon", "two_soliton", "n_fold-fig9"])
+def test_a_sample_does_not_depend_on_the_grid_around_it(f):
+    # the nodes of -4:4:9 are every 128th node of -4:4:1025, exactly
+    fine = np.ascontiguousarray(sample(f, Grid2D(-4, 4, -4, 4, 1025, 1025)).values[::128, ::128])
+    coarse = sample(f, Grid2D(-4, 4, -4, 4, 9, 9)).values
+    differ = (fine.view(np.uint64) != coarse.view(np.uint64)).reshape(9, 9, 2).any(axis=-1)
+    assert np.count_nonzero(differ) == 0
+
+
+def test_sampling_the_positon_holds_bounded_memory():
+    f = catalog.positon(0.8, 0.8).eval
+    g = Grid2D(-10, 10, -10, 10, 641, 641)
+    tracemalloc.start()
+    try:
+        sample(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
 
 
 def test_field_shape_validation():

@@ -1,8 +1,11 @@
 """Verifier tests: residual operator, comparisons, convergence, peak analysis."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kundu_dnls as kd
+from kundu_dnls import verify
 from kundu_dnls.errors import (AllNodesExcludedError, GridMismatchError,
                                ResolutionTooCoarseError)
 from kundu_dnls.verify import (ALL_VARIANTS, ConventionVariant, compare_fields,
@@ -69,6 +72,58 @@ def test_residual_excludes_pole_neighbourhoods():
     with pytest.raises(AllNodesExcludedError):
         pde_residual(lambda x, t: np.full(np.broadcast(x, t).shape, np.nan + 0j),
                      seed, ConventionVariant(), g, refinements=1)
+
+
+def test_streamed_residual_has_the_norms_of_the_whole_grid(monkeypatch):
+    # blocks of 162 rows at nt = 101: rows 0:162, 162:324, 324:401; NaN nodes
+    # on the last and first rows of adjacent blocks exclude residual nodes
+    # across the block edge, which only the one-row halo can see
+    seed = kd.zero_seed()
+    g = kd.Grid2D(-4, 4, -4, 4, 401, 101)
+    xs, ts = g.xs, g.ts
+    poisoned = [(161, 30), (162, 70), (323, 5), (324, 50), (1, 1), (399, 99)]
+    rogue = kd.catalog.rogue1().eval
+
+    def field(x, t):
+        out = rogue(x, t)
+        for i, j in poisoned:
+            out = np.where((x == xs[i]) & (t == ts[j]), np.nan, out)
+        return out
+
+    calls = []
+    on_grid = verify._pde_residual_on_grid
+
+    def spy(values, invalid, grid, *args):
+        calls.append(values.shape[0])
+        return on_grid(values, invalid, grid, *args)
+    monkeypatch.setattr(verify, "_pde_residual_on_grid", spy)
+    rep = pde_residual(field, seed, ConventionVariant(), g, refinements=1)
+    assert calls == [163, 164, 78]     # the interior rows of each block and a halo row each side
+    monkeypatch.undo()
+
+    fld = kd.sample(field, g)
+    assert np.count_nonzero(fld.invalid) == len(poisoned)
+    res, excluded = verify._pde_residual_on_grid(fld.values, fld.invalid, g, seed, 1)
+    assert np.count_nonzero(excluded) == 9 * 4 + 4 + 4   # four inner nodes, two corner ones
+    r = np.abs(res[~excluded & np.isfinite(res)])
+    assert rep.norms == [(g.hx, float(r.max()), float(r.mean()))]
+
+    with pytest.raises(AllNodesExcludedError):
+        pde_residual(lambda x, t: np.nan + 0 * x + 0 * t, seed, ConventionVariant(), g,
+                     refinements=1)
+
+
+def test_residual_holds_bounded_memory():
+    g = kd.Grid2D(-4, 4, -4, 4, 641, 641)
+    tracemalloc.start()
+    try:
+        rep = pde_residual(kd.catalog.rogue2().eval, kd.zero_seed(), ConventionVariant(), g,
+                           refinements=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.7 <= rep.estimated_order <= 2.3
+    assert peak <= 96 * 2 ** 20
 
 
 def test_residual_reports_decreasing_h():
