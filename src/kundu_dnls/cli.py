@@ -121,7 +121,8 @@ def build_field(solution: str, params: dict, precision: str):
     """Vectorized (x, t) -> complex closure for the requested solution.
 
     A closed-form solution is evaluated in double whatever the precision, so
-    a precision other than "auto" is invalid configuration there."""
+    a precision other than "auto" is invalid configuration there.  An engine
+    solution is its `DTOutput`, which records the precision it runs in."""
     entry = None
     if solution == "soliton1":
         entry = catalog.one_soliton(params["m1"], params["n1"], params["alpha"],
@@ -150,7 +151,7 @@ def build_field(solution: str, params: dict, precision: str):
                                 n=2 if solution == "rogue2" else 3,
                                 phases=PhasePolynomial(params["S0"], params["S1"],
                                                        params["S2"]))
-        return degenerate_limit(spec, seed, **kw).Q
+        return degenerate_limit(spec, seed, **kw)
     if solution == "engine-nfold":
         seed = _make_seed(params)
         lams = []
@@ -163,14 +164,14 @@ def build_field(solution: str, params: dict, precision: str):
         if not lams:
             raise InvalidConfigError("engine-nfold needs at least lam1_re/lam1_im")
         sset = build_reduced_set(lams, seed)
-        return n_fold(sset, seed, **kw).Q
+        return n_fold(sset, seed, **kw)
     if solution == "engine-degenerate":
         seed = _make_seed(params)
         spec = DegenerationSpec(lambda_c=complex(params["lc_re"], params["lc_im"]),
                                 epsilon=params["eps"], n=int(params["n"]),
                                 phases=PhasePolynomial(params["S0"], params["S1"],
                                                        params["S2"]))
-        return degenerate_limit(spec, seed, **kw).Q
+        return degenerate_limit(spec, seed, **kw)
     raise InvalidConfigError(f"unknown solution {solution!r}")
 
 
@@ -282,11 +283,12 @@ def _node_counts(fld: ComplexField2D, I: np.ndarray) -> dict:
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str, counts: dict):
+                precision: str, precision_used: str, counts: dict):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
         "precision": precision,
+        "precision_used": precision_used,
         "solution": solution,
         "params": params,
         "grid": grid_spec,
@@ -368,7 +370,9 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             write_json(output, grid, fld.values, params, ns.include_complex)
         else:
             write_pgm(output, fld.values)
+        # a closed-form field is a plain closure, evaluated in double
         _write_meta(output, ns.format, solution, params, grid_spec, precision,
+                    getattr(field, "precision", "double"),
                     _node_counts(fld, intensity(fld.values)))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None

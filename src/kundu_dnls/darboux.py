@@ -2,11 +2,13 @@
 
 The n-fold map is a combination of four 2n x 2n determinants built from the
 spectral data; only determinant ratios reach the output, so any common
-rescaling of a row cancels (gauge covariance).  On conjugate-reduced sets two
-of the four follow from the other two by conjugation, so only two are
-eliminated.  Degenerate (coalescing) spectral configurations are handled
-numerically with a small perturbation radius and, when that radius is tiny,
-extended-precision determinants.
+rescaling of a row cancels (gauge covariance).  They come in two pairs, each
+an unshifted matrix and its shifted twin, which differ in the leading column
+only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
+conjugate-reduced sets one pair follows from the other by conjugation, so
+only one stack is eliminated.  Degenerate (coalescing) spectral
+configurations are handled numerically with a small perturbation radius and,
+when that radius is tiny, extended-precision determinants.
 """
 from __future__ import annotations
 
@@ -115,10 +117,13 @@ class DTOutput:
     `evaluate(x, t)` is the one pass behind every accessor: it returns
     (Q, R, pivot_ratio).  Q(x, t) returns NaN at flagged points
     (transformation poles, pivot ratios above `DEFAULT_CONDITION_BOUND`);
-    `at` is the scalar accessor that raises instead.
+    `at` is the scalar accessor that raises instead.  Calling the output is
+    calling Q, so it serves wherever a field closure does.  `precision` is
+    the precision the determinants are evaluated in: "double" or "extended".
     """
 
     evaluate: Callable
+    precision: str = "double"
     Q: Callable = field(init=False)
     R: Callable = field(init=False)
     condition_estimate: Callable = field(init=False)
@@ -128,6 +133,9 @@ class DTOutput:
         self.Q = lambda x, t: evaluate(x, t)[0]
         self.R = lambda x, t: evaluate(x, t)[1]
         self.condition_estimate = lambda x, t: evaluate(x, t)[2]
+
+    def __call__(self, x, t):
+        return self.Q(x, t)
 
     def at(self, x: float, t: float) -> complex:
         q, _, cond = self.evaluate(x, t)
@@ -215,22 +223,26 @@ def _component_table(spectral_set: SpectralSet, components: Callable):
 
 
 def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
-    """Stack of the unshifted 2n x 2n determinant matrices over the point shape.
+    """Stack of the paired 2n x (2n+1) determinant matrices over the point shape.
 
-    Row j alternates descending powers of lam_j against the two components:
-    odd powers weight varphi, even powers weight phi (swap exchanges roles).
-    Complex components give a complex stack; object arrays of mpmath values,
-    with mpmath eigenvalues, give an mpmath stack.  The entries are stored
-    matrix-first, so the returned (..., m, m) view is already in the
-    batch-last order `batched_det` uses.
+    Row j of the unshifted matrix alternates descending powers of lam_j,
+    from 2n - 1 down to 0, against the two components: odd powers weight
+    varphi, even powers weight phi (swap exchanges roles).  The shifted
+    matrix differs in its leading column only, lam^{2n} times the even-power
+    component.  The pair is laid out as one stack for `_omega_dets`: the
+    unshifted columns 1 .. 2n-1, then the unshifted column 0, then the
+    shifted column 0.  Complex components give a complex stack; object
+    arrays of mpmath values, with mpmath eigenvalues, give an mpmath stack.
+    The entries are stored matrix-first, so the returned (..., m, m+1) view
+    is already in the batch-last order `batched_det` uses.
     """
     m = len(lams)
+    powers = [*range(m - 2, -1, -1), m - 1, m]
     shape = np.broadcast(phis[0], vphs[0]).shape
-    M = np.empty((m, m) + shape, dtype=np.result_type(phis[0], vphs[0]))
+    M = np.empty((m, m + 1) + shape, dtype=np.result_type(phis[0], vphs[0]))
     for j in range(m):
         f, v = (vphs[j], phis[j]) if swap else (phis[j], vphs[j])
-        for col in range(m):
-            power = m - 1 - col
+        for col, power in enumerate(powers):
             # scalar first: numpy's complex product is not commutative bit for
             # bit; np.multiply stops `mpc * array` converting the whole array
             M[j, col] = np.multiply(lams[j] ** power, v if power % 2 == 1 else f)
@@ -240,24 +252,21 @@ def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
 def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
 
-    `stack_det(stack)` eliminates one determinant stack without modifying
-    it.  The shifted matrix differs from the unshifted one in its leading
-    column only, which holds lam^{2n} times the even-power component, so
-    that column is overwritten in place once the unshifted stack is
-    eliminated.  On a reduced set the swapped matrix is the conjugate of the
-    main one with each representative's row exchanged with its partner's,
-    so swapped = (-1)^n conj(main), and likewise for the shifted pair: two
-    eliminations instead of four.  The sign is left out, because the
-    transformation only uses swapped^2 and swapped * swapped_shift.
+    `stack_det(stack)` eliminates an (..., m, m+1) stack without modifying
+    it and returns ((unshifted, shifted), pivot ratios): the unshifted and
+    shifted matrices share all columns but the leading one, so one
+    elimination over the shared columns gives both determinants (see
+    `_omega_matrix` for the column order).  On a reduced set the swapped
+    matrix is the conjugate of the main one with each representative's row
+    exchanged with its partner's, so swapped = (-1)^n conj(main), and
+    likewise for the shifted pair: one elimination instead of two.  The sign
+    is left out, because the transformation only uses swapped^2 and
+    swapped * swapped_shift.
     """
-    m = len(lams)
-
     def dets(swap):
-        M = _omega_matrix(lams, phis, vphs, swap)
-        unshifted, ratios = stack_det(M)
-        for j, f in enumerate(vphs if swap else phis):
-            M[..., j, 0] = np.multiply(lams[j] ** m, f)
-        return unshifted, stack_det(M)[0], ratios
+        (unshifted, shifted), ratios = stack_det(_omega_matrix(lams, phis, vphs, swap))
+        # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
+        return -unshifted, -shifted, ratios
 
     main, main_shift, ratios = dets(False)
     if spectral_set.reduction:
@@ -318,7 +327,7 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> 
         return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
                 np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 
-    return DTOutput(evaluate)
+    return DTOutput(evaluate, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +381,9 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
     n-th roots of unity as offsets.  For n = 1 the single offset makes the
     leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
-    root-of-unity symmetry already cancels the linear term.
+    root-of-unity symmetry already cancels the linear term.  Without a
+    precision, radii at or below `EXTENDED_EPS_THRESHOLD` run extended; the
+    output's `precision` records the one used.
     """
     if precision is None:
         precision = "extended" if spec.epsilon <= EXTENDED_EPS_THRESHOLD else "double"
@@ -388,4 +399,4 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
         qb, rb, cb = mirror.evaluate(x, t)
         return 0.5 * (qa + qb), 0.5 * (ra + rb), np.maximum(ca, cb)
 
-    return DTOutput(evaluate)
+    return DTOutput(evaluate, precision)

@@ -7,6 +7,10 @@ elimination step then works on contiguous length-N rows instead of strided
 gathers across the batch.  Alongside the determinant it reports the
 pivot-magnitude ratio max|p_k| / min|p_k|, the conditioning estimate used to
 detect near-singular evaluation points in the degenerate regimes.
+
+A stack of m x (m+e) matrices gives the e + 1 determinants that share their
+first m - 1 columns in one elimination: pivots are taken in those columns
+only, and every row update carries the trailing columns along.
 """
 from __future__ import annotations
 
@@ -19,7 +23,16 @@ Array = np.ndarray
 
 @np.errstate(divide="ignore", invalid="ignore")
 def eliminate(a, one, where) -> tuple:
-    """Pivoted elimination of an (m, m, N) stack in place: (det, pivot_ratio).
+    """Pivoted elimination of an (m, m+e, N) stack in place: (det, pivot_ratio).
+
+    Pivots are searched in the first m - 1 columns; the rows below a pivot
+    update the columns right of it, trailing ones included.  det has shape
+    (e + 1, N): entry j is the determinant of the m x m matrix made of the
+    first m - 1 columns and column m - 1 + j, that is the sign of the row
+    swaps times the m - 1 pivots times that column's entry in the last row.
+    A square stack (e = 0) thus gives its own determinant.  pivot_ratio is
+    max|p| / min|p| over the m - 1 pivots and the last-row entry of column
+    m - 1, the pivots of the first of those matrices.
 
     Serves complex and double-double arrays alike: `abs` gives the pivot
     magnitudes, `where(mask, x, y)` selects per entry, and `one` is the unit
@@ -31,7 +44,7 @@ def eliminate(a, one, where) -> tuple:
     piv_max = np.zeros(n)
     piv_min = np.full(n, np.inf)
     det = one
-    for k in range(m):
+    for k in range(m - 1):
         rel = np.argmax(abs(a[k:, k]), axis=0) + k
         swap = np.flatnonzero(rel != k)
         if swap.size:
@@ -47,28 +60,45 @@ def eliminate(a, one, where) -> tuple:
         piv_min = np.minimum(piv_min, ap)
         det = det * piv
         nonzero = ap > 0
+        # column k below the pivot is never read again: it is left as it is
         for i in range(k + 1, m):
-            a[i, k:] -= where(nonzero, a[i, k] / piv, 0.0) * a[k, k:]
+            a[i, k + 1:] -= where(nonzero, a[i, k] / piv, 0.0) * a[k, k + 1:]
+    last = a[m - 1, m - 1:]
+    ap = abs(last[0])
+    piv_max = np.maximum(piv_max, ap)
+    piv_min = np.minimum(piv_min, ap)
     # multiplying by a unit, not negating det, keeps the signs of zeros
-    det = det * where(sign > 0, one, -one)
+    det = det * last * where(sign > 0, one, -one)
     return det, np.where(piv_min > 0, piv_max / piv_min, np.inf)
 
 
-def batched_det(mats: Array) -> tuple[Array, Array]:
-    """Determinants and pivot ratios of a stack of square complex matrices.
+def stack_dims(shape) -> tuple:
+    """(m, w, lead, det shape) of a (..., m, w) stack; raises unless m <= w.
 
-    Returns (det, pivot_ratio), each of shape mats.shape[:-2].  A zero pivot
-    yields det 0 and pivot_ratio inf.
+    The det shape is lead for a square stack and (w - m + 1,) + lead
+    otherwise: `eliminate`'s (e + 1, N) det as the batched forms return it.
+    """
+    if len(shape) < 2 or not 0 < shape[-2] <= shape[-1]:
+        raise ValueError(f"expected m x (m+e) matrices, got shape {shape}")
+    m, w, lead = shape[-2], shape[-1], tuple(shape[:-2])
+    return m, w, lead, lead if w == m else (w - m + 1,) + lead
+
+
+def batched_det(mats: Array) -> tuple[Array, Array]:
+    """Determinants and pivot ratios of a stack of complex m x (m+e) matrices.
+
+    A square stack (e = 0) gives (det, pivot_ratio), each of shape
+    mats.shape[:-2].  For e > 0, det has shape (e + 1,) + mats.shape[:-2]:
+    det[j] is the determinant of the first m - 1 columns completed by column
+    m - 1 + j, with its true sign (see `eliminate`), all from one elimination.
+    A zero pivot yields det 0 and pivot_ratio inf.
     """
     mats = np.asarray(mats)
-    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {mats.shape}")
-    m = mats.shape[-1]
-    lead = mats.shape[:-2]
+    m, w, lead, det_lead = stack_dims(mats.shape)
     # the one copy: batch on the last axis, so a[i, j] is a contiguous row
-    a = np.array(mats.reshape((-1, m, m)).transpose(1, 2, 0), dtype=complex, order="C")
+    a = np.array(mats.reshape((-1, m, w)).transpose(1, 2, 0), dtype=complex, order="C")
     det_val, ratio = eliminate(a, np.ones((), dtype=complex), np.where)
-    return det_val.reshape(lead), ratio.reshape(lead)
+    return det_val.reshape(det_lead), ratio.reshape(lead)
 
 
 def det(matrix: Array) -> complex:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import eliminate
+from .determinant import eliminate, stack_dims
 
 Array = np.ndarray
 
@@ -162,21 +162,18 @@ class DDComplexArray:
 
 
 def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
-    """Pivoted elimination determinant over a (..., m, m) double-double stack.
+    """Pivoted elimination determinants over a (..., m, m+e) double-double stack.
 
-    The stack is copied once into (m, m, N) and eliminated by
-    `determinant.eliminate`, the routine behind `batched_det`.  Returns
-    (det, pivot_ratio).
+    The stack is copied once into (m, m+e, N) and eliminated by
+    `determinant.eliminate`, the routine behind `batched_det`, with the
+    same contract: (det, pivot_ratio), det of shape lead for a square stack
+    and (e + 1,) + lead for e > 0.
     """
-    shp = mat.shape
-    m = shp[-1]
-    if len(shp) < 2 or shp[-2] != m:
-        raise ValueError(f"expected square matrices, got shape {shp}")
-    lead = shp[:-2]
-    a = DDComplexArray(*(np.array(part.reshape((-1, m, m)).transpose(1, 2, 0), order="C")
+    m, w, lead, det_lead = stack_dims(mat.shape)
+    a = DDComplexArray(*(np.array(part.reshape((-1, m, w)).transpose(1, 2, 0), order="C")
                          for part in (mat.re_hi, mat.re_lo, mat.im_hi, mat.im_lo)))
     det, ratio = eliminate(a, DDComplexArray.from_complex(np.ones(())),
                            DDComplexArray.where)
-    return (DDComplexArray(*(part.reshape(lead) for part in (det.re_hi, det.re_lo,
-                                                             det.im_hi, det.im_lo))),
+    return (DDComplexArray(*(part.reshape(det_lead) for part in (det.re_hi, det.re_lo,
+                                                                 det.im_hi, det.im_lo))),
             ratio.reshape(lead))

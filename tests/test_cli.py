@@ -147,6 +147,23 @@ def test_precision_on_split_rogue2_is_recorded(tmp_path):
     assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision"] == "double"
 
 
+@pytest.mark.parametrize("argv, requested, used", [
+    # a split rogue2 runs the engine, and eps 1e-5 is below the extended threshold
+    (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "auto", "extended"),
+    # an unsplit rogue2 is the closed form, whatever its eps
+    (["--solution", "rogue2", "--param", "eps=1e-5"], "auto", "double"),
+    (["--solution", "rogue3"], "auto", "double"),
+    (["--solution", "rogue3", "--precision", "extended"], "extended", "extended"),
+    (["--solution", "soliton1"], "auto", "double"),
+])
+def test_sidecar_records_the_precision_used(tmp_path, argv, requested, used):
+    out = tmp_path / "x.csv"
+    assert run(["generate", *argv, "--grid", "-1:1:3,-1:1:3", "--output", str(out),
+                "--quiet"]) == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert (meta["precision"], meta["precision_used"]) == (requested, used)
+
+
 @pytest.mark.parametrize("solution", sorted(cli.SOLUTIONS))
 def test_every_solution_and_format_is_deterministic(tmp_path, solution):
     for fmt in ("csv", "json", "pgm"):

@@ -192,11 +192,12 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     monkeypatch.setattr(dx, "batched_det", counted_det)
     X, T = grid_pts(50).T
     n_fold(sset, SEEDP).Q(X, T)
-    # one phi and one varphi per representative, two determinant stacks
-    assert calls == {"components": 6, "stacks": 2}
+    # one phi and one varphi per representative, one stack per determinant
+    # pair and only the main pair on a reduced set
+    assert calls == {"components": 6, "stacks": 1}
     calls.update(components=0, stacks=0)
     n_fold(general(sset), SEEDP).Q(X, T)
-    assert calls["stacks"] == 4
+    assert calls["stacks"] == 2
 
     # extended path: mp_components once per representative per node
     for d in sset.data:
@@ -209,7 +210,7 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     monkeypatch.setattr(dx, "dd_batched_det", counted_dd)
     calls.update(components=0, stacks=0)
     n_fold(sset, SEEDP, precision="extended").Q(X[:5], T[:5])
-    assert calls == {"components": 3 * 5, "stacks": 2}
+    assert calls == {"components": 3 * 5, "stacks": 1}
 
 
 def _wrapped_eigenfunction(make):
@@ -299,8 +300,8 @@ def test_benchmark_tracer_counts_exactly_over_sampling_blocks():
     q_spans = [s for s in tracer.spans if s[tracing.NAME] == "darboux.q"]
     assert [s[tracing.ATTRS]["nodes"] for s in q_spans] == [27 * 601, 27 * 601, 16 * 601]
     metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
-    assert metrics["darboux.dets_per_node"] == 2
-    assert metrics["numerics.determinant.matrices"] == 2 * 70 * 601
+    assert metrics["darboux.dets_per_node"] == 1
+    assert metrics["numerics.determinant.matrices"] == 70 * 601
     assert metrics["numerics.grid.scalar_fallback_nodes"] == 0
 
 

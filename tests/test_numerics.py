@@ -150,6 +150,64 @@ def test_batched_det_bit_identical_to_row_major_reference(m):
     assert np.array_equal(a, keep)                  # the input is never modified
 
 
+def _square(a, m, j):
+    """The m x m matrices of an m x (m+e) stack: its first m - 1 columns and
+    column m - 1 + j."""
+    return np.concatenate([a[..., :m - 1], a[..., m - 1 + j:m + j]], axis=-1)
+
+
+@pytest.mark.parametrize("m, e", [(2, 1), (4, 1), (6, 1), (4, 2)])
+def test_batched_det_of_a_wide_stack_gives_each_trailing_determinant(m, e):
+    rng = np.random.default_rng(10 * m + e)
+    a = rng.standard_normal((9, 40, m, m + e)) + 1j * rng.standard_normal((9, 40, m, m + e))
+    keep = a.copy()
+    d, r = batched_det(a)
+    assert d.shape == (e + 1, 9, 40) and r.shape == (9, 40)
+    for j in range(e + 1):
+        d_sq, r_sq = batched_det(_square(a, m, j))
+        assert np.max(np.abs(d[j] - d_sq) / np.abs(d_sq)) <= 1e-13
+        if j == 0:
+            # the pivot ratio is that of the matrix with the first trailing column
+            assert np.max(np.abs(r - r_sq) / r_sq) <= 1e-13
+    assert np.array_equal(a, keep)
+
+
+@pytest.mark.parametrize("m, e", [(4, 1), (6, 1), (4, 2)])
+def test_dd_batched_det_of_a_wide_stack_matches_mpmath(m, e):
+    rng = np.random.default_rng(m + e)
+    a = rng.standard_normal((3, m, m + e)) + 1j * rng.standard_normal((3, m, m + e))
+    d, r = dd_batched_det(DDComplexArray.from_complex(a))
+    assert d.shape == (e + 1, 3) and r.shape == (3,)
+    with mp.workdps(40):
+        for j in range(e + 1):
+            sq = _square(a, m, j)
+            for b in range(3):
+                ref = mp.det(mp.matrix([[mp.mpc(sq[b, i, k]) for k in range(m)]
+                                        for i in range(m)]))
+                got = (mp.mpf(d.re_hi[j, b]) + mp.mpf(d.re_lo[j, b])
+                       + 1j * (mp.mpf(d.im_hi[j, b]) + mp.mpf(d.im_lo[j, b])))
+                assert abs(got - ref) <= mp.mpf("1e-25") * abs(ref)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_rank_deficient_shared_columns_give_zero_in_every_trailing_column(m):
+    # singular first m - 1 columns make every trailing determinant vanish;
+    # a RuntimeWarning would fail the run (pyproject filterwarnings)
+    rng = np.random.default_rng(m)
+    hi = rng.standard_normal((4, m, m + 1)) + 1j * rng.standard_normal((4, m, m + 1))
+    hi[1, :, 0] = 0                                 # zero pivot in the first column
+    hi[2, :, m - 2] = 0                             # zero pivot in the last shared column
+    singular = [1, 2]
+    if m > 2:
+        hi[3, :, :2] = [1, 2]                       # dependent columns, eliminated exactly
+        singular.append(3)
+    for d, r in (batched_det(hi), dd_batched_det(DDComplexArray.from_complex(hi))):
+        d = d if isinstance(d, np.ndarray) else d.to_complex()
+        assert d.shape == (2, 4)
+        assert np.all(d[:, singular] == 0) and np.all(np.isinf(r[singular]))
+        assert np.all(d[:, 0] != 0) and np.isfinite(r[0])
+
+
 # ---------------------------------------------------------------------------
 # grids, sampling, stencils
 # ---------------------------------------------------------------------------
