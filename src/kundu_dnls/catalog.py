@@ -7,6 +7,14 @@ keeps the literal coefficient tables these solutions circulate with; several
 of those tables carry typos (wrong exponent, wrong sign, a missing imaginary
 unit), so the literal forms are retained only for comparison and triage and
 are not used as oracles.  The differences are documented test by test.
+
+The catalog is the oracle the transformation engine is checked against, so
+it shares none of the engine's code: it imports nothing from `darboux`,
+`lax` or `numerics.determinant`.  The rogue-wave polynomials are tables of
+(coefficient, x power, t power) rows, one row per printed term, evaluated
+per power of t on the x axis and then by Horner in t (see `_polynomial`).
+The positon's determinants use the catalog's own 4 x 4 expansion,
+`batched_det`.
 """
 from __future__ import annotations
 
@@ -16,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateEigenvalueError
-from .numerics.determinant import batched_det
 
 Array = np.ndarray
 
@@ -39,6 +46,26 @@ def _guard(num: Array, den: Array) -> Array:
         scale = np.maximum(np.abs(num), 1.0)
         bad = np.abs(den) < POLE_THRESHOLD * scale
         return np.where(bad | ~np.isfinite(out), np.nan + 0j, out)
+
+
+def batched_det(mats: Array) -> Array:
+    """Determinants of a stack of complex 4 x 4 matrices, shape (..., 4, 4).
+
+    The catalog's own determinant, not `numerics.determinant.batched_det`,
+    whose elimination the engine uses: the Laplace expansion along rows
+    (0, 1), six products of the 2 x 2 minors of those rows with the
+    complementary minors of rows (2, 3), with no pivoting.  The input is
+    only read, so a matrix-first array seen through a (..., 4, 4) view
+    costs no copy.  It shares the engine routine's name so that
+    instrumentation wrapping `batched_det` by module attribute, as
+    `benchmarks/tracing.py` does, times it with the other determinants.
+    """
+    def minor(r, a, b):
+        return mats[..., r, a] * mats[..., r + 1, b] - mats[..., r, b] * mats[..., r + 1, a]
+
+    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
+            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
+            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +199,12 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
 
     The exact form evaluates the coalescence limit in closed form: the
     second eigenvalue pair's rows are replaced by exact lambda-derivative
-    rows, which is the limit the perturbed two-soliton converges to.  The
-    as_published polynomial/cosh display fails the residual checks and is
-    retained for comparison only.
+    rows, which is the limit the perturbed two-soliton converges to.  Its
+    three 4 x 4 determinants (the matrix, the one with conjugate-swapped
+    components, and that one with its column 0 shifted one power up) go
+    through the catalog's own `batched_det`.  The as_published
+    polynomial/cosh display fails the residual checks and is retained for
+    comparison only.
     """
     if re1 * im1 == 0:
         raise DegenerateEigenvalueError("re1 and im1 must both be nonzero")
@@ -207,20 +237,19 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
                     M[1, col] = np.conj(lam ** p * comp_o)
                     M[2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
                     M[3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
-                # stored matrix-first: the (..., 4, 4) view is already in the
-                # batch-last order batched_det copies into
+                # stored matrix-first: each entry of the (..., 4, 4) view is
+                # one contiguous array
                 return np.moveaxis(M, (0, 1), (-2, -1))
 
-            main, _ = batched_det(omega(False))
+            main = batched_det(omega(False))
             M = omega(True)
-            swapped, _ = batched_det(M)
-            # batched_det copies its input, so the swapped stack is intact;
-            # the shifted matrix differs from it in column 0 only
+            swapped = batched_det(M)
+            # the shifted matrix differs from the swapped one in column 0 only
             M[..., 0, 0] = lam ** 4 * vph
             M[..., 1, 0] = np.conj(lam ** 4 * phi)
             M[..., 2, 0] = 4 * lam ** 3 * vph + lam ** 4 * dvph
             M[..., 3, 0] = np.conj(4 * lam ** 3 * phi + lam ** 4 * dphi)
-            swapped_shift, _ = batched_det(M)
+            swapped_shift = batched_det(M)
             th = theta_p * x + theta_q * t
             return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * main ** 2)
     elif form == "as_published":
@@ -313,26 +342,96 @@ def breather(form: str = "exact") -> CatalogEntry:
                              form=form), ev)
 
 
+def _horner(coefs, z):
+    """coefs[0] + z * (coefs[1] + z * (...)), out of place, so z and the
+    coefficients may be 0-d, arrays or scalars of any broadcast shapes."""
+    acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _polynomial(rows) -> Callable:
+    """Vectorized (x, t) -> sum of c x^i t^j over the rows (c, i, j).
+
+    The rows are collected once into a table indexed by (x power, t power).
+    The x-polynomials of all t powers are evaluated together, by Horner in x
+    on x as given (the block's (rows, 1) axis under `sample`), and the block
+    is then assembled by Horner in t: one product and one sum over the block
+    per power of t.  Every step is elementwise, so a node's bits do not
+    depend on the shapes of x and t.
+    """
+    deg_x = max(i for _, i, _ in rows)
+    deg_t = max(j for _, _, j in rows)
+    table = np.zeros((deg_x + 1, deg_t + 1), dtype=complex)
+    for c, i, j in rows:
+        table[i, j] += c
+
+    def ev(x, t):
+        by_t = _horner(table, np.asarray(x)[..., None])     # x.shape + (deg_t + 1,)
+        return _horner(np.moveaxis(by_t, -1, 0), t)
+    return ev
+
+
+def _rogue_carrier(x: Array, t: Array) -> Array:
+    """-exp(-i (2x + t)), the plane-wave carrier of both rogue waves with the
+    sign of their numerators, as a product of an x factor and a t factor:
+    on broadcast axes each exponential costs one value per row or column."""
+    return -np.exp(-2j * x) * np.exp(-1j * t)
+
+
+# The rogue-wave polynomials, one row (coefficient, x power, t power) per
+# printed term, in the printed order.  Each published typo is one row, whose
+# power the `form` argument selects.
+
+_ROGUE1_NUM = [(3, 0, 0), (8, 2, 0), (8j, 2, 1), (8j, 1, 2), (8, 1, 1), (-8, 2, 2),
+               (-4, 0, 4), (-4, 4, 0), (8j, 3, 0), (-4j, 1, 0), (12j, 0, 1), (8j, 0, 3),
+               (-8, 0, 2)]
+
+
+def _rogue1_den(t_pow: int):
+    return [(-1, 0, 0), (8j, 0, t_pow), (4j, 0, 1), (8j, 2, 1), (-8j, 1, 2), (-8, 1, 1),
+            (-8, 2, 2), (-8j, 3, 0), (-4, 0, 4), (-4, 4, 0), (-4j, 1, 0)]
+
+
+_ROGUE2_F1 = [(-72, 1, 1), (48, 3, 1), (-216, 2, 2), (24, 2, 4), (24, 4, 2), (90, 2, 0),
+              (666, 0, 2), (-12, 4, 0), (180, 0, 4), (8, 0, 6), (8, 6, 0), (48, 1, 3),
+              (9, 0, 0), (-48j, 3, 0), (-48j, 3, 2), (288j, 1, 2), (-54j, 1, 0),
+              (-24j, 1, 4), (24j, 0, 5), (24j, 4, 1), (198j, 0, 1), (336j, 0, 3),
+              (48j, 2, 3), (-24j, 5, 0)]
+
+
+def _rogue2_f2(x_pow: int):
+    return [(198, 2, 0), (-45, 0, 0), (-504, 1, 1), (144, 3, 1), (504, 2, 2), (144, 1, 3),
+            (486, 0, 2), (60, 0, 4), (60, 4, 0), (-24, 2, 4), (-8, 0, 6), (-24, 4, 2),
+            (-8, 6, 0), (-48j, 3, 0), (24j, 5, 0), (48j, 3, 2), (24j, 1, 4),
+            (-288j, x_pow, 1), (-576j, 1, 2), (144j, 2, 3), (-90j, 1, 0), (-414j, 0, 1),
+            (72j, 4, 1), (528j, 0, 3), (72j, 0, 5)]
+
+
+_ROGUE2_F3 = [(-48j, 3, 0), (-48j, 3, 2), (288j, 1, 2), (-54j, 1, 0), (-24j, 1, 4),
+              (72, 1, 1), (-48, 3, 1), (216, 2, 2), (-24, 2, 4), (-24j, 5, 0), (-90, 2, 0),
+              (-666, 0, 2), (24j, 0, 5), (12, 4, 0), (-180, 0, 4), (-8, 0, 6), (-8, 6, 0),
+              (-48, 1, 3), (24j, 4, 1), (198j, 0, 1), (336j, 0, 3), (-9, 0, 0),
+              (48j, 2, 3), (-24, 4, 2)]
+
+
 def rogue1(form: str = "exact") -> CatalogEntry:
     """First-order rogue wave (fixed instance a=-2, c=1, critical eigenvalue 1+i).
 
-    Exact form fixes one exponent in the denominator polynomial (a t^2 term
-    that must be t^3); the numerator is typo-free.
+    The numerator and denominator polynomials are row tables (see
+    `_polynomial`).  Exact form fixes one exponent in the denominator (a t^2
+    term that must be t^3); the numerator is typo-free.
     """
     if form not in ("exact", "as_published"):
         raise ValueError(f"unknown form {form!r}")
-    t2_pow = 2 if form == "as_published" else 3
+    num = _polynomial(_ROGUE1_NUM)
+    den = _polynomial(_rogue1_den(2 if form == "as_published" else 3))
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        num = (3 + 8 * x ** 2 + 8j * t * x ** 2 + 8j * x * t ** 2 + 8 * x * t
-               - 8 * t ** 2 * x ** 2 - 4 * t ** 4 - 4 * x ** 4 + 8j * x ** 3 - 4j * x
-               + 12j * t + 8j * t ** 3 - 8 * t ** 2)
-        den = (-1 + 8j * t ** t2_pow + 4j * t + 8j * t * x ** 2 - 8j * t ** 2 * x
-               - 8 * t * x - 8 * t ** 2 * x ** 2 - 8j * x ** 3 - 4 * t ** 4 - 4 * x ** 4
-               - 4j * x)
-        return _guard(-num * np.exp(-1j * (2 * x + t)), den)
+        return _guard(num(x, t) * _rogue_carrier(x, t), den(x, t))
 
     return CatalogEntry("rogue1", dict(a=-2.0, c=1.0, alpha=1.0, form=form), ev)
 
@@ -340,34 +439,19 @@ def rogue1(form: str = "exact") -> CatalogEntry:
 def rogue2(form: str = "exact") -> CatalogEntry:
     """Second-order rogue wave (fixed instance a=-2, c=1).
 
-    Exact form fixes one exponent in the second numerator factor (an x^4
-    that must be x^2); the other two polynomials are typo-free.
+    The three factor polynomials are row tables (see `_polynomial`).  Exact
+    form fixes one exponent in the second factor (an x^4 that must be x^2);
+    the other two polynomials are typo-free.
     """
     if form not in ("exact", "as_published"):
         raise ValueError(f"unknown form {form!r}")
-    x4_pow = 4 if form == "as_published" else 2
+    f1 = _polynomial(_ROGUE2_F1)
+    f2 = _polynomial(_rogue2_f2(4 if form == "as_published" else 2))
+    f3 = _polynomial(_ROGUE2_F3)
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        f1 = (-72 * x * t + 48 * x ** 3 * t - 216 * x ** 2 * t ** 2 + 24 * x ** 2 * t ** 4
-              + 24 * x ** 4 * t ** 2 + 90 * x ** 2 + 666 * t ** 2 - 12 * x ** 4 + 180 * t ** 4
-              + 8 * t ** 6 + 8 * x ** 6 + 48 * x * t ** 3 + 9 - 48j * x ** 3
-              - 48j * x ** 3 * t ** 2 + 288j * x * t ** 2 - 54j * x - 24j * x * t ** 4
-              + 24j * t ** 5 + 24j * x ** 4 * t + 198j * t + 336j * t ** 3
-              + 48j * x ** 2 * t ** 3 - 24j * x ** 5)
-        f2 = (198 * x ** 2 - 45 - 504 * x * t + 144 * x ** 3 * t + 504 * x ** 2 * t ** 2
-              + 144 * x * t ** 3 + 486 * t ** 2 + 60 * t ** 4 + 60 * x ** 4
-              - 24 * x ** 2 * t ** 4 - 8 * t ** 6 - 24 * x ** 4 * t ** 2 - 8 * x ** 6
-              - 48j * x ** 3 + 24j * x ** 5 + 48j * x ** 3 * t ** 2 + 24j * x * t ** 4
-              - 288j * x ** x4_pow * t - 576j * x * t ** 2 + 144j * x ** 2 * t ** 3
-              - 90j * x - 414j * t + 72j * x ** 4 * t + 528j * t ** 3 + 72j * t ** 5)
-        f3 = (-48j * x ** 3 - 48j * x ** 3 * t ** 2 + 288j * x * t ** 2 - 54j * x
-              - 24j * x * t ** 4 + 72 * x * t - 48 * x ** 3 * t + 216 * x ** 2 * t ** 2
-              - 24 * x ** 2 * t ** 4 - 24j * x ** 5 - 90 * x ** 2 - 666 * t ** 2
-              + 24j * t ** 5 + 12 * x ** 4 - 180 * t ** 4 - 8 * t ** 6 - 8 * x ** 6
-              - 48 * x * t ** 3 + 24j * x ** 4 * t + 198j * t + 336j * t ** 3 - 9
-              + 48j * x ** 2 * t ** 3 - 24 * x ** 4 * t ** 2)
-        return _guard(-f1 * f2 * np.exp(-1j * (2 * x + t)), f3 ** 2)
+        return _guard(f1(x, t) * f2(x, t) * _rogue_carrier(x, t), f3(x, t) ** 2)
 
     return CatalogEntry("rogue2", dict(a=-2.0, c=1.0, alpha=1.0, form=form), ev)

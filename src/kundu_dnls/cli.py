@@ -92,6 +92,11 @@ def resolve_params(solution: str, raw: dict) -> dict:
             params[key] = val
         else:
             params[key] = _number(key, val, integer=key == "n")
+    # build_field sees only the defaulted params, so a given eps is caught here
+    if (solution == "rogue2" and "eps" in raw
+            and params["S0"] == params["S1"] == params["S2"] == 0.0):
+        raise InvalidConfigError("rogue2 without a split phase (S0 = S1 = S2 = 0) is the "
+                                 "closed form, into which eps does not enter")
     return params
 
 

@@ -98,18 +98,21 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
         g = grid.refined(2 ** level) if level else grid
         fld = sample(field_source, g)
         # the sampling blocks, clipped to the interior rows, each with a
-        # one-row halo; the kept nodes, joined in row order, are those of
-        # the whole interior
-        kept = []
+        # one-row halo; the kept nodes, packed in row order into one buffer,
+        # are those of the whole interior
+        kept = np.empty((g.nx - 2) * (g.nt - 2))
+        n = 0
         for i, j in _row_blocks(g.nx, g.nt):
             i, j = max(i, 1), min(j, g.nx - 1)
             res, excluded = _pde_residual_on_grid(fld.values[i - 1:j + 1],
                                                   fld.invalid[i - 1:j + 1], g, seed,
                                                   variant.nonlinear_sign)
-            kept.append(np.abs(res[~excluded & np.isfinite(res)]))
-        r = np.concatenate(kept)
-        if not r.size:
+            block = res[~excluded & np.isfinite(res)]
+            np.abs(block, out=kept[n:n + block.size])
+            n += block.size
+        if not n:
             raise AllNodesExcludedError("no interior node survived pole exclusion")
+        r = kept[:n]
         norms.append((g.hx, float(r.max()), float(r.mean())))
     if len(norms) >= 2 and norms[-1][1] > 0:
         order = float(np.log2(norms[-2][1] / norms[-1][1]))

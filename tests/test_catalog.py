@@ -1,11 +1,15 @@
 """Catalog-entry tests: anchors, symmetries, and the documented typo fixes."""
+import ast
+import inspect
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.errors import DegenerateEigenvalueError
-from kundu_dnls.verify import ConventionVariant, pde_residual
+from kundu_dnls.verify import ConventionVariant, _field_operator, pde_residual
 
 VARIANT = ConventionVariant(1, "independent")
 SEED0 = kd.zero_seed()
@@ -147,10 +151,85 @@ def _batch_first_positon(lam, x, t):
     return catalog._guard(num, omega(False, False) ** 2)
 
 
-def test_positon_matrix_first_build_keeps_the_bits():
+def test_positon_agrees_with_elimination():
+    # the catalog's own expansion against the engine's pivoted elimination
     X, T = kd.Grid2D(-10, 10, -7, 9, 37, 29).mesh()
     got = catalog.positon(0.8, 0.8).eval(X, T)
-    assert got.tobytes() == _batch_first_positon(0.8 + 0.8j, X, T).tobytes()
+    want = _batch_first_positon(0.8 + 0.8j, X, T)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _mp_positon(lam, x, t):
+    """The exact positon at one node in mpmath: the three 4x4 matrices of
+    `_batch_first_positon` (the shifted one has power 4 in column 0), each
+    determinant by mpmath's own elimination."""
+    lam, x, t = mp.mpc(lam), mp.mpf(x), mp.mpf(t)
+    E = (2 * lam ** 2 * x - lam ** 4 * t) / 8
+    dE = lam * (x - lam ** 2 * t) / 2
+    phi, vph = mp.exp(-1j * E), mp.exp(1j * E)
+    dphi, dvph = -1j * dE * phi, 1j * dE * vph
+
+    def omega(swap, shifted):
+        f, v, df, dv = (vph, phi, dvph, dphi) if swap else (phi, vph, dphi, dvph)
+        fo, vo, dfo, dvo = (phi, vph, dphi, dvph) if swap else (vph, phi, dvph, dphi)
+        M = mp.matrix(4, 4)
+        for col in range(4):
+            p = 4 if shifted and col == 0 else 3 - col
+            comp, dcomp = (v, dv) if p % 2 == 1 else (f, df)
+            comp_o, dcomp_o = (vo, dvo) if p % 2 == 1 else (fo, dfo)
+            M[0, col] = lam ** p * comp
+            M[1, col] = mp.conj(lam ** p * comp_o)
+            M[2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
+            M[3, col] = mp.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
+        return mp.det(M)
+
+    num = mp.exp(-1j * (x + t)) * omega(True, False) * omega(True, True)
+    return complex(num / omega(False, False) ** 2)
+
+
+def test_positon_matches_mpmath_as_closely_as_elimination():
+    # 30 fixed nodes of the criterion-2 window; the worst pointwise relative
+    # errors are 1.8e-14 for the expansion and 4.3e-15 for elimination
+    x, t = np.random.default_rng(3).uniform(-10, 10, (2, 30))
+    with mp.workdps(40):
+        ref = np.array([_mp_positon(0.8 + 0.8j, a, b) for a, b in zip(x, t)])
+    for got in (catalog.positon(0.8, 0.8).eval(x, t), _batch_first_positon(0.8 + 0.8j, x, t)):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_catalog_determinant_matches_mpmath():
+    rng = np.random.default_rng(17)
+    mats = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+    mats[0, 0] *= 1e3                       # a scaled matrix
+    mats[0, 1, 3] = mats[0, 1, 2]           # a singular one
+    got = catalog.batched_det(mats)
+    assert got.shape == (3, 5)
+    # a matrix-first stack seen through a (..., 4, 4) view, and one matrix
+    first = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    assert np.array_equal(catalog.batched_det(np.moveaxis(first, (0, 1), (-2, -1))), got)
+    assert catalog.batched_det(mats[1, 2]) == got[1, 2]
+    with mp.workdps(40):
+        for m, d in zip(mats.reshape(-1, 4, 4), got.ravel()):
+            ref = complex(mp.det(mp.matrix(m.tolist())))
+            # the Hadamard bound: no term of the expansion exceeds it
+            scale = np.prod(np.linalg.norm(m, axis=1))
+            assert abs(d - ref) <= 1e-15 * scale
+
+
+def test_catalog_shares_no_code_with_the_engine():
+    from kundu_dnls.numerics import determinant
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(catalog))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{a.name}" if node.module else a.name
+                            for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    for banned in ("darboux", "lax", "numerics", "numerics.determinant"):
+        assert not any(m == banned or m.startswith(banned + ".") for m in imported), imported
+    assert catalog.batched_det is not determinant.batched_det
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +337,46 @@ def test_rogue2_as_published_fails_residual():
     rep = pde_residual(catalog.rogue2(form="as_published").eval, SEED0, VARIANT,
                        kd.Grid2D(-2, 2, -2, 2, 81, 81), refinements=2)
     assert rep.norms[-1][1] > 0.5
+
+
+def _exact_rogue_residual(num_rows, den_rows, x, t):
+    """Field-equation residual of Q = -(N/D) exp(-i(2x + t)) by exact
+    substitution: every derivative comes from differentiating the rows."""
+    def poly(rows, dx=0, dt=0):
+        for _ in range(dx):
+            rows = [(c * i, i - 1, j) for c, i, j in rows if i]
+        for _ in range(dt):
+            rows = [(c * j, i, j - 1) for c, i, j in rows if j]
+        return catalog._polynomial(rows)(x, t)
+
+    N, D = poly(num_rows), poly(den_rows)
+    f = N / D
+    fx = (poly(num_rows, dx=1) - f * poly(den_rows, dx=1)) / D
+    ft = (poly(num_rows, dt=1) - f * poly(den_rows, dt=1)) / D
+    fxx = (poly(num_rows, dx=2) - 2 * fx * poly(den_rows, dx=1)
+           - f * poly(den_rows, dx=2)) / D
+    e = -np.exp(-1j * (2 * x + t))
+    Q, Qx, Qxx, Qt = f * e, (fx - 2j * f) * e, (fxx - 4j * fx - 4 * f) * e, (ft - 1j * f) * e
+    cubic = Q * Q * np.conj(Q)
+    Cx = 2 * Q * Qx * np.conj(Q) + Q * Q * np.conj(Qx)
+    return np.abs(_field_operator(Q, Qt, Qx, Qxx, cubic, Cx, SEED0, VARIANT.nonlinear_sign))
+
+
+@pytest.mark.parametrize("form, solves", [("exact", True), ("as_published", False)])
+def test_rogue_row_tables_solve_the_equation_exactly(form, solves):
+    # every row enters the residual, so a wrong coefficient or power shows
+    # at its own size, far above rounding; the published typo is one row
+    t_pow, x_pow = (2, 4) if form == "as_published" else (3, 2)
+    x, t = np.random.default_rng(7).uniform(-3, 3, (2, 25))
+    r1 = _exact_rogue_residual(catalog._ROGUE1_NUM, catalog._rogue1_den(t_pow), x, t)
+    # rogue2: Q = -f1 f2 exp(-i(2x + t)) / f3^2, so N = f1 f2 and D = f3^2
+    num = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F1
+           for b, k, m in catalog._rogue2_f2(x_pow)]
+    den = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F3
+           for b, k, m in catalog._ROGUE2_F3]
+    r2 = _exact_rogue_residual(num, den, x, t)
+    for r in (r1, r2):
+        assert (r.max() <= 1e-12) if solves else (np.median(r) > 1e-2)
 
 
 def test_entries_are_deterministic():

@@ -100,9 +100,12 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     ["analyze", "--solution", "rogue1", "--grid=-1:1:5,-1:1:5"],
     ["generate", "--solution", "rogue1", "--grid=-inf:inf:5,-1:1:5"],
     ["generate", "--solution", "rogue1", "--grid=-1:1e400:5,-1:1:5"],
+    # an unsplit rogue2 is the catalog's closed form, into which no eps enters
+    [*_GEN, "--solution", "rogue2", "--param", "eps=1e-5"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
-        "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent"])
+        "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
+        "eps-on-unsplit-rogue2"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
@@ -150,8 +153,8 @@ def test_precision_on_split_rogue2_is_recorded(tmp_path):
 @pytest.mark.parametrize("argv, requested, used", [
     # a split rogue2 runs the engine, and eps 1e-5 is below the extended threshold
     (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "auto", "extended"),
-    # an unsplit rogue2 is the closed form, whatever its eps
-    (["--solution", "rogue2", "--param", "eps=1e-5"], "auto", "double"),
+    # an unsplit rogue2 is the closed form
+    (["--solution", "rogue2"], "auto", "double"),
     (["--solution", "rogue3"], "auto", "double"),
     (["--solution", "rogue3", "--precision", "extended"], "extended", "extended"),
     (["--solution", "soliton1"], "auto", "double"),

@@ -279,6 +279,30 @@ def test_benchmark_tracer_records_both_precisions():
     assert metrics["lax.mp_component_calls"] == 2 * X.size   # the n = 1 pair and its mirror
 
 
+def test_benchmark_tracer_times_the_catalog_determinant():
+    # the tracer wraps `batched_det` on the catalog by name, which now binds
+    # the catalog's own 4x4 expansion; a traced positon still records it
+    from kundu_dnls.numerics import grid as grid_mod
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    g = kd.Grid2D(-3, 3, -3, 3, 40, 30)
+    plain = kd.sample(catalog.positon(0.8, 0.8).eval, g).values
+    inst.install()
+    tracer.active = True
+    try:
+        traced = grid_mod.sample(catalog.positon(0.8, 0.8).eval, g).values
+    finally:
+        tracer.active = False
+        inst.uninstall()
+    assert np.array_equal(traced, plain)
+    shapes = [span[tracing.ATTRS]["shape"] for span in tracer.spans
+              if span[tracing.NAME] == "numerics.determinant.batched_det"]
+    assert shapes == [(40, 30, 4, 4)] * 3       # one block: main, swapped, shifted
+    metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
+    assert metrics["numerics.determinant.matrices"] == 3 * g.nx * g.nt
+
+
 def test_benchmark_tracer_counts_exactly_over_sampling_blocks():
     # a sampled field is evaluated one block of rows at a time; the per-node
     # counters must still add up over the blocks
