@@ -199,10 +199,11 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
 
     The exact form evaluates the coalescence limit in closed form: the
     second eigenvalue pair's rows are replaced by exact lambda-derivative
-    rows, which is the limit the perturbed two-soliton converges to.  Its
-    three 4 x 4 determinants (the matrix, the one with conjugate-swapped
-    components, and that one with its column 0 shifted one power up) go
-    through the catalog's own `batched_det`.  The as_published
+    rows, which is the limit the perturbed two-soliton converges to.  It
+    takes three 4 x 4 determinants: the matrix, the one with
+    conjugate-swapped components, and that one with its column 0 shifted
+    one power up.  The swapped determinant is the conjugate of the first, so
+    two go through the catalog's own `batched_det`.  The as_published
     polynomial/cosh display fails the residual checks and is retained for
     comparison only.
     """
@@ -229,8 +230,9 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
                 fo, vo = (vph, phi) if not swap else (phi, vph)
                 dfo, dvo = (dvph, dphi) if not swap else (dphi, dvph)
                 M = np.empty((4, 4) + shape, dtype=complex)
-                for col in range(4):
-                    p = 3 - col
+                # only the swapped matrix's shifted form is needed: its
+                # column 0 is one power up
+                for col, p in enumerate((4 if swap else 3, 2, 1, 0)):
                     comp, dcomp = (v, dv) if p % 2 == 1 else (f, df)
                     comp_o, dcomp_o = (vo, dvo) if p % 2 == 1 else (fo, dfo)
                     M[0, col] = lam ** p * comp
@@ -242,14 +244,10 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
                 return np.moveaxis(M, (0, 1), (-2, -1))
 
             main = batched_det(omega(False))
-            M = omega(True)
-            swapped = batched_det(M)
-            # the shifted matrix differs from the swapped one in column 0 only
-            M[..., 0, 0] = lam ** 4 * vph
-            M[..., 1, 0] = np.conj(lam ** 4 * phi)
-            M[..., 2, 0] = 4 * lam ** 3 * vph + lam ** 4 * dvph
-            M[..., 3, 0] = np.conj(4 * lam ** 3 * phi + lam ** 4 * dphi)
-            swapped_shift = batched_det(M)
+            # the swapped matrix is the main one conjugated, with rows (0, 1)
+            # and (2, 3) exchanged: its determinant is conj(main)
+            swapped = np.conj(main)
+            swapped_shift = batched_det(omega(True))
             th = theta_p * x + theta_q * t
             return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * main ** 2)
     elif form == "as_published":
@@ -409,13 +407,6 @@ def _rogue2_f2(x_pow: int):
             (72j, 4, 1), (528j, 0, 3), (72j, 0, 5)]
 
 
-_ROGUE2_F3 = [(-48j, 3, 0), (-48j, 3, 2), (288j, 1, 2), (-54j, 1, 0), (-24j, 1, 4),
-              (72, 1, 1), (-48, 3, 1), (216, 2, 2), (-24, 2, 4), (-24j, 5, 0), (-90, 2, 0),
-              (-666, 0, 2), (24j, 0, 5), (12, 4, 0), (-180, 0, 4), (-8, 0, 6), (-8, 6, 0),
-              (-48, 1, 3), (24j, 4, 1), (198j, 0, 1), (336j, 0, 3), (-9, 0, 0),
-              (48j, 2, 3), (-24, 4, 2)]
-
-
 def rogue1(form: str = "exact") -> CatalogEntry:
     """First-order rogue wave (fixed instance a=-2, c=1, critical eigenvalue 1+i).
 
@@ -439,19 +430,21 @@ def rogue1(form: str = "exact") -> CatalogEntry:
 def rogue2(form: str = "exact") -> CatalogEntry:
     """Second-order rogue wave (fixed instance a=-2, c=1).
 
-    The three factor polynomials are row tables (see `_polynomial`).  Exact
-    form fixes one exponent in the second factor (an x^4 that must be x^2);
-    the other two polynomials are typo-free.
+    The printed numerator factors f1, f2 are row tables (see `_polynomial`).
+    The printed denominator factor f3 is -conj(f1) row by row, so for real
+    x, t it is -conj(f1(x, t)) and is not evaluated.  Exact form fixes one
+    exponent in f2 (an x^4 that must be x^2); f1 and f3 are typo-free.
     """
     if form not in ("exact", "as_published"):
         raise ValueError(f"unknown form {form!r}")
     f1 = _polynomial(_ROGUE2_F1)
     f2 = _polynomial(_rogue2_f2(4 if form == "as_published" else 2))
-    f3 = _polynomial(_ROGUE2_F3)
 
     def ev(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        return _guard(f1(x, t) * f2(x, t) * _rogue_carrier(x, t), f3(x, t) ** 2)
+        p1 = f1(x, t)
+        # f3^2 = (-conj(f1))^2 = conj(f1)^2
+        return _guard(p1 * f2(x, t) * _rogue_carrier(x, t), np.conj(p1) ** 2)
 
     return CatalogEntry("rogue2", dict(a=-2.0, c=1.0, alpha=1.0, form=form), ev)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
-from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
-                     KdnlsError, ResolutionTooCoarseError)
+from .errors import (AllNodesExcludedError, GridTooSmallError, InvalidConfigError,
+                     IOFailureError, KdnlsError, ResolutionTooCoarseError)
 from .lax import PhasePolynomial, critical_eigenvalue, make_plane_wave_seed, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import peak_analysis
@@ -61,7 +61,7 @@ def parse_grid(spec: str) -> Grid2D:
         x0, x1, nx = xpart.split(":")
         t0, t1, nt = tpart.split(":")
         return Grid2D(float(x0), float(x1), float(t0), float(t1), int(nx), int(nt))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, GridTooSmallError) as exc:
         raise InvalidConfigError(f"bad grid spec {spec!r}: {exc}") from None
 
 

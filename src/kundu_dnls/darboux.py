@@ -22,7 +22,9 @@ from .errors import (ConditionBlowupError, DegeneratePairError,
                      DenominatorVanishesError, SingularOmegaError)
 from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
-from .numerics.determinant import batched_det
+# the engine builds every stack afresh and never reads it again, so its
+# `batched_det` eliminates in place (instrumentation wraps this name)
+from .numerics.determinant import overwriting_batched_det as batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
 
 Array = np.ndarray
@@ -185,12 +187,13 @@ def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
                 c1 = v1 * v2 * factor / (-num_a)
             q = (d2_el / a2) * Q - c1 * eim / (a2 * ra)
             r = (a2 / d2_el) * -np.conj(Q) + b1 * eip / (d2_el * ra)
-        M = np.zeros(np.broadcast(p1, p2).shape + (2, 2), dtype=complex)
-        M[..., 0, 0] = l1 * v1
-        M[..., 0, 1] = p1
-        M[..., 1, 0] = l2 * v2
-        M[..., 1, 1] = p2
-        _, ratios = batched_det(M)
+        # stored matrix-first, so `batched_det` eliminates it in place
+        M = np.empty((2, 2) + np.broadcast(p1, p2).shape, dtype=complex)
+        M[0, 0] = l1 * v1
+        M[0, 1] = p1
+        M[1, 0] = l2 * v2
+        M[1, 1] = p2
+        _, ratios = batched_det(np.moveaxis(M, (0, 1), (-2, -1)))
         return (np.where(np.isfinite(q), q, np.nan + 0j),
                 np.where(np.isfinite(r), r, np.nan + 0j), ratios)
 
@@ -234,7 +237,8 @@ def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
     shifted column 0.  Complex components give a complex stack; object
     arrays of mpmath values, with mpmath eigenvalues, give an mpmath stack.
     The entries are stored matrix-first, so the returned (..., m, m+1) view
-    is already in the batch-last order `batched_det` uses.
+    is already in the batch-last layout of elimination, and `batched_det`
+    eliminates it in place.
     """
     m = len(lams)
     powers = [*range(m - 2, -1, -1), m - 1, m]
@@ -252,10 +256,10 @@ def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
 def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
 
-    `stack_det(stack)` eliminates an (..., m, m+1) stack without modifying
-    it and returns ((unshifted, shifted), pivot ratios): the unshifted and
-    shifted matrices share all columns but the leading one, so one
-    elimination over the shared columns gives both determinants (see
+    `stack_det(stack)` eliminates an (..., m, m+1) stack, which it may
+    overwrite, and returns ((unshifted, shifted), pivot ratios): the
+    unshifted and shifted matrices share all columns but the leading one, so
+    one elimination over the shared columns gives both determinants (see
     `_omega_matrix` for the column order).  On a reduced set the swapped
     matrix is the conjugate of the main one with each representative's row
     exchanged with its partner's, so swapped = (-1)^n conj(main), and

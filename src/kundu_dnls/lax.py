@@ -163,15 +163,26 @@ class ExpSum:
     Calling the sum evaluates it in double, vectorized over any array
     shape; `mp(x, t)` evaluates it in mpmath at one point, at the working
     precision of the caller.
+
+    In double, each term is exp(Re kx x + Re kt t) times the phase
+    c exp(i Im kx x) exp(i Im kt t): on the broadcast axes of `sample` the
+    two phase factors cost one complex exp per row and per column instead
+    of one per node.  The real exponent stays one sum over the block, so it
+    over- and underflows where the whole exponent does, and a term whose x
+    and t parts are each huge but cancel stays finite.
     """
 
     def __init__(self, terms):
         self.terms = [tuple(term) for term in terms]
-        self._double = [tuple(complex(v) for v in term) for term in self.terms]
+        self._double = []
+        for term in self.terms:
+            c, kx, kt = (complex(v) for v in term)
+            self._double.append((c, kx.real, kt.real, 1j * kx.imag, 1j * kt.imag))
 
     def __call__(self, x, t):
         x, t = np.asarray(x), np.asarray(t)
-        return sum(c * np.exp(kx * x + kt * t) for c, kx, kt in self._double)
+        return sum(np.exp(rx * x + rt * t) * (c * np.exp(ix * x) * np.exp(it * t))
+                   for c, rx, rt, ix, it in self._double)
 
     def mp(self, x, t):
         x, t = mp.mpf(x), mp.mpf(t)

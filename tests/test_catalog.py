@@ -339,6 +339,26 @@ def test_rogue2_as_published_fails_residual():
     assert rep.norms[-1][1] > 0.5
 
 
+# rogue2's printed denominator factor f3, one row (coefficient, x power,
+# t power) per printed term; the catalog derives it from f1 instead
+_ROGUE2_F3 = [(-48j, 3, 0), (-48j, 3, 2), (288j, 1, 2), (-54j, 1, 0), (-24j, 1, 4),
+              (72, 1, 1), (-48, 3, 1), (216, 2, 2), (-24, 2, 4), (-24j, 5, 0), (-90, 2, 0),
+              (-666, 0, 2), (24j, 0, 5), (12, 4, 0), (-180, 0, 4), (-8, 0, 6), (-8, 6, 0),
+              (-48, 1, 3), (24j, 4, 1), (198j, 0, 1), (336j, 0, 3), (-9, 0, 0),
+              (48j, 2, 3), (-24, 4, 2)]
+
+
+def test_rogue2_printed_f3_is_minus_conj_f1_row_by_row():
+    # what lets `rogue2` take its denominator from f1 on real x, t
+    def table(rows):
+        out = {}
+        for c, i, j in rows:
+            assert (i, j) not in out
+            out[i, j] = complex(c)
+        return out
+    assert table(_ROGUE2_F3) == {k: -np.conj(c) for k, c in table(catalog._ROGUE2_F1).items()}
+
+
 def _exact_rogue_residual(num_rows, den_rows, x, t):
     """Field-equation residual of Q = -(N/D) exp(-i(2x + t)) by exact
     substitution: every derivative comes from differentiating the rows."""
@@ -372,8 +392,7 @@ def test_rogue_row_tables_solve_the_equation_exactly(form, solves):
     # rogue2: Q = -f1 f2 exp(-i(2x + t)) / f3^2, so N = f1 f2 and D = f3^2
     num = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F1
            for b, k, m in catalog._rogue2_f2(x_pow)]
-    den = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F3
-           for b, k, m in catalog._ROGUE2_F3]
+    den = [(a * b, i + k, j + m) for a, i, j in _ROGUE2_F3 for b, k, m in _ROGUE2_F3]
     r2 = _exact_rogue_residual(num, den, x, t)
     for r in (r1, r2):
         assert (r.max() <= 1e-12) if solves else (np.median(r) > 1e-2)

@@ -1,9 +1,18 @@
 """CLI contract tests: formats, determinism, exit codes, config handling."""
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kundu_dnls import cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
@@ -102,10 +111,11 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     ["generate", "--solution", "rogue1", "--grid=-1:1e400:5,-1:1:5"],
     # an unsplit rogue2 is the catalog's closed form, into which no eps enters
     [*_GEN, "--solution", "rogue2", "--param", "eps=1e-5"],
+    ["generate", "--solution", "rogue1", "--grid=-1:1:1,-1:1:5"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
         "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
-        "eps-on-unsplit-rogue2"])
+        "eps-on-unsplit-rogue2", "single-sample-axis"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
@@ -181,6 +191,50 @@ def test_every_solution_and_format_is_deterministic(tmp_path, solution):
             assert isinstance(counts["overflow_nodes"], int)
             blobs.append((out.read_bytes(), meta.read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+_WINDOW = st.tuples(st.floats(-40, 40), st.floats(1e-3, 80))
+
+
+@settings(max_examples=150, deadline=None)
+@given(solution=st.sampled_from(sorted(cli.SOLUTIONS)),
+       fmt=st.sampled_from(["csv", "json", "pgm"]),
+       nx=st.integers(1, 9), nt=st.integers(1, 7), xw=_WINDOW, tw=_WINDOW)
+def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, nx, nt, xw, tw):
+    grid = f"{xw[0]!r}:{xw[0] + xw[1]!r}:{nx},{tw[0]!r}:{tw[0] + tw[1]!r}:{nt}"
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for run_dir in ("a", "b"):
+            out = Path(tmp) / run_dir / f"x.{fmt}"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run(["generate", "--solution", solution, "--grid", grid,
+                          "--format", fmt, "--output", str(out), "--quiet"])
+            # 1 is the documented "internal error (a bug)"
+            assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+            meta = Path(str(out) + ".meta.json")
+            runs.append((rc, out.read_bytes() if rc == 0 else None,
+                         meta.read_bytes() if rc == 0 else None))
+        assert runs[0] == runs[1]
+    rc, artifact, meta = runs[0]
+    if rc != 0:
+        return
+    counts = json.loads(meta)
+    flagged = counts["masked_nodes"] + counts["overflow_nodes"]
+    if fmt == "pgm":
+        # non-finite nodes are drawn black or white: the pixels are always finite
+        assert artifact.startswith(f"P5\n{nx} {nt}\n255\n".encode())
+    else:
+        # the intensity of a flagged node is written as "nan" or "inf"
+        assert (b'nan"' in artifact or b'inf"' in artifact) == (flagged > 0)
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the package directory's parent, so the test also runs uninstalled
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    res = subprocess.run([sys.executable, "-m", "kundu_dnls", "--version"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0 and res.stdout.strip() == cli.__version__
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -213,6 +213,26 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     assert calls == {"components": 3 * 5, "stacks": 1}
 
 
+def test_engine_eliminates_each_stack_in_place(monkeypatch):
+    # every stack is built afresh and read once, so it is eliminated as it
+    # is stored, with no copy: the elimination residue shows in the stack
+    import kundu_dnls.darboux as dx
+    real_det, overwritten = dx.batched_det, []
+
+    def spy(mats):
+        before = mats.copy()
+        out = real_det(mats)
+        overwritten.append(not np.array_equal(mats, before))
+        return out
+    monkeypatch.setattr(dx, "batched_det", spy)
+    sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
+    X, T = grid_pts(30).T
+    for s in (sset, general(sset)):
+        n_fold(s, SEEDP).Q(X, T)
+    n_fold(build_reduced_set([0.5 + 0.5j], SEEDP), SEEDP).Q(X, T)
+    assert overwritten == [True] * 4
+
+
 def _wrapped_eigenfunction(make):
     """`make` with the datum's components replaced by plain callables, as an
     instrumenting caller does after construction."""
@@ -298,9 +318,10 @@ def test_benchmark_tracer_times_the_catalog_determinant():
     assert np.array_equal(traced, plain)
     shapes = [span[tracing.ATTRS]["shape"] for span in tracer.spans
               if span[tracing.NAME] == "numerics.determinant.batched_det"]
-    assert shapes == [(40, 30, 4, 4)] * 3       # one block: main, swapped, shifted
+    # one block: main and swapped-shifted; swapped is conj(main)
+    assert shapes == [(40, 30, 4, 4)] * 2
     metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
-    assert metrics["numerics.determinant.matrices"] == 3 * g.nx * g.nt
+    assert metrics["numerics.determinant.matrices"] == 2 * g.nx * g.nt
 
 
 def test_benchmark_tracer_counts_exactly_over_sampling_blocks():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import kundu_dnls as kd
 from kundu_dnls.errors import (DegeneratePairError, ZeroAmplitudeError,
                                ZeroCouplingError, ZeroEigenvalueError)
-from kundu_dnls.lax import (branch_quantity, check_lax_residual, critical_eigenvalue,
-                            unfolded_four_term_components, lax_matrices,
+from kundu_dnls.lax import (ExpSum, branch_quantity, check_lax_residual,
+                            critical_eigenvalue, unfolded_four_term_components, lax_matrices,
                             make_plane_wave_seed, plane_wave_eigenfunction,
                             zero_seed, zero_seed_eigenfunction)
 
@@ -242,6 +242,22 @@ def test_exponential_sums_agree_in_double_and_mpmath(make):
                 assert abs(v - complex(ref)) <= 1e-14 * abs(complex(ref))
         x, t = pts[0]
         assert d.mp_components(x, t) == (d.phi.mp(x, t), d.varphi.mp(x, t))
+
+
+def test_exponential_sum_with_cancelling_huge_exponents_stays_finite():
+    # Re(kx x) and Re(kt t) each lie far beyond exp's range (about 709) but
+    # cancel near x = t: the real exponent must be exponentiated whole
+    with mp.workdps(40):
+        s = ExpSum([(mp.mpc(0.5, 0.25), mp.mpc(2, 3.1), mp.mpc(-2, 0.7)),
+                    (mp.mpc(-1, 2), mp.mpc(-1.5, -0.4), mp.mpc(1.5, 2.2))])
+    x = np.linspace(400.0, 410.0, 11)
+    values = s(x[:, None], x[None, :])              # sample's broadcast axes
+    assert np.all(np.isfinite(values))
+    with mp.workdps(40):
+        for i, xi in enumerate(x):
+            for j, tj in enumerate(x):
+                ref = complex(s.mp(xi, tj))
+                assert abs(values[i, j] - ref) <= 1e-12 * abs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteErr
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, dd_batched_det, det, sample)
+from kundu_dnls.numerics.determinant import overwriting_batched_det
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,25 @@ def test_batched_det_of_a_wide_stack_gives_each_trailing_determinant(m, e):
             # the pivot ratio is that of the matrix with the first trailing column
             assert np.max(np.abs(r - r_sq) / r_sq) <= 1e-13
     assert np.array_equal(a, keep)
+
+
+@pytest.mark.parametrize("m, e", [(2, 0), (4, 0), (6, 0), (2, 1), (6, 1), (4, 2)])
+def test_overwriting_batched_det_gives_batched_det_bits_in_either_layout(m, e):
+    rng = np.random.default_rng(100 + 10 * m + e)
+    a = rng.standard_normal((9, 40, m, m + e)) + 1j * rng.standard_normal((9, 40, m, m + e))
+    a[0, :, 1, 0] = a[0, :, 0, 0]                   # exact pivot-magnitude ties
+    a[1, :, :, 0] = 0                               # zero pivot in the first column
+    keep = a.copy()
+    d_ref, r_ref = batched_det(a)
+    # batch-first: copied once, and the input is left as it was
+    d, r = overwriting_batched_det(a)
+    assert d.tobytes() == d_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    assert np.array_equal(a, keep)
+    # matrix-first, as the engine stores its stacks: eliminated in place
+    first = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+    d, r = overwriting_batched_det(np.moveaxis(first, (0, 1), (-2, -1)))
+    assert d.tobytes() == d_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    assert not np.array_equal(first, np.moveaxis(keep, (-2, -1), (0, 1)))
 
 
 @pytest.mark.parametrize("m, e", [(4, 1), (6, 1), (4, 2)])
