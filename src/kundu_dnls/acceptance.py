@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import catalog, cli
-from .darboux import (DegenerationSpec, SpectralSet, build_reduced_set, degenerate_limit,
-                      n_fold)
+from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
 from .lax import make_plane_wave_seed, plane_wave_eigenfunction, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import (ConventionVariant, compare_fields, convergence_study,
@@ -248,7 +247,7 @@ def check_property_suites() -> CheckResult:
     # determinants by conjugation, which would make the identity hold by
     # construction
     sym = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], seed0)
-    general = SpectralSet(list(sym.data), reduction=False)
+    general = sym.unreduced()
     pts100 = rng.uniform(-5, 5, size=(100, 2))
     X, T = pts100[:, 0], pts100[:, 1]
     q, r = n_fold(sym, seed0).Q(X, T), n_fold(general, seed0).R(X, T)

@@ -106,20 +106,18 @@ def _number(key: str, val, integer: bool):
     kind = "an integer" if integer else "a finite number"
     try:
         out = float(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidConfigError(f"parameter {key} must be {kind}, got {val!r}") from None
-    if not math.isfinite(out) or (integer and not out.is_integer()):
+    if isinstance(val, bool) or not math.isfinite(out) or (integer and not out.is_integer()):
         raise InvalidConfigError(f"parameter {key} must be {kind}, got {val!r}")
     return int(out) if integer else out
 
 
 def _make_seed(params: dict):
-    if params.get("seed", "planewave") == "zero":
-        return zero_seed(params.get("alpha", 1.0), params.get("theta_p", 1.0),
-                         params.get("theta_q", 1.0))
-    return make_plane_wave_seed(params.get("a", -2.0), params.get("c", 1.0),
-                                params.get("alpha", 1.0), params.get("theta_p", 1.0),
-                                params.get("theta_q", 1.0))
+    if params["seed"] == "zero":
+        return zero_seed(params["alpha"], params["theta_p"], params["theta_q"])
+    return make_plane_wave_seed(params["a"], params["c"], params["alpha"],
+                                params["theta_p"], params["theta_q"])
 
 
 def build_field(solution: str, params: dict, precision: str):
@@ -161,7 +159,7 @@ def build_field(solution: str, params: dict, precision: str):
         seed = _make_seed(params)
         lams = []
         for k in (1, 2, 3):
-            re, im = params.get(f"lam{k}_re"), params.get(f"lam{k}_im")
+            re, im = params[f"lam{k}_re"], params[f"lam{k}_im"]
             if (re is None) != (im is None):
                 raise InvalidConfigError(f"lam{k} needs both lam{k}_re and lam{k}_im")
             if re is not None:
@@ -319,6 +317,13 @@ def _load_config(ns: argparse.Namespace) -> dict:
             raise InvalidConfigError(f"config {ns.config} is not valid JSON: {exc}") from None
         if not isinstance(merged, dict):
             raise InvalidConfigError("config file must hold a JSON object")
+        # the JSON type of each field the CLI reads
+        for key, kind in dict(solution=str, figure=str, grid=str, precision=str,
+                              params=dict).items():
+            if key in merged and not isinstance(merged[key], kind):
+                want = "an object" if kind is dict else "a string"
+                raise InvalidConfigError(f"config field {key!r} must be {want}, "
+                                         f"got {json.dumps(merged[key])}")
     return merged
 
 
@@ -329,43 +334,47 @@ def _effective(ns: argparse.Namespace):
     raw_params = dict(cfg.get("params", {}))
     raw_params.update(_parse_params(ns.param))
     figure = getattr(ns, "figure", None) or cfg.get("figure")
-    if figure:
+    if figure is not None:
         if figure not in FIGURE_MAP:
             raise InvalidConfigError(f"unknown figure {figure!r}; choose from "
                                      f"{sorted(FIGURE_MAP)}")
         fig_solution, fig_params, fig_grid = FIGURE_MAP[figure]
         solution = solution or fig_solution
         grid_spec = grid_spec or fig_grid
-        merged = {k: v for k, v in fig_params.items()}
-        merged.update(raw_params)
-        raw_params = merged
+        raw_params = {**fig_params, **raw_params}
     if not solution:
         raise InvalidConfigError("no solution selected (use --solution or --figure)")
     if not grid_spec:
         raise InvalidConfigError("no grid given (use --grid min:max:n,min:max:n)")
     params = resolve_params(solution, raw_params)
     # explicit flag > config field > auto selection
-    precision = ns.precision or cfg.get("precision") or "auto"
+    precision = ns.precision or cfg.get("precision", "auto")
     if precision not in ("auto", "double", "extended"):
         raise InvalidConfigError(f"precision must be double or extended, got {precision!r}")
     return solution, params, parse_grid(grid_spec), grid_spec, precision
 
 
-def _checked_field(solution: str, params: dict, precision: str):
-    """`build_field`, with its errors reported as invalid configuration: it
-    only constructs objects, so whatever it raises is a bad parameter."""
+def _checked_sample(solution: str, params: dict, precision: str, grid: Grid2D):
+    """`build_field` and its samples on the grid, with a bad parameter
+    reported as invalid configuration.  Building only constructs objects, so
+    whatever it raises, an overflow included, is a bad parameter; sampling
+    overflows scalar arithmetic only on a parameter too large for double."""
     try:
-        return build_field(solution, params, precision)
+        with np.errstate(over="raise"):
+            field = build_field(solution, params, precision)
     except InvalidConfigError:
         raise
-    except (KdnlsError, ValueError) as exc:
+    except (KdnlsError, ValueError, ArithmeticError) as exc:
         raise InvalidConfigError(f"invalid parameters for {solution}: {exc}") from None
+    try:
+        return field, sample(field, grid)
+    except OverflowError as exc:
+        raise InvalidConfigError(f"parameters of {solution} overflow double: {exc}") from None
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
     solution, params, grid, grid_spec, precision = _effective(ns)
-    field = _checked_field(solution, params, precision)
-    fld = sample(field, grid)
+    field, fld = _checked_sample(solution, params, precision, grid)
     output = Path(ns.output)
     try:
         output.parent.mkdir(parents=True, exist_ok=True)
@@ -387,9 +396,11 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    if not (math.isfinite(ns.cluster_radius) and ns.cluster_radius >= 0):
+        raise InvalidConfigError(f"--cluster-radius must be a finite number >= 0, "
+                                 f"got {ns.cluster_radius!r}")
     solution, params, grid, grid_spec, precision = _effective(ns)
-    field = _checked_field(solution, params, precision)
-    fld = sample(field, grid)
+    field, fld = _checked_sample(solution, params, precision, grid)
     I = intensity(fld.values)
     try:
         ps = peak_analysis(ComplexField2D(grid, I, fld.invalid),

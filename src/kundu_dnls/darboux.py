@@ -6,7 +6,7 @@ rescaling of a row cancels (gauge covariance).  They come in two pairs, each
 an unshifted matrix and its shifted twin, which differ in the leading column
 only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
 conjugate-reduced sets one pair follows from the other by conjugation, so
-only one stack is eliminated.  Degenerate (coalescing) spectral
+only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing) spectral
 configurations are handled numerically with a small perturbation radius and,
 when that radius is tiny, extended-precision determinants.
 """
@@ -35,61 +35,43 @@ DEFAULT_CONDITION_BOUND = 1e12
 
 @dataclass
 class SpectralSet:
-    """Ordered spectral data of even length 2n, optionally conjugate-reduced.
-
-    A reduced set lists each representative followed by its conjugate
-    partner (lam*, varphi*, phi*).  Construction checks the eigenvalues and,
-    at one point, the components; the engine then evaluates representatives
-    only, so components replaced after construction are not checked.
+    """The spectral data of an order-n transformation: 2n data, or n
+    representatives of a reduced set, each standing for itself and its
+    conjugate partner (lam*, varphi*, phi*), which makes the transformed
+    pair satisfy R = -Q*.  The 2n eigenvalues of a reduced set must be
+    nonzero and pairwise distinct; those of a general set, nonzero.
     """
 
     data: list
     reduction: bool = False
 
     def __post_init__(self):
-        if len(self.data) % 2 != 0 or not self.data:
-            raise ValueError("a spectral set holds an even, positive number of data")
+        if not self.data or (not self.reduction and len(self.data) % 2 != 0):
+            raise ValueError("a spectral set holds 2n data, or n representatives if reduced")
         lams = [d.lam for d in self.data]
-        if any(li == 0 for li in lams):
-            raise ValueError("eigenvalues must be nonzero")
         if self.reduction:
-            for i, li in enumerate(lams):
-                for lj in lams[:i]:
-                    if li == lj:
-                        raise ValueError(
-                            "reduced sets need pairwise distinct eigenvalues")
-            for rep, partner in zip(lams[0::2], lams[1::2]):
-                if partner != np.conj(rep):
-                    raise ValueError(
-                        f"reduced sets pair each eigenvalue with its conjugate; "
-                        f"{rep} is followed by {partner}")
-            x, t = 0.3, 0.2     # away from the origin, where zero-seed components are 1
-            for k, (rep, partner) in enumerate(zip(self.data[0::2], self.data[1::2])):
-                p, v = rep.phi(x, t), rep.varphi(x, t)
-                tol = 1e-12 * max(abs(p), abs(v))
-                if (abs(partner.phi(x, t) - np.conj(v)) > tol
-                        or abs(partner.varphi(x, t) - np.conj(p)) > tol):
-                    raise ValueError(
-                        f"datum {2 * k + 1} is not the conjugate partner (lam*, varphi*, "
-                        f"phi*) of datum {2 * k}")
+            lams += [np.conj(lam) for lam in lams]
+        if any(lam == 0 for lam in lams):
+            raise ValueError("eigenvalues must be nonzero")
+        if self.reduction and len(set(lams)) < len(lams):
+            raise ValueError("a reduced set needs its representatives and their conjugates "
+                             f"pairwise distinct: {[complex(d.lam) for d in self.data]}")
 
     @property
     def order(self) -> int:
-        return len(self.data) // 2
+        return len(self.data) if self.reduction else len(self.data) // 2
 
-    @property
-    def evaluated(self) -> list:
-        """The data whose components the engine evaluates."""
-        return self.data[0::2] if self.reduction else self.data
+    def unreduced(self) -> "SpectralSet":
+        """The general set of the same transformation: a reduced set's
+        representatives, each followed by its conjugate partner."""
+        if not self.reduction:
+            return self
+        return SpectralSet([e for d in self.data for e in (d, d.conjugate_partner())])
 
 
 def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
                       weights_per_lambda: Optional[Sequence] = None) -> SpectralSet:
-    """Complete each upper-half representative with its conjugate partner.
-
-    The partner carries (lam*, varphi*, phi*), which is what makes the
-    transformed pair satisfy R = -Q*.
-    """
+    """The reduced set of one representative per eigenvalue pair."""
     if weights_per_lambda is None:
         weights_per_lambda = [(1.0, 1.0)] * len(lambdas)
     if len(weights_per_lambda) != len(lambdas):
@@ -108,7 +90,7 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
             datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w))
         else:
             datum = zero_seed_eigenfunction(lam)
-        data += [datum, datum.conjugate_partner()]
+        data.append(datum)
     return SpectralSet(data=data, reduction=True)
 
 
@@ -117,7 +99,8 @@ class DTOutput:
     """A transformed solution: vectorized field closures plus conditioning data.
 
     `evaluate(x, t)` is the one pass behind every accessor: it returns
-    (Q, R, pivot_ratio).  Q(x, t) returns NaN at flagged points
+    (Q, R, pivot_ratio), and R is -conj(Q) wherever the spectral set was
+    reduced.  Q(x, t) and R(x, t) return NaN at flagged points
     (transformation poles, pivot ratios above `DEFAULT_CONDITION_BOUND`);
     `at` is the scalar accessor that raises instead.  Calling the output is
     calling Q, so it serves wherever a field closure does.  `precision` is
@@ -155,16 +138,15 @@ class DTOutput:
 
 
 def _seed_terms(seed: Seed, x, t):
-    Q = seed.value(x, t)
-    th = seed.theta(x, t)
-    return Q, np.exp(-1j * th), np.exp(1j * th), np.sqrt(seed.alpha)
+    """The seed, exp(-i theta) (its conjugate is exp(i theta) bit for bit), sqrt(alpha)."""
+    return seed.value(x, t), np.exp(-1j * seed.theta(x, t)), np.sqrt(seed.alpha)
 
 
 def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
     """Single-step transformation from one eigenvalue pair via its matrix elements."""
-    if len(spectral_set.data) != 2:
-        raise ValueError("one_fold needs a spectral set of exactly 2 data")
-    d1, d2 = spectral_set.data
+    if spectral_set.order != 1:
+        raise ValueError("one_fold needs a spectral set of order 1")
+    d1, d2 = spectral_set.unreduced().data
     l1, l2 = d1.lam, d2.lam
 
     def evaluate(x, t):
@@ -173,7 +155,7 @@ def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
         den_a = p1 * v2 * l1 - v1 * p2 * l2        # denominator of a2
         num_a = v1 * p2 * l1 - p1 * v2 * l2
         factor = l1 * l1 - l2 * l2
-        Q, eim, eip, ra = _seed_terms(seed, x, t)
+        Q, eim, ra = _seed_terms(seed, x, t)
         with np.errstate(all="ignore"):
             a2 = num_a / den_a
             d2_el = 1.0 / a2
@@ -186,7 +168,7 @@ def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
                 b1 = p1 * p2 * factor / (-den_a)
                 c1 = v1 * v2 * factor / (-num_a)
             q = (d2_el / a2) * Q - c1 * eim / (a2 * ra)
-            r = (a2 / d2_el) * -np.conj(Q) + b1 * eip / (d2_el * ra)
+            r = (a2 / d2_el) * -np.conj(Q) + b1 * np.conj(eim) / (d2_el * ra)
         # stored matrix-first, so `batched_det` eliminates it in place
         M = np.empty((2, 2) + np.broadcast(p1, p2).shape, dtype=complex)
         M[0, 0] = l1 * v1
@@ -208,18 +190,18 @@ def _component_table(spectral_set: SpectralSet, components: Callable):
     """Eigenvalues and both components of every datum, (lams, phis, varphis).
 
     `components(datum)` returns the datum's (phi, varphi) over the point
-    shape.  A reduced set evaluates its representatives only: each partner's
-    components are the representative's, conjugated and exchanged.
+    shape.  On a reduced set each representative is followed by its
+    conjugate partner, whose components are the representative's,
+    conjugated and exchanged.
     """
     lams, phis, vphs = [], [], []
-    data = spectral_set.data
-    for k, d in enumerate(spectral_set.evaluated):
+    for d in spectral_set.data:
         p, v = components(d)
         lams.append(d.lam)
         phis.append(p)
         vphs.append(v)
         if spectral_set.reduction:
-            lams.append(data[2 * k + 1].lam)
+            lams.append(np.conj(d.lam))
             phis.append(np.conj(v))
             vphs.append(np.conj(p))
     return lams, phis, vphs
@@ -309,25 +291,28 @@ def _omega_dets_extended(spectral_set: SpectralSet, x, t):
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
-    """Determinant-form transformation of order n = len(set)/2 (n in 1..3)."""
+    """Determinant-form transformation of order n = `spectral_set.order` (1..3);
+    on a reduced set, R is -conj(Q) under Q's mask."""
     n = spectral_set.order
     if n not in (1, 2, 3):
         raise ValueError(f"supported orders are 1..3, got {n}")
     if precision not in ("double", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
-    if precision == "extended" and any(d.mp_components is None
-                                       for d in spectral_set.evaluated):
-        raise ValueError("extended precision needs mp_components on every evaluated datum")
+    if precision == "extended" and any(d.mp_components is None for d in spectral_set.data):
+        raise ValueError("extended precision needs mp_components on every datum")
     dets = _omega_dets_extended if precision == "extended" else _omega_dets_double
 
     def evaluate(x, t):
         main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, x, t)
-        Q, eim, eip, ra = _seed_terms(seed, x, t)
+        Q, eim, ra = _seed_terms(seed, x, t)
         keep = ratios <= DEFAULT_CONDITION_BOUND
         with np.errstate(all="ignore"):
             main2, sw2 = main ** 2, swapped ** 2
             q = (sw2 / main2) * Q + eim / ra * swapped * swapped_shift / main2
-            r = (main2 / sw2) * -np.conj(Q) - eip / ra * main * main_shift / sw2
+            if spectral_set.reduction:
+                r = -np.conj(q)
+            else:
+                r = (main2 / sw2) * -np.conj(Q) - np.conj(eim) / ra * main * main_shift / sw2
         return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
                 np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 

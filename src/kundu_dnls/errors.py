@@ -39,7 +39,8 @@ class DegenerateEigenvalueError(KdnlsError):
 
 
 class DenominatorVanishesError(KdnlsError):
-    """The one-fold transformation denominator vanishes at the requested point."""
+    """A transformed field is not finite at the requested point: a denominator
+    of the transformation vanishes (raised by any `DTOutput.at`)."""
 
 
 class SingularOmegaError(KdnlsError):

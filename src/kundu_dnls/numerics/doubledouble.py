@@ -101,10 +101,6 @@ class DDComplexArray:
     def to_complex(self) -> Array:
         return (self.re_hi + self.re_lo) + 1j * (self.im_hi + self.im_lo)
 
-    def copy(self) -> "DDComplexArray":
-        return DDComplexArray(self.re_hi.copy(), self.re_lo.copy(),
-                              self.im_hi.copy(), self.im_lo.copy())
-
     def __getitem__(self, idx) -> "DDComplexArray":
         return DDComplexArray(self.re_hi[idx], self.re_lo[idx],
                               self.im_hi[idx], self.im_lo[idx])

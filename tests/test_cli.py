@@ -125,7 +125,19 @@ def test_bad_parameter_values_exit_2(tmp_path, argv):
 @pytest.mark.parametrize("job", [
     {"solution": "rogue2", "params": {"eps": [1]}},
     {"solution": "engine-degenerate", "params": {"n": 2.5}},
-], ids=["list-valued", "fractional-order"])
+    {"solution": "rogue1", "params": "abc"},
+    {"solution": "rogue1", "params": 5},
+    {"solution": "soliton1", "params": [["m1", 1]]},
+    {"solution": "rogue1", "grid": 5},
+    {"solution": ["rogue1"]},
+    {"figure": ["fig1"]},
+    {"solution": "soliton1", "figure": ""},
+    {"solution": "rogue1", "precision": None},
+    {"solution": "soliton1", "params": {"m1": True}},
+    {"solution": "engine-degenerate", "params": {"n": 10 ** 400}},   # no float holds it
+], ids=["list-valued", "fractional-order", "params-string", "params-number", "params-list",
+        "grid-number", "solution-list", "figure-list", "figure-empty", "precision-null",
+        "boolean-value", "integer-overflows-float"])
 def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(job))
@@ -194,29 +206,48 @@ def test_every_solution_and_format_is_deterministic(tmp_path, solution):
 
 
 _WINDOW = st.tuples(st.floats(-40, 40), st.floats(1e-3, 80))
+# a parameter value as text: finite, non-finite or not a number at all
+_PARAM_VALUE = st.one_of(
+    st.floats(-10, 10).map(repr), st.integers(-1, 4).map(str),
+    st.sampled_from(["0", "1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "1e400",
+                     "abc", "", "zero", "planewave"]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(solution=st.sampled_from(sorted(cli.SOLUTIONS)),
-       fmt=st.sampled_from(["csv", "json", "pgm"]),
-       nx=st.integers(1, 9), nt=st.integers(1, 7), xw=_WINDOW, tw=_WINDOW)
-def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, nx, nt, xw, tw):
-    grid = f"{xw[0]!r}:{xw[0] + xw[1]!r}:{nx},{tw[0]!r}:{tw[0] + tw[1]!r}:{nt}"
+def _generate_twice(argv, suffix):
+    """Run `kdnls generate` twice into fresh directories; return the exit code
+    and the artifact and sidecar bytes, after checking the two runs agree."""
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for run_dir in ("a", "b"):
-            out = Path(tmp) / run_dir / f"x.{fmt}"
+            out = Path(tmp) / run_dir / f"x.{suffix}"
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc = run(["generate", "--solution", solution, "--grid", grid,
-                          "--format", fmt, "--output", str(out), "--quiet"])
+                rc = run(["generate", *argv, "--output", str(out), "--quiet"])
             # 1 is the documented "internal error (a bug)"
             assert rc in (0, 2, 3, 4), (rc, err.getvalue())
             meta = Path(str(out) + ".meta.json")
             runs.append((rc, out.read_bytes() if rc == 0 else None,
                          meta.read_bytes() if rc == 0 else None))
         assert runs[0] == runs[1]
-    rc, artifact, meta = runs[0]
+    return runs[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(solution=st.sampled_from(sorted(cli.SOLUTIONS)),
+       fmt=st.sampled_from(["csv", "json", "pgm"]),
+       precision=st.sampled_from([None, "double", "extended"]),
+       nx=st.integers(1, 9), nt=st.integers(1, 7), xw=_WINDOW, tw=_WINDOW, data=st.data())
+def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, precision, nx, nt,
+                                                     xw, tw, data):
+    grid = f"{xw[0]!r}:{xw[0] + xw[1]!r}:{nx},{tw[0]!r}:{tw[0] + tw[1]!r}:{nt}"
+    argv = ["--solution", solution, "--grid", grid, "--format", fmt]
+    if precision:
+        argv += ["--precision", precision]
+    keys = sorted(cli.SOLUTIONS[solution])
+    for key in data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)
+                         if keys else st.just([])):
+        argv += ["--param", f"{key}={data.draw(_PARAM_VALUE)}"]
+    rc, artifact, meta = _generate_twice(argv, fmt)
     if rc != 0:
         return
     counts = json.loads(meta)
@@ -227,6 +258,37 @@ def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, nx, nt, xw, 
     else:
         # the intensity of a flagged node is written as "nan" or "inf"
         assert (b'nan"' in artifact or b'inf"' in artifact) == (flagged > 0)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+def _config_field(valid):
+    """A config field's value: one of its valid values, or any JSON value."""
+    return st.sampled_from(valid) | _JSON
+
+
+@settings(max_examples=100, deadline=None)
+@given(solution=_config_field(sorted(cli.SOLUTIONS)), figure=_config_field(["fig5", "fig3"]),
+       grid=_config_field(["-1:1:5,-1:1:4", "-1:1:1,-1:1:4"]),
+       precision=_config_field(["double", "extended", "auto"]),
+       params=_config_field([{}, {"m1": 0.5}, {"S1": 1.0, "eps": 1e-2}, {"n": 2}]),
+       absent=st.sets(st.sampled_from(["solution", "figure", "grid", "precision", "params"])))
+def test_config_fuzz_fails_loudly_and_reproducibly(solution, figure, grid, precision, params,
+                                                   absent):
+    doc = {key: value for key, value in dict(solution=solution, figure=figure, grid=grid,
+                                             precision=precision, params=params).items()
+           if key not in absent}
+    if isinstance(doc.get("figure"), str) and doc["figure"] in FIGURE_MAP:
+        doc["grid"] = "-1:1:5,-1:1:4"     # a figure's own grid is figure-sized
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "job.json"
+        cfg.write_text(json.dumps(doc))
+        _generate_twice(["--config", str(cfg)], "csv")
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -270,6 +332,18 @@ def test_analyze_reports_three_split_humps(tmp_path):
     assert doc["structure_count"] == 3
     assert doc["classification"] == "triangular"
     assert (doc["masked_nodes"], doc["overflow_nodes"]) == (0, 0)
+
+
+@pytest.mark.parametrize("radius", ["nan", "-1", "inf", "-inf"])
+def test_analyze_rejects_a_bad_cluster_radius(tmp_path, radius):
+    # a NaN or negative radius clusters nothing: every peak would be its own
+    # structure and the classification silently wrong
+    out = tmp_path / "peaks.json"
+    assert run(["analyze", "--solution", "rogue1", "--grid", "-2:2:17,-2:2:17",
+                f"--cluster-radius={radius}", "--output", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert run(["analyze", "--solution", "rogue1", "--grid", "-2:2:17,-2:2:17",
+                "--cluster-radius=0", "--output", str(out), "--quiet"]) == 0
 
 
 def test_analyze_counts_overflowing_intensity(tmp_path, monkeypatch):

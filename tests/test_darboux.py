@@ -38,7 +38,7 @@ def test_one_fold_element_identity_a2_d2():
     # d2 is defined as 1/a2, so a2*d2 = 1 identically; with a conjugate pair
     # |a2| stays on the unit circle
     sset = build_reduced_set([1 + 2j], SEED0)
-    d1, d2 = sset.data
+    d1, d2 = sset.unreduced().data
     for x, t in grid_pts(20):
         p1, v1 = d1.phi(x, t), d1.varphi(x, t)
         p2, v2 = d2.phi(x, t), d2.varphi(x, t)
@@ -126,9 +126,10 @@ def test_gauge_covariance_under_common_rescaling():
 
 
 def general(sset):
-    """The same data without the reduction flag: all four determinants are
-    eliminated from every datum's own closures."""
-    return SpectralSet(list(sset.data), reduction=False)
+    """The same transformation as a general set: every partner is listed,
+    and all four determinants are eliminated from every datum's own
+    closures."""
+    return sset.unreduced()
 
 
 def test_reduction_symmetry_companion_field():
@@ -143,6 +144,20 @@ def test_reduction_symmetry_companion_field():
     ssetp = build_reduced_set([0.5 + 0.5j], SEEDP)
     qp, rp = n_fold(ssetp, SEEDP).Q(X, T), n_fold(general(ssetp), SEEDP).R(X, T)
     assert np.max(np.abs(rp + np.conj(qp))) <= 1e-8
+
+
+def test_reduced_r_is_exactly_minus_conj_q():
+    # a reduced set's R is -conj(Q) bit for bit, in both precisions and
+    # through the n = 1 average of `degenerate_limit`
+    X, T = grid_pts(8, -2, 2, seed=3).T
+    sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
+    spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
+    for out in (n_fold(sset, SEEDP), n_fold(sset, SEEDP, precision="extended"),
+                degenerate_limit(spec, SEEDP, precision="double"),
+                degenerate_limit(spec, SEEDP, precision="extended")):
+        q, r, _ = out.evaluate(X, T)
+        assert np.all(np.isfinite(q))
+        assert r.tobytes() == (-np.conj(q)).tobytes()
 
 
 def _coalescing(lam_c, eps, n):
@@ -167,6 +182,7 @@ def test_reduced_path_matches_general_path(seed, lams):
     q, r, cond = n_fold(sset, seed).evaluate(X, T)
     qg, rg, condg = n_fold(general(sset), seed).evaluate(X, T)
     assert np.all(np.isfinite(qg))
+    assert general(sset).order == sset.order == len(lams)
     assert np.max(np.abs(q - qg)) <= 1e-12 * np.max(np.abs(qg))
     assert np.max(np.abs(r - rg)) <= 1e-12 * np.max(np.abs(rg))
     assert np.array_equal(cond, condg)
@@ -182,6 +198,7 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
             calls["components"] += 1
             return f(x, t)
         return g
+    assert len(sset.data) == 3          # a reduced set holds its representatives only
     for d in sset.data:
         d.phi, d.varphi = counted(d.phi), counted(d.varphi)
     real_det = dx.batched_det
@@ -197,7 +214,8 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     assert calls == {"components": 6, "stacks": 1}
     calls.update(components=0, stacks=0)
     n_fold(general(sset), SEEDP).Q(X, T)
-    assert calls["stacks"] == 2
+    # the partners wrap their representative's counted closures
+    assert calls == {"components": 12, "stacks": 2}
 
     # extended path: mp_components once per representative per node
     for d in sset.data:
@@ -256,7 +274,7 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     monkeypatch.setattr(dx, "plane_wave_eigenfunction",
                         _wrapped_eigenfunction(dx.plane_wave_eigenfunction))
     wrapped = build_reduced_set(lams, SEEDP)
-    assert wrapped.data[1].provenance.endswith("*")
+    assert [d.provenance[-1] for d in general(wrapped).data] == [")", "*"] * 2
     for a, b in ((plain, wrapped), (general(plain), general(wrapped))):
         assert np.array_equal(n_fold(a, SEEDP).Q(X, T), n_fold(b, SEEDP).Q(X, T))
     assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X[:5], T[:5]), plain_ext)
@@ -351,26 +369,25 @@ def test_benchmark_tracer_counts_exactly_over_sampling_blocks():
 
 
 def test_reduced_set_rejects_unpaired_eigenvalues():
+    # the representatives and their conjugates must be 2n distinct
+    # eigenvalues: an equal, a conjugate or a real representative fails
     d1 = kd.zero_seed_eigenfunction(1 + 2j)
     d2 = kd.zero_seed_eigenfunction(1 + 2.5j)
+    for data in ([d1, kd.zero_seed_eigenfunction(1 + 2j)],
+                 [d1, d2, d1.conjugate_partner()],
+                 [d2, kd.zero_seed_eigenfunction(0.8 + 0j)]):
+        with pytest.raises(ValueError):
+            SpectralSet(data, reduction=True)
+    SpectralSet([d1, d1.conjugate_partner()], reduction=False)
+    assert SpectralSet([d1, d2], reduction=True).order == 2
+    assert SpectralSet([d1, d2], reduction=False).order == 1
     with pytest.raises(ValueError):
-        SpectralSet([d1, d2], reduction=True)
-    with pytest.raises(ValueError):
-        SpectralSet([d1, d2.conjugate_partner(), d2, d1.conjugate_partner()], reduction=True)
-    SpectralSet([d1, d2], reduction=False)
-    SpectralSet([d1, d1.conjugate_partner(), d2, d2.conjugate_partner()], reduction=True)
+        SpectralSet([d1, d2, d1.conjugate_partner()], reduction=False)   # odd length
 
 
-def test_reduced_set_checks_partner_components():
-    rep = kd.zero_seed_eigenfunction(1 + 2j)
-    true = rep.conjugate_partner()
-    scaled = SpectralDatum(true.lam, lambda x, t: 3.0 * true.phi(x, t), true.varphi,
-                           "synthetic")
-    with pytest.raises(ValueError):
-        SpectralSet([rep, scaled], reduction=True)
-    SpectralSet([rep, scaled], reduction=False)
-    # every constructed set passes: both seeds, complex weights and the
-    # split-phase degenerate sets of the mapped figures
+def test_every_constructed_reduced_set_passes():
+    # both seeds, complex weights and the split-phase degenerate sets of the
+    # mapped figures
     build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j, 0.4 + 0.9j], SEED0)
     build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP,
                       weights_per_lambda=[(1.0, 2.0 - 1j), (0.3j, 1.5)])
@@ -439,15 +456,17 @@ def test_extended_path_refuses_data_without_mp_components():
     n_fold(synthetic, SEED0)
     with pytest.raises(ValueError):
         n_fold(synthetic, SEED0, precision="extended")
-    # a reduced set evaluates its representatives only
+    # a listed partner must carry its own; a reduced set derives it
     sset = build_reduced_set([0.7 + 0.3j], SEED0)
-    sset.data[1].mp_components = None
-    n_fold(sset, SEED0, precision="extended")
+    listed = general(sset)
+    n_fold(listed, SEED0, precision="extended")
+    listed.data[1].mp_components = None
     with pytest.raises(ValueError):
-        n_fold(general(sset), SEED0, precision="extended")
+        n_fold(listed, SEED0, precision="extended")
     sset.data[0].mp_components = None
-    with pytest.raises(ValueError):
-        n_fold(sset, SEED0, precision="extended")
+    for s in (sset, general(sset)):
+        with pytest.raises(ValueError):
+            n_fold(s, SEED0, precision="extended")
 
 
 def test_condition_estimate_grows_toward_degeneracy():

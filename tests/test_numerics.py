@@ -536,13 +536,14 @@ def test_dd_batched_det_bit_identical_to_batch_first_reference(m):
     lo[hi == 0] = 0
     hi[6, :, :, 0] = 0                              # a column of low words only
     mat = DDComplexArray(hi.real.copy(), lo.real.copy(), hi.imag.copy(), lo.imag.copy())
-    keep = mat.copy()
+    parts = ("re_hi", "re_lo", "im_hi", "im_lo")
+    keep = {part: getattr(mat, part).copy() for part in parts}
     d, r = dd_batched_det(mat)
     d_ref, r_ref = batch_first_dd_batched_det(mat)
     assert d.shape == r.shape == (12, 5)
-    for part in ("re_hi", "re_lo", "im_hi", "im_lo"):
+    for part in parts:
         assert getattr(d, part).tobytes() == getattr(d_ref, part).tobytes()
-        assert np.array_equal(getattr(mat, part), getattr(keep, part))
+        assert np.array_equal(getattr(mat, part), keep[part])
     assert r.tobytes() == r_ref.tobytes()
     assert np.isinf(r[2]).all() and np.isinf(r[5]).all() and np.isinf(r[6]).all()
     assert (r[3] > 1e12).all()
