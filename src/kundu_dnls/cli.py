@@ -317,9 +317,13 @@ def _load_config(ns: argparse.Namespace) -> dict:
             raise InvalidConfigError(f"config {ns.config} is not valid JSON: {exc}") from None
         if not isinstance(merged, dict):
             raise InvalidConfigError("config file must hold a JSON object")
-        # the JSON type of each field the CLI reads
-        for key, kind in dict(solution=str, figure=str, grid=str, precision=str,
-                              params=dict).items():
+        # the JSON type of each field the CLI reads; any other field is a typo
+        kinds = dict(solution=str, figure=str, grid=str, precision=str, params=dict)
+        unknown = sorted(set(merged) - set(kinds))
+        if unknown:
+            raise InvalidConfigError(f"unknown config field(s) {unknown}; "
+                                     f"choose from {sorted(kinds)}")
+        for key, kind in kinds.items():
             if key in merged and not isinstance(merged[key], kind):
                 want = "an object" if kind is dict else "a string"
                 raise InvalidConfigError(f"config field {key!r} must be {want}, "

@@ -186,28 +186,41 @@ def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
 # n-fold determinants
 # ---------------------------------------------------------------------------
 
+def _row_powers(spectral_set: SpectralSet, precision: str):
+    """The 2n x (2n+1) table lam_j^p, p = 0 .. 2n, for the eigenvalue of each
+    of the 2n rows, a reduced set's partners at lam*: a complex array in
+    double; extended, a `DDComplexArray` split from the powers taken in
+    mpmath at `MP_DPS`."""
+    lams = [lam for d in spectral_set.data for lam in
+            ((d.lam, np.conj(d.lam)) if spectral_set.reduction else (d.lam,))]
+    m = len(lams)
+    if precision == "double":
+        return np.array([[lam ** p for p in range(m + 1)] for lam in lams])
+    with mp.workdps(MP_DPS):
+        return DDComplexArray.from_mp([[mp.mpc(lam) ** p for p in range(m + 1)]
+                                       for lam in lams])
+
+
 def _component_table(spectral_set: SpectralSet, components: Callable):
-    """Eigenvalues and both components of every datum, (lams, phis, varphis).
+    """Both components of every row's datum, (phis, varphis).
 
     `components(datum)` returns the datum's (phi, varphi) over the point
-    shape.  On a reduced set each representative is followed by its
-    conjugate partner, whose components are the representative's,
-    conjugated and exchanged.
+    shape, as complex arrays or `DDComplexArray`s.  On a reduced set each
+    representative is followed by its conjugate partner, whose components
+    are the representative's, conjugated exactly and exchanged.
     """
-    lams, phis, vphs = [], [], []
+    phis, vphs = [], []
     for d in spectral_set.data:
         p, v = components(d)
-        lams.append(d.lam)
         phis.append(p)
         vphs.append(v)
         if spectral_set.reduction:
-            lams.append(np.conj(d.lam))
-            phis.append(np.conj(v))
-            vphs.append(np.conj(p))
-    return lams, phis, vphs
+            phis.append(v.conjugate())
+            vphs.append(p.conjugate())
+    return phis, vphs
 
 
-def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
+def _omega_matrix(powers, phis, vphs, swap: bool):
     """Stack of the paired 2n x (2n+1) determinant matrices over the point shape.
 
     Row j of the unshifted matrix alternates descending powers of lam_j,
@@ -216,26 +229,37 @@ def _omega_matrix(lams, phis, vphs, swap: bool) -> Array:
     matrix differs in its leading column only, lam^{2n} times the even-power
     component.  The pair is laid out as one stack for `_omega_dets`: the
     unshifted columns 1 .. 2n-1, then the unshifted column 0, then the
-    shifted column 0.  Complex components give a complex stack; object
-    arrays of mpmath values, with mpmath eigenvalues, give an mpmath stack.
-    The entries are stored matrix-first, so the returned (..., m, m+1) view
-    is already in the batch-last layout of elimination, and `batched_det`
-    eliminates it in place.
+    shifted column 0.  `powers` comes from `_row_powers`: complex powers and
+    components give a complex stack, double-double ones a `DDComplexArray`
+    stack.  The entries are stored matrix-first, so the returned
+    (..., m, m+1) view is already in the batch-last layout of elimination,
+    and `batched_det` or `dd_batched_det` eliminates it in place.
     """
-    m = len(lams)
-    powers = [*range(m - 2, -1, -1), m - 1, m]
-    shape = np.broadcast(phis[0], vphs[0]).shape
-    M = np.empty((m, m + 1) + shape, dtype=np.result_type(phis[0], vphs[0]))
+    m = len(phis)
+    order = [*range(m - 2, -1, -1), m - 1, m]
+    shape = np.broadcast_shapes(np.shape(phis[0]), np.shape(vphs[0]))
+    full = (m, m + 1) + shape
+    extended = isinstance(phis[0], DDComplexArray)
+    M = DDComplexArray.empty(full) if extended else np.empty(full, dtype=complex)
+    # lam_j^p in column order, broadcast over the point shape
+    row_powers = powers[(slice(None), order) + (None,) * len(shape)]
     for j in range(m):
         f, v = (vphs[j], phis[j]) if swap else (phis[j], vphs[j])
-        for col, power in enumerate(powers):
-            # scalar first: numpy's complex product is not commutative bit for
-            # bit; np.multiply stops `mpc * array` converting the whole array
-            M[j, col] = np.multiply(lams[j] ** power, v if power % 2 == 1 else f)
-    return np.moveaxis(M, (0, 1), (-2, -1))
+        for col, power in enumerate(order):
+            M[j, col] = v if power % 2 == 1 else f
+        # the powers first: numpy's complex product is not commutative bit for
+        # bit; a complex row is scaled in place, with no block-sized temporary
+        if extended:
+            M[j] = row_powers[j] * M[j]
+        else:
+            np.multiply(row_powers[j], M[j], out=M[j])
+
+    def batch_last(a):
+        return np.moveaxis(a, (0, 1), (-2, -1))
+    return M.map(batch_last) if extended else batch_last(M)
 
 
-def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable):
+def _omega_dets(spectral_set: SpectralSet, powers, phis, vphs, stack_det: Callable):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
 
     `stack_det(stack)` eliminates an (..., m, m+1) stack, which it may
@@ -250,7 +274,7 @@ def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable
     swapped * swapped_shift.
     """
     def dets(swap):
-        (unshifted, shifted), ratios = stack_det(_omega_matrix(lams, phis, vphs, swap))
+        (unshifted, shifted), ratios = stack_det(_omega_matrix(powers, phis, vphs, swap))
         # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
         return -unshifted, -shifted, ratios
 
@@ -261,33 +285,24 @@ def _omega_dets(spectral_set: SpectralSet, lams, phis, vphs, stack_det: Callable
     return main, swapped, main_shift, swapped_shift, ratios
 
 
-def _omega_dets_double(spectral_set: SpectralSet, x, t):
+def _omega_dets_double(spectral_set: SpectralSet, powers, x, t):
     def components(d):
         return (np.asarray(d.phi(x, t), dtype=complex),
                 np.asarray(d.varphi(x, t), dtype=complex))
 
-    lams, phis, vphs = _component_table(spectral_set, components)
-    return _omega_dets(spectral_set, lams, phis, vphs, batched_det)
+    phis, vphs = _component_table(spectral_set, components)
+    return _omega_dets(spectral_set, powers, phis, vphs, batched_det)
 
 
-def _omega_dets_extended(spectral_set: SpectralSet, x, t):
-    shape = np.broadcast(x, t).shape
-    xs = np.broadcast_to(np.asarray(x, dtype=float), shape).ravel().tolist()
-    ts = np.broadcast_to(np.asarray(t, dtype=float), shape).ravel().tolist()
-
-    def components(d):
-        pv = np.empty((len(xs), 2), dtype=object)
-        pv[:] = [d.mp_components(xi, ti) for xi, ti in zip(xs, ts)]
-        return pv[:, 0].reshape(shape), pv[:, 1].reshape(shape)
-
+def _omega_dets_extended(spectral_set: SpectralSet, powers, x, t):
     def stack_det(M):
-        d, r = dd_batched_det(DDComplexArray.from_mp(M))
+        d, r = dd_batched_det(M)
         return d.to_complex(), r
 
-    with mp.workdps(MP_DPS):
-        lams, phis, vphs = _component_table(spectral_set, components)
-        lams = [mp.mpc(lam) for lam in lams]
-        return _omega_dets(spectral_set, lams, phis, vphs, stack_det)
+    phis, vphs = _component_table(spectral_set, lambda d: d.mp_components(x, t))
+    # an overflowing component gives non-finite determinants, which are masked
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _omega_dets(spectral_set, powers, phis, vphs, stack_det)
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
@@ -301,9 +316,10 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> 
     if precision == "extended" and any(d.mp_components is None for d in spectral_set.data):
         raise ValueError("extended precision needs mp_components on every datum")
     dets = _omega_dets_extended if precision == "extended" else _omega_dets_double
+    powers = _row_powers(spectral_set, precision)
 
     def evaluate(x, t):
-        main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, x, t)
+        main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, powers, x, t)
         Q, eim, ra = _seed_terms(seed, x, t)
         keep = ratios <= DEFAULT_CONDITION_BOUND
         with np.errstate(all="ignore"):

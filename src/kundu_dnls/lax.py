@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -23,11 +24,14 @@ import numpy as np
 
 from .errors import (DegeneratePairError, GridTooSmallError, ZeroAmplitudeError,
                      ZeroCouplingError, ZeroEigenvalueError)
+from .numerics.doubledouble import DDComplexArray, dd_exp_terms
 from .numerics.grid import Grid2D
 
 Array = np.ndarray
 
-MP_DPS = 40       # digits of the eigenfunction constants and the extended path
+# digits of the eigenfunction constants, which the extended path splits
+# into double-double (hi, lo) pairs, and of the eigenvalue powers of its rows
+MP_DPS = 40
 
 
 @dataclass(frozen=True)
@@ -122,8 +126,9 @@ class SpectralDatum:
 
     `phi` and `varphi` are vectorized callables (x, t) -> complex (the
     constructors below give `ExpSum`s).  `mp_components`, when present,
-    evaluates both components in mpmath for the extended-precision
-    determinant path.
+    serves the extended-precision determinant path: (x, t) -> (phi, varphi)
+    as two `DDComplexArray`s over the broadcast shape of x and t, a whole
+    block in one call, from constants computed in mpmath at `MP_DPS`.
     """
 
     lam: complex
@@ -141,7 +146,7 @@ class SpectralDatum:
 
             def mp_comp(x, t):
                 p, v = base(x, t)
-                return mp.conj(v), mp.conj(p)
+                return v.conjugate(), p.conjugate()
 
         return SpectralDatum(
             lam=np.conj(self.lam),
@@ -160,16 +165,17 @@ class ExpSum:
     """One eigenfunction component, sum_k c_k exp(kx_k x + kt_k t).
 
     The constants are mpmath values, computed once at `MP_DPS` digits.
-    Calling the sum evaluates it in double, vectorized over any array
-    shape; `mp(x, t)` evaluates it in mpmath at one point, at the working
-    precision of the caller.
+    Calling the sum evaluates it in double, vectorized over any array shape;
+    `dd_each` evaluates sums in double-double from the constants' hi/lo
+    split, made once, on first use.
 
     In double, each term is exp(Re kx x + Re kt t) times the phase
     c exp(i Im kx x) exp(i Im kt t): on the broadcast axes of `sample` the
     two phase factors cost one complex exp per row and per column instead
     of one per node.  The real exponent stays one sum over the block, so it
     over- and underflows where the whole exponent does, and a term whose x
-    and t parts are each huge but cancel stays finite.
+    and t parts are each huge but cancel stays finite.  The double-double
+    evaluation (`dd_exp_terms`) splits each term the same way.
     """
 
     def __init__(self, terms):
@@ -184,14 +190,30 @@ class ExpSum:
         return sum(np.exp(rx * x + rt * t) * (c * np.exp(ix * x) * np.exp(it * t))
                    for c, rx, rt, ix, it in self._double)
 
-    def mp(self, x, t):
-        x, t = mp.mpf(x), mp.mpf(t)
-        return sum(c * mp.exp(kx * x + kt * t) for c, kx, kt in self.terms)
+    @cached_property
+    def _dd(self) -> DDComplexArray:
+        """The (K, 3) constants (c, kx, kt) as double-double, split on first use."""
+        return DDComplexArray.from_mp(np.array(self.terms, dtype=object))
+
+    @staticmethod
+    def dd_each(sums, x, t) -> list:
+        """Each of several sums in double-double over the broadcast shape of
+        x and t, with every term of every sum in one `dd_exp_terms` call."""
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        consts = DDComplexArray(*map(np.concatenate, zip(*(s._dd.parts for s in sums))))
+        lead = (None,) * max(x.ndim, t.ndim)
+        terms = dd_exp_terms(*(consts[(slice(None), j, *lead)] for j in range(3)), x, t)
+        out, i = [], 0
+        for s in sums:
+            k = len(s.terms)
+            out.append(sum((terms[j] for j in range(i + 1, i + k)), terms[i]))
+            i += k
+        return out
 
 
 def _datum(lam: complex, phi: ExpSum, varphi: ExpSum, provenance: str) -> SpectralDatum:
     return SpectralDatum(lam=lam, phi=phi, varphi=varphi, provenance=provenance,
-                         mp_components=lambda x, t: (phi.mp(x, t), varphi.mp(x, t)))
+                         mp_components=lambda x, t: tuple(ExpSum.dd_each((phi, varphi), x, t)))
 
 
 def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:

@@ -135,9 +135,10 @@ def test_bad_parameter_values_exit_2(tmp_path, argv):
     {"solution": "rogue1", "precision": None},
     {"solution": "soliton1", "params": {"m1": True}},
     {"solution": "engine-degenerate", "params": {"n": 10 ** 400}},   # no float holds it
+    {"solution": "soliton1", "param": {"m1": 5}},                   # misspelt field
 ], ids=["list-valued", "fractional-order", "params-string", "params-number", "params-list",
         "grid-number", "solution-list", "figure-list", "figure-empty", "precision-null",
-        "boolean-value", "integer-overflows-float"])
+        "boolean-value", "integer-overflows-float", "unknown-field"])
 def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(job))
@@ -277,18 +278,23 @@ def _config_field(valid):
        grid=_config_field(["-1:1:5,-1:1:4", "-1:1:1,-1:1:4"]),
        precision=_config_field(["double", "extended", "auto"]),
        params=_config_field([{}, {"m1": 0.5}, {"S1": 1.0, "eps": 1e-2}, {"n": 2}]),
-       absent=st.sets(st.sampled_from(["solution", "figure", "grid", "precision", "params"])))
+       absent=st.sets(st.sampled_from(["solution", "figure", "grid", "precision", "params"])),
+       unknown=st.dictionaries(st.sampled_from(["param", "Solution", "grids", ""]), _JSON,
+                               max_size=1))
 def test_config_fuzz_fails_loudly_and_reproducibly(solution, figure, grid, precision, params,
-                                                   absent):
+                                                   absent, unknown):
     doc = {key: value for key, value in dict(solution=solution, figure=figure, grid=grid,
                                              precision=precision, params=params).items()
            if key not in absent}
     if isinstance(doc.get("figure"), str) and doc["figure"] in FIGURE_MAP:
         doc["grid"] = "-1:1:5,-1:1:4"     # a figure's own grid is figure-sized
+    doc.update(unknown)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "job.json"
         cfg.write_text(json.dumps(doc))
-        _generate_twice(["--config", str(cfg)], "csv")
+        rc, _, _ = _generate_twice(["--config", str(cfg)], "csv")
+    # a field the schema does not name is a typo, never silently ignored
+    assert rc == 2 or not unknown
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -417,6 +423,20 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
     assert meta["masked_nodes"] == 6
     assert out.read_text().count('"nan"') == 5 * 2   # intensity and re of each NaN node
     assert meta["overflow_nodes"] == 0
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_eigenfunction_constants_beyond_double_are_masked_nodes(tmp_path, precision):
+    # a = -1e300 puts eigenfunction constants beyond double's range: every
+    # node is masked in either precision, and no RuntimeWarning (an error
+    # under pyproject's filterwarnings, so exit 1) escapes the split
+    out = tmp_path / "x.csv"
+    rc = run(["generate", "--solution", "engine-degenerate", "--param", "a=-1e300",
+              "--param", "theta_q=0", "--precision", precision, "--grid", "0:30:6,38:56:7",
+              "--output", str(out), "--quiet"])
+    assert rc == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["masked_nodes"] == 42 and meta["precision_used"] == precision
 
 
 def test_sidecar_counts_overflowing_intensity(tmp_path, monkeypatch):

@@ -10,7 +10,9 @@ from kundu_dnls.darboux import (DegenerationSpec, SpectralSet, build_reduced_set
                                 degenerate_limit, n_fold, one_fold)
 from kundu_dnls.errors import (ConditionBlowupError, DenominatorVanishesError,
                                SingularOmegaError)
-from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
+from kundu_dnls.lax import PhasePolynomial, SpectralDatum, make_plane_wave_seed, zero_seed
+
+import mp_reference
 
 
 SEED0 = zero_seed()
@@ -190,6 +192,7 @@ def test_reduced_path_matches_general_path(seed, lams):
 
 def test_reduced_path_evaluates_representatives_once(monkeypatch):
     import kundu_dnls.darboux as dx
+    from kundu_dnls.numerics import grid as grid_mod
     sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j, 0.8 + 0.6j], SEEDP)
     calls = {"components": 0, "stacks": 0}
 
@@ -217,7 +220,7 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     # the partners wrap their representative's counted closures
     assert calls == {"components": 12, "stacks": 2}
 
-    # extended path: mp_components once per representative per node
+    # extended path: mp_components once per representative per block
     for d in sset.data:
         d.mp_components = counted(d.mp_components)
     real_dd = dx.dd_batched_det
@@ -227,8 +230,13 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
         return real_dd(mat)
     monkeypatch.setattr(dx, "dd_batched_det", counted_dd)
     calls.update(components=0, stacks=0)
-    n_fold(sset, SEEDP, precision="extended").Q(X[:5], T[:5])
-    assert calls == {"components": 3 * 5, "stacks": 1}
+    ext = n_fold(sset, SEEDP, precision="extended")
+    ext.Q(X[:5], T[:5])
+    assert calls == {"components": 3, "stacks": 1}
+    calls.update(components=0, stacks=0)
+    monkeypatch.setattr(grid_mod, "_BLOCK_NODES", 6)
+    kd.sample(ext.Q, kd.Grid2D(-1, 1, -1, 1, 3, 5))     # three blocks of one row
+    assert calls == {"components": 3 * 3, "stacks": 3}
 
 
 def test_engine_eliminates_each_stack_in_place(monkeypatch):
@@ -314,7 +322,8 @@ def test_benchmark_tracer_records_both_precisions():
             "numerics.doubledouble.dd_batched_det"} <= names
     metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
     assert metrics["darboux.extended_nodes"] == X.size
-    assert metrics["lax.mp_component_calls"] == 2 * X.size   # the n = 1 pair and its mirror
+    # one call per block for the n = 1 representative and one for its mirror's
+    assert metrics["lax.mp_component_calls"] == 2
 
 
 def test_benchmark_tracer_times_the_catalog_determinant():
@@ -437,6 +446,52 @@ def test_n_fold_rejects_unsupported_order():
     sset = build_reduced_set(lams, SEED0)
     with pytest.raises(ValueError):
         n_fold(sset, SEED0)
+
+
+@pytest.mark.parametrize("phases", [PhasePolynomial(), PhasePolynomial(S1=50.0, S2=2e3)],
+                         ids=["unsplit", "split"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extended_path_matches_a_per_node_mpmath_reference(n, phases):
+    # the vectorized double-double path against 40-digit mpmath determinants,
+    # node by node, over the coalescence radii where double breaks down
+    import kundu_dnls.darboux as dx
+    xs, ts = np.linspace(-2, 2, 3), np.linspace(-1.5, 1.5, 3)
+    offsets = dx._default_offsets(n)
+    for eps in (1e-5, 1e-4, 1e-3):
+        spec = DegenerationSpec(1 + 1j, eps, n, phases)
+        sets = [dx._degenerate_set(spec, SEEDP, offsets)]
+        if n == 1:
+            sets.append(dx._degenerate_set(spec, SEEDP, [-o for o in offsets]))
+        want = mp_reference.degenerate_q(sets, SEEDP, xs, ts)
+        got = degenerate_limit(spec, SEEDP, precision="extended").Q(xs[:, None], ts[None, :])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_extended_path_masks_overflowing_components():
+    # phi overflows double's range at x = 1e4 (its exponent is about 1050
+    # there); pyproject turns RuntimeWarnings into errors
+    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
+    q = n_fold(sset, SEED0, precision="extended").Q(np.array([0.3, 1e4]), np.zeros(2))
+    assert np.isfinite(q[0]) and np.isnan(q[1])
+
+
+def test_extended_path_mpmath_work_does_not_grow_with_the_block(monkeypatch):
+    # the engine's mpmath work is its constants (the exponential sums' and
+    # the eigenvalue powers'), split by `from_mp`: none of it is per node
+    from kundu_dnls.numerics.doubledouble import DDComplexArray
+    from_mp, values = DDComplexArray.__dict__["from_mp"].__func__, []
+
+    def counted(cls, vals):
+        values.append(np.size(vals))
+        return from_mp(cls, vals)
+    monkeypatch.setattr(DDComplexArray, "from_mp", classmethod(counted))
+    per_block = []
+    for shape in ((2, 2), (40, 30)):
+        values.clear()
+        spec = DegenerationSpec(1 + 1j, 1e-4, 3)
+        kd.sample(degenerate_limit(spec, SEEDP).Q, kd.Grid2D(-1, 1, -1, 1, *shape))
+        per_block.append(sum(values))
+    assert per_block[0] == per_block[1] > 0
 
 
 def test_extended_precision_path_agrees_with_double():

@@ -13,6 +13,8 @@ from kundu_dnls.lax import (ExpSum, branch_quantity, check_lax_residual,
                             make_plane_wave_seed, plane_wave_eigenfunction,
                             zero_seed, zero_seed_eigenfunction)
 
+import mp_reference
+
 
 # ---------------------------------------------------------------------------
 # seeds and the frequency constraint
@@ -97,10 +99,15 @@ def test_zero_seed_rejects_zero_eigenvalue():
 
 
 def test_zero_seed_mp_components_match_double():
+    # the extended components of a block: double-double arrays of its shape
     d = zero_seed_eigenfunction(0.9 + 1.1j)
-    p, v = d.mp_components(0.37, -0.81)
-    assert complex(p) == pytest.approx(complex(d.phi(0.37, -0.81)), rel=1e-14)
-    assert complex(v) == pytest.approx(complex(d.varphi(0.37, -0.81)), rel=1e-14)
+    x, t = np.array([[0.37], [1.2]]), np.array([[-0.81, 0.5, 2.0]])
+    p, v = d.mp_components(x, t)
+    assert p.shape == v.shape == (2, 3)
+    assert np.allclose(p.to_complex(), d.phi(x, t), rtol=1e-14, atol=0)
+    assert np.allclose(v.to_complex(), d.varphi(x, t), rtol=1e-14, atol=0)
+    p, _ = d.mp_components(0.37, -0.81)                 # a point is a 0-d block
+    assert complex(p.to_complex()) == pytest.approx(complex(d.phi(0.37, -0.81)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,11 @@ _LAM_NEAR = (1 + 1j) * (1 + 2e-3)               # coalescing, as the rogue limit
 _S_NEAR = complex(branch_quantity(_LAM_NEAR, _PW))
 
 
+def in_dd(s, x, t):
+    """One exponential sum in double-double."""
+    return ExpSum.dd_each((s,), x, t)[0]
+
+
 @pytest.mark.parametrize("make", [
     lambda: zero_seed_eigenfunction(0.9 + 1.1j),
     lambda: zero_seed_eigenfunction(0.7 - 0.4j, time_sign=1),
@@ -236,28 +248,64 @@ def test_exponential_sums_agree_in_double_and_mpmath(make):
     pts = np.random.default_rng(4).uniform(-3, 3, (20, 2))
     with mp.workdps(40):
         for comp in (d.phi, d.varphi):
-            values = comp(pts[:, 0], pts[:, 1])
-            for (x, t), v in zip(pts, values):
-                ref = comp.mp(x, t)
+            values, dd = comp(pts[:, 0], pts[:, 1]), in_dd(comp, pts[:, 0], pts[:, 1])
+            for i, ((x, t), v) in enumerate(zip(pts, values)):
+                ref = mp_reference.exp_sum(comp, x, t)
                 assert abs(v - complex(ref)) <= 1e-14 * abs(complex(ref))
-        x, t = pts[0]
-        assert d.mp_components(x, t) == (d.phi.mp(x, t), d.varphi.mp(x, t))
+                assert abs(mp_reference.dd_value(dd, i) - ref) <= 1e-28 * abs(ref)
+    # a datum's extended components are its two sums in double-double, bit for bit
+    x, t = pts[:4, :1], pts[None, :3, 1]
+    for got, comp in zip(d.mp_components(x, t), (d.phi, d.varphi)):
+        want = in_dd(comp, x, t)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.parts, want.parts))
 
 
 def test_exponential_sum_with_cancelling_huge_exponents_stays_finite():
     # Re(kx x) and Re(kt t) each lie far beyond exp's range (about 709) but
-    # cancel near x = t: the real exponent must be exponentiated whole
+    # cancel near x = t: the real exponent must be exponentiated whole, in
+    # double and in double-double
     with mp.workdps(40):
         s = ExpSum([(mp.mpc(0.5, 0.25), mp.mpc(2, 3.1), mp.mpc(-2, 0.7)),
                     (mp.mpc(-1, 2), mp.mpc(-1.5, -0.4), mp.mpc(1.5, 2.2))])
     x = np.linspace(400.0, 410.0, 11)
     values = s(x[:, None], x[None, :])              # sample's broadcast axes
-    assert np.all(np.isfinite(values))
+    dd = in_dd(s, x[:, None], x[None, :])
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(dd.to_complex()))
     with mp.workdps(40):
         for i, xi in enumerate(x):
             for j, tj in enumerate(x):
-                ref = complex(s.mp(xi, tj))
-                assert abs(values[i, j] - ref) <= 1e-12 * abs(ref)
+                ref = mp_reference.exp_sum(s, xi, tj)
+                assert abs(values[i, j] - complex(ref)) <= 1e-12 * abs(ref)
+                assert abs(mp_reference.dd_value(dd, (i, j)) - ref) <= 1e-28 * abs(ref)
+
+
+@pytest.mark.parametrize("re_x, im_x", [(3.3, 20.0), (-1.2, 30.0), (0.7, -1e3), (0.0, 1e3)])
+def test_exponential_sum_in_double_double_matches_mpmath(re_x, im_x):
+    # exponents with |Re| up to 660 and |Im| up to 1e4 over x, t in [-10, 10]:
+    # below about exp(-680) the low word would be subnormal
+    with mp.workdps(40):
+        s = ExpSum([(mp.mpc(0.3, -1.1), mp.mpc(re_x, im_x) / 3, mp.mpc(-re_x, 0.5) * 20),
+                    (mp.mpf(2) / 3, mp.mpc(-0.25, im_x), mp.mpc(0, -im_x) / 7)])
+    x = np.linspace(-10.0, 10.0, 7)[:, None]
+    t = np.array([[-10.0, -3.3, 0.0, 9.9]])
+    dd = in_dd(s, x, t)
+    assert dd.shape == (7, 4)
+    with mp.workdps(40):
+        for i in range(7):
+            for j in range(4):
+                ref = mp_reference.exp_sum(s, x[i, 0], t[0, j])
+                assert abs(mp_reference.dd_value(dd, (i, j)) - ref) <= 1e-28 * abs(ref)
+
+
+def test_exponential_sum_in_double_double_overflows_without_warning():
+    # pyproject turns RuntimeWarnings into errors: beyond exp's range a term
+    # is inf (or NaN once multiplied), and below it exactly 0
+    with mp.workdps(40):
+        s = ExpSum([(1, mp.mpc(1, 0.3), mp.mpc(0, 1))])
+    dd = in_dd(s, np.array([-800.0, 0.0, 800.0]), 0.0)
+    values = dd.to_complex()
+    assert values[0] == 0 and np.isfinite(values[1]) and not np.isfinite(values[2])
+    assert all(part[0] == 0 for part in dd.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Grid, stencil, determinant, and extended-precision unit tests."""
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunct
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, dd_batched_det, det, sample)
 from kundu_dnls.numerics.determinant import overwriting_batched_det
+from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,9 @@ def test_sample_expands_one_axis_results_in_every_block():
             sample(f, g)
 
 
+_MULTI = ((150, 241), 3)      # the multi-block grid shape and its block count
+
+
 def _catalog_fields():
     for make, args, forms, window in [
             (catalog.one_soliton, (1.0, 2.0), ("exact", "as_published"), (-3, 3, -1, 1)),
@@ -350,18 +355,18 @@ def _catalog_fields():
             (catalog.rogue1, (), ("exact", "as_published"), (-4, 4, -4, 4)),
             (catalog.rogue2, (), ("exact", "as_published"), (-4, 4, -4, 4))]:
         for form in forms:
-            yield pytest.param(make(*args, form=form).eval, window, (41, 37), True,
+            yield pytest.param(make(*args, form=form).eval, window, (41, 37), _MULTI,
                                id=f"{make.__name__}-{form}")
 
 
 def _engine_fields():
     seed0, seed = zero_seed(), make_plane_wave_seed(-2.0, 1.0, 1.0)
     yield pytest.param(one_fold(build_reduced_set([1 + 2j], seed0), seed0).Q, (-3, 3, -1, 1),
-                       (21, 17), True, id="one_fold")
-    yield pytest.param(_fig9(), (-40, 40, -40, 40), (23, 19), True, id="n_fold-fig9")
-    # the extended path costs about a millisecond a node: single block only
+                       (21, 17), _MULTI, id="one_fold")
+    yield pytest.param(_fig9(), (-40, 40, -40, 40), (23, 19), _MULTI, id="n_fold-fig9")
+    # the extended path costs about 50 us a node: the smallest two-block grid
     extended = degenerate_limit(DegenerationSpec(1 + 1j, 5e-4, 2), seed, precision="extended")
-    yield pytest.param(extended.Q, (-2, 2, -1.5, 1.5), (5, 5), False,
+    yield pytest.param(extended.Q, (-2, 2, -1.5, 1.5), (5, 5), ((2, 8192), 2),
                        id="degenerate_limit-extended")
 
 
@@ -378,12 +383,11 @@ def test_sample_gives_the_bits_of_the_materialized_mesh(f, window, shape, multi_
     with np.errstate(all="ignore"):
         want = np.asarray(f(*g.mesh()), dtype=complex)
     assert sample(f, g).values.tobytes() == want.tobytes()
-    if not multi_block:
-        return
     # ... and a larger grid those of f on the mesh of each block
-    g = Grid2D(*window, 150, 241)
+    shape, blocks = multi_block
+    g = Grid2D(*window, *shape)
     X, T = g.mesh()
-    assert len(_blocks(g)) == 3
+    assert len(_blocks(g)) == blocks
     with np.errstate(all="ignore"):
         want = np.concatenate([np.asarray(f(X[i:j], T[i:j]), dtype=complex)
                                for i, j in _blocks(g)])
@@ -413,6 +417,22 @@ def test_sampling_the_positon_holds_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2 ** 20
+
+
+def test_sampling_the_extended_path_holds_bounded_memory():
+    # every temporary of the double-double path is per block (peak about
+    # 44 MiB on a 201^2 grid in blocks of 81 rows)
+    f = degenerate_limit(DegenerationSpec(1 + 1j, 1e-4, 3), make_plane_wave_seed(-2.0, 1.0, 1.0),
+                         precision="extended").Q
+    g = Grid2D(-2, 2, -2, 2, 201, 201)
+    tracemalloc.start()
+    try:
+        fld = sample(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fld.invalid.any()
+    assert peak <= 72 * 2 ** 20
 
 
 def test_field_shape_validation():
@@ -466,6 +486,55 @@ def test_dd_from_mp_preserves_extra_digits():
         dd = DDComplexArray.from_mp(np.array([[val]], dtype=object))
         err = abs(mp.mpf(dd.re_hi[0, 0]) + mp.mpf(dd.re_lo[0, 0]) - mp.mpf(1) / 3)
     assert err < mp.mpf(10) ** -30
+
+
+def _dd_split(values):
+    """Double-double (hi, lo) arrays of mpmath reals, and the values they hold exactly."""
+    hi = np.array([float(v) for v in values])
+    lo = np.array([float(v - mp.mpf(h)) for v, h in zip(values, hi)])
+    return hi, lo, [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(hi, lo)]
+
+
+def _dd_error(pair, refs, scale=None):
+    """Worst error of double-double results against mpmath values, relative
+    to each value or to `scale`."""
+    return max(abs(mp.mpf(h) + mp.mpf(lo) - r) / (scale or abs(r))
+               for h, lo, r in zip(*pair, refs))
+
+
+def test_dd_exp_matches_mpmath():
+    rng = np.random.default_rng(8)
+    with mp.workdps(40):
+        # below about exp(-680) the low word would be subnormal
+        values = [mp.mpf(v) * (1 + mp.mpf(2) ** -70 * rng.standard_normal())
+                  for v in [*rng.uniform(-670, 700, 200), *rng.uniform(-1, 1, 50), 0.0,
+                            -0.5 * math.log(2), 0.5 * math.log(2), 700.0, -670.0]]
+        hi, lo, exact = _dd_split(values)
+        assert _dd_error(dd_exp(hi, lo), [mp.exp(v) for v in exact]) <= 1e-28
+
+
+def test_dd_cos_sin_match_mpmath():
+    rng = np.random.default_rng(9)
+    with mp.workdps(40):
+        values = [mp.mpf(v) * (1 + mp.mpf(2) ** -70 * rng.standard_normal())
+                  for v in [*rng.uniform(-1e4, 1e4, 200), *rng.uniform(-1, 1, 50)]]
+        # multiples of pi/2, where one of the two vanishes and the quadrant turns
+        values += [k * mp.pi / 2 for k in (*range(-9, 10), 6366, -6367)]
+        hi, lo, exact = _dd_split(values)
+        cos, sin = dd_cos_sin(hi, lo)
+        # |cos|, |sin| <= 1: errors are taken relative to the unit circle
+        assert _dd_error(cos, [mp.cos(v) for v in exact], scale=1) <= 1e-28
+        assert _dd_error(sin, [mp.sin(v) for v in exact], scale=1) <= 1e-28
+
+
+def test_dd_exp_underflows_to_zero_and_overflows_without_warning():
+    # pyproject turns RuntimeWarnings into errors
+    hi = np.array([-800.0, -1e5, 710.0, 1e5, np.nan])
+    eh, el = dd_exp(hi, np.zeros_like(hi))
+    assert np.all(eh[:2] == 0) and np.all(el[:2] == 0)
+    assert np.all(np.isposinf(eh[2:4])) and np.isnan(eh[4])
+    (ch, _), (sh, _) = dd_cos_sin(np.array([np.inf, np.nan]), np.zeros(2))
+    assert np.all(np.isnan(ch)) and np.all(np.isnan(sh))
 
 
 def batch_first_dd_batched_det(mat):
@@ -547,3 +616,10 @@ def test_dd_batched_det_bit_identical_to_batch_first_reference(m):
     assert r.tobytes() == r_ref.tobytes()
     assert np.isinf(r[2]).all() and np.isinf(r[5]).all() and np.isinf(r[6]).all()
     assert (r[3] > 1e12).all()
+    # matrix-first, as the engine stores its stacks: eliminated in place
+    first = mat.map(lambda part: np.ascontiguousarray(np.moveaxis(part, (-2, -1), (0, 1))))
+    d, r = dd_batched_det(first.map(lambda part: np.moveaxis(part, (0, 1), (-2, -1))))
+    for part in parts:
+        assert getattr(d, part).tobytes() == getattr(d_ref, part).tobytes()
+    assert r.tobytes() == r_ref.tobytes()
+    assert not np.array_equal(first.re_hi, np.moveaxis(keep["re_hi"], (-2, -1), (0, 1)))
