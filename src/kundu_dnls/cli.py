@@ -97,6 +97,13 @@ def resolve_params(solution: str, raw: dict) -> dict:
             and params["S0"] == params["S1"] == params["S2"] == 0.0):
         raise InvalidConfigError("rogue2 without a split phase (S0 = S1 = S2 = 0) is the "
                                  "closed form, into which eps does not enter")
+    # likewise the plane wave's a and c, and the split phase, on the zero seed
+    if solution in ("engine-nfold", "engine-degenerate") and params["seed"] == "zero":
+        ignored = sorted(set(raw) & {"a", "c", "S0", "S1", "S2"})
+        if ignored:
+            raise InvalidConfigError(f"{solution} on the zero seed ignores {ignored}: the "
+                                     "plane wave's a and c and the split phase S0, S1, S2 "
+                                     "enter only with seed=planewave")
     return params
 
 

@@ -22,9 +22,8 @@ from .errors import (ConditionBlowupError, DegeneratePairError,
                      DenominatorVanishesError, SingularOmegaError)
 from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
-# the engine builds every stack afresh and never reads it again, so its
-# `batched_det` eliminates in place (instrumentation wraps this name)
-from .numerics.determinant import overwriting_batched_det as batched_det
+# called by these module names in the engine, which instrumentation wraps
+from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
 
 Array = np.ndarray
@@ -201,25 +200,6 @@ def _row_powers(spectral_set: SpectralSet, precision: str):
                                        for lam in lams])
 
 
-def _component_table(spectral_set: SpectralSet, components: Callable):
-    """Both components of every row's datum, (phis, varphis).
-
-    `components(datum)` returns the datum's (phi, varphi) over the point
-    shape, as complex arrays or `DDComplexArray`s.  On a reduced set each
-    representative is followed by its conjugate partner, whose components
-    are the representative's, conjugated exactly and exchanged.
-    """
-    phis, vphs = [], []
-    for d in spectral_set.data:
-        p, v = components(d)
-        phis.append(p)
-        vphs.append(v)
-        if spectral_set.reduction:
-            phis.append(v.conjugate())
-            vphs.append(p.conjugate())
-    return phis, vphs
-
-
 def _omega_matrix(powers, phis, vphs, swap: bool):
     """Stack of the paired 2n x (2n+1) determinant matrices over the point shape.
 
@@ -239,7 +219,7 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
     order = [*range(m - 2, -1, -1), m - 1, m]
     shape = np.broadcast_shapes(np.shape(phis[0]), np.shape(vphs[0]))
     full = (m, m + 1) + shape
-    extended = isinstance(phis[0], DDComplexArray)
+    extended = isinstance(powers, DDComplexArray)
     M = DDComplexArray.empty(full) if extended else np.empty(full, dtype=complex)
     # lam_j^p in column order, broadcast over the point shape
     row_powers = powers[(slice(None), order) + (None,) * len(shape)]
@@ -259,50 +239,58 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
     return M.map(batch_last) if extended else batch_last(M)
 
 
-def _omega_dets(spectral_set: SpectralSet, powers, phis, vphs, stack_det: Callable):
-    """(main, swapped, main_shift, swapped_shift, pivot ratio of main).
+def _omega_dets(spectral_set: SpectralSet, powers, x, t):
+    """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
 
-    `stack_det(stack)` eliminates an (..., m, m+1) stack, which it may
-    overwrite, and returns ((unshifted, shifted), pivot ratios): the
-    unshifted and shifted matrices share all columns but the leading one, so
-    one elimination over the shared columns gives both determinants (see
-    `_omega_matrix` for the column order).  On a reduced set the swapped
-    matrix is the conjugate of the main one with each representative's row
-    exchanged with its partner's, so swapped = (-1)^n conj(main), and
-    likewise for the shifted pair: one elimination instead of two.  The sign
-    is left out, because the transformation only uses swapped^2 and
-    swapped * swapped_shift.
+    The type of `powers`, from `_row_powers`, is the precision: complex
+    powers take each datum's `phi` and `varphi` in double and eliminate with
+    `batched_det`; a `DDComplexArray` takes its `mp_components` and
+    eliminates with `dd_batched_det`.  On a reduced set each representative
+    is followed by its conjugate partner, whose components are the
+    representative's, conjugated exactly and exchanged.
+
+    The unshifted and shifted matrices share all columns but the leading
+    one, so one elimination over the shared columns gives both determinants
+    (see `_omega_matrix` for the column order).  On a reduced set the
+    swapped matrix is the conjugate of the main one with each
+    representative's row exchanged with its partner's, so swapped =
+    (-1)^n conj(main), and likewise for the shifted pair: one elimination
+    instead of two.  The sign is left out, because the transformation only
+    uses swapped^2 and swapped * swapped_shift.
     """
-    def dets(swap):
-        (unshifted, shifted), ratios = stack_det(_omega_matrix(powers, phis, vphs, swap))
-        # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
-        return -unshifted, -shifted, ratios
+    extended = isinstance(powers, DDComplexArray)
+    # an overflowing extended component gives non-finite determinants, which
+    # are masked; in double numpy's settings stand (None leaves them as they are)
+    quiet = "ignore" if extended else None
+    with np.errstate(over=quiet, invalid=quiet):
+        phis, vphs = [], []
+        for d in spectral_set.data:
+            if extended:
+                p, v = d.mp_components(x, t)
+            else:
+                p = np.asarray(d.phi(x, t), dtype=complex)
+                v = np.asarray(d.varphi(x, t), dtype=complex)
+            phis.append(p)
+            vphs.append(v)
+            if spectral_set.reduction:
+                phis.append(v.conjugate())
+                vphs.append(p.conjugate())
 
-    main, main_shift, ratios = dets(False)
-    if spectral_set.reduction:
-        return main, np.conj(main), main_shift, np.conj(main_shift), ratios
-    swapped, swapped_shift, _ = dets(True)
-    return main, swapped, main_shift, swapped_shift, ratios
+        def dets(swap):
+            M = _omega_matrix(powers, phis, vphs, swap)
+            if extended:
+                pair, ratios = dd_batched_det(M)
+                pair = pair.to_complex()
+            else:
+                pair, ratios = batched_det(M)
+            # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
+            return -pair[0], -pair[1], ratios
 
-
-def _omega_dets_double(spectral_set: SpectralSet, powers, x, t):
-    def components(d):
-        return (np.asarray(d.phi(x, t), dtype=complex),
-                np.asarray(d.varphi(x, t), dtype=complex))
-
-    phis, vphs = _component_table(spectral_set, components)
-    return _omega_dets(spectral_set, powers, phis, vphs, batched_det)
-
-
-def _omega_dets_extended(spectral_set: SpectralSet, powers, x, t):
-    def stack_det(M):
-        d, r = dd_batched_det(M)
-        return d.to_complex(), r
-
-    phis, vphs = _component_table(spectral_set, lambda d: d.mp_components(x, t))
-    # an overflowing component gives non-finite determinants, which are masked
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _omega_dets(spectral_set, powers, phis, vphs, stack_det)
+        main, main_shift, ratios = dets(False)
+        if spectral_set.reduction:
+            return main, np.conj(main), main_shift, np.conj(main_shift), ratios
+        swapped, swapped_shift, _ = dets(True)
+        return main, swapped, main_shift, swapped_shift, ratios
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
@@ -315,11 +303,10 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> 
         raise ValueError(f"unknown precision {precision!r}")
     if precision == "extended" and any(d.mp_components is None for d in spectral_set.data):
         raise ValueError("extended precision needs mp_components on every datum")
-    dets = _omega_dets_extended if precision == "extended" else _omega_dets_double
     powers = _row_powers(spectral_set, precision)
 
     def evaluate(x, t):
-        main, swapped, main_shift, swapped_shift, ratios = dets(spectral_set, powers, x, t)
+        main, swapped, main_shift, swapped_shift, ratios = _omega_dets(spectral_set, powers, x, t)
         Q, eim, ra = _seed_terms(seed, x, t)
         keep = ratios <= DEFAULT_CONDITION_BOUND
         with np.errstate(all="ignore"):

@@ -9,8 +9,9 @@ theta = p x + q t.
 Eigenfunction time-direction note: the x-part of the spectral problem pins
 phi_x = -i(lam^2/4) phi on the zero seed for both possible time signs, but
 only phi = exp(-(i/8)(2 lam^2 x - lam^4 t)) is compatible with the
-transformed fields satisfying the equation (the verifier's residual tests
-are the arbiter; see tests).  That sign is used throughout.
+transformed fields satisfying the equation: with the other sign the
+order-1 field's residual does not fall under grid refinement
+(`tests/test_lax.py` pins both).  That sign is used throughout.
 """
 from __future__ import annotations
 
@@ -216,12 +217,12 @@ def _datum(lam: complex, phi: ExpSum, varphi: ExpSum, provenance: str) -> Spectr
                          mp_components=lambda x, t: tuple(ExpSum.dd_each((phi, varphi), x, t)))
 
 
-def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:
+def zero_seed_eigenfunction(lam: complex) -> SpectralDatum:
     """Exponential eigenfunction of the zero background.
 
-    phi = exp(-(i/8)(2 lam^2 x + time_sign * lam^4 t)) and varphi its
-    reciprocal.  time_sign=-1 is the convention under which transformed
-    fields solve the equation; +1 is kept for the documented variant tests.
+    phi = exp(-(i/8)(2 lam^2 x - lam^4 t)) and varphi its reciprocal, the
+    time sign under which transformed fields solve the equation (see the
+    module docstring).
     """
     if lam == 0:
         raise ZeroEigenvalueError("lambda must be nonzero")
@@ -229,7 +230,7 @@ def zero_seed_eigenfunction(lam: complex, time_sign: int = -1) -> SpectralDatum:
     with mp.workdps(MP_DPS):
         lm = mp.mpc(lam)
         kx = mp.mpc(0, -0.25) * lm ** 2
-        kt = mp.mpc(0, -0.125) * time_sign * lm ** 4
+        kt = mp.mpc(0, 0.125) * lm ** 4
         return _datum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]), "zero-seed")
 
 

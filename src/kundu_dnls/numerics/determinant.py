@@ -4,11 +4,11 @@ The batched forms take arrays of shape (..., m, m) so whole grids of small
 transformation determinants evaluate in a handful of vectorized passes.
 Elimination runs on an (m, m, N) layout: every step then works on
 contiguous length-N rows instead of strided gathers across the batch.
-`overwriting_batched_det` eliminates a stack stored matrix-first, in that
-layout, in place as a view and copies any other stack once; `batched_det`
-always copies, so its input is left as it was.  Alongside the determinant
-it reports the pivot-magnitude ratio max|p_k| / min|p_k|, the conditioning estimate used to
-detect near-singular evaluation points in the degenerate regimes.
+`batched_det` eliminates a stack whose memory is already in that layout in
+place and copies any other stack once.  Alongside the determinant it
+reports the pivot-magnitude ratio max|p_k| / min|p_k|, the conditioning
+estimate used to detect near-singular evaluation points in the degenerate
+regimes.
 
 A stack of m x (m+e) matrices gives the e + 1 determinants that share their
 first m - 1 columns in one elimination: pivots are taken in those columns
@@ -86,23 +86,6 @@ def stack_dims(shape) -> tuple:
     return m, w, lead, lead if w == m else (w - m + 1,) + lead
 
 
-def overwriting_batched_det(mats: Array) -> tuple[Array, Array]:
-    """`batched_det` that may overwrite its input with elimination residue.
-
-    A complex stack stored matrix-first, whose (..., m, m+e) view comes from
-    an (m, m+e, ...) C-ordered array, is eliminated in place as a view, with
-    no copy.  Any other stack is copied once into that layout and left as it
-    was.  The results carry the same bits as `batched_det`'s.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    m, w, lead, det_lead = stack_dims(mats.shape)
-    # batch on the last axis, so a[i, j] is a contiguous row: a view of a
-    # matrix-first stack, the one copy of any other
-    a = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)).reshape((m, w, -1)))
-    det_val, ratio = eliminate(a, np.ones((), dtype=complex), np.where)
-    return det_val.reshape(det_lead), ratio.reshape(lead)
-
-
 def batched_det(mats: Array) -> tuple[Array, Array]:
     """Determinants and pivot ratios of a stack of complex m x (m+e) matrices.
 
@@ -110,19 +93,29 @@ def batched_det(mats: Array) -> tuple[Array, Array]:
     mats.shape[:-2].  For e > 0, det has shape (e + 1,) + mats.shape[:-2]:
     det[j] is the determinant of the first m - 1 columns completed by column
     m - 1 + j, with its true sign (see `eliminate`), all from one elimination.
-    A zero pivot yields det 0 and pivot_ratio inf.  The input is not
-    modified: it is copied once, matrix-first, and the copy eliminated.
+    A zero pivot yields det 0 and pivot_ratio inf.
+
+    A complex stack whose memory is already in elimination's (m, m+e, N)
+    layout is eliminated in place, and left holding elimination residue:
+    a stack stored matrix-first, whose (..., m, m+e) view comes from an
+    (m, m+e, ...) C-ordered array, and any C-ordered stack of a single
+    matrix, (m, m+e) or (1, ..., 1, m, m+e), whose batch-first and
+    matrix-first layouts are the same memory.  Any other stack is copied
+    once into that layout and left as it was.
     """
-    mats = np.asarray(mats)
-    stack_dims(mats.shape)
-    # the one copy, matrix-first, which the overwriting entry then views
-    a = np.array(np.moveaxis(mats, (-2, -1), (0, 1)), dtype=complex, order="C")
-    return overwriting_batched_det(np.moveaxis(a, (0, 1), (-2, -1)))
+    mats = np.asarray(mats, dtype=complex)
+    m, w, lead, det_lead = stack_dims(mats.shape)
+    # batch on the last axis, so a[i, j] is a contiguous row: a view of a
+    # stack already in that layout, the one copy of any other
+    a = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)).reshape((m, w, -1)))
+    det_val, ratio = eliminate(a, np.ones((), dtype=complex), np.where)
+    return det_val.reshape(det_lead), ratio.reshape(lead)
 
 
 def det(matrix: Array) -> complex:
-    """Determinant of one square complex matrix; raises on non-finite entries."""
-    a = np.asarray(matrix, dtype=complex)
+    """Determinant of one square complex matrix; raises on non-finite entries.
+    The matrix is left as it was: its copy is eliminated."""
+    a = np.array(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

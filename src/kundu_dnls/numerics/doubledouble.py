@@ -290,14 +290,16 @@ def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
 
     The stack is eliminated by `determinant.eliminate`, the routine behind
     `batched_det`, with the same contract: (det, pivot_ratio), det of shape
-    lead for a square stack and (e + 1,) + lead for e > 0.  Like
-    `overwriting_batched_det`, it eliminates a stack stored matrix-first,
-    whose parts are (..., m, m+e) views of (m, m+e, ...) C-ordered arrays,
-    in place as a view; any other stack is copied once into that layout and
-    left as it was.
+    lead for a square stack and (e + 1,) + lead for e > 0.  A stack whose
+    parts are already in elimination's (m, m+e, N) layout is eliminated in
+    place: a stack stored matrix-first, whose parts are (..., m, m+e) views
+    of (m, m+e, ...) C-ordered arrays, and any C-ordered stack of a single
+    matrix.  Any other stack is copied once into that layout and left as it
+    was.
     """
     m, w, lead, det_lead = stack_dims(mat.shape)
-    # batch on the last axis: a view of a matrix-first stack, the one copy of any other
+    # batch on the last axis: a view of a stack already in that layout, the
+    # one copy of any other
     a = mat.map(lambda part: np.ascontiguousarray(
         np.moveaxis(part, (-2, -1), (0, 1)).reshape((m, w, -1))))
     det, ratio = eliminate(a, DDComplexArray.from_complex(np.ones(())),

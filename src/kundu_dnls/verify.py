@@ -52,7 +52,6 @@ class ResidualReport:
     variant: ConventionVariant
     norms: list  # [(h, max_residual, mean_residual), ...]
     estimated_order: float
-    interior_window: Grid2D
 
 
 def _neighbours(a: Array) -> list[Array]:
@@ -118,7 +117,7 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
         order = float(np.log2(norms[-2][1] / norms[-1][1]))
     else:
         order = float("inf")
-    return ResidualReport(variant, norms, order, grid)
+    return ResidualReport(variant, norms, order)
 
 
 def exact_seed_residual(seed: PlaneWaveSeed, sign: int) -> float:

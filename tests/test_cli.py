@@ -112,14 +112,31 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     # an unsplit rogue2 is the catalog's closed form, into which no eps enters
     [*_GEN, "--solution", "rogue2", "--param", "eps=1e-5"],
     ["generate", "--solution", "rogue1", "--grid=-1:1:1,-1:1:5"],
+    # the zero seed has no plane wave and no split phase for these to enter
+    [*_GEN, "--solution", "engine-nfold", "--param", "a=5", "--param", "c=2"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "lc_re=0.8",
+     "--param", "lc_im=0.8", "--param", "n=2", "--param", "S1=500"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
         "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
-        "eps-on-unsplit-rogue2", "single-sample-axis"])
+        "eps-on-unsplit-rogue2", "single-sample-axis", "plane-wave-on-zero-seed-nfold",
+        "split-phase-on-zero-seed-degenerate"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("solution, raw, ignored", [
+    ("engine-nfold", {"c": "2", "a": "5", "lam1_re": "0.5"}, "['a', 'c']"),
+    ("engine-degenerate", {"seed": "zero", "S2": "1", "a": "1", "S0": "0"}, "['S0', 'S2', 'a']"),
+])
+def test_zero_seed_engine_names_the_keys_it_would_ignore(solution, raw, ignored):
+    with pytest.raises(InvalidConfigError) as err:
+        cli.resolve_params(solution, raw)
+    assert f"zero seed ignores {ignored}:" in str(err.value)
+    # on the plane-wave seed every one of them enters
+    cli.resolve_params(solution, {**raw, "seed": "planewave"})
 
 
 @pytest.mark.parametrize("job", [

@@ -326,6 +326,45 @@ def test_benchmark_tracer_records_both_precisions():
     assert metrics["lax.mp_component_calls"] == 2
 
 
+@pytest.mark.parametrize("precision, elimination, components", [
+    ("double", "numerics.determinant.batched_det", "lax.components"),
+    ("extended", "numerics.doubledouble.dd_batched_det", "lax.mp_components")])
+def test_benchmark_tracer_sees_each_elimination_of_a_general_set(precision, elimination,
+                                                                  components):
+    # the tracer wraps the elimination entries by module name and each datum's
+    # components; a reduced block eliminates one stack and a general block two,
+    # and tracing changes no bit of the field
+    import kundu_dnls.darboux as dx
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    inst = tracing.Instrumentation(tracer)
+    X, T = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 2), indexing="ij")
+
+    def fields():
+        reduced = dx.build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
+        return [dx.n_fold(s, SEEDP, precision).Q(X, T) for s in (reduced, general(reduced))]
+    plain = fields()
+    inst.install()
+    tracer.active = True
+    try:
+        traced = fields()
+    finally:
+        tracer.active = False
+        inst.uninstall()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, traced))
+    spans = tracer.spans
+    roots = [i for i, span in enumerate(spans) if span[tracing.NAME] == "darboux.q"]
+
+    def under(root, name):
+        return sum(1 for span in spans
+                   if span[tracing.NAME] == name and span[tracing.PARENT] == root)
+    assert [under(r, elimination) for r in roots] == [1, 2]
+    # per datum, phi and varphi or, extended, both in one call; a partner's
+    # components call its representative's
+    per_datum = 2 if precision == "double" else 1
+    assert [under(r, components) for r in roots] == [2 * per_datum, 4 * per_datum]
+
+
 def test_benchmark_tracer_times_the_catalog_determinant():
     # the tracer wraps `batched_det` on the catalog by name, which now binds
     # the catalog's own 4x4 expansion; a traced positon still records it

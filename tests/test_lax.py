@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kundu_dnls as kd
+from kundu_dnls import lax
+from kundu_dnls.darboux import SpectralSet, n_fold
 from kundu_dnls.errors import (DegeneratePairError, ZeroAmplitudeError,
                                ZeroCouplingError, ZeroEigenvalueError)
 from kundu_dnls.lax import (ExpSum, branch_quantity, check_lax_residual,
                             critical_eigenvalue, unfolded_four_term_components, lax_matrices,
                             make_plane_wave_seed, plane_wave_eigenfunction,
                             zero_seed, zero_seed_eigenfunction)
+from kundu_dnls.verify import ConventionVariant, pde_residual
 
 import mp_reference
 
@@ -235,9 +238,19 @@ def in_dd(s, x, t):
     return ExpSum.dd_each((s,), x, t)[0]
 
 
+def zero_seed_time_plus(lam):
+    """The zero-seed datum with the other time sign, phi = exp(-(i/8)(2 lam^2 x
+    + lam^4 t)) and varphi its reciprocal, built from its exponential sums."""
+    with mp.workdps(lax.MP_DPS):
+        lm = mp.mpc(lam)
+        kx, kt = mp.mpc(0, -0.25) * lm ** 2, mp.mpc(0, -0.125) * lm ** 4
+        return lax._datum(complex(lam), ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]),
+                          "zero-seed, time sign +1")
+
+
 @pytest.mark.parametrize("make", [
     lambda: zero_seed_eigenfunction(0.9 + 1.1j),
-    lambda: zero_seed_eigenfunction(0.7 - 0.4j, time_sign=1),
+    lambda: zero_seed_time_plus(0.7 - 0.4j),
     lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW),
     lambda: plane_wave_eigenfunction(0.6 + 0.9j, _PW, weights=(0.4 - 0.7j, 1.3 + 0.2j)),
     lambda: plane_wave_eigenfunction(
@@ -258,6 +271,23 @@ def test_exponential_sums_agree_in_double_and_mpmath(make):
     for got, comp in zip(d.mp_components(x, t), (d.phi, d.varphi)):
         want = in_dd(comp, x, t)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.parts, want.parts))
+
+
+@pytest.mark.parametrize("make, solves", [(zero_seed_eigenfunction, True),
+                                           (zero_seed_time_plus, False)],
+                         ids=["time-minus", "time-plus"])
+def test_only_the_minus_time_sign_transforms_to_a_solution(make, solves):
+    # both signs solve the x-part of the spectral problem on the zero seed;
+    # only the order-1 field of the minus sign solves the field equation, its
+    # residual falling as h^2 while the other's stays near 29
+    seed = zero_seed()
+    out = n_fold(SpectralSet([make(1 + 2j)], reduction=True), seed)
+    rep = pde_residual(out.Q, seed, ConventionVariant(1, "independent"),
+                       kd.Grid2D(-3, 3, -2, 2, 121, 121), refinements=2)
+    if solves:
+        assert 1.7 <= rep.estimated_order <= 2.3
+    else:
+        assert abs(rep.estimated_order) < 0.1 and rep.norms[-1][1] > 10
 
 
 def test_exponential_sum_with_cancelling_huge_exponents_stays_finite():

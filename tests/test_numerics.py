@@ -16,7 +16,6 @@ from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteErr
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, dd_batched_det, det, sample)
-from kundu_dnls.numerics.determinant import overwriting_batched_det
 from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
 
 
@@ -177,21 +176,59 @@ def test_batched_det_of_a_wide_stack_gives_each_trailing_determinant(m, e):
 
 @pytest.mark.parametrize("m, e", [(2, 0), (4, 0), (6, 0), (2, 1), (6, 1), (4, 2)])
 def test_overwriting_batched_det_gives_batched_det_bits_in_either_layout(m, e):
+    # the one complex entry copies a batch-first stack and eliminates a
+    # matrix-first one in place, with the same bits
     rng = np.random.default_rng(100 + 10 * m + e)
     a = rng.standard_normal((9, 40, m, m + e)) + 1j * rng.standard_normal((9, 40, m, m + e))
     a[0, :, 1, 0] = a[0, :, 0, 0]                   # exact pivot-magnitude ties
     a[1, :, :, 0] = 0                               # zero pivot in the first column
     keep = a.copy()
-    d_ref, r_ref = batched_det(a)
     # batch-first: copied once, and the input is left as it was
-    d, r = overwriting_batched_det(a)
-    assert d.tobytes() == d_ref.tobytes() and r.tobytes() == r_ref.tobytes()
+    d_ref, r_ref = batched_det(a)
     assert np.array_equal(a, keep)
     # matrix-first, as the engine stores its stacks: eliminated in place
     first = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
-    d, r = overwriting_batched_det(np.moveaxis(first, (0, 1), (-2, -1)))
+    d, r = batched_det(np.moveaxis(first, (0, 1), (-2, -1)))
     assert d.tobytes() == d_ref.tobytes() and r.tobytes() == r_ref.tobytes()
     assert not np.array_equal(first, np.moveaxis(keep, (-2, -1), (0, 1)))
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_a_c_ordered_stack_of_one_matrix_is_eliminated_in_place(precision):
+    # for one matrix the batch-first and matrix-first layouts are the same
+    # memory, so any C-ordered single-matrix stack is eliminated in place; a
+    # stack of two batch-first matrices is copied and left as it was
+    rng = np.random.default_rng(7)
+    one = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+
+    def run(a):
+        """(real part of the stack after elimination, det, pivot ratio)."""
+        if precision == "double":
+            d, r = batched_det(a)
+            return a.real, d, r
+        dd = DDComplexArray.from_complex(a)
+        d, r = dd_batched_det(dd)
+        return dd.re_hi, d.to_complex(), r
+
+    _, d_ref, r_ref = run(np.asfortranarray(one))       # the reference values
+    for shape in [(3, 4), (1, 3, 4), (1, 1, 3, 4)]:
+        real, d, r = run(one.reshape(shape).copy())
+        assert not np.array_equal(real.reshape(3, 4), one.real)
+        assert d.tobytes() == d_ref.reshape(d.shape).tobytes()
+        assert r.tobytes() == r_ref.tobytes()
+    two = np.stack([one, 2 * one])
+    real, d, _ = run(two.copy())
+    assert np.array_equal(real, two.real)
+    assert d[:, 0].tobytes() == d_ref.tobytes()
+
+
+def test_det_leaves_its_argument_unchanged():
+    # `det` eliminates its own copy, so a matrix can be read again after it
+    a = np.array([[0.5, 2.0, 1j], [1.0, -1.0, 3.0], [2.0, 0.25j, 1.0]])
+    keep = a.copy()
+    d = det(a)
+    assert np.array_equal(a, keep)
+    assert abs(d - cofactor_det(a)) <= 1e-12 * abs(d)
 
 
 @pytest.mark.parametrize("m, e", [(4, 1), (6, 1), (4, 2)])
