@@ -293,7 +293,7 @@ def _node_counts(fld: ComplexField2D, I: np.ndarray) -> dict:
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str, precision_used: str, counts: dict):
+                precision: str, precision_used: str, workers: int, counts: dict):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
@@ -303,6 +303,7 @@ def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: 
         "params": params,
         "grid": grid_spec,
         "format": fmt,
+        "workers": workers,
         **counts,
     }
     Path(str(output) + ".meta.json").write_text(json_text(meta) + "\n",
@@ -397,7 +398,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             write_pgm(output, fld.values)
         # a closed-form field is a plain closure, evaluated in double
         _write_meta(output, ns.format, solution, params, grid_spec, precision,
-                    getattr(field, "precision", "double"),
+                    getattr(field, "precision", "double"), fld.workers,
                     _node_counts(fld, intensity(fld.values)))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None

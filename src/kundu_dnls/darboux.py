@@ -239,15 +239,34 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
     return M.map(batch_last) if extended else batch_last(M)
 
 
+def _components(spectral_set: SpectralSet, x, t, extended: bool) -> list:
+    """[phis, vphs]: the components of the 2n rows at (x, t), in double from
+    each datum's `phi` and `varphi`, extended from its `mp_components`.  On a
+    reduced set each representative is followed by its conjugate partner,
+    whose components are the representative's, conjugated exactly and
+    exchanged."""
+    phis, vphs = [], []
+    for d in spectral_set.data:
+        if extended:
+            p, v = d.mp_components(x, t)
+        else:
+            p = np.asarray(d.phi(x, t), dtype=complex)
+            v = np.asarray(d.varphi(x, t), dtype=complex)
+        phis.append(p)
+        vphs.append(v)
+        if spectral_set.reduction:
+            phis.append(v.conjugate())
+            vphs.append(p.conjugate())
+    return [phis, vphs]
+
+
 def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
 
     The type of `powers`, from `_row_powers`, is the precision: complex
-    powers take each datum's `phi` and `varphi` in double and eliminate with
-    `batched_det`; a `DDComplexArray` takes its `mp_components` and
-    eliminates with `dd_batched_det`.  On a reduced set each representative
-    is followed by its conjugate partner, whose components are the
-    representative's, conjugated exactly and exchanged.
+    powers take the components in double (see `_components`) and eliminate
+    with `batched_det`; a `DDComplexArray` takes them in double-double and
+    eliminates with `dd_batched_det`.
 
     The unshifted and shifted matrices share all columns but the leading
     one, so one elimination over the shared columns gives both determinants
@@ -263,21 +282,13 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     # are masked; in double numpy's settings stand (None leaves them as they are)
     quiet = "ignore" if extended else None
     with np.errstate(over=quiet, invalid=quiet):
-        phis, vphs = [], []
-        for d in spectral_set.data:
-            if extended:
-                p, v = d.mp_components(x, t)
-            else:
-                p = np.asarray(d.phi(x, t), dtype=complex)
-                v = np.asarray(d.varphi(x, t), dtype=complex)
-            phis.append(p)
-            vphs.append(v)
-            if spectral_set.reduction:
-                phis.append(v.conjugate())
-                vphs.append(p.conjugate())
+        components = _components(spectral_set, x, t, extended)
 
-        def dets(swap):
-            M = _omega_matrix(powers, phis, vphs, swap)
+        def dets(swap, last):
+            M = _omega_matrix(powers, *components, swap)
+            if last:
+                # the stack holds copies: free the components before elimination
+                components.clear()
             if extended:
                 pair, ratios = dd_batched_det(M)
                 pair = pair.to_complex()
@@ -286,10 +297,10 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
             # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
             return -pair[0], -pair[1], ratios
 
-        main, main_shift, ratios = dets(False)
+        main, main_shift, ratios = dets(False, last=spectral_set.reduction)
         if spectral_set.reduction:
             return main, np.conj(main), main_shift, np.conj(main_shift), ratios
-        swapped, swapped_shift, _ = dets(True)
+        swapped, swapped_shift, _ = dets(True, last=True)
         return main, swapped, main_shift, swapped_shift, ratios
 
 

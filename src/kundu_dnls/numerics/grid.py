@@ -1,6 +1,10 @@
 """Rectangular (x, t) grids and sampled complex fields."""
 from __future__ import annotations
 
+import contextvars
+import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,12 +76,13 @@ class ComplexField2D:
 
     `invalid` marks nodes where the producing operation hit a pole or
     overflow; consumers must exclude them (and usually their neighbours)
-    from norms.
+    from norms.  `workers` is the number of threads that sampled the values.
     """
 
     grid: Grid2D
     values: Array
     invalid: Array = field(default=None)  # bool mask, same shape as values
+    workers: int = 1
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -98,19 +103,30 @@ class ComplexField2D:
 # under numpy's 256 KiB threshold for reusing temporaries in place, which can
 # swap the operands of a product and so move its last bits
 _BLOCK_NODES = 2 ** 14
+# a helper thread evaluates its blocks in sub-blocks of fewer nodes than this:
+# glibc gives each thread its own malloc arena and keeps freed memory resident
+# in it, so a helper's arena stays at the size of its largest temporaries
+_HELPER_NODES = 2 ** 12
 
 
-def _row_blocks(nx: int, nt: int):
+def _row_blocks(nx: int, nt: int, nodes: int | None = None):
     """Row ranges (i, j) that tile 0..nx in order: each block is the largest
-    number of whole x-rows with fewer than _BLOCK_NODES nodes (one row when a
-    row alone is longer)."""
-    rows = max(1, (_BLOCK_NODES - 1) // nt)
+    number of whole x-rows with fewer than `nodes` (default _BLOCK_NODES)
+    nodes, one row when a row alone is longer."""
+    rows = max(1, ((nodes or _BLOCK_NODES) - 1) // nt)
     return [(i, min(i + rows, nx)) for i in range(0, nx, rows)]
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     """Evaluate the vectorized f(x, t) over the grid, one block of whole
-    x-rows at a time, on broadcast axes.
+    x-rows at a time, on broadcast axes, with the blocks shared among threads.
 
     For the rows i:j of a block (see `_row_blocks`), f receives x of shape
     (j - i, 1) and t of shape (1, nt), so a subexpression of x alone or of t
@@ -123,15 +139,56 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     to the block.  Any other result raises GridMismatchError, a scalar or
     1-D array included: write a constant field as c + 0 * x + 0 * t.
     Non-finite results are masked, not fatal; exceptions from f propagate.
+
+    The blocks are evaluated on one thread per CPU the process may use, at
+    most one per block; the calling thread is one of them, and a grid of
+    one block starts no thread.  The threads take blocks in row order from
+    one counter.  A helper thread evaluates each block it takes in
+    sub-blocks of fewer than _HELPER_NODES nodes, and runs in a copy of the
+    caller's context, so numpy's error state is the caller's.  Since a
+    node's sample does not depend on its block, the result does not depend
+    on the thread count, which the field records as `workers`.  A failing
+    block does not stop the others; every block's exception is kept, and
+    once all threads are done the first in row order is raised.
     """
     xs, ts = grid.xs, grid.ts[None, :]
     values = np.empty((grid.nx, grid.nt), dtype=complex)
+    blocks = _row_blocks(grid.nx, grid.nt)
+    workers = min(_workers(), len(blocks))
+    taken = itertools.count()     # next() on it is atomic: the shared block counter
+    errors = {}                   # block index -> its exception
+
+    def fill(i, j):
+        block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
+        shape = (j - i, grid.nt)
+        if block.ndim != 2 or any(n not in (1, full) for n, full in zip(block.shape, shape)):
+            raise GridMismatchError(f"f returned shape {block.shape} on rows {i}:{j}, "
+                                    f"which does not broadcast to the block's {shape}")
+        values[i:j] = block
+
+    def run(helper: bool):
+        for k in taken:
+            if k >= len(blocks):
+                return
+            i, j = blocks[k]
+            parts = _row_blocks(j - i, grid.nt, _HELPER_NODES) if helper else [(0, j - i)]
+            try:
+                for a, b in parts:
+                    fill(i + a, i + b)
+            except BaseException as exc:   # re-raised below, after the join
+                errors[k] = exc
+
     with np.errstate(all="ignore"):
-        for i, j in _row_blocks(grid.nx, grid.nt):
-            block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
-            shape = (j - i, grid.nt)
-            if block.ndim != 2 or any(n not in (1, full) for n, full in zip(block.shape, shape)):
-                raise GridMismatchError(f"f returned shape {block.shape} on rows {i}:{j}, "
-                                        f"which does not broadcast to the block's {shape}")
-            values[i:j] = block
-    return ComplexField2D(grid, values)
+        helpers = []
+        try:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=contextvars.copy_context().run, args=(run, True))
+                thread.start()
+                helpers.append(thread)
+            run(False)
+        finally:
+            for thread in helpers:
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return ComplexField2D(grid, values, workers=workers)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from kundu_dnls import cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
 from kundu_dnls.errors import InvalidConfigError
+from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics.grid import Grid2D
 
 
@@ -575,3 +576,44 @@ def test_block_writers_hold_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+_MULTI_BLOCK = "-2:2:150,-2:2:241"     # three blocks of rows
+
+
+def _artifacts(monkeypatch, root, workers):
+    """Every solution on a multi-block grid as csv and json, and every mapped
+    figure as pgm, sampled on `workers` threads: {name: (bytes, sidecar)}."""
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    jobs = [(["--solution", solution, "--grid", _MULTI_BLOCK, "--format", fmt, *extra],
+             f"{solution}.{fmt}")
+            for solution in sorted(cli.SOLUTIONS)
+            for fmt, extra in (("csv", []), ("json", ["--include-complex"]))]
+    jobs += [(["--figure", figure, "--format", "pgm"], f"{figure}.pgm") for figure in FIGURE_MAP]
+    out = {}
+    for argv, name in jobs:
+        path = root / name
+        assert run(["generate", *argv, "--output", str(path), "--quiet"]) == 0
+        out[name] = (path.read_bytes(), json.loads(Path(str(path) + ".meta.json").read_text()))
+    return out
+
+
+def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    one = _artifacts(monkeypatch, tmp_path / "one", 1)
+    two = _artifacts(monkeypatch, tmp_path / "two", 2)
+    assert one.keys() == two.keys()
+    for name, (data, meta) in one.items():
+        data2, meta2 = two[name]
+        assert data == data2, name
+        assert (meta.pop("workers"), meta2.pop("workers")) == (1, 2), name
+        assert meta == meta2, name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflowing_parameter_on_a_multi_block_grid_exits_2(tmp_path, monkeypatch, workers):
+    # complex exponentiation overflows scalar arithmetic in every block
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    out = tmp_path / "x.csv"
+    assert run(["generate", "--solution", "soliton1", "--param", "m1=1e300",
+                "--grid", _MULTI_BLOCK, "--output", str(out), "--quiet"]) == 2
+    assert not out.exists()

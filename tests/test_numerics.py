@@ -1,6 +1,10 @@
 """Grid, stencil, determinant, and extended-precision unit tests."""
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +20,7 @@ from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteErr
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, dd_batched_det, det, sample)
+from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
 
 
@@ -336,48 +341,159 @@ def test_sample_rejects_results_that_do_not_broadcast_to_the_grid(f):
         sample(f, Grid2D(-1, 1, -1, 1, 5, 5))
 
 
-def _blocks(g):
-    """The row blocks of the sampling contract, stated independently: the
-    largest number of whole x-rows with fewer than 2**14 nodes."""
-    rows = max(1, (2 ** 14 - 1) // g.nt)
-    return [(i, min(i + rows, g.nx)) for i in range(0, g.nx, rows)]
+def _blocks(nx, nt, nodes=2 ** 14):
+    """Row ranges of the sampling contract, stated independently: the
+    largest number of whole x-rows with fewer than `nodes` nodes."""
+    rows = max(1, (nodes - 1) // nt)
+    return [(i, min(i + rows, nx)) for i in range(0, nx, rows)]
+
+
+def _assert_block_layout(g, calls):
+    """The calls (i, j), sorted by row, are the grid's blocks in order, each
+    taken whole (by the calling thread) or as its sub-blocks of fewer than
+    2**12 nodes (by a helper thread)."""
+    calls = sorted(calls)
+    covered = 0
+    for i, j in _blocks(g.nx, g.nt):
+        got = [c for c in calls if i <= c[0] < j]
+        assert got in ([(i, j)], [(i + a, i + b) for a, b in _blocks(j - i, g.nt, 2 ** 12)])
+        covered += len(got)
+    assert covered == len(calls)
 
 
 @pytest.mark.parametrize("nx, nt", [(40, 1000), (3, 20000), (150, 241), (10, 4096)])
-def test_sample_evaluates_blocks_of_whole_rows(nx, nt):
+def test_sample_evaluates_blocks_of_whole_rows(monkeypatch, nx, nt):
     g = Grid2D(-1, 1, 0, 2, nx, nt)
-    xs, calls = g.xs, []
-
-    def probe(x, t):
-        i = int(np.flatnonzero(xs == x[0, 0])[0])
-        calls.append((i, i + x.shape[0]))
-        assert x.shape[1] == 1 and t.shape == (1, nt)
-        assert np.array_equal(x[:, 0], xs[i:i + x.shape[0]]) and np.array_equal(t[0], g.ts)
-        return x + 1j * t
+    xs = g.xs
     X, T = g.mesh()
-    assert np.array_equal(sample(probe, g).values, X + 1j * T)
-    assert calls == _blocks(g) and len(calls) >= 3
-    for i, j in calls:   # whole rows, fewer than 2**14 nodes unless one row alone is longer
-        assert (j - i) * nt < 2 ** 14 or j - i == 1
-
-
-def test_sample_expands_one_axis_results_in_every_block():
-    g = Grid2D(-1, 1, 0, 2, 40, 1000)
-    X, T = g.mesh()
-    for f, want in ((lambda x, t: x + 0j, X + 0j), (lambda x, t: 1j * t, 1j * T),
-                    (lambda x, t: np.full((1, 1), 2.5 + 0j), np.full(X.shape, 2.5 + 0j))):
+    assert len(_blocks(nx, nt)) >= 3
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_mod, "_workers", lambda w=workers: w)
         calls = []
 
-        def counted(x, t, f=f):
-            calls.append(x.shape[0])
-            return f(x, t)
-        fld = sample(counted, g)
-        assert len(calls) == len(_blocks(g)) >= 3
-        assert fld.values.shape == (40, 1000) and np.array_equal(fld.values, want)
+        def probe(x, t):
+            i = int(np.flatnonzero(xs == x[0, 0])[0])
+            calls.append((i, i + x.shape[0]))
+            assert x.shape[1] == 1 and t.shape == (1, nt)
+            assert np.array_equal(x[:, 0], xs[i:i + x.shape[0]]) and np.array_equal(t[0], g.ts)
+            return x + 1j * t
+        fld = sample(probe, g)
+        assert np.array_equal(fld.values, X + 1j * T) and fld.workers == workers
+        _assert_block_layout(g, calls)
+        if workers == 1:          # one thread takes the blocks whole, in row order
+            assert calls == _blocks(nx, nt)
+        for i, j in calls:   # whole rows, fewer than 2**14 nodes unless one row alone is longer
+            assert (j - i) * nt < 2 ** 14 or j - i == 1
+
+
+def test_sample_expands_one_axis_results_in_every_block(monkeypatch):
+    g = Grid2D(-1, 1, 0, 2, 40, 1000)
+    X, T = g.mesh()
+    xs = g.xs
+    assert len(_blocks(40, 1000)) >= 3
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_mod, "_workers", lambda w=workers: w)
+        for f, want in ((lambda x, t: x + 0j, X + 0j), (lambda x, t: 1j * t, 1j * T),
+                        (lambda x, t: np.full((1, 1), 2.5 + 0j), np.full(X.shape, 2.5 + 0j))):
+            calls = []
+
+            def counted(x, t, f=f):
+                i = int(np.flatnonzero(xs == x[0, 0])[0])
+                calls.append((i, i + x.shape[0]))
+                return f(x, t)
+            fld = sample(counted, g)
+            _assert_block_layout(g, calls)
+            if workers == 1:
+                assert len(calls) == len(_blocks(40, 1000))
+            assert fld.values.shape == (40, 1000) and np.array_equal(fld.values, want)
     for f in (lambda x, t: x[:, 0] + 0j,                     # 1-D, per block
               lambda x, t: np.zeros((40, 1), dtype=complex)):  # x-only of the whole grid
         with pytest.raises(GridMismatchError):
             sample(f, g)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_sample_raises_the_first_failing_block_in_row_order(monkeypatch, workers):
+    # blocks 1 and 3 of four fail, block 3 sooner; block 1's exception is
+    # raised, and only after every thread has finished
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    g = Grid2D(-1, 1, 0, 2, 8, 8000)          # four blocks of two rows
+    xs = g.xs
+
+    def f(x, t):
+        block = int(np.flatnonzero(xs == x[0, 0])[0]) // 2
+        if block == 1:
+            time.sleep(0.05)
+            raise ValueError("block 1")
+        if block == 3:
+            raise KeyError("block 3")
+        return x + 0 * t + 0j
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="block 1"):
+        sample(f, g)
+    assert threading.active_count() == before
+
+
+def test_a_field_overflowing_in_helper_rows_is_masked_without_warnings(monkeypatch):
+    # numpy's error state is a context variable: a helper thread runs in a
+    # copy of the caller's context, so its overflows are as quiet as the
+    # caller's
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 2)
+    g = Grid2D(-1, 1, 0, 2, 40, 1000)
+    xs, caller, helper_rows = g.xs, threading.current_thread(), []
+
+    def f(x, t):
+        if threading.current_thread() is caller:
+            deadline = time.monotonic() + 5
+            while not helper_rows and time.monotonic() < deadline:
+                time.sleep(0.001)      # let the helper take a block
+            return x + 0 * t + 0j
+        i = int(np.flatnonzero(xs == x[0, 0])[0])
+        helper_rows.extend(range(i, i + x.shape[0]))
+        return np.exp(800.0 + 0 * x + 0 * t) + 0j
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fld = sample(f, g)
+    assert caught == [] and fld.workers == 2
+    assert helper_rows and len(helper_rows) < g.nx
+    in_helper = np.isin(np.arange(g.nx), helper_rows)
+    assert fld.invalid[in_helper].all() and not fld.invalid[~in_helper].any()
+
+
+def test_a_single_block_grid_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 4)
+    starts, real_start = [], threading.Thread.start
+
+    def counted_start(self):
+        starts.append(self)
+        real_start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    fld = sample(lambda x, t: x + 1j * t, Grid2D(-1, 1, 0, 1, 11, 11))
+    assert starts == [] and fld.workers == 1
+    fld = sample(lambda x, t: x + 1j * t, Grid2D(-1, 1, 0, 2, 40, 1000))   # three blocks
+    assert len(starts) == 2 and fld.workers == 3
+
+
+def test_sample_shares_blocks_among_more_threads_than_cpus(monkeypatch):
+    # 200 one-row blocks on 8 threads with a short switch interval: a block
+    # taken twice or lost would show in the rows or the values
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 8)
+    monkeypatch.setattr(grid_mod, "_BLOCK_NODES", 64)
+    g = Grid2D(-1, 1, 0, 2, 200, 50)
+    xs, rows = g.xs, []
+
+    def f(x, t):
+        rows.append(int(np.flatnonzero(xs == x[0, 0])[0]))
+        return x + 1j * t
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fld = sample(f, g)
+    finally:
+        sys.setswitchinterval(interval)
+    X, T = g.mesh()
+    assert sorted(rows) == list(range(200)) and fld.workers == 8
+    assert np.array_equal(fld.values, X + 1j * T)
 
 
 _MULTI = ((150, 241), 3)      # the multi-block grid shape and its block count
@@ -416,7 +532,7 @@ def _fig9():
 def test_sample_gives_the_bits_of_the_materialized_mesh(f, window, shape, multi_block):
     # a single-block grid carries the bits of f on the whole mesh ...
     g = Grid2D(*window, *shape)
-    assert len(_blocks(g)) == 1
+    assert len(_blocks(g.nx, g.nt)) == 1
     with np.errstate(all="ignore"):
         want = np.asarray(f(*g.mesh()), dtype=complex)
     assert sample(f, g).values.tobytes() == want.tobytes()
@@ -424,10 +540,10 @@ def test_sample_gives_the_bits_of_the_materialized_mesh(f, window, shape, multi_
     shape, blocks = multi_block
     g = Grid2D(*window, *shape)
     X, T = g.mesh()
-    assert len(_blocks(g)) == blocks
+    assert len(_blocks(g.nx, g.nt)) == blocks
     with np.errstate(all="ignore"):
         want = np.concatenate([np.asarray(f(X[i:j], T[i:j]), dtype=complex)
-                               for i, j in _blocks(g)])
+                               for i, j in _blocks(g.nx, g.nt)])
     assert sample(f, g).values.tobytes() == want.tobytes()
 
 
