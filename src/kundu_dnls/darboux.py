@@ -25,6 +25,7 @@ from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
+from .numerics.grid import thread_safe
 
 Array = np.ndarray
 
@@ -104,6 +105,8 @@ class DTOutput:
     `at` is the scalar accessor that raises instead.  Calling the output is
     calling Q, so it serves wherever a field closure does.  `precision` is
     the precision the determinants are evaluated in: "double" or "extended".
+    `evaluate` only reads the spectral data, so the closures are marked
+    `thread_safe`, and so is the output as long as its Q is.
     """
 
     evaluate: Callable
@@ -114,12 +117,16 @@ class DTOutput:
 
     def __post_init__(self):
         evaluate = self.evaluate
-        self.Q = lambda x, t: evaluate(x, t)[0]
-        self.R = lambda x, t: evaluate(x, t)[1]
-        self.condition_estimate = lambda x, t: evaluate(x, t)[2]
+        self.Q = thread_safe(lambda x, t: evaluate(x, t)[0])
+        self.R = thread_safe(lambda x, t: evaluate(x, t)[1])
+        self.condition_estimate = thread_safe(lambda x, t: evaluate(x, t)[2])
 
     def __call__(self, x, t):
         return self.Q(x, t)
+
+    @property
+    def thread_safe(self) -> bool:
+        return getattr(self.Q, "thread_safe", False)
 
     def at(self, x: float, t: float) -> complex:
         q, _, cond = self.evaluate(x, t)
@@ -239,34 +246,15 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
     return M.map(batch_last) if extended else batch_last(M)
 
 
-def _components(spectral_set: SpectralSet, x, t, extended: bool) -> list:
-    """[phis, vphs]: the components of the 2n rows at (x, t), in double from
-    each datum's `phi` and `varphi`, extended from its `mp_components`.  On a
-    reduced set each representative is followed by its conjugate partner,
-    whose components are the representative's, conjugated exactly and
-    exchanged."""
-    phis, vphs = [], []
-    for d in spectral_set.data:
-        if extended:
-            p, v = d.mp_components(x, t)
-        else:
-            p = np.asarray(d.phi(x, t), dtype=complex)
-            v = np.asarray(d.varphi(x, t), dtype=complex)
-        phis.append(p)
-        vphs.append(v)
-        if spectral_set.reduction:
-            phis.append(v.conjugate())
-            vphs.append(p.conjugate())
-    return [phis, vphs]
-
-
 def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
 
     The type of `powers`, from `_row_powers`, is the precision: complex
-    powers take the components in double (see `_components`) and eliminate
-    with `batched_det`; a `DDComplexArray` takes them in double-double and
-    eliminates with `dd_batched_det`.
+    powers take each datum's `phi` and `varphi` in double and eliminate with
+    `batched_det`; a `DDComplexArray` takes its `mp_components` and
+    eliminates with `dd_batched_det`.  On a reduced set each representative
+    is followed by its conjugate partner, whose components are the
+    representative's, conjugated exactly and exchanged.
 
     The unshifted and shifted matrices share all columns but the leading
     one, so one elimination over the shared columns gives both determinants
@@ -282,13 +270,27 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     # are masked; in double numpy's settings stand (None leaves them as they are)
     quiet = "ignore" if extended else None
     with np.errstate(over=quiet, invalid=quiet):
-        components = _components(spectral_set, x, t, extended)
+        phis, vphs = [], []
+        for d in spectral_set.data:
+            if extended:
+                p, v = d.mp_components(x, t)
+            else:
+                p = np.asarray(d.phi(x, t), dtype=complex)
+                v = np.asarray(d.varphi(x, t), dtype=complex)
+            phis.append(p)
+            vphs.append(v)
+            if spectral_set.reduction:
+                phis.append(v.conjugate())
+                vphs.append(p.conjugate())
+        del p, v        # the lists hold the only references, which dets clears
 
-        def dets(swap, last):
-            M = _omega_matrix(powers, *components, swap)
-            if last:
-                # the stack holds copies: free the components before elimination
-                components.clear()
+        def dets(swap):
+            M = _omega_matrix(powers, phis, vphs, swap)
+            if swap or spectral_set.reduction:
+                # the last stack built holds copies: free the components
+                # before elimination
+                phis.clear()
+                vphs.clear()
             if extended:
                 pair, ratios = dd_batched_det(M)
                 pair = pair.to_complex()
@@ -297,10 +299,10 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
             # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
             return -pair[0], -pair[1], ratios
 
-        main, main_shift, ratios = dets(False, last=spectral_set.reduction)
+        main, main_shift, ratios = dets(False)
         if spectral_set.reduction:
             return main, np.conj(main), main_shift, np.conj(main_shift), ratios
-        swapped, swapped_shift, _ = dets(True, last=True)
+        swapped, swapped_shift, _ = dets(True)
         return main, swapped, main_shift, swapped_shift, ratios
 
 

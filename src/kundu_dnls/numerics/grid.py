@@ -107,6 +107,9 @@ _BLOCK_NODES = 2 ** 14
 # glibc gives each thread its own malloc arena and keeps freed memory resident
 # in it, so a helper's arena stays at the size of its largest temporaries
 _HELPER_NODES = 2 ** 12
+# sampling's speed and peak RSS were measured with two threads on a 2-vCPU
+# host only; each further helper would add an arena of unmeasured size
+_MAX_WORKERS = 2
 
 
 def _row_blocks(nx: int, nt: int, nodes: int | None = None):
@@ -118,15 +121,27 @@ def _row_blocks(nx: int, nt: int, nodes: int | None = None):
 
 
 def _workers() -> int:
-    """The number of CPUs this process may run on."""
+    """Threads for sampling a thread-safe field: the CPUs this process may
+    run on, at most _MAX_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(_MAX_WORKERS, os.cpu_count() or 1)
+
+
+def thread_safe(f: Callable) -> Callable:
+    """Mark the field f as safe to call from several threads at once; returns f.
+
+    `sample` shares a grid's blocks among threads only for a field so
+    marked: it cannot tell that any other callable is, and one that counts
+    its calls with `+=`, or keeps a stack of its open calls, is not.  A
+    callable that wraps a marked field is not marked itself."""
+    f.thread_safe = True
+    return f
 
 
 def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     """Evaluate the vectorized f(x, t) over the grid, one block of whole
-    x-rows at a time, on broadcast axes, with the blocks shared among threads.
+    x-rows at a time, on broadcast axes; a thread-safe f on several threads.
 
     For the rows i:j of a block (see `_row_blocks`), f receives x of shape
     (j - i, 1) and t of shape (1, nt), so a subexpression of x alone or of t
@@ -140,23 +155,25 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     1-D array included: write a constant field as c + 0 * x + 0 * t.
     Non-finite results are masked, not fatal; exceptions from f propagate.
 
-    The blocks are evaluated on one thread per CPU the process may use, at
+    An f marked by `thread_safe` is evaluated on `_workers()` threads, at
     most one per block; the calling thread is one of them, and a grid of
-    one block starts no thread.  The threads take blocks in row order from
-    one counter.  A helper thread evaluates each block it takes in
-    sub-blocks of fewer than _HELPER_NODES nodes, and runs in a copy of the
-    caller's context, so numpy's error state is the caller's.  Since a
-    node's sample does not depend on its block, the result does not depend
-    on the thread count, which the field records as `workers`.  A failing
-    block does not stop the others; every block's exception is kept, and
-    once all threads are done the first in row order is raised.
+    one block starts no thread.  Any other f is evaluated on the calling
+    thread alone, block after block in row order.  The threads take blocks
+    in row order from one counter.  A helper thread evaluates each block it
+    takes in sub-blocks of fewer than _HELPER_NODES nodes, and runs in a
+    copy of the caller's context, so numpy's error state is the caller's.
+    Since a node's sample does not depend on its block, the result does not
+    depend on the thread count, which the field records as `workers`.  Once
+    a block fails no thread takes another, and when all are done the
+    exception of the first failing block in row order is raised.
     """
     xs, ts = grid.xs, grid.ts[None, :]
     values = np.empty((grid.nx, grid.nt), dtype=complex)
     blocks = _row_blocks(grid.nx, grid.nt)
-    workers = min(_workers(), len(blocks))
+    workers = min(_workers(), len(blocks)) if getattr(f, "thread_safe", False) else 1
     taken = itertools.count()     # next() on it is atomic: the shared block counter
     errors = {}                   # block index -> its exception
+    stop = threading.Event()
 
     def fill(i, j):
         block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
@@ -167,7 +184,8 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
         values[i:j] = block
 
     def run(helper: bool):
-        for k in taken:
+        while not stop.is_set():
+            k = next(taken)
             if k >= len(blocks):
                 return
             i, j = blocks[k]
@@ -175,8 +193,11 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
             try:
                 for a, b in parts:
                     fill(i + a, i + b)
-            except BaseException as exc:   # re-raised below, after the join
+            except Exception as exc:
+                # every earlier block was taken before this one and runs to
+                # its end, so the lowest failing index is the first in row order
                 errors[k] = exc
+                stop.set()
 
     with np.errstate(all="ignore"):
         helpers = []
@@ -187,6 +208,7 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
                 helpers.append(thread)
             run(False)
         finally:
+            stop.set()      # an interrupt of the calling thread stops the helpers too
             for thread in helpers:
                 thread.join()
     if errors:

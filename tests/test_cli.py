@@ -579,11 +579,14 @@ def test_block_writers_hold_bounded_memory(tmp_path):
 
 
 _MULTI_BLOCK = "-2:2:150,-2:2:241"     # three blocks of rows
+# the solutions and figures the Darboux engine evaluates; its fields are
+# thread-safe, while a closed-form field is sampled on the calling thread
+_ENGINE = {"rogue3", "engine-nfold", "engine-degenerate", "fig7", "fig8", "fig9", "fig10"}
 
 
 def _artifacts(monkeypatch, root, workers):
     """Every solution on a multi-block grid as csv and json, and every mapped
-    figure as pgm, sampled on `workers` threads: {name: (bytes, sidecar)}."""
+    figure as pgm, sampled on up to `workers` threads: {name: (bytes, sidecar)}."""
     monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
     jobs = [(["--solution", solution, "--grid", _MULTI_BLOCK, "--format", fmt, *extra],
              f"{solution}.{fmt}")
@@ -605,13 +608,15 @@ def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     for name, (data, meta) in one.items():
         data2, meta2 = two[name]
         assert data == data2, name
-        assert (meta.pop("workers"), meta2.pop("workers")) == (1, 2), name
+        want = 2 if name.split(".")[0] in _ENGINE else 1
+        assert (meta.pop("workers"), meta2.pop("workers")) == (1, want), name
         assert meta == meta2, name
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_overflowing_parameter_on_a_multi_block_grid_exits_2(tmp_path, monkeypatch, workers):
-    # complex exponentiation overflows scalar arithmetic in every block
+    # complex exponentiation overflows scalar arithmetic in every block; the
+    # exit code does not depend on the thread count sample may use
     monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
     out = tmp_path / "x.csv"
     assert run(["generate", "--solution", "soliton1", "--param", "m1=1e300",

@@ -390,34 +390,34 @@ def test_benchmark_tracer_times_the_catalog_determinant():
     assert metrics["numerics.determinant.matrices"] == 2 * g.nx * g.nt
 
 
-def test_benchmark_tracer_counts_exactly_over_sampling_blocks():
-    # a sampled field is evaluated one block of rows at a time, and the
-    # blocks are shared among threads; the per-node counters must still add
-    # up over the blocks, whichever thread evaluated each
+def test_benchmark_tracer_counts_exactly_over_sampling_blocks(monkeypatch):
+    # a sampled field is evaluated one block of rows at a time; the per-node
+    # counters must still add up over the blocks.  The tracer's wrappers keep
+    # one span stack and are not marked thread-safe, so sample evaluates a
+    # traced field on the calling thread alone, whatever the thread count
     import kundu_dnls.darboux as dx
     from kundu_dnls.numerics import grid as grid_mod
     tracing = _benchmark_tracing()
-    tracer = tracing.Tracer()
-    inst = tracing.Instrumentation(tracer)
     g = kd.Grid2D(-3, 3, -3, 3, 70, 601)          # blocks of 27 rows: 27, 27, 16
-    inst.install()
-    tracer.active = True
-    try:
-        out = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP), SEEDP)
-        fld = grid_mod.sample(out.Q, g)
-    finally:
-        tracer.active = False
-        inst.uninstall()
-    assert not fld.invalid.any()
-    q_nodes = [s[tracing.ATTRS]["nodes"] for s in tracer.spans if s[tracing.NAME] == "darboux.q"]
-    # whole rows, in any order: a helper thread takes its blocks in sub-blocks
-    assert sum(q_nodes) == 70 * 601 and all(n % 601 == 0 for n in q_nodes)
-    metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
-    # one determinant a node; the tracer's one span stack, shared by the
-    # threads, can nest one thread's spans under another's, so the ratio is
-    # taken over all spans rather than over the outermost darboux.q spans
-    assert metrics["numerics.determinant.matrices"] == sum(q_nodes) == 70 * 601
-    assert metrics["numerics.grid.scalar_fallback_nodes"] == 0
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_mod, "_workers", lambda w=workers: w)
+        tracer = tracing.Tracer()
+        inst = tracing.Instrumentation(tracer)
+        inst.install()
+        tracer.active = True
+        try:
+            out = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP), SEEDP)
+            fld = grid_mod.sample(out.Q, g)
+        finally:
+            tracer.active = False
+            inst.uninstall()
+        assert not fld.invalid.any() and fld.workers == 1
+        q_spans = [s for s in tracer.spans if s[tracing.NAME] == "darboux.q"]
+        assert [s[tracing.ATTRS]["nodes"] for s in q_spans] == [27 * 601, 27 * 601, 16 * 601]
+        metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
+        assert metrics["darboux.dets_per_node"] == 1
+        assert metrics["numerics.determinant.matrices"] == 70 * 601
+        assert metrics["numerics.grid.scalar_fallback_nodes"] == 0
 
 
 def test_reduced_set_rejects_unpaired_eigenvalues():

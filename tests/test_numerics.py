@@ -1,5 +1,6 @@
 """Grid, stencil, determinant, and extended-precision unit tests."""
 import math
+import os
 import sys
 import threading
 import time
@@ -19,7 +20,7 @@ from kundu_dnls.darboux import (DegenerationSpec, build_reduced_set, degenerate_
 from kundu_dnls.errors import GridMismatchError, GridTooSmallError, NonFiniteError
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
-                                 batched_det, dd_batched_det, det, sample)
+                                 batched_det, dd_batched_det, det, sample, thread_safe)
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
 
@@ -351,7 +352,7 @@ def _blocks(nx, nt, nodes=2 ** 14):
 def _assert_block_layout(g, calls):
     """The calls (i, j), sorted by row, are the grid's blocks in order, each
     taken whole (by the calling thread) or as its sub-blocks of fewer than
-    2**12 nodes (by a helper thread)."""
+    2**12 nodes (by a helper thread of a thread-safe field)."""
     calls = sorted(calls)
     covered = 0
     for i, j in _blocks(g.nx, g.nt):
@@ -377,7 +378,7 @@ def test_sample_evaluates_blocks_of_whole_rows(monkeypatch, nx, nt):
             assert x.shape[1] == 1 and t.shape == (1, nt)
             assert np.array_equal(x[:, 0], xs[i:i + x.shape[0]]) and np.array_equal(t[0], g.ts)
             return x + 1j * t
-        fld = sample(probe, g)
+        fld = sample(thread_safe(probe), g)
         assert np.array_equal(fld.values, X + 1j * T) and fld.workers == workers
         _assert_block_layout(g, calls)
         if workers == 1:          # one thread takes the blocks whole, in row order
@@ -401,7 +402,7 @@ def test_sample_expands_one_axis_results_in_every_block(monkeypatch):
                 i = int(np.flatnonzero(xs == x[0, 0])[0])
                 calls.append((i, i + x.shape[0]))
                 return f(x, t)
-            fld = sample(counted, g)
+            fld = sample(thread_safe(counted), g)
             _assert_block_layout(g, calls)
             if workers == 1:
                 assert len(calls) == len(_blocks(40, 1000))
@@ -430,8 +431,73 @@ def test_sample_raises_the_first_failing_block_in_row_order(monkeypatch, workers
         return x + 0 * t + 0j
     before = threading.active_count()
     with pytest.raises(ValueError, match="block 1"):
-        sample(f, g)
+        sample(thread_safe(f), g)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_block_is_taken_once_one_has_failed(monkeypatch, workers):
+    # block 0 fails at once, while block 1 is still running on a second
+    # thread: blocks 2 and 3 are never evaluated
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    g = Grid2D(-1, 1, 0, 2, 8, 8000)          # four blocks of two rows
+    xs, evaluated = g.xs, set()
+
+    def f(x, t):
+        block = int(np.flatnonzero(xs == x[0, 0])[0]) // 2
+        evaluated.add(block)
+        if block == 0:
+            raise ValueError("block 0")
+        time.sleep(0.05)
+        return x + 0 * t + 0j
+    with pytest.raises(ValueError, match="block 0"):
+        sample(thread_safe(f), g)
+    assert evaluated <= {0, 1}
+
+
+def test_an_interrupt_stops_sampling_and_propagates(monkeypatch):
+    # a KeyboardInterrupt in the calling thread's block is not held until
+    # the grid is done: the calling thread takes no other block, and the
+    # helper finishes the block it has and stops
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 2)
+    g = Grid2D(-1, 1, 0, 2, 40, 1000)          # three blocks of up to 16 rows
+    xs, caller, caller_calls, helper_blocks = g.xs, threading.current_thread(), [], set()
+
+    def f(x, t):
+        if threading.current_thread() is caller:
+            caller_calls.append(x.shape[0])
+            raise KeyboardInterrupt
+        helper_blocks.add(int(np.flatnonzero(xs == x[0, 0])[0]) // 16)
+        time.sleep(0.02)
+        return x + 0 * t + 0j
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sample(thread_safe(f), g)
+    assert threading.active_count() == before
+    assert len(caller_calls) == 1 and len(helper_blocks) <= 1
+
+
+def test_a_field_not_marked_thread_safe_is_sampled_on_the_calling_thread(monkeypatch):
+    # sample cannot tell that an arbitrary callable is safe to call from
+    # several threads: it evaluates one block after another, in row order
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 2)
+    g = Grid2D(-1, 1, 0, 2, 40, 1000)
+    xs, caller, calls = g.xs, threading.current_thread(), []
+
+    def f(x, t):
+        assert threading.current_thread() is caller
+        i = int(np.flatnonzero(xs == x[0, 0])[0])
+        calls.append((i, i + x.shape[0]))
+        return x + 1j * t
+    fld = sample(f, g)
+    assert calls == _blocks(40, 1000) and fld.workers == 1
+
+
+def test_sampling_uses_at_most_two_threads():
+    # speed and memory were measured with two threads only
+    g = Grid2D(-1, 1, 0, 2, 400, 1000)        # forty blocks
+    fld = sample(thread_safe(lambda x, t: x + 1j * t), g)
+    assert fld.workers == min(2, len(os.sched_getaffinity(0)))
 
 
 def test_a_field_overflowing_in_helper_rows_is_masked_without_warnings(monkeypatch):
@@ -453,7 +519,7 @@ def test_a_field_overflowing_in_helper_rows_is_masked_without_warnings(monkeypat
         return np.exp(800.0 + 0 * x + 0 * t) + 0j
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fld = sample(f, g)
+        fld = sample(thread_safe(f), g)
     assert caught == [] and fld.workers == 2
     assert helper_rows and len(helper_rows) < g.nx
     in_helper = np.isin(np.arange(g.nx), helper_rows)
@@ -468,10 +534,13 @@ def test_a_single_block_grid_starts_no_thread(monkeypatch):
         starts.append(self)
         real_start(self)
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    fld = sample(lambda x, t: x + 1j * t, Grid2D(-1, 1, 0, 1, 11, 11))
+    f = thread_safe(lambda x, t: x + 1j * t)
+    fld = sample(f, Grid2D(-1, 1, 0, 1, 11, 11))
     assert starts == [] and fld.workers == 1
-    fld = sample(lambda x, t: x + 1j * t, Grid2D(-1, 1, 0, 2, 40, 1000))   # three blocks
+    fld = sample(f, Grid2D(-1, 1, 0, 2, 40, 1000))   # three blocks
     assert len(starts) == 2 and fld.workers == 3
+    fld = sample(lambda x, t: x + 1j * t, Grid2D(-1, 1, 0, 2, 40, 1000))
+    assert len(starts) == 2 and fld.workers == 1
 
 
 def test_sample_shares_blocks_among_more_threads_than_cpus(monkeypatch):
@@ -488,7 +557,7 @@ def test_sample_shares_blocks_among_more_threads_than_cpus(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fld = sample(f, g)
+        fld = sample(thread_safe(f), g)
     finally:
         sys.setswitchinterval(interval)
     X, T = g.mesh()
