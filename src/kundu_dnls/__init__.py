@@ -3,11 +3,11 @@ with residual-based verification and intensity-pattern analysis."""
 
 from . import catalog, darboux, errors, lax, verify
 from .darboux import (DegenerationSpec, DTOutput, SpectralSet, build_reduced_set,
-                      degenerate_limit, n_fold, one_fold)
+                      degenerate_limit, n_fold)
 from .lax import (PhasePolynomial, PlaneWaveSeed, SpectralDatum, ZeroSeed,
                   branch_quantity, check_lax_residual, critical_eigenvalue,
-                  lax_matrices, make_plane_wave_seed, plane_wave_eigenfunction,
-                  zero_seed, zero_seed_eigenfunction)
+                  make_plane_wave_seed, plane_wave_eigenfunction, zero_seed,
+                  zero_seed_eigenfunction)
 from .numerics import ComplexField2D, Grid2D, det, sample
 from .verify import (ALL_VARIANTS, ConventionVariant, PeakSet, ResidualReport,
                      compare_fields, convergence_study, pde_residual,
@@ -21,9 +21,9 @@ __all__ = [
     "ZeroSeed", "PlaneWaveSeed", "SpectralDatum", "PhasePolynomial",
     "make_plane_wave_seed", "zero_seed", "zero_seed_eigenfunction",
     "plane_wave_eigenfunction", "branch_quantity", "critical_eigenvalue",
-    "lax_matrices", "check_lax_residual",
+    "check_lax_residual",
     "SpectralSet", "DTOutput", "DegenerationSpec",
-    "build_reduced_set", "one_fold", "n_fold", "degenerate_limit",
+    "build_reduced_set", "n_fold", "degenerate_limit",
     "ConventionVariant", "ALL_VARIANTS", "ResidualReport", "PeakSet",
     "pde_residual", "pin_down_convention", "compare_fields",
     "convergence_study", "peak_analysis",

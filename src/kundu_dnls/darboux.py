@@ -1,4 +1,4 @@
-"""One-fold and determinant-form n-fold Darboux transformations.
+"""The determinant-form n-fold Darboux transformation.
 
 The n-fold map is a combination of four 2n x 2n determinants built from the
 spectral data; only determinant ratios reach the output, so any common
@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .errors import (ConditionBlowupError, DegeneratePairError,
-                     DenominatorVanishesError, SingularOmegaError)
+from .errors import DegeneratePairError
 from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
@@ -27,7 +26,6 @@ from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
 from .numerics.grid import thread_safe
 
-Array = np.ndarray
 
 EXTENDED_EPS_THRESHOLD = 1e-3   # degeneration radius at or below which dd kicks in
 DEFAULT_CONDITION_BOUND = 1e12
@@ -98,13 +96,14 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
 class DTOutput:
     """A transformed solution: vectorized field closures plus conditioning data.
 
-    `evaluate(x, t)` is the one pass behind every accessor: it returns
-    (Q, R, pivot_ratio), and R is -conj(Q) wherever the spectral set was
-    reduced.  Q(x, t) and R(x, t) return NaN at flagged points
-    (transformation poles, pivot ratios above `DEFAULT_CONDITION_BOUND`);
-    `at` is the scalar accessor that raises instead.  Calling the output is
-    calling Q, so it serves wherever a field closure does.  `precision` is
-    the precision the determinants are evaluated in: "double" or "extended".
+    `evaluate(x, t)` is the one pass behind both fields: it returns
+    (Q, R, pivot ratio of the main determinant), and R is -conj(Q) wherever
+    the spectral set was reduced.  Q(x, t) and R(x, t) are NaN at flagged
+    points: transformation poles (non-finite values) and pivot ratios above
+    `DEFAULT_CONDITION_BOUND`.  Calling the output calls its `Q` attribute,
+    so it serves wherever a field closure does, and rewrapping `Q` (as
+    instrumentation does) rewraps the call too.  `precision` is the
+    precision the determinants are evaluated in: "double" or "extended".
     `evaluate` only reads the spectral data, so the closures are marked
     `thread_safe`, and so is the output as long as its Q is.
     """
@@ -113,13 +112,11 @@ class DTOutput:
     precision: str = "double"
     Q: Callable = field(init=False)
     R: Callable = field(init=False)
-    condition_estimate: Callable = field(init=False)
 
     def __post_init__(self):
         evaluate = self.evaluate
         self.Q = thread_safe(lambda x, t: evaluate(x, t)[0])
         self.R = thread_safe(lambda x, t: evaluate(x, t)[1])
-        self.condition_estimate = thread_safe(lambda x, t: evaluate(x, t)[2])
 
     def __call__(self, x, t):
         return self.Q(x, t)
@@ -128,64 +125,10 @@ class DTOutput:
     def thread_safe(self) -> bool:
         return getattr(self.Q, "thread_safe", False)
 
-    def at(self, x: float, t: float) -> complex:
-        q, _, cond = self.evaluate(x, t)
-        cond = float(cond)
-        if not np.isfinite(cond):
-            raise SingularOmegaError(f"main determinant vanishes near ({x}, {t})")
-        if cond > DEFAULT_CONDITION_BOUND:
-            raise ConditionBlowupError(
-                f"pivot ratio {cond:.3e} exceeds bound {DEFAULT_CONDITION_BOUND:.3e} "
-                f"at ({x}, {t})")
-        q = complex(np.asarray(q).reshape(()))
-        if not np.isfinite(q):
-            raise DenominatorVanishesError(f"transformation denominator vanishes at ({x}, {t})")
-        return q
-
 
 def _seed_terms(seed: Seed, x, t):
     """The seed, exp(-i theta) (its conjugate is exp(i theta) bit for bit), sqrt(alpha)."""
     return seed.value(x, t), np.exp(-1j * seed.theta(x, t)), np.sqrt(seed.alpha)
-
-
-def one_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
-    """Single-step transformation from one eigenvalue pair via its matrix elements."""
-    if spectral_set.order != 1:
-        raise ValueError("one_fold needs a spectral set of order 1")
-    d1, d2 = spectral_set.unreduced().data
-    l1, l2 = d1.lam, d2.lam
-
-    def evaluate(x, t):
-        p1, v1 = d1.phi(x, t), d1.varphi(x, t)
-        p2, v2 = d2.phi(x, t), d2.varphi(x, t)
-        den_a = p1 * v2 * l1 - v1 * p2 * l2        # denominator of a2
-        num_a = v1 * p2 * l1 - p1 * v2 * l2
-        factor = l1 * l1 - l2 * l2
-        Q, eim, ra = _seed_terms(seed, x, t)
-        with np.errstate(all="ignore"):
-            a2 = num_a / den_a
-            d2_el = 1.0 / a2
-            if factor == 0:
-                # coalesced eigenvalues act trivially: the off-diagonal
-                # elements carry an exactly vanishing factor
-                b1 = np.zeros_like(a2)
-                c1 = np.zeros_like(a2)
-            else:
-                b1 = p1 * p2 * factor / (-den_a)
-                c1 = v1 * v2 * factor / (-num_a)
-            q = (d2_el / a2) * Q - c1 * eim / (a2 * ra)
-            r = (a2 / d2_el) * -np.conj(Q) + b1 * np.conj(eim) / (d2_el * ra)
-        # stored matrix-first, so `batched_det` eliminates it in place
-        M = np.empty((2, 2) + np.broadcast(p1, p2).shape, dtype=complex)
-        M[0, 0] = l1 * v1
-        M[0, 1] = p1
-        M[1, 0] = l2 * v2
-        M[1, 1] = p2
-        _, ratios = batched_det(np.moveaxis(M, (0, 1), (-2, -1)))
-        return (np.where(np.isfinite(q), q, np.nan + 0j),
-                np.where(np.isfinite(r), r, np.nan + 0j), ratios)
-
-    return DTOutput(evaluate)
 
 
 # ---------------------------------------------------------------------------

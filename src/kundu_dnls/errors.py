@@ -38,19 +38,6 @@ class DegenerateEigenvalueError(KdnlsError):
     """Closed-form solution parameters that collapse two eigenvalues."""
 
 
-class DenominatorVanishesError(KdnlsError):
-    """A transformed field is not finite at the requested point: a denominator
-    of the transformation vanishes (raised by any `DTOutput.at`)."""
-
-
-class SingularOmegaError(KdnlsError):
-    """The main transformation determinant vanishes at the requested point."""
-
-
-class ConditionBlowupError(KdnlsError):
-    """The pivot-ratio estimate of the main determinant exceeds the configured bound."""
-
-
 class AllNodesExcludedError(KdnlsError):
     """Every interior node was excluded from a residual norm (poles everywhere)."""
 

@@ -28,7 +28,6 @@ from .errors import (DegeneratePairError, GridTooSmallError, ZeroAmplitudeError,
 from .numerics.doubledouble import DDComplexArray, dd_exp_terms
 from .numerics.grid import Grid2D
 
-Array = np.ndarray
 
 # digits of the eigenfunction constants, which the extended path splits
 # into double-double (hi, lo) pairs, and of the eigenvalue powers of its rows
@@ -135,7 +134,6 @@ class SpectralDatum:
     lam: complex
     phi: Callable
     varphi: Callable
-    provenance: str
     mp_components: Optional[Callable] = None
 
     def conjugate_partner(self) -> "SpectralDatum":
@@ -153,7 +151,6 @@ class SpectralDatum:
             lam=np.conj(self.lam),
             phi=lambda x, t: np.conj(vph(x, t)),
             varphi=lambda x, t: np.conj(phi(x, t)),
-            provenance=self.provenance + "*",
             mp_components=mp_comp,
         )
 
@@ -212,8 +209,8 @@ class ExpSum:
         return out
 
 
-def _datum(lam: complex, phi: ExpSum, varphi: ExpSum, provenance: str) -> SpectralDatum:
-    return SpectralDatum(lam=lam, phi=phi, varphi=varphi, provenance=provenance,
+def _datum(lam: complex, phi: ExpSum, varphi: ExpSum) -> SpectralDatum:
+    return SpectralDatum(lam=lam, phi=phi, varphi=varphi,
                          mp_components=lambda x, t: tuple(ExpSum.dd_each((phi, varphi), x, t)))
 
 
@@ -231,7 +228,7 @@ def zero_seed_eigenfunction(lam: complex) -> SpectralDatum:
         lm = mp.mpc(lam)
         kx = mp.mpc(0, -0.25) * lm ** 2
         kt = mp.mpc(0, 0.125) * lm ** 4
-        return _datum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]), "zero-seed")
+        return _datum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +292,7 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
         g_p, g_m = (I * (sx + px), I * (st + pt)), (I * (px - sx), I * (pt - st))
         W1, W2 = mp.mpc(D1), mp.mpc(D2)
         return _datum(lam, ExpSum([(W1 * u_m, *e_p), (W2 * u_p, *e_m)]),
-                      ExpSum([(W1 * u_p, *g_p), (W2 * u_m, *g_m)]),
-                      f"plane-wave(D1={D1:g}, D2={D2:g})")
-
-
-def unfolded_four_term_components(lam: complex, seed: PlaneWaveSeed,
-                                   weights: tuple[complex, complex],
-                                   x, t) -> tuple[Array, Array]:
-    """Unfolded four-term superposition (basis functions plus starred partners
-    at lam*), used as an independent cross-check of the folded form above."""
-    a, c = seed.a, seed.c
-    D1, D2 = complex(weights[0]), complex(weights[1])
-
-    def f_pair(lm):
-        s = complex(branch_quantity(lm, seed))
-        lm2 = lm * lm
-        P = (1 / 8) * (-4 * a * x - 4 * x - 2 * x * s + t * lm2 * s + 8 * t * a + 4 * t * a * a
-                       + 2 * t * a * s + 4 * t + 2 * t * s + 4 * t * c * c + 4 * t * c * c * a
-                       + 2 * t * c * c * s)
-        N = (1 / 8) * (4 * a * x + 4 * x - 2 * x * s + t * lm2 * s - 8 * t * a - 4 * t * a * a
-                       + 2 * t * a * s - 4 * t + 2 * t * s - 4 * t * c * c - 4 * t * c * c * a
-                       + 2 * t * c * c * s)
-        pref_m = (2 - lm2 + 2 * a - s) / (2 * lm * c)
-        pref_p = (2 - lm2 + 2 * a + s) / (2 * lm * c)
-        f1 = (pref_m * np.exp(1j * P), np.exp(1j * N))
-        f2 = (pref_p * np.exp(-1j * N), np.exp(-1j * P))
-        return f1, f2
-
-    f1, f2 = f_pair(lam)
-    f1c, f2c = f_pair(np.conj(lam))
-    f1c = (np.conj(f1c[0]), np.conj(f1c[1]))
-    f2c = (np.conj(f2c[0]), np.conj(f2c[1]))
-    phi = D1 * f1[0] + D2 * f2[0] + D2 * f1c[1] + D1 * f2c[1]
-    vph = D1 * f1[1] + D2 * f2[1] + D2 * f1c[0] + D1 * f2c[0]
-    return phi, vph
+                      ExpSum([(W1 * u_p, *g_p), (W2 * u_m, *g_m)]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +336,6 @@ def _lax_entries(seed: Seed, lam: complex, x, t,
     else:
         raise ValueError(f"unknown v_conjugation {v_conjugation!r}")
     return U, (diag, V12, V21, -diag)
-
-
-def lax_matrices(seed: Seed, lam: complex, x: float, t: float,
-                 v_conjugation: str = "independent") -> tuple[Array, Array]:
-    """(U, V) at one point; see `_lax_entries` for the two readings of V."""
-    U, V = _lax_entries(seed, lam, x, t, v_conjugation)
-    return np.array(U).reshape(2, 2), np.array(V).reshape(2, 2)
 
 
 @dataclass

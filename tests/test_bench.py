@@ -1,16 +1,21 @@
-"""The benchmark entry point runs end to end, traced, on the extended path."""
+"""The benchmark entry point runs end to end, traced."""
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench.py"
 
 
-def test_traced_coalescence_benchmark_run_is_correct_and_complete():
-    # the tracer wraps the engine's entry points and each datum's components
-    # after construction; an engine edit that breaks that wrapping fails here
-    res = subprocess.run([sys.executable, str(BENCH), "--workload", "coalescence",
+@pytest.mark.parametrize("workload", ["coalescence", "residual", "figures"])
+def test_traced_benchmark_run_is_correct_and_complete(workload):
+    # the tracer wraps the catalog constructors, the engine's entry points
+    # and each datum's components after construction; an edit to any of
+    # them that breaks that wrapping fails here: coalescence runs the
+    # extended path, residual the catalog and figures the double engine
+    res = subprocess.run([sys.executable, str(BENCH), "--workload", workload,
                           "--seed", "1", "--seconds", "0.5", "--trace", "1"],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr

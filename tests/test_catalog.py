@@ -11,6 +11,8 @@ from kundu_dnls import catalog
 from kundu_dnls.errors import DegenerateEigenvalueError
 from kundu_dnls.verify import ConventionVariant, _field_operator, pde_residual
 
+import published_forms
+
 VARIANT = ConventionVariant(1, "independent")
 SEED0 = kd.zero_seed()
 
@@ -48,7 +50,7 @@ def test_one_soliton_residual_order_two():
 
 def test_one_soliton_as_published_fails_residual():
     # the literal arrangement is not localized and does not solve the equation
-    rep = pde_residual(catalog.one_soliton(1, 2, form="as_published").eval, SEED0,
+    rep = pde_residual(published_forms.one_soliton(1, 2), SEED0,
                        VARIANT, kd.Grid2D(-2, 2, -1, 1, 81, 81), refinements=2)
     assert rep.estimated_order < 1.0 or rep.norms[-1][1] > 1.0
 
@@ -79,8 +81,11 @@ def test_two_soliton_residual_order_two():
 
 
 def test_two_soliton_published_form_unavailable():
-    with pytest.raises(ValueError):
+    # its published table is not evaluable, so neither the catalog nor the
+    # published forms offer it
+    with pytest.raises(TypeError):
         catalog.two_soliton(0.7, 0.3, 0.5, 0.5, form="as_published")
+    assert not hasattr(published_forms, "two_soliton")
 
 
 def test_two_soliton_rejects_equal_pairs():
@@ -106,7 +111,7 @@ def test_positon_residual_order_two():
 
 
 def test_positon_as_published_fails_residual():
-    rep = pde_residual(catalog.positon(0.8, 0.8, form="as_published").eval, SEED0,
+    rep = pde_residual(published_forms.positon(0.8, 0.8), SEED0,
                        VARIANT, kd.Grid2D(-3, 3, -2, 2, 81, 81), refinements=2)
     assert rep.estimated_order < 1.0 or rep.norms[-1][1] > 1.0
 
@@ -261,7 +266,7 @@ def test_breather_residual_order_two():
 
 
 def test_breather_as_published_fails_residual():
-    rep = pde_residual(catalog.breather(form="as_published").eval, SEED0, VARIANT,
+    rep = pde_residual(published_forms.breather(), SEED0, VARIANT,
                        kd.Grid2D(-2, 2, -2, 2, 81, 81), refinements=2)
     assert rep.estimated_order < 1.0 or rep.norms[-1][1] > 0.5
 
@@ -270,7 +275,7 @@ def test_breather_exact_vs_published_differ_by_two_terms_only():
     # regression-lock the two corrections: one exponent sign in the first
     # factor, one imaginary unit in the second factor
     exact = catalog.breather().eval
-    published = catalog.breather(form="as_published").eval
+    published = published_forms.breather()
     x, t = 0.7, -0.9
     assert complex(exact(x, t)) != pytest.approx(complex(published(x, t)))
     # at x = 0 the flipped exponential is invisible, the missing i is not
@@ -309,7 +314,7 @@ def test_rogue1_residual_order_two():
 
 
 def test_rogue1_as_published_fails_residual():
-    rep = pde_residual(catalog.rogue1(form="as_published").eval, SEED0, VARIANT,
+    rep = pde_residual(published_forms.rogue1(), SEED0, VARIANT,
                        kd.Grid2D(-2, 2, -2, 2, 81, 81), refinements=2)
     assert rep.norms[-1][1] > 0.5
 
@@ -317,7 +322,7 @@ def test_rogue1_as_published_fails_residual():
 def test_rogue1_published_typo_is_one_term():
     # the forms differ exactly by 8i(t^3 - t^2) in the denominator polynomial
     exact = catalog.rogue1().eval
-    published = catalog.rogue1(form="as_published").eval
+    published = published_forms.rogue1()
     assert complex(exact(0.3, 1.0)) == pytest.approx(complex(published(0.3, 1.0)))
     assert complex(exact(0.3, 0.5)) != pytest.approx(complex(published(0.3, 0.5)))
 
@@ -334,7 +339,7 @@ def test_rogue2_residual_order_two():
 
 
 def test_rogue2_as_published_fails_residual():
-    rep = pde_residual(catalog.rogue2(form="as_published").eval, SEED0, VARIANT,
+    rep = pde_residual(published_forms.rogue2(), SEED0, VARIANT,
                        kd.Grid2D(-2, 2, -2, 2, 81, 81), refinements=2)
     assert rep.norms[-1][1] > 0.5
 
@@ -386,12 +391,13 @@ def _exact_rogue_residual(num_rows, den_rows, x, t):
 def test_rogue_row_tables_solve_the_equation_exactly(form, solves):
     # every row enters the residual, so a wrong coefficient or power shows
     # at its own size, far above rounding; the published typo is one row
-    t_pow, x_pow = (2, 4) if form == "as_published" else (3, 2)
+    published = form == "as_published"
+    den1 = published_forms.ROGUE1_DEN if published else catalog._ROGUE1_DEN
+    f2 = published_forms.ROGUE2_F2 if published else catalog._ROGUE2_F2
     x, t = np.random.default_rng(7).uniform(-3, 3, (2, 25))
-    r1 = _exact_rogue_residual(catalog._ROGUE1_NUM, catalog._rogue1_den(t_pow), x, t)
+    r1 = _exact_rogue_residual(catalog._ROGUE1_NUM, den1, x, t)
     # rogue2: Q = -f1 f2 exp(-i(2x + t)) / f3^2, so N = f1 f2 and D = f3^2
-    num = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F1
-           for b, k, m in catalog._rogue2_f2(x_pow)]
+    num = [(a * b, i + k, j + m) for a, i, j in catalog._ROGUE2_F1 for b, k, m in f2]
     den = [(a * b, i + k, j + m) for a, i, j in _ROGUE2_F3 for b, k, m in _ROGUE2_F3]
     r2 = _exact_rogue_residual(num, den, x, t)
     for r in (r1, r2):

@@ -7,12 +7,11 @@ import pytest
 import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.darboux import (DegenerationSpec, SpectralSet, build_reduced_set,
-                                degenerate_limit, n_fold, one_fold)
-from kundu_dnls.errors import (ConditionBlowupError, DenominatorVanishesError,
-                               SingularOmegaError)
+                                degenerate_limit, n_fold)
 from kundu_dnls.lax import PhasePolynomial, SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
+from oracles import one_fold
 
 
 SEED0 = zero_seed()
@@ -55,10 +54,10 @@ def test_one_fold_coalesced_pair_gives_trivial_action():
     # seed (independent component data keep the diagonal elements defined)
     lam = 1 + 2j
     base = kd.zero_seed_eigenfunction(lam)
-    d1 = SpectralDatum(lam, base.phi, base.varphi, "synthetic")
+    d1 = SpectralDatum(lam, base.phi, base.varphi)
     d2 = SpectralDatum(lam,
                        lambda x, t: 2.0 * base.phi(x, t),
-                       lambda x, t: 5.0 * base.varphi(x, t), "synthetic")
+                       lambda x, t: 5.0 * base.varphi(x, t))
     out = one_fold(SpectralSet([d1, d2], reduction=False), SEED0)
     assert abs(out.Q(0.37, -0.7)) == 0.0
 
@@ -69,15 +68,19 @@ def test_reduced_set_rejects_equal_eigenvalues():
         SpectralSet([d1, kd.zero_seed_eigenfunction(1 + 2j)], reduction=True)
 
 
-def test_one_fold_pole_raises_at_denominator_zero():
-    # fabricated non-reduced data with a main-determinant zero at the origin
-    c1 = SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                       lambda x, t: np.ones_like(x + t + 0j), "synthetic")
-    c2 = SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                       lambda x, t: 2.0 * np.ones_like(x + t + 0j), "synthetic")
-    out = one_fold(SpectralSet([c1, c2]), SEED0)
-    with pytest.raises((DenominatorVanishesError, SingularOmegaError, ConditionBlowupError)):
-        out.at(0.0, 0.0)
+def _synthetic_pole_set():
+    """Fabricated non-reduced order-1 data whose main determinant vanishes
+    identically, so the origin is a transformation pole."""
+    return SpectralSet([
+        SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: np.ones_like(x + t + 0j)),
+        SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
+                      lambda x, t: 2.0 * np.ones_like(x + t + 0j))])
+
+
+def test_one_fold_pole_gives_nan_at_denominator_zero():
+    q, _, ratio = one_fold(_synthetic_pole_set(), SEED0).evaluate(0.0, 0.0)
+    assert np.isnan(q) and ratio == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +285,9 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     monkeypatch.setattr(dx, "plane_wave_eigenfunction",
                         _wrapped_eigenfunction(dx.plane_wave_eigenfunction))
     wrapped = build_reduced_set(lams, SEEDP)
-    assert [d.provenance[-1] for d in general(wrapped).data] == [")", "*"] * 2
+    # the unreduced set lists each eigenvalue followed by its conjugate
+    assert [d.lam for d in general(wrapped).data] == [
+        e for lam in lams for e in (lam, np.conj(lam))]
     for a, b in ((plain, wrapped), (general(plain), general(wrapped))):
         assert np.array_equal(n_fold(a, SEEDP).Q(X, T), n_fold(b, SEEDP).Q(X, T))
     assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X[:5], T[:5]), plain_ext)
@@ -462,26 +467,27 @@ class _NanSeed:
         return x + t
 
 
-def test_scalar_accessor_raises_on_flagged_points(monkeypatch):
-    synthetic = SpectralSet([
-        SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                      lambda x, t: np.ones_like(x + t + 0j), "synthetic"),
-        SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                      lambda x, t: 2.0 * np.ones_like(x + t + 0j), "synthetic")])
-    with pytest.raises(SingularOmegaError):
-        n_fold(synthetic, SEED0).at(0.0, 0.0)
+def test_evaluate_masks_flagged_points(monkeypatch):
+    # what the CLI reads: NaN where the main determinant vanishes (pivot
+    # ratio inf), where the ratio exceeds the bound and where the seed is
+    # not finite; every other node is Q's own value
+    q, _, ratio = n_fold(_synthetic_pole_set(), SEED0).evaluate(0.0, 0.0)
+    assert ratio == np.inf and np.isnan(q)
 
     sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
     with monkeypatch.context() as m:
         m.setattr(kd.darboux, "DEFAULT_CONDITION_BOUND", 1.0)   # read when called
-        with pytest.raises(ConditionBlowupError):
-            n_fold(sset, SEED0).at(0.3, 0.2)
+        q, _, ratio = n_fold(sset, SEED0).evaluate(0.3, 0.2)
+        assert ratio > 1.0 and np.isnan(q)
         assert np.isnan(n_fold(sset, SEED0).Q(0.3, 0.2))
-    with pytest.raises(DenominatorVanishesError):
-        n_fold(sset, _NanSeed()).at(0.0, 0.0)
+    q, _, ratio = n_fold(sset, _NanSeed()).evaluate(0.0, 0.0)
+    assert ratio <= kd.darboux.DEFAULT_CONDITION_BOUND and np.isnan(q)
 
     out = n_fold(sset, SEED0)
-    assert out.at(0.3, 0.2) == complex(out.Q(0.3, 0.2))
+    X, T = grid_pts(20).T
+    q, _, ratio = out.evaluate(X, T)
+    assert np.all(np.isfinite(q)) and np.all(ratio <= kd.darboux.DEFAULT_CONDITION_BOUND)
+    assert q.tobytes() == out.Q(X, T).tobytes()
 
 
 def test_n_fold_rejects_unsupported_order():
@@ -546,11 +552,7 @@ def test_extended_precision_path_agrees_with_double():
 
 
 def test_extended_path_refuses_data_without_mp_components():
-    synthetic = SpectralSet([
-        SpectralDatum(2.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                      lambda x, t: np.ones_like(x + t + 0j), "synthetic"),
-        SpectralDatum(1.0 + 0j, lambda x, t: np.ones_like(x + t + 0j),
-                      lambda x, t: 2.0 * np.ones_like(x + t + 0j), "synthetic")])
+    synthetic = _synthetic_pole_set()
     n_fold(synthetic, SEED0)
     with pytest.raises(ValueError):
         n_fold(synthetic, SEED0, precision="extended")
@@ -573,7 +575,7 @@ def test_condition_estimate_grows_toward_degeneracy():
     conds = []
     for eps in (1e-1, 1e-3):
         sset = build_reduced_set([lam * (1 + eps), lam * (1 - eps)], seed)
-        conds.append(float(n_fold(sset, seed).condition_estimate(0.3, 0.2)))
+        conds.append(float(n_fold(sset, seed).evaluate(0.3, 0.2)[2]))
     assert conds[1] > 50 * conds[0]
 
 

@@ -11,12 +11,12 @@ from kundu_dnls.darboux import SpectralSet, n_fold
 from kundu_dnls.errors import (DegeneratePairError, ZeroAmplitudeError,
                                ZeroCouplingError, ZeroEigenvalueError)
 from kundu_dnls.lax import (ExpSum, branch_quantity, check_lax_residual,
-                            critical_eigenvalue, unfolded_four_term_components, lax_matrices,
-                            make_plane_wave_seed, plane_wave_eigenfunction,
-                            zero_seed, zero_seed_eigenfunction)
+                            critical_eigenvalue, make_plane_wave_seed,
+                            plane_wave_eigenfunction, zero_seed, zero_seed_eigenfunction)
 from kundu_dnls.verify import ConventionVariant, pde_residual
 
 import mp_reference
+from oracles import unfolded_four_term_components
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +244,7 @@ def zero_seed_time_plus(lam):
     with mp.workdps(lax.MP_DPS):
         lm = mp.mpc(lam)
         kx, kt = mp.mpc(0, -0.25) * lm ** 2, mp.mpc(0, -0.125) * lm ** 4
-        return lax._datum(complex(lam), ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]),
-                          "zero-seed, time sign +1")
+        return lax._datum(complex(lam), ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]))
 
 
 @pytest.mark.parametrize("make", [
@@ -341,6 +340,12 @@ def test_exponential_sum_in_double_double_overflows_without_warning():
 # ---------------------------------------------------------------------------
 # Lax matrices and residuals
 # ---------------------------------------------------------------------------
+
+def lax_matrices(seed, lam, x, t, v_conjugation="independent"):
+    """(U, V) at one point as 2 x 2 arrays, from the residual checks' entries."""
+    U, V = lax._lax_entries(seed, lam, x, t, v_conjugation)
+    return np.array(U).reshape(2, 2), np.array(V).reshape(2, 2)
+
 
 def test_lax_matrices_zero_seed_diagonal():
     seed = kd.zero_seed()
