@@ -17,12 +17,10 @@ The positon's determinants use the catalog's own 4 x 4 expansion,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import DegenerateEigenvalueError
 
 Array = np.ndarray
 
@@ -31,11 +29,9 @@ POLE_THRESHOLD = 1e-12
 
 @dataclass
 class CatalogEntry:
-    """A named closed-form solution with its defining parameters."""
+    """A closed-form solution; `eval` is its vectorized (x, t) -> complex."""
 
-    name: str
-    params: dict = field(default_factory=dict)
-    eval: Callable = None  # vectorized (x, t) -> complex
+    eval: Callable
 
 
 def _guard(num: Array, den: Array) -> Array:
@@ -81,8 +77,8 @@ def one_soliton(m1: float, n1: float, alpha: float = 1.0,
     direction).
     """
     if n1 == 0:
-        raise DegenerateEigenvalueError("n1 = 0 collapses the eigenvalue pair")
-    if alpha <= 0:
+        raise ValueError("n1 = 0 collapses the eigenvalue pair")
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     l1 = m1 + 1j * n1
     l2 = np.conj(l1)
@@ -100,9 +96,7 @@ def one_soliton(m1: float, n1: float, alpha: float = 1.0,
         num = (l1 * l1 - l2 * l2) * e1 * e2 * (l1 * e2 - l2 * e1)
         return _guard(num, ra * (l1 * e1 - l2 * e2) ** 2)
 
-    return CatalogEntry("one_soliton",
-                        dict(m1=m1, n1=n1, alpha=alpha, theta_p=theta_p,
-                             theta_q=theta_q), ev)
+    return CatalogEntry(ev)
 
 
 def two_soliton(m1: float, n1: float, m2: float, n2: float, alpha: float = 1.0,
@@ -116,8 +110,8 @@ def two_soliton(m1: float, n1: float, m2: float, n2: float, alpha: float = 1.0,
     determinants and match the engine to machine precision (see tests).
     """
     if n1 == 0 or n2 == 0 or (m1, n1) == (m2, n2):
-        raise DegenerateEigenvalueError("eigenvalue pairs must be distinct and off-axis")
-    if alpha <= 0:
+        raise ValueError("eigenvalue pairs must be distinct and off-axis")
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     l1, l3 = m1 + 1j * n1, m2 + 1j * n2
     l2, l4 = np.conj(l1), np.conj(l3)
@@ -164,9 +158,7 @@ def two_soliton(m1: float, n1: float, m2: float, n2: float, alpha: float = 1.0,
         th = theta_p * x + theta_q * t
         return _guard(np.exp(-1j * th) * mirror * num, ra * den ** 2)
 
-    return CatalogEntry("two_soliton",
-                        dict(m1=m1, n1=n1, m2=m2, n2=n2, alpha=alpha,
-                             theta_p=theta_p, theta_q=theta_q), ev)
+    return CatalogEntry(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +179,8 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
     residual checks.)
     """
     if re1 * im1 == 0:
-        raise DegenerateEigenvalueError("re1 and im1 must both be nonzero")
-    if alpha <= 0:
+        raise ValueError("re1 and im1 must both be nonzero")
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     lam = re1 + 1j * im1
     ra = np.sqrt(alpha)
@@ -229,9 +221,7 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
         th = theta_p * x + theta_q * t
         return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * main ** 2)
 
-    return CatalogEntry("positon",
-                        dict(re1=re1, im1=im1, alpha=alpha, theta_p=theta_p,
-                             theta_q=theta_q), ev)
+    return CatalogEntry(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +266,7 @@ def breather() -> CatalogEntry:
         b1, b2, b3 = b_terms(x, t)
         return _guard(-b1 * b2, 2 * b3 ** 2)
 
-    return CatalogEntry("breather",
-                        dict(a=-2.0, c=1.0, alpha=1.0, lambda_re=0.5, lambda_im=0.5), ev)
+    return CatalogEntry(ev)
 
 
 def _horner(coefs, z):
@@ -358,7 +347,7 @@ def rogue1() -> CatalogEntry:
         t = np.asarray(t, dtype=float)
         return _guard(num(x, t) * _rogue_carrier(x, t), den(x, t))
 
-    return CatalogEntry("rogue1", dict(a=-2.0, c=1.0, alpha=1.0), ev)
+    return CatalogEntry(ev)
 
 
 def rogue2() -> CatalogEntry:
@@ -379,4 +368,4 @@ def rogue2() -> CatalogEntry:
         # f3^2 = (-conj(f1))^2 = conj(f1)^2
         return _guard(p1 * f2(x, t) * _rogue_carrier(x, t), np.conj(p1) ** 2)
 
-    return CatalogEntry("rogue2", dict(a=-2.0, c=1.0, alpha=1.0), ev)
+    return CatalogEntry(ev)

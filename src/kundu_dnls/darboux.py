@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .errors import DegeneratePairError
 from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
@@ -78,11 +77,10 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
     for lam, w in zip(lambdas, weights_per_lambda):
         lam = complex(lam)
         if lam.real == 0.0 or lam.imag == 0.0:
-            raise DegeneratePairError(
-                f"lambda {lam} on an axis collapses its conjugate pair")
+            raise ValueError(f"lambda {lam} on an axis collapses its conjugate pair")
         if isinstance(seed, PlaneWaveSeed):
             if abs(branch_quantity(lam, seed)) < 1e-12 and complex(w[0]) == complex(w[1]):
-                raise DegeneratePairError(
+                raise ValueError(
                     f"branch quantity vanishes at lambda {lam}; the two basis "
                     "solutions coincide and the eigenfunction degenerates")
             datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w))

@@ -1,41 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A bad argument raises `ValueError`.  The classes here are what a caller must
+tell apart from one: the CLI's exit codes, and the two `verify` outcomes that
+`kdnls analyze` reports as invalid configuration rather than as a bug."""
 
 
 class KdnlsError(Exception):
     """Base class for all package-specific errors."""
-
-
-class NonFiniteError(KdnlsError):
-    """An input array contains NaN or Inf where finite values are required."""
-
-
-class GridTooSmallError(KdnlsError):
-    """A grid has too few samples for the requested stencil or norm."""
-
-
-class GridMismatchError(KdnlsError):
-    """Two fields that must share a grid do not."""
-
-
-class ZeroCouplingError(KdnlsError):
-    """The coupling constant must be nonzero."""
-
-
-class ZeroEigenvalueError(KdnlsError):
-    """A spectral parameter of zero is outside the valid range."""
-
-
-class ZeroAmplitudeError(KdnlsError):
-    """A plane-wave background with zero amplitude has no bounded eigenfunction."""
-
-
-class DegeneratePairError(KdnlsError):
-    """A conjugate eigenvalue pair collapses (real or purely imaginary lambda,
-    or an eigenfunction that vanishes identically)."""
-
-
-class DegenerateEigenvalueError(KdnlsError):
-    """Closed-form solution parameters that collapse two eigenvalues."""
 
 
 class AllNodesExcludedError(KdnlsError):

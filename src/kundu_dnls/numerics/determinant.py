@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError
 
 Array = np.ndarray
 
@@ -119,6 +118,6 @@ def det(matrix: Array) -> complex:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix contains NaN or Inf entries")
+        raise ValueError("matrix contains NaN or Inf entries")
     d, _ = batched_det(a[None])
     return complex(d[0])

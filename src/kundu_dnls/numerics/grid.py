@@ -10,8 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import GridMismatchError, GridTooSmallError
-
 Array = np.ndarray
 
 
@@ -37,7 +35,7 @@ class Grid2D:
 
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
-            raise GridTooSmallError(f"need at least 2 samples per axis, got {self.nx}x{self.nt}")
+            raise ValueError(f"need at least 2 samples per axis, got {self.nx}x{self.nt}")
         if not np.all(np.isfinite((self.x_min, self.x_max, self.t_min, self.t_max,
                                    self.hx, self.ht))):
             raise ValueError("grid extents and spacings must be finite")
@@ -87,16 +85,12 @@ class ComplexField2D:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.grid.nx, self.grid.nt):
-            raise GridMismatchError(
+            raise ValueError(
                 f"values shape {self.values.shape} != grid {(self.grid.nx, self.grid.nt)}")
         if self.invalid is None:
             self.invalid = ~np.isfinite(self.values)
         else:
             self.invalid = np.asarray(self.invalid, dtype=bool) | ~np.isfinite(self.values)
-
-    @property
-    def intensity(self) -> Array:
-        return intensity(self.values)
 
 
 # fewer nodes than this in a block keeps a complex temporary (16 bytes a node)
@@ -151,7 +145,7 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     place in it (see _BLOCK_NODES), so a node's sample does not depend on
     the size of the grid around it.  A 2-D block result whose axes each
     have length 1 or the block's length (an x-only field, say) is expanded
-    to the block.  Any other result raises GridMismatchError, a scalar or
+    to the block.  Any other result raises ValueError, a scalar or
     1-D array included: write a constant field as c + 0 * x + 0 * t.
     Non-finite results are masked, not fatal; exceptions from f propagate.
 
@@ -179,8 +173,8 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
         block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
         shape = (j - i, grid.nt)
         if block.ndim != 2 or any(n not in (1, full) for n, full in zip(block.shape, shape)):
-            raise GridMismatchError(f"f returned shape {block.shape} on rows {i}:{j}, "
-                                    f"which does not broadcast to the block's {shape}")
+            raise ValueError(f"f returned shape {block.shape} on rows {i}:{j}, "
+                             f"which does not broadcast to the block's {shape}")
         values[i:j] = block
 
     def run(helper: bool):

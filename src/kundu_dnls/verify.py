@@ -13,8 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (AllNodesExcludedError, GridMismatchError,
-                     ResolutionTooCoarseError, VerificationFailedError)
+from .errors import AllNodesExcludedError, ResolutionTooCoarseError, VerificationFailedError
 from .lax import (PlaneWaveSeed, Seed, check_lax_residual, make_plane_wave_seed,
                   plane_wave_eigenfunction)
 from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, sample
@@ -89,13 +88,20 @@ def _pde_residual_on_grid(values: Array, invalid: Array, grid: Grid2D,
 
 def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
                  grid: Grid2D, refinements: int = 2) -> ResidualReport:
-    """Norms of the field-equation residual at `refinements` nested grids."""
+    """Norms of the field-equation residual at `refinements` nested grids.
+
+    The finest grid is sampled once and each coarser level reads every s-th
+    node of it: the finest grid's axes at stride s are the coarser grid's
+    axes bit for bit, and a node's sample does not depend on the grid
+    around it (see `sample`)."""
     if refinements < 1:
         raise ValueError("need at least one refinement level")
+    fine = sample(field_source, grid.refined(2 ** (refinements - 1)))
     norms = []
     for level in range(refinements):
         g = grid.refined(2 ** level) if level else grid
-        fld = sample(field_source, g)
+        s = 2 ** (refinements - 1 - level)
+        values, invalid = fine.values[::s, ::s], fine.invalid[::s, ::s]
         # the sampling blocks, clipped to the interior rows, each with a
         # one-row halo; the kept nodes, packed in row order into one buffer,
         # are those of the whole interior
@@ -103,9 +109,8 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
         n = 0
         for i, j in _row_blocks(g.nx, g.nt):
             i, j = max(i, 1), min(j, g.nx - 1)
-            res, excluded = _pde_residual_on_grid(fld.values[i - 1:j + 1],
-                                                  fld.invalid[i - 1:j + 1], g, seed,
-                                                  variant.nonlinear_sign)
+            res, excluded = _pde_residual_on_grid(values[i - 1:j + 1], invalid[i - 1:j + 1],
+                                                  g, seed, variant.nonlinear_sign)
             block = res[~excluded & np.isfinite(res)]
             np.abs(block, out=kept[n:n + block.size])
             n += block.size
@@ -155,8 +160,7 @@ def pin_down_convention() -> ConventionVariant:
         rep = check_lax_residual(datum, seed, lax_grid, v_conjugation=v)
         fine_max = rep.norms_t[-1][1]
         conj_ok[v] = fine_max < 1e-2 and rep.order_t > 1.5
-    winners = [ConventionVariant(s, v) for s in (1, -1) for v in ("gstar", "independent")
-               if sign_ok[s] and conj_ok[v]]
+    winners = [v for v in ALL_VARIANTS if sign_ok[v.nonlinear_sign] and conj_ok[v.v_conjugation]]
     if len(winners) != 1:
         raise VerificationFailedError(
             f"expected exactly one surviving variant, got {len(winners)}")
@@ -171,7 +175,7 @@ def compare_fields(a: ComplexField2D, b: ComplexField2D) -> tuple[float, float]:
     """(max_err, mean_err) of the intensity difference between two fields on
     the same grid, over their common valid nodes."""
     if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
+        raise ValueError("fields live on different grids")
     valid = ~(a.invalid | b.invalid)
     if not valid.any():
         raise AllNodesExcludedError("no common valid nodes")
@@ -222,6 +226,12 @@ class PeakSet:
 # of each axis wide; a peak must reach this multiple of it
 BACKGROUND_FRAME = 0.1
 PEAK_TO_BACKGROUND = 4.0
+# a ring's radii and angular gaps may spread by at most these fractions of
+# their means; structures are collinear when the smaller singular value of
+# their centred positions is at most COLLINEAR_TOL of the larger
+RING_RADIUS_SPREAD = 0.15
+RING_ANGLE_SPREAD = 0.20
+COLLINEAR_TOL = 0.05
 
 
 def peak_analysis(intensity: ComplexField2D, cluster_radius: float = 3.0) -> PeakSet:
@@ -283,8 +293,7 @@ def _classify(structures: list) -> str:
     return "unclassified"
 
 
-def _is_ring(structures: list, radius_spread: float = 0.15,
-             angle_spread: float = 0.20) -> bool:
+def _is_ring(structures: list) -> bool:
     pts = np.array([(x, t) for x, t, _ in structures])
     centroid = pts.mean(axis=0)
     rel = pts - centroid
@@ -295,15 +304,15 @@ def _is_ring(structures: list, radius_spread: float = 0.15,
     if len(outer) < 5:
         return False
     r = radii[outer]
-    if (r.max() - r.min()) / r.mean() > radius_spread:
+    if (r.max() - r.min()) / r.mean() > RING_RADIUS_SPREAD:
         return False
     ang = np.sort(np.arctan2(rel[outer, 1], rel[outer, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-    return (gaps.max() - gaps.min()) / gaps.mean() <= angle_spread
+    return (gaps.max() - gaps.min()) / gaps.mean() <= RING_ANGLE_SPREAD
 
 
-def _collinear(structures: list, tol: float = 0.05) -> bool:
+def _collinear(structures: list) -> bool:
     pts = np.array([(x, t) for x, t, _ in structures])
     pts = pts - pts.mean(axis=0)
     sv = np.linalg.svd(pts, compute_uv=False)
-    return sv[1] <= tol * sv[0]
+    return sv[1] <= COLLINEAR_TOL * sv[0]

@@ -9,12 +9,13 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench.py"
 
 
-@pytest.mark.parametrize("workload", ["coalescence", "residual", "figures"])
+@pytest.mark.parametrize("workload", ["coalescence", "residual", "figures", "export"])
 def test_traced_benchmark_run_is_correct_and_complete(workload):
     # the tracer wraps the catalog constructors, the engine's entry points
     # and each datum's components after construction; an edit to any of
     # them that breaks that wrapping fails here: coalescence runs the
-    # extended path, residual the catalog and figures the double engine
+    # extended path, residual the catalog, figures the double engine and
+    # export the CLI's closed forms and its writers
     res = subprocess.run([sys.executable, str(BENCH), "--workload", workload,
                           "--seed", "1", "--seconds", "0.5", "--trace", "1"],
                          capture_output=True, text=True, timeout=300)

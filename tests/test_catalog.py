@@ -8,7 +8,6 @@ import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import catalog
-from kundu_dnls.errors import DegenerateEigenvalueError
 from kundu_dnls.verify import ConventionVariant, _field_operator, pde_residual
 
 import published_forms
@@ -56,7 +55,7 @@ def test_one_soliton_as_published_fails_residual():
 
 
 def test_one_soliton_rejects_degenerate_pair():
-    with pytest.raises(DegenerateEigenvalueError):
+    with pytest.raises(ValueError, match="n1 = 0 collapses the eigenvalue pair"):
         catalog.one_soliton(1.0, 0.0)
 
 
@@ -88,8 +87,19 @@ def test_two_soliton_published_form_unavailable():
     assert not hasattr(published_forms, "two_soliton")
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+def test_zero_background_entries_reject_a_coupling_that_is_not_positive(alpha):
+    # NaN fails the positivity test, as for the engine's seeds, instead of
+    # giving an all-NaN field
+    for make in (lambda: catalog.one_soliton(1.0, 2.0, alpha),
+                 lambda: catalog.two_soliton(0.7, 0.3, 0.5, 0.5, alpha),
+                 lambda: catalog.positon(0.8, 0.8, alpha)):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            make()
+
+
 def test_two_soliton_rejects_equal_pairs():
-    with pytest.raises(DegenerateEigenvalueError):
+    with pytest.raises(ValueError, match="eigenvalue pairs must be distinct and off-axis"):
         catalog.two_soliton(0.7, 0.3, 0.7, 0.3)
 
 

@@ -1,5 +1,6 @@
 """CLI contract tests: formats, determinism, exit codes, config handling."""
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kundu_dnls import cli
+from kundu_dnls import catalog, cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
+from kundu_dnls.darboux import DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
+from kundu_dnls.lax import PhasePolynomial, critical_eigenvalue, make_plane_wave_seed
 from kundu_dnls.numerics import grid as grid_mod
-from kundu_dnls.numerics.grid import Grid2D
+from kundu_dnls.numerics.grid import Grid2D, sample
 
 
 def run(args):
@@ -189,6 +192,53 @@ def test_precision_on_split_rogue2_is_recorded(tmp_path):
     assert run(["generate", "--solution", "rogue2", "--param", "S1=1", "--precision", "double",
                 "--grid", "-1:1:5,-1:1:5", "--output", str(out), "--quiet"]) == 0
     assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision"] == "double"
+
+
+def test_rogue_presets_sit_at_the_critical_eigenvalue():
+    # the split rogue2 and rogue3 take engine-degenerate's defaults, so its
+    # default eigenvalue must be the critical one of its default plane wave
+    p = cli.SOLUTIONS["engine-degenerate"]
+    assert (p["seed"], p["a"], p["c"], p["alpha"], p["theta_p"], p["theta_q"]) == (
+        "planewave", -2.0, 1.0, 1.0, 1.0, 1.0)
+    assert complex(p["lc_re"], p["lc_im"]) == critical_eigenvalue(make_plane_wave_seed(-2, 1, 1))
+
+
+@pytest.mark.parametrize("solution, raw, n", [
+    ("rogue2", {"S1": "30", "eps": "3e-3"}, 2),
+    ("rogue3", {"S0": "0.5", "S2": "100"}, 3),
+    ("rogue3", {"eps": "1e-4"}, 3),
+])
+def test_split_rogue_waves_are_the_degenerate_limit_at_the_critical_eigenvalue(solution, raw, n):
+    params = cli.resolve_params(solution, raw)
+    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+    spec = DegenerationSpec(lambda_c=critical_eigenvalue(seed), epsilon=params["eps"], n=n,
+                            phases=PhasePolynomial(params["S0"], params["S1"], params["S2"]))
+    g = Grid2D(-3.1, 2.9, -2.3, 3.3, 23, 19)
+    got, want = cli.build_field(solution, params, "auto"), degenerate_limit(spec, seed)
+    assert got.precision == want.precision
+    assert sample(got, g).values.tobytes() == sample(want, g).values.tobytes()
+
+
+def test_closed_form_keys_are_the_constructor_parameters():
+    # build_field passes a closed form's parameters by name
+    for solution, name in cli._CLOSED_FORMS.items():
+        wanted = list(inspect.signature(getattr(catalog, name)).parameters)
+        # rogue2's keys are those of its split form; its closed form takes none
+        assert wanted == ([] if solution == "rogue2" else list(cli.SOLUTIONS[solution]))
+
+
+@pytest.mark.parametrize("solution", sorted(cli._CLOSED_FORMS))
+def test_closed_form_constructor_is_looked_up_when_built(monkeypatch, solution):
+    # instrumentation replaces the constructors on the catalog module
+    name = cli._CLOSED_FORMS[solution]
+    seen = []
+
+    def stand_in(**kwargs):
+        seen.append(kwargs)
+        return catalog.CatalogEntry(lambda x, t: 0 * x + 0 * t + 1j)
+    monkeypatch.setattr(catalog, name, stand_in)
+    field = cli.build_field(solution, cli.resolve_params(solution, {}), "auto")
+    assert field(0.0, 0.0) == 1j and len(seen) == 1
 
 
 @pytest.mark.parametrize("argv, requested, used", [

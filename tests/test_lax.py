@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 import kundu_dnls as kd
 from kundu_dnls import lax
 from kundu_dnls.darboux import SpectralSet, n_fold
-from kundu_dnls.errors import (DegeneratePairError, ZeroAmplitudeError,
-                               ZeroCouplingError, ZeroEigenvalueError)
 from kundu_dnls.lax import (ExpSum, branch_quantity, check_lax_residual,
                             critical_eigenvalue, make_plane_wave_seed,
                             plane_wave_eigenfunction, zero_seed, zero_seed_eigenfunction)
@@ -39,9 +37,10 @@ def test_plane_wave_seed_value_at_origin():
 
 
 def test_zero_coupling_rejected():
-    with pytest.raises(ZeroCouplingError):
+    # zero fails the one positivity test of the coupling
+    with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
         make_plane_wave_seed(-2.0, 1.0, 0.0)
-    with pytest.raises(ZeroCouplingError):
+    with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
         zero_seed(0.0)
 
 
@@ -55,9 +54,9 @@ def test_negative_coupling_rejected():
 
 def test_directly_built_seeds_check_themselves():
     # the checks live in the seed types, so no constructor path skips them
-    with pytest.raises(ZeroCouplingError):
+    with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
         kd.ZeroSeed(alpha=0.0)
-    with pytest.raises(ZeroCouplingError):
+    with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
         kd.PlaneWaveSeed(a=-2.0, c=1.0, alpha=0.0)
     with pytest.raises(ValueError):
         kd.ZeroSeed(alpha=-1.0)
@@ -97,7 +96,7 @@ def test_zero_seed_eigenfunction_value_at_x1():
 
 
 def test_zero_seed_rejects_zero_eigenvalue():
-    with pytest.raises(ZeroEigenvalueError):
+    with pytest.raises(ValueError, match="lambda must be nonzero"):
         zero_seed_eigenfunction(0.0)
 
 
@@ -144,7 +143,7 @@ def test_critical_eigenvalue_matches_newton_root(a, c, newton_root):
 
 
 def test_critical_eigenvalue_rejects_a_real_root():
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(ValueError, match="critical eigenvalue .* is real"):
         critical_eigenvalue(make_plane_wave_seed(-1.3, 0.8, 1.0))
 
 
@@ -205,7 +204,7 @@ def test_plane_wave_matches_displayed_four_term_form():
 
 def test_plane_wave_rejects_zero_amplitude():
     seed = make_plane_wave_seed(-2.0, 0.0, 1.0)
-    with pytest.raises(ZeroAmplitudeError):
+    with pytest.raises(ValueError, match="plane-wave eigenfunctions require c != 0"):
         plane_wave_eigenfunction(0.5 + 1j, seed)
 
 
@@ -460,7 +459,7 @@ def test_lax_residual_on_broadcast_axes_matches_mesh(case, v_conjugation):
 
 def test_degenerate_pair_detection():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(ValueError, match="branch quantity vanishes"):
         kd.build_reduced_set([1 + 1j], seed)  # branch point: basis collapses
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(ValueError, match="on an axis collapses its conjugate pair"):
         kd.build_reduced_set([2.0 + 0j], kd.zero_seed())  # real axis

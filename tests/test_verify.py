@@ -6,8 +6,7 @@ import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import verify
-from kundu_dnls.errors import (AllNodesExcludedError, GridMismatchError,
-                               ResolutionTooCoarseError)
+from kundu_dnls.errors import AllNodesExcludedError, ResolutionTooCoarseError
 from kundu_dnls.verify import (ALL_VARIANTS, ConventionVariant, compare_fields,
                                convergence_study, exact_seed_residual, pde_residual,
                                peak_analysis, pin_down_convention)
@@ -113,6 +112,61 @@ def test_streamed_residual_has_the_norms_of_the_whole_grid(monkeypatch):
                      refinements=1)
 
 
+def _shifted(grid, dx, dt):
+    return kd.Grid2D(grid.x_min + dx, grid.x_max + dx, grid.t_min + dt, grid.t_max + dt,
+                     grid.nx, grid.nt)
+
+
+def _fields_on_windows():
+    seed = kd.make_plane_wave_seed(-2.0, 1.0, 1.0)
+    spec = kd.DegenerationSpec(lambda_c=1 + 1j, epsilon=2e-3, n=2,
+                               phases=kd.PhasePolynomial(0.0, 30.0, 0.0))
+    return [
+        (kd.catalog.rogue1().eval, kd.Grid2D(-4, 4, -4, 4, 41, 37)),
+        (kd.catalog.positon(0.8, 0.8).eval, kd.Grid2D(-10, 10, -10, 10, 33, 45)),
+        (kd.catalog.breather().eval, kd.Grid2D(-5, 5, -3, 3, 29, 31)),
+        (kd.n_fold(kd.build_reduced_set([1 + 2j], kd.zero_seed()), kd.zero_seed()).Q,
+         kd.Grid2D(-3, 3, -2, 2, 25, 27)),
+        (kd.degenerate_limit(spec, seed).Q, kd.Grid2D(-4, 4, -4, 4, 21, 23)),
+    ]
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.3183, -0.1234), (-1.7, 2.45)])
+def test_refined_grid_at_a_stride_has_the_bits_of_the_coarse_grid(shift):
+    # pde_residual samples only its finest grid and reads the coarser levels
+    # from it at a stride, which holds because these bytes agree
+    for f, grid in _fields_on_windows():
+        g = _shifted(grid, *shift)
+        assert np.array_equal(g.refined(2).xs[::2], g.xs)
+        assert np.array_equal(g.refined(4).ts[::4], g.ts)
+        coarse = kd.sample(f, g).values
+        assert coarse.tobytes() == kd.sample(f, g.refined(2)).values[::2, ::2].tobytes()
+        assert coarse.tobytes() == kd.sample(f, g.refined(4)).values[::4, ::4].tobytes()
+
+
+def _residual_norms_per_level(f, seed, variant, grid, refinements):
+    """pde_residual's norms with every level sampled on its own grid."""
+    norms = []
+    for level in range(refinements):
+        g = grid.refined(2 ** level) if level else grid
+        fld = kd.sample(f, g)
+        res, excluded = verify._pde_residual_on_grid(fld.values, fld.invalid, g, seed,
+                                                     variant.nonlinear_sign)
+        r = np.abs(res[~excluded & np.isfinite(res)])
+        norms.append((g.hx, float(r.max()), float(r.mean())))
+    return norms
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+def test_residual_of_one_sampled_grid_is_that_of_each_level_sampled(refinements):
+    variant = ConventionVariant()
+    for f, grid in _fields_on_windows():
+        g = _shifted(grid, 0.2071, -0.0917)
+        rep = pde_residual(f, kd.zero_seed(), variant, g, refinements=refinements)
+        assert rep.norms == _residual_norms_per_level(f, kd.zero_seed(), variant, g,
+                                                      refinements)
+
+
 def test_residual_holds_bounded_memory():
     g = kd.Grid2D(-4, 4, -4, 4, 641, 641)
     tracemalloc.start()
@@ -156,7 +210,7 @@ def test_compare_fields_identical():
 def test_compare_fields_grid_mismatch():
     a, _ = _two_fields()
     other = kd.sample(lambda x, t: x + 0j * t, kd.Grid2D(-1, 1, -1, 1, 31, 31))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="fields live on different grids"):
         compare_fields(a, other)
 
 
