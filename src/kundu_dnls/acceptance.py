@@ -15,7 +15,7 @@ from . import catalog, cli
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
 from .lax import make_plane_wave_seed, plane_wave_eigenfunction, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
-from .verify import (ConventionVariant, compare_fields, convergence_study,
+from .verify import (ConventionVariant, _ring_outer, compare_fields, convergence_study,
                      exact_seed_residual, pde_residual, peak_analysis,
                      pin_down_convention)
 
@@ -97,8 +97,8 @@ def check_engine_oracle_equivalence() -> CheckResult:
                              sample(catalog.one_soliton(1, 2).eval, g1))
     g2 = Grid2D(-10, 10, -10, 10, 201, 201)
     out2 = n_fold(build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], seed), seed)
-    Ie = np.abs(sample(out2.Q, g2).values) ** 2
-    Ic = np.abs(sample(catalog.two_soliton(0.7, 0.3, 0.5, 0.5).eval, g2).values) ** 2
+    Ie = intensity(sample(out2.Q, g2).values)
+    Ic = intensity(sample(catalog.two_soliton(0.7, 0.3, 0.5, 0.5).eval, g2).values)
     mask = Ic > 0.01
     err2 = float(np.max(np.abs(Ie - Ic)[mask] / Ic[mask]))
     ok = err1 <= 1e-9 and err2 <= 1e-6
@@ -111,8 +111,8 @@ def check_engine_oracle_equivalence() -> CheckResult:
 def check_rogue_anchors() -> CheckResult:
     """Criterion 4: first-order peak and far field; second-order centre value."""
     r1 = catalog.rogue1().eval
-    centre = abs(complex(r1(0.0, 0.0))) ** 2
-    far = [abs(complex(r1(x, 0.0))) ** 2 for x in (50.0, -50.0)]
+    centre = intensity(r1(0.0, 0.0))
+    far = [intensity(r1(x, 0.0)) for x in (50.0, -50.0)]
     r2 = catalog.rogue2().eval
     centre2 = abs(complex(r2(0.0, 0.0)))
     ok = (abs(centre - 9.0) <= 1e-9
@@ -142,8 +142,8 @@ def check_degeneration_convergence() -> CheckResult:
     out = degenerate_limit(spec, seedp)  # auto-extended at this radius
     lat = np.linspace(-2, 2, 5)
     X, T = np.meshgrid(lat, lat, indexing="ij")
-    err_r1 = float(np.max(np.abs(np.abs(out.Q(X, T)) ** 2
-                                 - np.abs(catalog.rogue1().eval(X, T)) ** 2)))
+    err_r1 = float(np.max(np.abs(intensity(out.Q(X, T))
+                                 - intensity(catalog.rogue1().eval(X, T)))))
     ok = monotone and reduction >= 20.0 and err_r1 <= 1e-3
     detail = ("positon ladder " + " -> ".join(f"{e:.0e}:{err:.2e}" for e, err in rows)
               + f" (x{reduction:.0f} down), rogue1 probe {err_r1:.2e} (<=1e-3)")
@@ -171,28 +171,18 @@ def pattern_field(config_name: str) -> ComplexField2D:
 
 @_timed
 def check_pattern_taxonomy() -> CheckResult:
-    """Criterion 6: split/fused hump patterns of the degenerate solutions."""
+    """Criterion 6: split/fused hump patterns, the split ones by their figures' rows."""
     tri = peak_analysis(pattern_field("triangle2"))
     ring = peak_analysis(pattern_field("ring3"))
     fused = peak_analysis(pattern_field("fused2"))
-    ring_outer = _ring_outer_count(ring)
-    ok = (len(tri.structures) == 3 and tri.classification == "triangular"
-          and ring.classification == "ring" and ring_outer == 5
+    ok = (not _humps_differ(tri, FIGURE_CHECKS["fig7"]["humps"])
+          and not _humps_differ(ring, FIGURE_CHECKS["fig10"]["humps"])
           and len(fused.structures) == 1 and fused.classification == "fundamental")
     detail = (f"triangle2: {len(tri.structures)} structures ({tri.classification}); "
-              f"ring3: {ring_outer} outer ({ring.classification}); "
+              f"ring3: {len(_ring_outer(ring.structures))} outer ({ring.classification}); "
               f"fused2: {len(fused.structures)} structure ({fused.classification})")
     return CheckResult("pattern_taxonomy", ok, detail,
                        data={"triangle2": tri, "ring3": ring, "fused2": fused})
-
-
-def _ring_outer_count(ps) -> int:
-    pts = np.array([(x, t) for x, t, _ in ps.structures])
-    if len(pts) == 0:
-        return 0
-    centroid = pts.mean(axis=0)
-    radii = np.hypot(*(pts - centroid).T)
-    return int(np.sum(radii > 0.4 * np.median(radii)))
 
 
 @_timed
@@ -259,7 +249,7 @@ def check_property_suites() -> CheckResult:
     xs = np.linspace(-5, 5, 41)
     ts = np.linspace(-3, 3, 25)
     Xb, Tb = np.meshgrid(xs, ts, indexing="ij")
-    dev = np.max(np.abs(np.abs(qb_(Xb + period, Tb)) ** 2 - np.abs(qb_(Xb, Tb)) ** 2))
+    dev = np.max(np.abs(intensity(qb_(Xb + period, Tb)) - intensity(qb_(Xb, Tb))))
     if dev > 1e-6:
         fails.append(f"breather periodicity ({dev:.2e})")
 
@@ -291,65 +281,59 @@ def check_figure_reproduction() -> CheckResult:
                        "all figures reproduced" if ok else "; ".join(fails))
 
 
+# what each mapped figure's |Q|^2 must show, one row per figure:
+#   crest: (height, tolerance) of the grid maximum;
+#   ridge_floor: a bound below the maximum over x at every t;
+#   maxima: (t column, least, most) count of 1-D maxima above 0.5 on that column;
+#   humps: (count, classification) from peak_analysis at cluster radius 4,
+#     either None for any; a ring counts its outer structures
+FIGURE_CHECKS = {
+    "fig1": dict(crest=(4.0, 0.05), ridge_floor=3.5),
+    "fig2": dict(maxima=(0, 2, 2)),
+    "fig3": dict(maxima=(-1, 2, np.inf)),
+    "fig4": dict(crest=(4.0, 0.05)),
+    "fig5": dict(crest=(9.0, 0.05), humps=(1, "fundamental")),
+    "fig6": dict(crest=(25.0, 0.2), humps=(1, None)),
+    "fig7": dict(humps=(3, "triangular")),
+    "fig8": dict(crest=(49.0, 0.5)),
+    "fig9": dict(humps=(6, "triangular")),
+    "fig10": dict(humps=(5, "ring")),
+}
+
+
 def _figure_smoke(fig: str, path: str) -> str:
-    """Structure assertion per figure; empty string means pass."""
+    """The first check of the figure's row its json artifact fails, or ""."""
     import json
 
     with open(path) as fh:
         doc = json.load(fh)
     I = np.asarray(doc["data"])
-    g = doc["grid"]
-    grid = Grid2D(g["x_min"], g["x_max"], g["t_min"], g["t_max"], g["nx"], g["nt"])
-    fld = ComplexField2D(grid, I.astype(complex))
-    peak_tol = 0.05
-
-    def structures():
-        return peak_analysis(fld, cluster_radius=4.0)
-
-    if fig == "fig1":
-        ridge_max = I.max(axis=0)
-        if not (abs(I.max() - 4.0) < peak_tol and ridge_max.min() > 3.5):
-            return f"expected a constant-height ridge near 4, got max {I.max():.3f}"
-    elif fig == "fig2":
-        cut = I[:, 0]
-        if _count_1d_maxima(cut, 0.5) != 2:
-            return "expected two separated ridges on the t=-10 slice"
-    elif fig == "fig3":
-        cut = I[:, -1]
-        if _count_1d_maxima(cut, 0.5) < 2:
-            return "expected two slowly separating branches at late time"
-    elif fig == "fig4":
-        if not abs(I.max() - 4.0) < peak_tol:
-            return f"expected breather crest 4, got {I.max():.3f}"
-    elif fig == "fig5":
-        ps = structures()
-        if not (len(ps.structures) == 1 and abs(I.max() - 9.0) < peak_tol
-                and ps.classification == "fundamental"):
-            return f"expected one order-1 hump of 9, got {I.max():.3f}"
-    elif fig == "fig6":
-        ps = structures()
-        if not (len(ps.structures) == 1 and abs(I.max() - 25.0) < 0.2):
-            return f"expected fused order-2 centre 25, got {I.max():.3f}"
-    elif fig == "fig7":
-        ps = structures()
-        if not (len(ps.structures) == 3 and ps.classification == "triangular"):
-            return f"expected 3 humps (triangular), got {len(ps.structures)}"
-    elif fig == "fig8":
-        if not abs(I.max() - 49.0) < 0.5:
-            return f"expected fused order-3 centre 49, got {I.max():.3f}"
-    elif fig == "fig9":
-        ps = structures()
-        if not (len(ps.structures) == 6 and ps.classification == "triangular"):
-            return f"expected 6 humps (triangular), got {len(ps.structures)}"
-    elif fig == "fig10":
-        ps = structures()
-        if ps.classification != "ring":
-            return f"expected ring, got {ps.classification} ({len(ps.structures)})"
+    check = FIGURE_CHECKS[fig]
+    if "crest" in check and not abs(I.max() - check["crest"][0]) < check["crest"][1]:
+        return f"expected crest {check['crest'][0]}, got {I.max():.3f}"
+    if "ridge_floor" in check and not I.max(axis=0).min() > check["ridge_floor"]:
+        return f"expected a ridge above {check['ridge_floor']} at every t"
+    if "maxima" in check:
+        column, least, most = check["maxima"]
+        v = I[:, column]
+        n = int(np.sum((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] > 0.5)))
+        if not least <= n <= most:
+            return f"{n} maxima on t column {column}, expected {least} to {most}"
+    if "humps" in check:
+        fld = ComplexField2D(Grid2D(**doc["grid"]), I.astype(complex))
+        return _humps_differ(peak_analysis(fld, cluster_radius=4.0), check["humps"])
     return ""
 
 
-def _count_1d_maxima(v: np.ndarray, thresh: float) -> int:
-    return int(np.sum((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] > thresh)))
+def _humps_differ(ps, humps: tuple) -> str:
+    """How the peaks differ from the expected (count, classification), or ""."""
+    count, kind = humps
+    n = len(_ring_outer(ps.structures)) if kind == "ring" else len(ps.structures)
+    if count is not None and n != count:
+        return f"{n} structures, expected {count}"
+    if kind is not None and ps.classification != kind:
+        return f"classified {ps.classification}, expected {kind}"
+    return ""
 
 
 FULL_SUITE = [

@@ -34,6 +34,14 @@ class CatalogEntry:
     eval: Callable
 
 
+def _check_finite(**numbers):
+    """Each named parameter must be finite: one NaN or inf would make every
+    node of the entry NaN."""
+    for name, v in numbers.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def _guard(num: Array, den: Array) -> Array:
     """num/den with pole flagging by magnitude threshold."""
     with np.errstate(all="ignore"):
@@ -80,6 +88,7 @@ def one_soliton(m1: float, n1: float, alpha: float = 1.0,
         raise ValueError("n1 = 0 collapses the eigenvalue pair")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    _check_finite(m1=m1, n1=n1, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
     l1 = m1 + 1j * n1
     l2 = np.conj(l1)
     ra = np.sqrt(alpha)
@@ -113,6 +122,8 @@ def two_soliton(m1: float, n1: float, m2: float, n2: float, alpha: float = 1.0,
         raise ValueError("eigenvalue pairs must be distinct and off-axis")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    _check_finite(m1=m1, n1=n1, m2=m2, n2=n2, alpha=alpha, theta_p=theta_p,
+                  theta_q=theta_q)
     l1, l3 = m1 + 1j * n1, m2 + 1j * n2
     l2, l4 = np.conj(l1), np.conj(l3)
     # pairwise sums/differences of eigenvalue components
@@ -182,6 +193,7 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
         raise ValueError("re1 and im1 must both be nonzero")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    _check_finite(re1=re1, im1=im1, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
     lam = re1 + 1j * im1
     ra = np.sqrt(alpha)
 

@@ -274,8 +274,8 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
         f.write("}\n")
 
 
-def write_pgm(path: Path, values: np.ndarray):
-    I = intensity(values)   # an overflow is counted as overflow_nodes and drawn white
+def write_pgm(path: Path, I: np.ndarray):
+    # I is the intensity; an overflow is counted as overflow_nodes and drawn white
     finite = I[np.isfinite(I)]
     top = finite.max() if finite.size and finite.max() > 0 else 1.0
     img = np.nan_to_num(I / top, nan=0.0, posinf=1.0, neginf=0.0)
@@ -391,12 +391,15 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             write_csv(output, grid, fld.values)
         elif ns.format == "json":
             write_json(output, grid, fld.values, params, ns.include_complex)
-        else:
-            write_pgm(output, fld.values)
+        # one |Q|^2 for the image and the sidecar's counts, taken after the
+        # text writers, which hold theirs one block at a time
+        I = intensity(fld.values)
+        if ns.format == "pgm":
+            write_pgm(output, I)
         # a closed-form field is a plain closure, evaluated in double
         _write_meta(output, ns.format, solution, params, grid_spec, precision,
                     getattr(field, "precision", "double"), fld.workers,
-                    _node_counts(fld, intensity(fld.values)))
+                    _node_counts(fld, I))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None
     if not ns.quiet:

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, branch_quantity,
-                  plane_wave_eigenfunction, zero_seed_eigenfunction)
+from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, _check_finite,
+                  branch_quantity, plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
@@ -36,7 +36,8 @@ class SpectralSet:
     representatives of a reduced set, each standing for itself and its
     conjugate partner (lam*, varphi*, phi*), which makes the transformed
     pair satisfy R = -Q*.  The 2n eigenvalues of a reduced set must be
-    nonzero and pairwise distinct; those of a general set, nonzero.
+    finite, nonzero and pairwise distinct; those of a general set, finite
+    and nonzero.
     """
 
     data: list
@@ -46,6 +47,8 @@ class SpectralSet:
         if not self.data or (not self.reduction and len(self.data) % 2 != 0):
             raise ValueError("a spectral set holds 2n data, or n representatives if reduced")
         lams = [d.lam for d in self.data]
+        for lam in lams:
+            _check_finite(eigenvalue=complex(lam))
         if self.reduction:
             lams += [np.conj(lam) for lam in lams]
         if any(lam == 0 for lam in lams):
@@ -76,6 +79,8 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
     data = []
     for lam, w in zip(lambdas, weights_per_lambda):
         lam = complex(lam)
+        # before the branch quantity, whose arithmetic warns on an infinite lam
+        _check_finite(eigenvalue=lam)
         if lam.real == 0.0 or lam.imag == 0.0:
             raise ValueError(f"lambda {lam} on an axis collapses its conjugate pair")
         if isinstance(seed, PlaneWaveSeed):
@@ -298,6 +303,7 @@ class DegenerationSpec:
     phases: PhasePolynomial = field(default_factory=PhasePolynomial)
 
     def __post_init__(self):
+        _check_finite(lambda_c=complex(self.lambda_c))
         if not (0 < self.epsilon <= 0.1):
             raise ValueError("epsilon must lie in (0, 0.1]")
         if self.n not in (1, 2, 3):

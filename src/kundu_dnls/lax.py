@@ -40,6 +40,9 @@ class PhasePolynomial:
     S1: float = 0.0
     S2: float = 0.0
 
+    def __post_init__(self):
+        _check_finite(S0=self.S0, S1=self.S1, S2=self.S2)
+
     def __call__(self, eps: complex) -> complex:
         return self.S0 + self.S1 * eps + self.S2 * eps * eps
 
@@ -48,6 +51,14 @@ def _check_coupling(alpha: float):
     """The engine scales by sqrt(alpha), so the coupling must be positive."""
     if not alpha > 0:
         raise ValueError(f"coupling alpha must be positive, got {alpha}")
+
+
+def _check_finite(**numbers):
+    """Each named number, real or complex, must be finite: one NaN or inf
+    would make every node of the field NaN."""
+    for name, v in numbers.items():
+        if not np.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,7 @@ class ZeroSeed:
 
     def __post_init__(self):
         _check_coupling(self.alpha)
+        _check_finite(alpha=self.alpha, theta_p=self.theta_p, theta_q=self.theta_q)
 
     def value(self, x, t):
         return np.zeros_like(np.asarray(x, dtype=complex) + np.asarray(t, dtype=complex))
@@ -86,6 +98,8 @@ class PlaneWaveSeed:
         _check_coupling(self.alpha)
         if not self.c >= 0:
             raise ValueError(f"amplitude c must be >= 0, got {self.c}")
+        _check_finite(a=self.a, c=self.c, alpha=self.alpha, theta_p=self.theta_p,
+                      theta_q=self.theta_q)
 
     @property
     def b(self) -> float:
@@ -375,10 +389,12 @@ def check_lax_residual(datum: SpectralDatum, seed: Seed, grid: Grid2D,
         norms_x.append((h, float(np.max(rx)), float(np.mean(rx))))
         norms_t.append((h, float(np.max(rt)), float(np.mean(rt))))
 
-    def order(norms):
-        a, b = norms[0][1], norms[1][1]
-        if b == 0:
-            return float("inf")
-        return float(np.log2(a / b))
+    return LaxResidualReport(norms_x, norms_t, _convergence_order(norms_x),
+                             _convergence_order(norms_t))
 
-    return LaxResidualReport(norms_x, norms_t, order(norms_x), order(norms_t))
+
+def _convergence_order(norms: list) -> float:
+    """log2 of the last two max norms' ratio in [(h, max, mean), ...], h halving."""
+    if len(norms) < 2 or norms[-1][1] == 0:
+        return float("inf")
+    return float(np.log2(norms[-2][1] / norms[-1][1]))

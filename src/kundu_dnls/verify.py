@@ -14,9 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AllNodesExcludedError, ResolutionTooCoarseError, VerificationFailedError
-from .lax import (PlaneWaveSeed, Seed, check_lax_residual, make_plane_wave_seed,
-                  plane_wave_eigenfunction)
-from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, sample
+from .lax import (PlaneWaveSeed, Seed, _convergence_order, check_lax_residual,
+                  make_plane_wave_seed, plane_wave_eigenfunction)
+from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, intensity, sample
 
 Array = np.ndarray
 
@@ -118,11 +118,7 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
             raise AllNodesExcludedError("no interior node survived pole exclusion")
         r = kept[:n]
         norms.append((g.hx, float(r.max()), float(r.mean())))
-    if len(norms) >= 2 and norms[-1][1] > 0:
-        order = float(np.log2(norms[-2][1] / norms[-1][1]))
-    else:
-        order = float("inf")
-    return ResidualReport(variant, norms, order)
+    return ResidualReport(variant, norms, _convergence_order(norms))
 
 
 def exact_seed_residual(seed: PlaneWaveSeed, sign: int) -> float:
@@ -180,7 +176,7 @@ def compare_fields(a: ComplexField2D, b: ComplexField2D) -> tuple[float, float]:
     if not valid.any():
         raise AllNodesExcludedError("no common valid nodes")
     av, bv = a.values[valid], b.values[valid]
-    err = np.abs(np.abs(av) ** 2 - np.abs(bv) ** 2)
+    err = np.abs(intensity(av) - intensity(bv))
     return float(err.max()), float(err.mean())
 
 
@@ -293,20 +289,28 @@ def _classify(structures: list) -> str:
     return "unclassified"
 
 
-def _is_ring(structures: list) -> bool:
+def _ring_outer(structures: list) -> Array:
+    """The one ring rule: positions of a ring's outer structures relative to
+    the centroid of all structures, nearest first.  These are all structures
+    but at most one central one, the nearest if its distance from the
+    centroid is at most 0.4 times the median."""
+    if not structures:
+        return np.empty((0, 2))
     pts = np.array([(x, t) for x, t, _ in structures])
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
+    rel = pts - pts.mean(axis=0)
     radii = np.hypot(rel[:, 0], rel[:, 1])
-    # at most one central structure is tolerated alongside the ring
     order = np.argsort(radii)
-    outer = order if radii[order[0]] > 0.4 * np.median(radii) else order[1:]
-    if len(outer) < 5:
+    return rel[order if radii[order[0]] > 0.4 * np.median(radii) else order[1:]]
+
+
+def _is_ring(structures: list) -> bool:
+    rel = _ring_outer(structures)
+    if len(rel) < 5:
         return False
-    r = radii[outer]
+    r = np.hypot(rel[:, 0], rel[:, 1])
     if (r.max() - r.min()) / r.mean() > RING_RADIUS_SPREAD:
         return False
-    ang = np.sort(np.arctan2(rel[outer, 1], rel[outer, 0]))
+    ang = np.sort(np.arctan2(rel[:, 1], rel[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
     return (gaps.max() - gaps.min()) / gaps.mean() <= RING_ANGLE_SPREAD
 

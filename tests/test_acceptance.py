@@ -63,5 +63,22 @@ def test_third_order_triangle_observed_count():
     ps = kd.peak_analysis(pattern_field("triangle3"), cluster_radius=4.0)
     print(f"\norder-3 split structures observed: {len(ps.structures)} "
           f"({ps.classification})")
-    assert ps.classification == "triangular"
-    assert len(ps.structures) == 6
+    assert acceptance.FIGURE_CHECKS["fig9"]["humps"] == (6, "triangular")
+    assert not acceptance._humps_differ(ps, acceptance.FIGURE_CHECKS["fig9"]["humps"])
+
+
+def test_every_mapped_figure_has_one_row_of_checks():
+    from kundu_dnls.cli import FIGURE_MAP
+
+    assert acceptance.FIGURE_CHECKS.keys() == FIGURE_MAP.keys()
+
+
+def test_a_figure_failing_its_row_is_reported(tmp_path):
+    # fig4's breather read against fig8's order-3 crest of 49
+    from kundu_dnls import cli
+
+    out = tmp_path / "fig4.json"
+    assert cli.main(["generate", "--figure", "fig4", "--format", "json",
+                     "--output", str(out), "--quiet"]) == 0
+    assert acceptance._figure_smoke("fig4", str(out)) == ""
+    assert acceptance._figure_smoke("fig8", str(out)).startswith("expected crest 49.0")

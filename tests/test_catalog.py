@@ -98,6 +98,21 @@ def test_zero_background_entries_reject_a_coupling_that_is_not_positive(alpha):
             make()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make, params, name", [
+    pytest.param(make, params, name, id=f"{make.__name__}-{name}")
+    for make, params in [(catalog.one_soliton, dict(m1=1.0, n1=2.0)),
+                         (catalog.two_soliton, dict(m1=0.7, n1=0.3, m2=0.5, n2=0.5)),
+                         (catalog.positon, dict(re1=0.8, im1=0.8))]
+    for name in [*params, "alpha", "theta_p", "theta_q"]])
+def test_zero_background_entries_reject_a_parameter_that_is_not_finite(make, params, name,
+                                                                      value):
+    # a NaN passes the == tests on the eigenvalue parameters, and would give
+    # an entry that is NaN at every node
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        make(**{**params, name: value})
+
+
 def test_two_soliton_rejects_equal_pairs():
     with pytest.raises(ValueError, match="eigenvalue pairs must be distinct and off-axis"):
         catalog.two_soliton(0.7, 0.3, 0.7, 0.3)

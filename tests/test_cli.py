@@ -87,6 +87,23 @@ def test_generate_pgm_header(tmp_path):
     assert len(blob) == len(b"P5\n33 17\n255\n") + 33 * 17
 
 
+def test_pgm_job_computes_the_intensity_once(tmp_path, monkeypatch):
+    # the image draws the same |Q|^2 array that the sidecar's counts count
+    calls = []
+
+    def counted(v):
+        calls.append(v.shape)
+        return grid_mod.intensity(v)
+
+    monkeypatch.setattr(cli, "intensity", counted)
+    out = tmp_path / "r1.pgm"
+    assert run(["generate", "--solution", "rogue1", "--grid", "-2:2:33,-2:2:17",
+                "--format", "pgm", "--output", str(out), "--quiet"]) == 0
+    assert calls == [(33, 17)]
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    assert meta["masked_nodes"] == meta["overflow_nodes"] == 0
+
+
 def test_unknown_parameter_rejected(tmp_path):
     rc = run(["generate", "--solution", "rogue1", "--grid", "-1:1:11,-1:1:11",
               "--param", "bogus=3", "--output", str(tmp_path / "x.csv"), "--quiet"])

@@ -442,6 +442,20 @@ def test_reduced_set_rejects_unpaired_eigenvalues():
         SpectralSet([d1, d2, d1.conjugate_partner()], reduction=False)   # odd length
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("seed", [SEED0, SEEDP], ids=["zero", "planewave"])
+def test_non_finite_eigenvalues_are_rejected(seed, value):
+    # each would give a field that is NaN at every node
+    for lam in (complex(value, 0.5), complex(0.5, value)):
+        with pytest.raises(ValueError, match=r"^eigenvalue must be finite"):
+            build_reduced_set([lam], seed)
+    d1 = kd.zero_seed_eigenfunction(1 + 2j)
+    with pytest.raises(ValueError, match=r"^eigenvalue must be finite"):
+        SpectralSet([SpectralDatum(complex(value, 2.0), d1.phi, d1.varphi)], reduction=True)
+    with pytest.raises(ValueError, match=r"^lambda_c must be finite"):
+        DegenerationSpec(lambda_c=complex(value, 1.0), epsilon=1e-2, n=2)
+
+
 def test_every_constructed_reduced_set_passes():
     # both seeds, complex weights and the split-phase degenerate sets of the
     # mapped figures

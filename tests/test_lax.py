@@ -72,6 +72,19 @@ def test_directly_built_seeds_check_themselves():
     assert kd.PlaneWaveSeed(a=0.0, c=0.0).b == -2.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make, name", [
+    *[(make_plane_wave_seed, name) for name in ("a", "c", "alpha", "theta_p", "theta_q")],
+    *[(zero_seed, name) for name in ("alpha", "theta_p", "theta_q")],
+    *[(kd.PhasePolynomial, name) for name in ("S0", "S1", "S2")]])
+def test_non_finite_numbers_are_rejected_where_they_enter(make, name, value):
+    # each would give a field that is NaN at every node; NaN and -inf fail
+    # the coupling's and the amplitude's own tests first, which name them too
+    params = {"a": -2.0, "c": 1.0} if make is make_plane_wave_seed else {}
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        make(**{**params, name: value})
+
+
 # ---------------------------------------------------------------------------
 # zero-seed eigenfunctions
 # ---------------------------------------------------------------------------

@@ -322,3 +322,25 @@ def test_peak_analysis_clusters_composite_centre():
     assert len(ps.peaks) == 2
     assert len(ps.structures) == 1
     assert ps.classification == "fundamental"
+
+
+def _structures(points):
+    return [(float(x), float(t), 9.0) for x, t in points]
+
+
+_PENTAGON = [(6 * np.cos(2 * np.pi * k / 5), 6 * np.sin(2 * np.pi * k / 5)) for k in range(5)]
+
+
+@pytest.mark.parametrize("centre", [False, True])
+def test_ring_rule_keeps_a_pentagon_and_drops_one_centre(centre):
+    # the one ring rule, which both peak_analysis and criterion 6 apply
+    structures = _structures(_PENTAGON + [(0.0, 0.0)] * centre)
+    assert len(verify._ring_outer(structures)) == 5
+    assert verify._classify(structures) == "ring"
+
+
+def test_ring_rule_needs_five_outer_structures():
+    square = [(6.0, 0.0), (0.0, 6.0), (-6.0, 0.0), (0.0, -6.0), (0.0, 0.0)]
+    assert len(verify._ring_outer(_structures(square))) == 4
+    assert not verify._is_ring(_structures(square))
+    assert len(verify._ring_outer([])) == 0
