@@ -172,9 +172,8 @@ def pattern_field(config_name: str) -> ComplexField2D:
 @_timed
 def check_pattern_taxonomy() -> CheckResult:
     """Criterion 6: split/fused hump patterns, the split ones by their figures' rows."""
-    tri = peak_analysis(pattern_field("triangle2"))
-    ring = peak_analysis(pattern_field("ring3"))
-    fused = peak_analysis(pattern_field("fused2"))
+    tri, ring, fused = (peak_analysis(pattern_field(name), cluster_radius=CLUSTER_RADIUS)
+                        for name in ("triangle2", "ring3", "fused2"))
     ok = (not _humps_differ(tri, FIGURE_CHECKS["fig7"]["humps"])
           and not _humps_differ(ring, FIGURE_CHECKS["fig10"]["humps"])
           and len(fused.structures) == 1 and fused.classification == "fundamental")
@@ -281,11 +280,14 @@ def check_figure_reproduction() -> CheckResult:
                        "all figures reproduced" if ok else "; ".join(fails))
 
 
+# the peak_analysis cluster radius at which structures are counted
+CLUSTER_RADIUS = 4.0
+
 # what each mapped figure's |Q|^2 must show, one row per figure:
 #   crest: (height, tolerance) of the grid maximum;
 #   ridge_floor: a bound below the maximum over x at every t;
 #   maxima: (t column, least, most) count of 1-D maxima above 0.5 on that column;
-#   humps: (count, classification) from peak_analysis at cluster radius 4,
+#   humps: (count, classification) from peak_analysis at CLUSTER_RADIUS,
 #     either None for any; a ring counts its outer structures
 FIGURE_CHECKS = {
     "fig1": dict(crest=(4.0, 0.05), ridge_floor=3.5),
@@ -321,7 +323,7 @@ def _figure_smoke(fig: str, path: str) -> str:
             return f"{n} maxima on t column {column}, expected {least} to {most}"
     if "humps" in check:
         fld = ComplexField2D(Grid2D(**doc["grid"]), I.astype(complex))
-        return _humps_differ(peak_analysis(fld, cluster_radius=4.0), check["humps"])
+        return _humps_differ(peak_analysis(fld, cluster_radius=CLUSTER_RADIUS), check["humps"])
     return ""
 
 

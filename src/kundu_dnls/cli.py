@@ -19,7 +19,7 @@ from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
 from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
                      ResolutionTooCoarseError)
-from .lax import PhasePolynomial, make_plane_wave_seed, zero_seed
+from .lax import make_plane_wave_seed, zero_seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import peak_analysis
 
@@ -102,7 +102,8 @@ def resolve_params(solution: str, raw: dict) -> dict:
     if "eps" in raw and _closed_form(solution, params):
         raise InvalidConfigError("rogue2 without a split phase (S0 = S1 = S2 = 0) is the "
                                  "closed form, into which eps does not enter")
-    # likewise the plane wave's a and c, and the split phase, on the zero seed
+    # likewise the plane wave's a and c, and the split phase even when given as
+    # zero, on the zero seed: the engine refuses only a nonzero phase
     if solution in ("engine-nfold", "engine-degenerate") and params["seed"] == "zero":
         ignored = sorted(set(raw) & {"a", "c", "S0", "S1", "S2"})
         if ignored:
@@ -178,8 +179,7 @@ def build_field(solution: str, params: dict, precision: str):
         seed = _make_seed(params)
         spec = DegenerationSpec(lambda_c=complex(params["lc_re"], params["lc_im"]),
                                 epsilon=params["eps"], n=int(params["n"]),
-                                phases=PhasePolynomial(params["S0"], params["S1"],
-                                                       params["S2"]))
+                                S0=params["S0"], S1=params["S1"], S2=params["S2"])
         return degenerate_limit(spec, seed, **kw)
     raise InvalidConfigError(f"unknown solution {solution!r}")
 

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, PhasePolynomial, PlaneWaveSeed, Seed, _check_finite,
-                  branch_quantity, plane_wave_eigenfunction, zero_seed_eigenfunction)
+from .lax import (MP_DPS, PlaneWaveSeed, Seed, _check_finite, branch_quantity,
+                  plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
@@ -71,7 +71,8 @@ class SpectralSet:
 
 def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
                       weights_per_lambda: Optional[Sequence] = None) -> SpectralSet:
-    """The reduced set of one representative per eigenvalue pair."""
+    """The reduced set of one representative per eigenvalue pair; the weights
+    combine a plane wave's two basis solutions, so the zero seed takes (1, 1)."""
     if weights_per_lambda is None:
         weights_per_lambda = [(1.0, 1.0)] * len(lambdas)
     if len(weights_per_lambda) != len(lambdas):
@@ -89,6 +90,9 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
                     f"branch quantity vanishes at lambda {lam}; the two basis "
                     "solutions coincide and the eigenfunction degenerates")
             datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w))
+        elif tuple(map(complex, w)) != (1, 1):
+            raise ValueError(f"the zero seed ignores branch weights {tuple(w)} at lambda "
+                             f"{lam}: they enter only on a plane wave")
         else:
             datum = zero_seed_eigenfunction(lam)
         data.append(datum)
@@ -295,15 +299,18 @@ def _default_offsets(n: int) -> list[complex]:
 
 @dataclass
 class DegenerationSpec:
-    """Coalescence recipe: base eigenvalue, radius, order, and split phases."""
+    """Coalescence recipe: base eigenvalue, radius, order, and the split phase
+    S(e) = S0 + S1 e + S2 e^2 that moves the humps apart, on a plane wave only."""
 
     lambda_c: complex
     epsilon: float
     n: int
-    phases: PhasePolynomial = field(default_factory=PhasePolynomial)
+    S0: float = 0.0
+    S1: float = 0.0
+    S2: float = 0.0
 
     def __post_init__(self):
-        _check_finite(lambda_c=complex(self.lambda_c))
+        _check_finite(lambda_c=complex(self.lambda_c), S0=self.S0, S1=self.S1, S2=self.S2)
         if not (0 < self.epsilon <= 0.1):
             raise ValueError("epsilon must lie in (0, 0.1]")
         if self.n not in (1, 2, 3):
@@ -311,18 +318,20 @@ class DegenerationSpec:
 
 
 def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
+    plane = isinstance(seed, PlaneWaveSeed)
+    if not plane and (spec.S0, spec.S1, spec.S2) != (0, 0, 0):
+        raise ValueError(f"the zero seed ignores the split phase S0, S1, S2 = {spec.S0}, "
+                         f"{spec.S1}, {spec.S2}: it enters only on a plane wave")
     lams, weights = [], []
     for off in offsets:
         eps_j = spec.epsilon * off
         lam_j = spec.lambda_c * (1 + eps_j)
         lams.append(lam_j)
-        if isinstance(seed, PlaneWaveSeed):
+        if plane:
             s_j = complex(branch_quantity(lam_j, seed))
-            S_j = spec.phases(eps_j)
+            S_j = spec.S0 + spec.S1 * eps_j + spec.S2 * eps_j * eps_j
             weights.append((np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j)))
-        else:
-            weights.append((1.0, 1.0))
-    return build_reduced_set(lams, seed, weights_per_lambda=weights)
+    return build_reduced_set(lams, seed, weights_per_lambda=weights if plane else None)
 
 
 def degenerate_limit(spec: DegenerationSpec, seed: Seed,

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 A bad argument raises `ValueError`.  The classes here are what a caller must
-tell apart from one: the CLI's exit codes, and the two `verify` outcomes that
-`kdnls analyze` reports as invalid configuration rather than as a bug."""
+tell apart from one: the CLI's exit codes 2 and 3, the two `verify` outcomes
+that `kdnls analyze` reports as invalid configuration rather than as a bug,
+and the convention pin-down's failure, which acceptance criterion 1 reports."""
 
 
 class KdnlsError(Exception):
@@ -26,4 +27,5 @@ class IOFailureError(KdnlsError):
 
 
 class VerificationFailedError(KdnlsError):
-    """An acceptance check failed (CLI exit code 4)."""
+    """`verify.pin_down_convention` did not find exactly one convention
+    variant.  No CLI code catches it: `kdnls verify` exits 4 from the verdicts."""

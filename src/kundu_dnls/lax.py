@@ -32,21 +32,6 @@ from .numerics.grid import Grid2D
 MP_DPS = 40
 
 
-@dataclass(frozen=True)
-class PhasePolynomial:
-    """S(e) = S0 + S1 e + S2 e^2, the hump-splitting phase for degenerate limits."""
-
-    S0: float = 0.0
-    S1: float = 0.0
-    S2: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(S0=self.S0, S1=self.S1, S2=self.S2)
-
-    def __call__(self, eps: complex) -> complex:
-        return self.S0 + self.S1 * eps + self.S2 * eps * eps
-
-
 def _check_coupling(alpha: float):
     """The engine scales by sqrt(alpha), so the coupling must be positive."""
     if not alpha > 0:

@@ -60,7 +60,8 @@ def test_third_order_triangle_observed_count():
     import kundu_dnls as kd
     from kundu_dnls.acceptance import pattern_field
 
-    ps = kd.peak_analysis(pattern_field("triangle3"), cluster_radius=4.0)
+    ps = kd.peak_analysis(pattern_field("triangle3"),
+                          cluster_radius=acceptance.CLUSTER_RADIUS)
     print(f"\norder-3 split structures observed: {len(ps.structures)} "
           f"({ps.classification})")
     assert acceptance.FIGURE_CHECKS["fig9"]["humps"] == (6, "triangular")

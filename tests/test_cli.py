@@ -19,7 +19,7 @@ from kundu_dnls import catalog, cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
 from kundu_dnls.darboux import DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
-from kundu_dnls.lax import PhasePolynomial, critical_eigenvalue, make_plane_wave_seed
+from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics.grid import Grid2D, sample
 
@@ -137,11 +137,14 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     [*_GEN, "--solution", "engine-nfold", "--param", "a=5", "--param", "c=2"],
     [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "lc_re=0.8",
      "--param", "lc_im=0.8", "--param", "n=2", "--param", "S1=500"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "S1=5"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "S0=0"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
         "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
         "eps-on-unsplit-rogue2", "single-sample-axis", "plane-wave-on-zero-seed-nfold",
-        "split-phase-on-zero-seed-degenerate"])
+        "split-phase-on-zero-seed-degenerate", "split-phase-on-zero-seed-default-eigenvalue",
+        "zero-split-phase-on-zero-seed"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
@@ -229,7 +232,7 @@ def test_split_rogue_waves_are_the_degenerate_limit_at_the_critical_eigenvalue(s
     params = cli.resolve_params(solution, raw)
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     spec = DegenerationSpec(lambda_c=critical_eigenvalue(seed), epsilon=params["eps"], n=n,
-                            phases=PhasePolynomial(params["S0"], params["S1"], params["S2"]))
+                            S0=params["S0"], S1=params["S1"], S2=params["S2"])
     g = Grid2D(-3.1, 2.9, -2.3, 3.3, 23, 19)
     got, want = cli.build_field(solution, params, "auto"), degenerate_limit(spec, seed)
     assert got.precision == want.precision

@@ -8,7 +8,7 @@ import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.darboux import (DegenerationSpec, SpectralSet, build_reduced_set,
                                 degenerate_limit, n_fold)
-from kundu_dnls.lax import PhasePolynomial, SpectralDatum, make_plane_wave_seed, zero_seed
+from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
 from oracles import one_fold
@@ -456,15 +456,32 @@ def test_non_finite_eigenvalues_are_rejected(seed, value):
         DegenerationSpec(lambda_c=complex(value, 1.0), epsilon=1e-2, n=2)
 
 
+@pytest.mark.parametrize("name", ["S0", "S1", "S2"])
+def test_zero_seed_refuses_a_split_phase(name):
+    # the phase weights a plane wave's two basis solutions; the zero seed
+    # has one, and would return the unsplit field
+    spec = DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=1e-2, n=2, **{name: 5.0})
+    with pytest.raises(ValueError, match=r"^the zero seed ignores the split phase S0, S1, S2"):
+        degenerate_limit(spec, SEED0)
+    degenerate_limit(spec, SEEDP)
+
+
+@pytest.mark.parametrize("weights", [(5.0, -3j), (1.0, 2.0), (2.0, 2.0)])
+def test_zero_seed_refuses_branch_weights(weights):
+    with pytest.raises(ValueError, match=r"^the zero seed ignores branch weights"):
+        build_reduced_set([1 + 2j, 0.5 + 0.5j], SEED0, weights_per_lambda=[(1, 1), weights])
+    build_reduced_set([1 + 2j, 0.5 + 0.5j], SEED0, weights_per_lambda=[(1, 1), (1.0, 1 + 0j)])
+
+
 def test_every_constructed_reduced_set_passes():
     # both seeds, complex weights and the split-phase degenerate sets of the
     # mapped figures
     build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j, 0.4 + 0.9j], SEED0)
     build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP,
                       weights_per_lambda=[(1.0, 2.0 - 1j), (0.3j, 1.5)])
-    for n, eps, phases in ((2, 2e-3, (0, 500, 0)), (3, 4e-3, (0, 500, 0)),
-                           (3, 4e-3, (0, 0, 1000)), (1, 1e-4, (0, 0, 0))):
-        spec = DegenerationSpec(1 + 1j, eps, n, phases=kd.PhasePolynomial(*phases))
+    for n, eps, (S0, S1, S2) in ((2, 2e-3, (0, 500, 0)), (3, 4e-3, (0, 500, 0)),
+                                 (3, 4e-3, (0, 0, 1000)), (1, 1e-4, (0, 0, 0))):
+        spec = DegenerationSpec(1 + 1j, eps, n, S0=S0, S1=S1, S2=S2)
         degenerate_limit(spec, SEEDP)
 
 
@@ -511,17 +528,16 @@ def test_n_fold_rejects_unsupported_order():
         n_fold(sset, SEED0)
 
 
-@pytest.mark.parametrize("phases", [PhasePolynomial(), PhasePolynomial(S1=50.0, S2=2e3)],
-                         ids=["unsplit", "split"])
+@pytest.mark.parametrize("phase", [{}, {"S1": 50.0, "S2": 2e3}], ids=["unsplit", "split"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_extended_path_matches_a_per_node_mpmath_reference(n, phases):
+def test_extended_path_matches_a_per_node_mpmath_reference(n, phase):
     # the vectorized double-double path against 40-digit mpmath determinants,
     # node by node, over the coalescence radii where double breaks down
     import kundu_dnls.darboux as dx
     xs, ts = np.linspace(-2, 2, 3), np.linspace(-1.5, 1.5, 3)
     offsets = dx._default_offsets(n)
     for eps in (1e-5, 1e-4, 1e-3):
-        spec = DegenerationSpec(1 + 1j, eps, n, phases)
+        spec = DegenerationSpec(1 + 1j, eps, n, **phase)
         sets = [dx._degenerate_set(spec, SEEDP, offsets)]
         if n == 1:
             sets.append(dx._degenerate_set(spec, SEEDP, [-o for o in offsets]))

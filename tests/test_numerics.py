@@ -44,7 +44,7 @@ _PUBLIC = {
     "kundu_dnls": [
         "catalog", "darboux", "errors", "lax", "verify",
         "Grid2D", "ComplexField2D", "sample", "det",
-        "ZeroSeed", "PlaneWaveSeed", "SpectralDatum", "PhasePolynomial",
+        "ZeroSeed", "PlaneWaveSeed", "SpectralDatum",
         "make_plane_wave_seed", "zero_seed", "zero_seed_eigenfunction",
         "plane_wave_eigenfunction", "branch_quantity", "critical_eigenvalue",
         "check_lax_residual",
@@ -544,13 +544,16 @@ def test_a_field_overflowing_in_helper_rows_is_masked_without_warnings(monkeypat
     monkeypatch.setattr(grid_mod, "_workers", lambda: 2)
     g = Grid2D(-1, 1, 0, 2, 40, 1000)
     xs, caller, helper_rows = g.xs, threading.current_thread(), []
+    caller_in = threading.Event()
 
     def f(x, t):
         if threading.current_thread() is caller:
+            caller_in.set()
             deadline = time.monotonic() + 5
             while not helper_rows and time.monotonic() < deadline:
                 time.sleep(0.001)      # let the helper take a block
             return x + 0 * t + 0j
+        caller_in.wait(timeout=5)      # let the caller take a block
         i = int(np.flatnonzero(xs == x[0, 0])[0])
         helper_rows.extend(range(i, i + x.shape[0]))
         return np.exp(800.0 + 0 * x + 0 * t) + 0j

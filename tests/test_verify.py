@@ -119,8 +119,7 @@ def _shifted(grid, dx, dt):
 
 def _fields_on_windows():
     seed = kd.make_plane_wave_seed(-2.0, 1.0, 1.0)
-    spec = kd.DegenerationSpec(lambda_c=1 + 1j, epsilon=2e-3, n=2,
-                               phases=kd.PhasePolynomial(0.0, 30.0, 0.0))
+    spec = kd.DegenerationSpec(lambda_c=1 + 1j, epsilon=2e-3, n=2, S1=30.0)
     return [
         (kd.catalog.rogue1().eval, kd.Grid2D(-4, 4, -4, 4, 41, 37)),
         (kd.catalog.positon(0.8, 0.8).eval, kd.Grid2D(-10, 10, -10, 10, 33, 45)),
