@@ -12,8 +12,8 @@ it shares none of the engine's code: it imports nothing from `darboux`,
 `lax` or `numerics.determinant`.  The rogue-wave polynomials are tables of
 (coefficient, x power, t power) rows, one row per printed term, evaluated
 per power of t on the x axis and then by Horner in t (see `_polynomial`).
-The positon's determinants use the catalog's own 4 x 4 expansion,
-`batched_det`.
+The positon's two determinants come from one stack, through the catalog's
+own 4 x 5 expansion, `batched_det`.
 """
 from __future__ import annotations
 
@@ -52,23 +52,27 @@ def _guard(num: Array, den: Array) -> Array:
 
 
 def batched_det(mats: Array) -> Array:
-    """Determinants of a stack of complex 4 x 4 matrices, shape (..., 4, 4).
+    """Determinant pairs of a stack of complex 4 x 5 matrices, shape (..., 4, 5):
+    det[j], of shape (2,) + mats.shape[:-2], is the determinant of columns
+    0-2 completed by column 3 + j, as from `numerics.determinant.batched_det`.
 
-    The catalog's own determinant, not `numerics.determinant.batched_det`,
-    whose elimination the engine uses: the Laplace expansion along rows
-    (0, 1), six products of the 2 x 2 minors of those rows with the
-    complementary minors of rows (2, 3), with no pivoting.  The input is
-    only read, so a matrix-first array seen through a (..., 4, 4) view
-    costs no copy.  It shares the engine routine's name so that
-    instrumentation wrapping `batched_det` by module attribute, as
-    `benchmarks/tracing.py` does, times it with the other determinants.
+    The catalog's own determinant, not the engine's elimination: the Laplace
+    expansion along the last column, whose four 3 x 3 cofactors of columns
+    0-2 both determinants share, with no pivoting.  The input is only read,
+    so a matrix-first array seen through a (..., 4, 5) view costs no copy.
+    It shares the engine routine's name so that instrumentation wrapping
+    `batched_det` by module attribute, as `benchmarks/tracing.py` does,
+    times it with the other determinants.
     """
-    def minor(r, a, b):
-        return mats[..., r, a] * mats[..., r + 1, b] - mats[..., r, b] * mats[..., r + 1, a]
-
-    return (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3)
-            + minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3)
-            - minor(0, 1, 3) * minor(2, 0, 2) + minor(0, 2, 3) * minor(2, 0, 1))
+    lead = [mats[..., r, 0] for r in range(4)]
+    # the 2 x 2 minors of columns 1, 2, by row pair
+    m = {(a, b): mats[..., a, 1] * mats[..., b, 2] - mats[..., a, 2] * mats[..., b, 1]
+         for a in range(4) for b in range(a + 1, 4)}
+    # k[r]: the 3 x 3 minor without row r, expanded along column 0
+    k = [lead[a] * m[b, c] - lead[b] * m[a, c] + lead[c] * m[a, b]
+         for a, b, c in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
+    return np.array([k[1] * mats[..., 1, j] - k[0] * mats[..., 0, j]
+                     + k[3] * mats[..., 3, j] - k[2] * mats[..., 2, j] for j in (3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +162,15 @@ def two_soliton(m1: float, n1: float, m2: float, n2: float, alpha: float = 1.0,
         mixed2 = (-1j / 4) * (t * m2 ** 4 + t * n2 ** 4 + 4j * t * m1 ** 3 * n1
                               - 4j * t * m1 * n1 ** 3 - 6 * t * m2 ** 2 * n2 ** 2
                               - 2 * x * m2 ** 2 + 2 * x * n2 ** 2 - 4j * x * m1 * n1)
-        den = (cross * (abs(l1) ** 2 * np.exp(-1j * osc) + abs(l3) ** 2 * np.exp(1j * osc))
+        e_osc = np.exp(1j * osc)
+        den = (cross * (abs(l1) ** 2 * np.conj(e_osc) + abs(l3) ** 2 * e_osc)
                + l1 * l3 * ab2 * np.exp(grow_sum) + l2 * l4 * ab2 * np.exp(-grow_sum)
                - l1 * l4 * cd2 * np.exp(grow_diff) - l2 * l3 * cd2 * np.exp(-grow_diff))
-        mirror = (cross * (abs(l1) ** 2 * np.exp(1j * osc) + abs(l3) ** 2 * np.exp(-1j * osc))
-                  + l1 * l3 * ab2 * np.exp(-grow_sum) + l2 * l4 * ab2 * np.exp(grow_sum)
-                  - l1 * l4 * cd2 * np.exp(-grow_diff) - l2 * l3 * cd2 * np.exp(grow_diff))
         num = (num5 * np.exp(mixed1) + num6 * np.exp(-np.conj(mixed1))
                + num7 * np.exp(mixed2) + num8 * np.exp(-np.conj(mixed2)))
         th = theta_p * x + theta_q * t
-        return _guard(np.exp(-1j * th) * mirror * num, ra * den ** 2)
+        # the mirrored determinant is conj(den) for real x, t
+        return _guard(np.exp(-1j * th) * np.conj(den) * num, ra * den ** 2)
 
     return CatalogEntry(ev)
 
@@ -184,10 +187,10 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
     are replaced by exact lambda-derivative rows, which is the limit the
     perturbed two-soliton converges to.  It takes three 4 x 4 determinants:
     the matrix, the one with conjugate-swapped components, and that one
-    with its column 0 shifted one power up.  The swapped determinant is the
-    conjugate of the first, so two go through the catalog's own
-    `batched_det`.  (The published polynomial/cosh display fails the
-    residual checks.)
+    with its leading column shifted one power up.  The first is the
+    conjugate of the second, and the other two share three columns, so one
+    4 x 5 stack through the catalog's own `batched_det` gives all three.
+    (The published polynomial/cosh display fails the residual checks.)
     """
     if re1 * im1 == 0:
         raise ValueError("re1 and im1 must both be nonzero")
@@ -204,34 +207,23 @@ def positon(re1: float, im1: float, alpha: float = 1.0,
         dE = lam * (x - lam ** 2 * t) / 2
         phi, vph = np.exp(-1j * E), np.exp(1j * E)
         dphi, dvph = -1j * dE * phi, 1j * dE * vph
-        shape = np.broadcast(x, t).shape
-
-        def omega(swap: bool) -> Array:
-            f, v = (phi, vph) if not swap else (vph, phi)
-            df, dv = (dphi, dvph) if not swap else (dvph, dphi)
-            fo, vo = (vph, phi) if not swap else (phi, vph)
-            dfo, dvo = (dvph, dphi) if not swap else (dphi, dvph)
-            M = np.empty((4, 4) + shape, dtype=complex)
-            # only the swapped matrix's shifted form is needed: its
-            # column 0 is one power up
-            for col, p in enumerate((4 if swap else 3, 2, 1, 0)):
-                comp, dcomp = (v, dv) if p % 2 == 1 else (f, df)
-                comp_o, dcomp_o = (vo, dvo) if p % 2 == 1 else (fo, dfo)
-                M[0, col] = lam ** p * comp
-                M[1, col] = np.conj(lam ** p * comp_o)
-                M[2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
-                M[3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
-            # stored matrix-first: each entry of the (..., 4, 4) view is
-            # one contiguous array
-            return np.moveaxis(M, (0, 1), (-2, -1))
-
-        main = batched_det(omega(False))
-        # the swapped matrix is the main one conjugated, with rows (0, 1)
-        # and (2, 3) exchanged: its determinant is conj(main)
-        swapped = np.conj(main)
-        swapped_shift = batched_det(omega(True))
+        # the swapped matrix's columns of powers 2, 1, 0, 3 and 4 (its leading
+        # column shifted), stored matrix-first: each entry of the (..., 4, 5)
+        # view is one contiguous array
+        M = np.empty((4, 5) + np.broadcast(x, t).shape, dtype=complex)
+        for col, p in enumerate((2, 1, 0, 3, 4)):
+            comp, dcomp, comp_o, dcomp_o = ((phi, dphi, vph, dvph) if p % 2 == 1
+                                            else (vph, dvph, phi, dphi))
+            M[0, col] = lam ** p * comp
+            M[1, col] = np.conj(lam ** p * comp_o)
+            M[2, col] = p * lam ** (p - 1) * comp + lam ** p * dcomp
+            M[3, col] = np.conj(p * lam ** (p - 1) * comp_o + lam ** p * dcomp_o)
+        # both carry the sign of moving the leading column last, which cancels;
+        # the main matrix is the swapped one conjugated, with rows (0, 1) and
+        # (2, 3) exchanged, so its determinant is conj(swapped)
+        swapped, swapped_shift = batched_det(np.moveaxis(M, (0, 1), (-2, -1)))
         th = theta_p * x + theta_q * t
-        return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * main ** 2)
+        return _guard(np.exp(-1j * th) * swapped * swapped_shift, ra * np.conj(swapped) ** 2)
 
     return CatalogEntry(ev)
 
@@ -244,6 +236,24 @@ _TAU = 0.2420614592          # sqrt(15)/16, the breather's temporal rate
 _XFREQ = 0.9682458364        # sqrt(15)/4, the breather's spatial frequency
 
 
+def _breather_factors(x, t):
+    """The breather's numerator factors b1, b2."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ex_m = np.exp(-_XFREQ * 1j * x)
+    et_p = np.exp(_TAU * t)
+    et_m = np.exp(-_TAU * t)
+    b1 = (63508327j * ex_m + 5e8 * 1j * np.conj(ex_m) + 436491673 * et_p
+          - 563508327j * et_p - 436491673 * et_m - 563508327j * et_m)
+    carrier = np.exp(-2j * x - 1j * t)
+    b2 = (1309475019 * et_m * carrier
+          + 10e8 * 1j * np.exp(-0.4e-8 * 1j * (257938541 * x + 2.5e8 * t))
+          - 1309475019 * et_p * carrier + 563508327j * et_p * carrier
+          + 563508327j * et_m * carrier
+          + 127016654j * np.exp(-0.4e-8 * 1j * (742061459 * x + 2.5e8 * t)))
+    return b1, b2
+
+
 def breather() -> CatalogEntry:
     """Breather on the plane-wave background (fixed instance a=-2, c=1).
 
@@ -254,29 +264,11 @@ def breather() -> CatalogEntry:
     coefficients).  It fixes one exponent sign in b1 and one missing
     imaginary unit in b2 of the published table.
     """
-    def b_terms(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        ex_m = np.exp(-_XFREQ * 1j * x)
-        ex_p = np.exp(_XFREQ * 1j * x)
-        et_p = np.exp(_TAU * t)
-        et_m = np.exp(-_TAU * t)
-        b1 = (63508327j * ex_m + 5e8 * 1j * ex_p + 436491673 * et_p
-              - 563508327j * et_p - 436491673 * et_m - 563508327j * et_m)
-        carrier = np.exp(-2j * x - 1j * t)
-        b2 = (1309475019 * et_m * carrier
-              + 10e8 * 1j * np.exp(-0.4e-8 * 1j * (257938541 * x + 2.5e8 * t))
-              - 1309475019 * et_p * carrier + 563508327j * et_p * carrier
-              + 563508327j * et_m * carrier
-              + 127016654j * np.exp(-0.4e-8 * 1j * (742061459 * x + 2.5e8 * t)))
-        b3 = (5e8 * 1j * ex_m + 63508327j * ex_p - 436491673 * et_p
-              - 563508327j * et_p + 436491673 * et_m - 563508327j * et_m)
-        return b1, b2, b3
-
     def ev(x, t):
         # the factors' temporaries are freed before the quotient is formed
-        b1, b2, b3 = b_terms(x, t)
-        return _guard(-b1 * b2, 2 * b3 ** 2)
+        b1, b2 = _breather_factors(x, t)
+        # the printed b3 is -conj(b1) for real x, t
+        return _guard(-b1 * b2, 2 * np.conj(b1) ** 2)
 
     return CatalogEntry(ev)
 

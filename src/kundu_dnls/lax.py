@@ -271,6 +271,9 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
         raise ValueError("lambda must be nonzero")
     lam = complex(lam)
     D1, D2 = complex(weights[0]), complex(weights[1])
+    if D1 == 0 and D2 == 0:
+        raise ValueError(f"branch weights {tuple(weights)} are both zero: the "
+                         "eigenfunction vanishes and the field is NaN everywhere")
     with mp.workdps(MP_DPS):
         lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
         lm2 = lm * lm

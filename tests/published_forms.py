@@ -84,7 +84,6 @@ def breather():
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         ex_m = np.exp(-_XFREQ * 1j * x)
-        ex_p = np.exp(_XFREQ * 1j * x)
         et_p = np.exp(_TAU * t)
         et_m = np.exp(-_TAU * t)
         b1 = (63508327j * ex_m + 436491673 * et_p - 563508327j * et_p
@@ -95,10 +94,20 @@ def breather():
               - 1309475019 * et_p * carrier + 563508327j * et_p * carrier
               + 563508327 * et_m * carrier
               + 127016654j * np.exp(-0.4e-8 * 1j * (742061459 * x + 2.5e8 * t)))
-        b3 = (5e8 * 1j * ex_m + 63508327j * ex_p - 436491673 * et_p
-              - 563508327j * et_p + 436491673 * et_m - 563508327j * et_m)
-        return _guard(-b1 * b2, 2 * b3 ** 2)
+        return _guard(-b1 * b2, 2 * breather_b3(x, t) ** 2)
     return ev
+
+
+def breather_b3(x, t):
+    """The breather's printed denominator factor b3, which is typo-free."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ex_m = np.exp(-_XFREQ * 1j * x)
+    ex_p = np.exp(_XFREQ * 1j * x)
+    et_p = np.exp(_TAU * t)
+    et_m = np.exp(-_TAU * t)
+    return (5e8 * 1j * ex_m + 63508327j * ex_p - 436491673 * et_p
+            - 563508327j * et_p + 436491673 * et_m - 563508327j * et_m)
 
 
 def rogue1():

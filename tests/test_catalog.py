@@ -220,7 +220,7 @@ def _mp_positon(lam, x, t):
 
 def test_positon_matches_mpmath_as_closely_as_elimination():
     # 30 fixed nodes of the criterion-2 window; the worst pointwise relative
-    # errors are 1.8e-14 for the expansion and 4.3e-15 for elimination
+    # errors are 1.3e-14 for the 4 x 5 expansion and 4.3e-15 for elimination
     x, t = np.random.default_rng(3).uniform(-10, 10, (2, 30))
     with mp.workdps(40):
         ref = np.array([_mp_positon(0.8 + 0.8j, a, b) for a, b in zip(x, t)])
@@ -229,22 +229,33 @@ def test_positon_matches_mpmath_as_closely_as_elimination():
 
 
 def test_catalog_determinant_matches_mpmath():
+    # the contract of the engine's elimination on a 4 x 5 stack: det[j] is
+    # the determinant of columns 0-2 completed by column 3 + j
     rng = np.random.default_rng(17)
-    mats = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+    mats = rng.normal(size=(3, 5, 4, 5)) + 1j * rng.normal(size=(3, 5, 4, 5))
     mats[0, 0] *= 1e3                       # a scaled matrix
-    mats[0, 1, 3] = mats[0, 1, 2]           # a singular one
+    mats[0, 1, 3] = mats[0, 1, 2]           # both determinants singular
+    mats[0, 2, :, 4] = mats[0, 2, :, 1]     # the second one singular
+    before = mats.copy()
     got = catalog.batched_det(mats)
-    assert got.shape == (3, 5)
-    # a matrix-first stack seen through a (..., 4, 4) view, and one matrix
+    assert got.shape == (2, 3, 5)
+    assert np.array_equal(mats, before)     # the input is only read
+    # a matrix-first stack seen through a (..., 4, 5) view, and one matrix
     first = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
     assert np.array_equal(catalog.batched_det(np.moveaxis(first, (0, 1), (-2, -1))), got)
-    assert catalog.batched_det(mats[1, 2]) == got[1, 2]
+    single = catalog.batched_det(mats[1, 2])
+    assert single.shape == (2,) and np.array_equal(single, got[:, 1, 2])
+    elim, _ = kd.numerics.batched_det(mats.copy())
+    assert elim.shape == got.shape
     with mp.workdps(40):
-        for m, d in zip(mats.reshape(-1, 4, 4), got.ravel()):
-            ref = complex(mp.det(mp.matrix(m.tolist())))
-            # the Hadamard bound: no term of the expansion exceeds it
-            scale = np.prod(np.linalg.norm(m, axis=1))
-            assert abs(d - ref) <= 1e-15 * scale
+        for j in range(2):
+            for m, d, e in zip(mats[..., [0, 1, 2, 3 + j]].reshape(-1, 4, 4),
+                               got[j].ravel(), elim[j].ravel()):
+                ref = complex(mp.det(mp.matrix(m.tolist())))
+                # the Hadamard bound: no term of the expansion exceeds it
+                scale = np.prod(np.linalg.norm(m, axis=1))
+                assert abs(d - ref) <= 1e-15 * scale
+                assert abs(d - e) <= 1e-15 * scale
 
 
 def test_catalog_shares_no_code_with_the_engine():
@@ -294,6 +305,18 @@ def test_breather_as_published_fails_residual():
     rep = pde_residual(published_forms.breather(), SEED0, VARIANT,
                        kd.Grid2D(-2, 2, -2, 2, 81, 81), refinements=2)
     assert rep.estimated_order < 1.0 or rep.norms[-1][1] > 0.5
+
+
+def test_breather_printed_b3_is_minus_conj_b1():
+    # what lets `breather` take its denominator from b1 on real x, t: the
+    # two are equal at every node (at the origin a zero part differs in
+    # sign), and the field keeps the bits of the printed denominator
+    X, T = kd.Grid2D(-5, 5, -3, 3, 201, 161).mesh()
+    b1, b2 = catalog._breather_factors(X, T)
+    b3 = published_forms.breather_b3(X, T)
+    assert np.array_equal(-np.conj(b1), b3)
+    printed = catalog._guard(-b1 * b2, 2 * b3 ** 2)
+    assert catalog.breather().eval(X, T).tobytes() == printed.tobytes()
 
 
 def test_breather_exact_vs_published_differ_by_two_terms_only():

@@ -191,10 +191,15 @@ def test_plane_wave_eigenfunction_linearity_in_weights():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want) + 1)
 
 
-def test_plane_wave_zero_weights_vanish():
+def test_plane_wave_refuses_zero_weights():
+    # both weights zero make the eigenfunction vanish, and every node of the
+    # transformed field NaN; a single zero weight picks one branch
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
-    d = plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=(0, 0))
-    assert abs(d.phi(0.3, -0.4)) == 0 and abs(d.varphi(0.3, -0.4)) == 0
+    for w in ((0, 0), (0.0, -0j)):
+        with pytest.raises(ValueError, match=r"^branch weights .* are both zero"):
+            plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=w)
+    for w in ((1, 0), (0, 1)):
+        assert plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=w).phi(0.3, -0.4) != 0
 
 
 def test_plane_wave_components_finite_at_origin():
