@@ -129,24 +129,27 @@ def check_degeneration_convergence() -> CheckResult:
     seed0 = zero_seed()
     gp = Grid2D(-10, 10, -10, 10, 41, 41)
     ref = sample(catalog.positon(0.8, 0.8).eval, gp)
+    used = {}   # the precision each radius chose automatically
 
     def family(eps):
         spec = DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=eps, n=2)
-        return sample(degenerate_limit(spec, seed0).Q, gp)
+        out = degenerate_limit(spec, seed0)
+        used[eps] = out.precision
+        return sample(out.Q, gp)
 
     rows, monotone = convergence_study(family, ref, [1e-1, 1e-2, 1e-3])
     reduction = rows[0][1] / rows[-1][1] if rows[-1][1] > 0 else float("inf")
 
     seedp = make_plane_wave_seed(-2.0, 1.0, 1.0)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    out = degenerate_limit(spec, seedp)  # auto-extended at this radius
+    out = degenerate_limit(spec, seedp)
     lat = np.linspace(-2, 2, 5)
     X, T = np.meshgrid(lat, lat, indexing="ij")
     err_r1 = float(np.max(np.abs(intensity(out.Q(X, T))
                                  - intensity(catalog.rogue1().eval(X, T)))))
     ok = monotone and reduction >= 20.0 and err_r1 <= 1e-3
-    detail = ("positon ladder " + " -> ".join(f"{e:.0e}:{err:.2e}" for e, err in rows)
-              + f" (x{reduction:.0f} down), rogue1 probe {err_r1:.2e} (<=1e-3)")
+    detail = ("positon ladder " + " -> ".join(f"{e:.0e}:{err:.2e} {used[e]}" for e, err in rows)
+              + f" (x{reduction:.0f} down), rogue1 probe {err_r1:.2e} {out.precision} (<=1e-3)")
     return CheckResult("degeneration_convergence", ok, detail)
 
 

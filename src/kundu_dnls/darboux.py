@@ -26,7 +26,12 @@ from .numerics.doubledouble import DDComplexArray, dd_batched_det
 from .numerics.grid import thread_safe
 
 
-EXTENDED_EPS_THRESHOLD = 1e-3   # degeneration radius at or below which dd kicks in
+# degenerate_limit's automatic precision: extended below the order's radius.
+# The rule: double unless its rounding error (against extended) exceeds
+# ROUNDING_SHARE of the truncation error (against the eps -> 0 limit); each
+# radius is where the table tests/precision_table.py prints crosses it.
+ROUNDING_SHARE = 0.1
+EXTENDED_EPS_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
 DEFAULT_CONDITION_BOUND = 1e12
 
 
@@ -343,11 +348,11 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
     leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
     root-of-unity symmetry already cancels the linear term.  Without a
-    precision, radii at or below `EXTENDED_EPS_THRESHOLD` run extended; the
-    output's `precision` records the one used.
+    precision, radii below the order's `EXTENDED_EPS_RADIUS` run extended,
+    others double; the output's `precision` records the one used.
     """
     if precision is None:
-        precision = "extended" if spec.epsilon <= EXTENDED_EPS_THRESHOLD else "double"
+        precision = "extended" if spec.epsilon < EXTENDED_EPS_RADIUS[spec.n] else "double"
     offsets = _default_offsets(spec.n)
     main = n_fold(_degenerate_set(spec, seed, offsets), seed, precision=precision)
     if spec.n > 1:

@@ -74,6 +74,23 @@ def test_every_mapped_figure_has_one_row_of_checks():
     assert acceptance.FIGURE_CHECKS.keys() == FIGURE_MAP.keys()
 
 
+def test_engine_figures_and_patterns_build_in_double():
+    # under auto, every engine-backed mapped figure and pattern field sits at
+    # or above its order's extended radius; building constructs the field
+    # and samples nothing
+    from kundu_dnls import cli
+    from kundu_dnls.darboux import DTOutput
+
+    used = {}
+    for name, (solution, params, _) in {**cli.FIGURE_MAP, **acceptance.PATTERN_CONFIGS}.items():
+        field = cli.build_field(solution, cli.resolve_params(solution, dict(params)), "auto")
+        if isinstance(field, DTOutput):
+            used[name] = field.precision
+    assert set(used) == {"fig7", "fig8", "fig9", "fig10",
+                         "triangle2", "ring3", "triangle3", "fused2"}
+    assert set(used.values()) == {"double"}, used
+
+
 def test_a_figure_failing_its_row_is_reported(tmp_path):
     # fig4's breather read against fig8's order-3 crest of 49
     from kundu_dnls import cli

@@ -262,7 +262,7 @@ def test_closed_form_constructor_is_looked_up_when_built(monkeypatch, solution):
 
 
 @pytest.mark.parametrize("argv, requested, used", [
-    # a split rogue2 runs the engine, and eps 1e-5 is below the extended threshold
+    # a split rogue2 runs the engine, and eps 1e-5 is below order 2's extended radius
     (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "auto", "extended"),
     # an unsplit rogue2 is the closed form
     (["--solution", "rogue2"], "auto", "double"),

@@ -6,11 +6,12 @@ import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import catalog
-from kundu_dnls.darboux import (DegenerationSpec, SpectralSet, build_reduced_set,
-                                degenerate_limit, n_fold)
+from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, DegenerationSpec, SpectralSet,
+                                build_reduced_set, degenerate_limit, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
+import precision_table
 from oracles import one_fold
 
 
@@ -283,7 +284,7 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     lams = [0.5 + 0.5j, 0.4 + 0.9j]
     plain = build_reduced_set(lams, SEEDP)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    plain_ext = degenerate_limit(spec, SEEDP).Q(X[:5], T[:5])
+    plain_ext = degenerate_limit(spec, SEEDP, precision="extended").Q(X[:5], T[:5])
     monkeypatch.setattr(dx, "plane_wave_eigenfunction",
                         _wrapped_eigenfunction(dx.plane_wave_eigenfunction))
     wrapped = build_reduced_set(lams, SEEDP)
@@ -292,7 +293,8 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
         e for lam in lams for e in (lam, np.conj(lam))]
     for a, b in ((plain, wrapped), (general(plain), general(wrapped))):
         assert np.array_equal(n_fold(a, SEEDP).Q(X, T), n_fold(b, SEEDP).Q(X, T))
-    assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X[:5], T[:5]), plain_ext)
+    assert np.array_equal(degenerate_limit(spec, SEEDP, precision="extended").Q(X[:5], T[:5]),
+                          plain_ext)
 
 
 def _benchmark_tracing():
@@ -319,7 +321,8 @@ def test_benchmark_tracer_records_both_precisions():
     tracer.active = True
     try:
         q = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j], SEEDP), SEEDP).Q(X, T)
-        qe = dx.degenerate_limit(dx.DegenerationSpec(1 + 1j, 1e-3, 1), SEEDP).Q(X, T)
+        qe = dx.degenerate_limit(dx.DegenerationSpec(1 + 1j, 1e-3, 1), SEEDP,
+                                 precision="extended").Q(X, T)
     finally:
         tracer.active = False
         inst.uninstall()
@@ -674,7 +677,7 @@ def test_degenerate_two_solitons_differ_then_converge():
 
 def test_rogue_limit_matches_catalog_probe_lattice():
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    out = degenerate_limit(spec, SEEDP)  # auto-selects extended at this radius
+    out = degenerate_limit(spec, SEEDP)  # auto-selects double at this radius
     lat = np.linspace(-2, 2, 5)
     X, T = np.meshgrid(lat, lat, indexing="ij")
     Ic = np.abs(catalog.rogue1().eval(X, T)) ** 2
@@ -700,6 +703,8 @@ def test_split_weights_produce_three_humps():
 
 
 def test_degenerate_limit_engages_extended_automatically():
+    # per order, extended just below its radius and double at and just above
+    # it; an explicit precision wins on either side
     captured = {}
     import kundu_dnls.darboux as dx
     orig = dx.n_fold
@@ -710,14 +715,29 @@ def test_degenerate_limit_engages_extended_automatically():
 
     dx.n_fold = spy
     try:
-        spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-        degenerate_limit(spec, SEEDP).Q(0.0, 0.0)
-        assert captured["precision"] == "extended"
-        spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-2, n=1)
-        degenerate_limit(spec, SEEDP).Q(0.0, 0.0)
-        assert captured["precision"] == "double"
+        for n, radius in dx.EXTENDED_EPS_RADIUS.items():
+            for eps, given, used in ((0.99 * radius, None, "extended"),
+                                     (radius, None, "double"), (1.01 * radius, None, "double"),
+                                     (0.99 * radius, "double", "double"),
+                                     (1.01 * radius, "extended", "extended")):
+                spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n)
+                out = degenerate_limit(spec, SEEDP, precision=given)
+                out.Q(0.0, 0.0)
+                assert captured["precision"] == out.precision == used, (n, eps, given)
     finally:
         dx.n_fold = orig
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_precision_table_keeps_its_coarse_shape(n):
+    # the table the radii are read from, on the 11 x 11 coalescence window:
+    # 3x above an order's radius double's rounding error is within the
+    # rule's share of the truncation error, and 10x below it is not
+    window = precision_table.WINDOWS["coalescence"]
+    radius = EXTENDED_EPS_RADIUS[n]
+    above, below = (precision_table.measure(window, n, eps) for eps in (3 * radius, radius / 10))
+    assert precision_table.resolved(above) and precision_table.double_serves(above), above
+    assert precision_table.resolved(below) and not precision_table.double_serves(below), below
 
 
 def test_engine_respects_general_gauge_and_coupling():
