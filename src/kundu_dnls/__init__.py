@@ -4,9 +4,9 @@ with residual-based verification and intensity-pattern analysis."""
 from . import catalog, darboux, errors, lax, verify
 from .darboux import (DegenerationSpec, DTOutput, SpectralSet, build_reduced_set,
                       degenerate_limit, n_fold)
-from .lax import (PlaneWaveSeed, SpectralDatum, ZeroSeed, branch_quantity,
-                  check_lax_residual, critical_eigenvalue, make_plane_wave_seed,
-                  plane_wave_eigenfunction, zero_seed, zero_seed_eigenfunction)
+from .lax import (Seed, SpectralDatum, branch_quantity, check_lax_residual,
+                  critical_eigenvalue, make_plane_wave_seed, plane_wave_eigenfunction,
+                  zero_seed, zero_seed_eigenfunction)
 from .numerics import ComplexField2D, Grid2D, det, sample
 from .verify import (ALL_VARIANTS, ConventionVariant, PeakSet, ResidualReport,
                      compare_fields, convergence_study, pde_residual,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "catalog", "darboux", "errors", "lax", "verify",
     "Grid2D", "ComplexField2D", "sample", "det",
-    "ZeroSeed", "PlaneWaveSeed", "SpectralDatum",
+    "Seed", "SpectralDatum",
     "make_plane_wave_seed", "zero_seed", "zero_seed_eigenfunction",
     "plane_wave_eigenfunction", "branch_quantity", "critical_eigenvalue",
     "check_lax_residual",

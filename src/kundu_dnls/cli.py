@@ -19,7 +19,7 @@ from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
 from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
                      ResolutionTooCoarseError)
-from .lax import make_plane_wave_seed, zero_seed
+from .lax import Seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
 from .verify import peak_analysis
 
@@ -134,11 +134,9 @@ def _closed_form(solution: str, params: dict) -> bool:
     return solution in _CLOSED_FORMS
 
 
-def _make_seed(params: dict):
-    if params["seed"] == "zero":
-        return zero_seed(params["alpha"], params["theta_p"], params["theta_q"])
-    return make_plane_wave_seed(params["a"], params["c"], params["alpha"],
-                                params["theta_p"], params["theta_q"])
+def _make_seed(params: dict) -> Seed:
+    a, c = (0.0, 0.0) if params["seed"] == "zero" else (params["a"], params["c"])
+    return Seed(a, c, params["alpha"], params["theta_p"], params["theta_q"])
 
 
 def build_field(solution: str, params: dict, precision: str):

@@ -12,14 +12,15 @@ when that radius is tiny, extended-precision determinants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, PlaneWaveSeed, Seed, _check_finite, branch_quantity,
-                  plane_wave_eigenfunction, zero_seed_eigenfunction)
+from .lax import (MP_DPS, Seed, _check_finite, branch_quantity, plane_wave_eigenfunction,
+                  zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
@@ -74,10 +75,21 @@ class SpectralSet:
         return SpectralSet([e for d in self.data for e in (d, d.conjugate_partner())])
 
 
+def _scaled_weights(w) -> tuple:
+    """A weight pair whose larger magnitude is 2 or more, over the power of two
+    that brings it into [1, 2): the factor cancels from Q and scales exactly,
+    and weights like e^360 would overflow the Omega determinants' products."""
+    k = math.frexp(max(abs(0.5 * complex(v)) for v in w))[1]   # halves cannot overflow
+    if k < 1:
+        return tuple(w)
+    return tuple(complex(math.ldexp(v.real, -k), math.ldexp(v.imag, -k)) for v in map(complex, w))
+
+
 def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
                       weights_per_lambda: Optional[Sequence] = None) -> SpectralSet:
     """The reduced set of one representative per eigenvalue pair; the weights
-    combine a plane wave's two basis solutions, so the zero seed takes (1, 1)."""
+    combine a plane wave's two basis solutions, so the zero background
+    (c = 0) takes (1, 1)."""
     if weights_per_lambda is None:
         weights_per_lambda = [(1.0, 1.0)] * len(lambdas)
     if len(weights_per_lambda) != len(lambdas):
@@ -89,12 +101,12 @@ def build_reduced_set(lambdas: Sequence[complex], seed: Seed,
         _check_finite(eigenvalue=lam)
         if lam.real == 0.0 or lam.imag == 0.0:
             raise ValueError(f"lambda {lam} on an axis collapses its conjugate pair")
-        if isinstance(seed, PlaneWaveSeed):
+        if seed.c:
             if abs(branch_quantity(lam, seed)) < 1e-12 and complex(w[0]) == complex(w[1]):
                 raise ValueError(
                     f"branch quantity vanishes at lambda {lam}; the two basis "
                     "solutions coincide and the eigenfunction degenerates")
-            datum = plane_wave_eigenfunction(lam, seed, weights=tuple(w))
+            datum = plane_wave_eigenfunction(lam, seed, weights=_scaled_weights(w))
         elif tuple(map(complex, w)) != (1, 1):
             raise ValueError(f"the zero seed ignores branch weights {tuple(w)} at lambda "
                              f"{lam}: they enter only on a plane wave")
@@ -323,20 +335,18 @@ class DegenerationSpec:
 
 
 def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
-    plane = isinstance(seed, PlaneWaveSeed)
-    if not plane and (spec.S0, spec.S1, spec.S2) != (0, 0, 0):
+    # on the zero background the phase is 0, so the weights are (1, 1) exactly
+    if not seed.c and (spec.S0, spec.S1, spec.S2) != (0, 0, 0):
         raise ValueError(f"the zero seed ignores the split phase S0, S1, S2 = {spec.S0}, "
                          f"{spec.S1}, {spec.S2}: it enters only on a plane wave")
     lams, weights = [], []
     for off in offsets:
         eps_j = spec.epsilon * off
-        lam_j = spec.lambda_c * (1 + eps_j)
-        lams.append(lam_j)
-        if plane:
-            s_j = complex(branch_quantity(lam_j, seed))
-            S_j = spec.S0 + spec.S1 * eps_j + spec.S2 * eps_j * eps_j
-            weights.append((np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j)))
-    return build_reduced_set(lams, seed, weights_per_lambda=weights if plane else None)
+        lams.append(spec.lambda_c * (1 + eps_j))
+        s_j = complex(branch_quantity(lams[-1], seed))
+        S_j = spec.S0 + spec.S1 * eps_j + spec.S2 * eps_j * eps_j
+        weights.append((np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j)))
+    return build_reduced_set(lams, seed, weights)
 
 
 def degenerate_limit(spec: DegenerationSpec, seed: Seed,

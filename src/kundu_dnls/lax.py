@@ -1,9 +1,9 @@
 """Seed solutions, gauge data, spectral eigenfunctions, and Lax residual checks.
 
-Seeds are either the zero background or a plane wave c*exp(i(ax+bt)) whose
-frequency b is always derived from the closure constraint
-b = -alpha c^2 a - 2 - a^2 - 2a - alpha c^2, so the seed satisfies the field
-equation identically.  The gauge function is restricted to the affine family
+A seed is the plane wave c*exp(i(ax+bt)), whose frequency b is always
+derived from the closure constraint b = -alpha c^2 a - 2 - a^2 - 2a - alpha c^2,
+so the seed satisfies the field equation identically; c = 0 is the zero
+background.  The gauge function is restricted to the affine family
 theta = p x + q t.
 
 Eigenfunction time-direction note: the x-part of the spectral problem pins
@@ -32,12 +32,6 @@ from .numerics.grid import Grid2D
 MP_DPS = 40
 
 
-def _check_coupling(alpha: float):
-    """The engine scales by sqrt(alpha), so the coupling must be positive."""
-    if not alpha > 0:
-        raise ValueError(f"coupling alpha must be positive, got {alpha}")
-
-
 def _check_finite(**numbers):
     """Each named number, real or complex, must be finite: one NaN or inf
     would make every node of the field NaN."""
@@ -47,44 +41,26 @@ def _check_finite(**numbers):
 
 
 @dataclass(frozen=True)
-class ZeroSeed:
-    """Vanishing background."""
+class Seed:
+    """Background c*exp(i(ax+bt)); b is derived, never free.  c = 0 is the
+    zero background, into which a does not enter, so a must be 0 there."""
 
+    a: float = 0.0
+    c: float = 0.0
     alpha: float = 1.0
     theta_p: float = 1.0
     theta_q: float = 1.0
 
     def __post_init__(self):
-        _check_coupling(self.alpha)
-        _check_finite(alpha=self.alpha, theta_p=self.theta_p, theta_q=self.theta_q)
-
-    def value(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=complex) + np.asarray(t, dtype=complex))
-
-    def value_x(self, x, t):
-        """Exact x-derivative of `value`: zero."""
-        return self.value(x, t)
-
-    def theta(self, x, t):
-        return self.theta_p * x + self.theta_q * t
-
-
-@dataclass(frozen=True)
-class PlaneWaveSeed:
-    """Background c*exp(i(ax+bt)); b is derived, never free."""
-
-    a: float
-    c: float
-    alpha: float = 1.0
-    theta_p: float = 1.0
-    theta_q: float = 1.0
-
-    def __post_init__(self):
-        _check_coupling(self.alpha)
+        if not self.alpha > 0:      # the engine scales by sqrt(alpha)
+            raise ValueError(f"coupling alpha must be positive, got {self.alpha}")
         if not self.c >= 0:
             raise ValueError(f"amplitude c must be >= 0, got {self.c}")
         _check_finite(a=self.a, c=self.c, alpha=self.alpha, theta_p=self.theta_p,
                       theta_q=self.theta_q)
+        if self.c == 0 and self.a != 0:
+            raise ValueError(f"a must be 0 on the zero background (c = 0), which it "
+                             f"does not enter, got {self.a}")
 
     @property
     def b(self) -> float:
@@ -103,16 +79,13 @@ class PlaneWaveSeed:
         return self.theta_p * x + self.theta_q * t
 
 
-Seed = ZeroSeed | PlaneWaveSeed
-
-
 def make_plane_wave_seed(a: float, c: float, alpha: float = 1.0,
-                         theta_p: float = 1.0, theta_q: float = 1.0) -> PlaneWaveSeed:
-    return PlaneWaveSeed(a=a, c=c, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
+                         theta_p: float = 1.0, theta_q: float = 1.0) -> Seed:
+    return Seed(a=a, c=c, alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 
-def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) -> ZeroSeed:
-    return ZeroSeed(alpha=alpha, theta_p=theta_p, theta_q=theta_q)
+def zero_seed(alpha: float = 1.0, theta_p: float = 1.0, theta_q: float = 1.0) -> Seed:
+    return Seed(alpha=alpha, theta_p=theta_p, theta_q=theta_q)
 
 
 @dataclass
@@ -236,7 +209,7 @@ def _radicand(lam2, a, c):
     return 4 * a * a - 4 * a * lam2 + 8 * a + lam2 * lam2 - 4 * lam2 + 4 - 4 * lam2 * c * c
 
 
-def branch_quantity(lam: complex, seed: PlaneWaveSeed):
+def branch_quantity(lam: complex, seed: Seed):
     """s(lam) = sqrt(4a^2 - 4a lam^2 + 8a + lam^4 - 4 lam^2 + 4 - 4 lam^2 c^2),
     principal branch.  Its zero marks the breather-to-rogue critical eigenvalue."""
     a, c = seed.a, seed.c
@@ -245,7 +218,7 @@ def branch_quantity(lam: complex, seed: PlaneWaveSeed):
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
-def critical_eigenvalue(seed: PlaneWaveSeed) -> complex:
+def critical_eigenvalue(seed: Seed) -> complex:
     """The first-quadrant zero of s(lam), where the breather turns into the
     rogue wave.  The radicand vanishes at lam^2 = 2(a+1+c^2) +- 2c
     sqrt(c^2+2(a+1)); this is the principal root of the + branch.  A real
@@ -257,13 +230,14 @@ def critical_eigenvalue(seed: PlaneWaveSeed) -> complex:
     return lam
 
 
-def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
+def plane_wave_eigenfunction(lam: complex, seed: Seed,
                              weights: tuple[complex, complex] = (1.0, 1.0)) -> SpectralDatum:
     """Weighted superposition eigenfunction on the plane-wave background.
 
     The two-branch basis splits along the branch quantity s; `weights`
     stirs the two branches (the hump-splitting mechanism).  With weights
-    (1, 1) the datum reduces to the unweighted eigenfunction.
+    (1, 1) the datum reduces to the unweighted eigenfunction.  A datum whose
+    constants are all zero would make the field NaN everywhere, and raises.
     """
     if seed.c == 0:
         raise ValueError("plane-wave eigenfunctions require c != 0")
@@ -271,9 +245,6 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
         raise ValueError("lambda must be nonzero")
     lam = complex(lam)
     D1, D2 = complex(weights[0]), complex(weights[1])
-    if D1 == 0 and D2 == 0:
-        raise ValueError(f"branch weights {tuple(weights)} are both zero: the "
-                         "eigenfunction vanishes and the field is NaN everywhere")
     with mp.workdps(MP_DPS):
         lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
         lm2 = lm * lm
@@ -289,8 +260,14 @@ def plane_wave_eigenfunction(lam: complex, seed: PlaneWaveSeed,
         e_p, e_m = (I * (sx - px), I * (st - pt)), (I * (-sx - px), I * (-st - pt))
         g_p, g_m = (I * (sx + px), I * (st + pt)), (I * (px - sx), I * (pt - st))
         W1, W2 = mp.mpc(D1), mp.mpc(D2)
-        return _datum(lam, ExpSum([(W1 * u_m, *e_p), (W2 * u_p, *e_m)]),
-                      ExpSum([(W1 * u_p, *g_p), (W2 * u_m, *g_m)]))
+        consts = (W1 * u_m, W2 * u_p, W1 * u_p, W2 * u_m)
+        if not any(consts):
+            why = (f"branch weights {tuple(weights)} are both zero" if D1 == D2 == 0
+                   else f"both prefactors u-+ vanish at lambda {lam}")
+            raise ValueError(f"{why}: the eigenfunction vanishes and the field is NaN "
+                             "everywhere")
+        return _datum(lam, ExpSum([(consts[0], *e_p), (consts[1], *e_m)]),
+                      ExpSum([(consts[2], *g_p), (consts[3], *g_m)]))
 
 
 # ---------------------------------------------------------------------------

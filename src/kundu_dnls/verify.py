@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AllNodesExcludedError, ResolutionTooCoarseError, VerificationFailedError
-from .lax import (PlaneWaveSeed, Seed, _convergence_order, check_lax_residual,
-                  make_plane_wave_seed, plane_wave_eigenfunction)
+from .lax import (Seed, _convergence_order, check_lax_residual, make_plane_wave_seed,
+                  plane_wave_eigenfunction)
 from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, intensity, sample
 
 Array = np.ndarray
@@ -121,7 +121,7 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
     return ResidualReport(variant, norms, _convergence_order(norms))
 
 
-def exact_seed_residual(seed: PlaneWaveSeed, sign: int) -> float:
+def exact_seed_residual(seed: Seed, sign: int) -> float:
     """Field-equation residual of the plane-wave seed by analytic substitution,
     the largest at three fixed points.
 

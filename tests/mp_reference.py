@@ -8,7 +8,6 @@ each of the four transformation determinants by `mp.det`.
 import mpmath as mp
 import numpy as np
 
-from kundu_dnls.lax import PlaneWaveSeed
 
 DPS = 40
 
@@ -60,10 +59,7 @@ def n_fold_q(spectral_set, seed, x, t):
         main, main_shift = _dets(rows, False)
         swapped, swapped_shift = _dets(rows, True)
         x, t = mp.mpf(x), mp.mpf(t)
-        if isinstance(seed, PlaneWaveSeed):
-            q0 = seed.c * mp.exp(1j * (seed.a * x + seed.b * t))
-        else:
-            q0 = mp.mpc(0)
+        q0 = seed.c * mp.exp(1j * (seed.a * x + seed.b * t))
         eim = mp.exp(-1j * (seed.theta_p * x + seed.theta_q * t))
         q = ((swapped / main) ** 2 * q0
              + eim / mp.sqrt(seed.alpha) * swapped * swapped_shift / main ** 2)

@@ -1,5 +1,6 @@
 """CLI contract tests: formats, determinism, exit codes, config handling."""
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -22,6 +23,8 @@ from kundu_dnls.errors import InvalidConfigError
 from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics.grid import Grid2D, sample
+
+import artifact_hashes
 
 
 def run(args):
@@ -161,6 +164,46 @@ def test_zero_seed_engine_names_the_keys_it_would_ignore(solution, raw, ignored)
     assert f"zero seed ignores {ignored}:" in str(err.value)
     # on the plane-wave seed every one of them enters
     cli.resolve_params(solution, {**raw, "seed": "planewave"})
+
+
+def test_zero_amplitude_plane_wave_is_the_zero_seed(tmp_path):
+    # c = 0 is the zero background, and writes its field; the wavenumber a
+    # (-2 by default) does not enter there, so a nonzero one exits 2
+    argv = ["generate", "--solution", "engine-nfold", "--param", "lam2_re=0.5",
+            "--param", "lam2_im=0.5", "--grid=-3:3:21,-2:2:17", "--quiet", "--param"]
+    zero, plane, bad = tmp_path / "zero.csv", tmp_path / "plane.csv", tmp_path / "bad.csv"
+    assert run([*argv, "seed=zero", "--output", str(zero)]) == 0
+    assert run([*argv, "seed=planewave", "--param", "a=0", "--param", "c=0",
+                "--output", str(plane)]) == 0
+    assert plane.read_bytes() == zero.read_bytes()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run([*argv, "seed=planewave", "--param", "c=0", "--output", str(bad)])
+    assert rc == 2 and not bad.exists()
+    assert "a must be 0 on the zero background (c = 0)" in err.getvalue()
+
+
+def test_large_split_phase_keeps_the_field_finite(tmp_path):
+    # S1 = 1e6 splits the branch weights to about e^(+-360): unscaled, their
+    # products in the determinants overflowed and every node was masked
+    out = tmp_path / "r3.json"
+    rc = run(["generate", "--solution", "rogue3", "--param", "S1=1e6",
+              "--grid=-40:40:41,-40:40:41", "--format", "json", "--output", str(out), "--quiet"])
+    assert rc == 0
+    assert json.loads((tmp_path / "r3.json.meta.json").read_text())["masked_nodes"] == 0
+    data = np.array(json.loads(out.read_text())["data"], dtype=float)
+    assert np.max(np.abs(data - 1.0)) <= 1e-12    # the humps sit far outside the window
+
+
+def test_artifact_hashes_hash_what_generate_writes(tmp_path, capsys):
+    table = artifact_hashes.jobs()
+    assert {f"{fig}.{fmt}" for fig in FIGURE_MAP for fmt in ("pgm", "csv", "json")} <= set(table)
+    assert artifact_hashes.main(["--job", "nfold-zero-n1.csv"]) == 0
+    lines = [ln.split("  ") for ln in capsys.readouterr().out.splitlines()]
+    out = tmp_path / "nfold-zero-n1.csv"
+    assert run(["generate", *table[out.name], "--output", str(out), "--quiet"]) == 0
+    assert lines == [[hashlib.sha256(p.read_bytes()).hexdigest(), p.name]
+                     for p in (out, tmp_path / "nfold-zero-n1.csv.meta.json")]
 
 
 @pytest.mark.parametrize("job", [

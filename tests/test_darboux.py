@@ -7,7 +7,7 @@ import pytest
 import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, DegenerationSpec, SpectralSet,
-                                build_reduced_set, degenerate_limit, n_fold)
+                                _scaled_weights, build_reduced_set, degenerate_limit, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
@@ -486,6 +486,51 @@ def test_plane_wave_refuses_zero_branch_weights():
     for w in ((1, 0), (0, 1)):
         out = n_fold(build_reduced_set([0.5 + 0.5j], SEEDP, weights_per_lambda=[w]), SEEDP)
         assert np.isfinite(out.Q(0.3, -0.4))
+
+
+def test_plane_wave_refuses_a_vanishing_eigenfunction():
+    # at the critical eigenvalue both prefactors vanish, so unequal weights
+    # give an all-zero eigenfunction too; equal ones stay the near-branch check's
+    with pytest.raises(ValueError, match=r"^both prefactors u-\+ vanish at lambda \(1\+1j\)"):
+        build_reduced_set([1 + 1j], SEEDP, weights_per_lambda=[(1, 2)])
+    with pytest.raises(ValueError, match=r"^branch quantity vanishes at lambda \(1\+1j\)"):
+        build_reduced_set([1 + 1j], SEEDP)
+
+
+def test_branch_weights_scale_by_a_power_of_two():
+    assert _scaled_weights((1.5, -0.25j)) == (1.5, -0.25j)
+    assert _scaled_weights((0, 0)) == (0, 0)
+    assert _scaled_weights((4.0, 8j)) == (0.5, 1j)
+    # |w| overflows, its half does not
+    w = _scaled_weights((1.5e308 + 1.5e308j, 2.0))
+    assert 1 <= max(map(abs, w)) < 2 and w[1] == 2.0 ** -1023
+
+
+@pytest.mark.parametrize("lams, weight", [([0.5 + 0.5j, 0.7 + 0.9j, 0.3 + 1.2j], 1e40),
+                                          ([0.5 + 0.5j], 1e80)], ids=["n3-1e40", "n1-1e80"])
+def test_large_branch_weights_keep_the_field(lams, weight):
+    # a factor common to both weights cancels from Q; unscaled, the products
+    # in the determinants overflowed and every node was NaN, with no warning
+    X, T = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9), indexing="ij")
+    sset = build_reduced_set(lams, SEEDP, weights_per_lambda=[(weight, weight)] * len(lams))
+    q = n_fold(sset, SEEDP).Q(X, T)
+    ref = n_fold(build_reduced_set(lams, SEEDP), SEEDP).Q(X, T)
+    assert np.isfinite(ref).all()
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zero_amplitude_plane_wave_is_the_zero_seed():
+    # one seed type: the plane wave at a = c = 0 is the zero background,
+    # whose transformed fields it gives bit for bit
+    plane, zero = make_plane_wave_seed(0.0, 0.0), zero_seed()
+    X, T = np.meshgrid(np.linspace(-3, 3, 13), np.linspace(-2, 2, 9), indexing="ij")
+    lams = [1 + 2j, 0.7 + 0.3j, 0.5 + 0.5j]
+    fields = [(n_fold(build_reduced_set(lams[:n], plane), plane).Q(X, T),
+               n_fold(build_reduced_set(lams[:n], zero), zero).Q(X, T)) for n in (1, 2, 3)]
+    spec = DegenerationSpec(0.8 + 0.8j, 1e-3, 2)
+    fields.append((degenerate_limit(spec, plane).Q(X, T), degenerate_limit(spec, zero).Q(X, T)))
+    for q_plane, q_zero in fields:
+        assert np.isfinite(q_zero).all() and q_plane.tobytes() == q_zero.tobytes()
 
 
 def test_every_constructed_reduced_set_passes():

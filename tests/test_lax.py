@@ -53,23 +53,31 @@ def test_negative_coupling_rejected():
 
 
 def test_directly_built_seeds_check_themselves():
-    # the checks live in the seed types, so no constructor path skips them
+    # the checks live in the seed type, so no constructor path skips them
     with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
-        kd.ZeroSeed(alpha=0.0)
+        kd.Seed(alpha=0.0)
     with pytest.raises(ValueError, match=r"coupling alpha must be positive, got 0\.0"):
-        kd.PlaneWaveSeed(a=-2.0, c=1.0, alpha=0.0)
+        kd.Seed(a=-2.0, c=1.0, alpha=0.0)
     with pytest.raises(ValueError):
-        kd.ZeroSeed(alpha=-1.0)
+        kd.Seed(alpha=-1.0)
     with pytest.raises(ValueError):
-        kd.PlaneWaveSeed(a=-2.0, c=1.0, alpha=-1.0)
+        kd.Seed(a=-2.0, c=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
-        kd.PlaneWaveSeed(a=-2.0, c=-1.0)
+        kd.Seed(a=-2.0, c=-1.0)
     for bad in (dict(alpha=np.nan), dict(c=np.nan)):   # NaN fails every comparison
         with pytest.raises(ValueError):
-            kd.PlaneWaveSeed(**{"a": -2.0, "c": 1.0, **bad})
+            kd.Seed(**{"a": -2.0, "c": 1.0, **bad})
     with pytest.raises(ValueError):
-        kd.ZeroSeed(alpha=np.nan)
-    assert kd.PlaneWaveSeed(a=0.0, c=0.0).b == -2.0
+        kd.Seed(alpha=np.nan)
+    assert kd.Seed(a=0.0, c=0.0).b == -2.0
+
+
+def test_zero_background_refuses_a_wavenumber():
+    # a enters only through the amplitude c: on c = 0 it would be dropped
+    for a in (1.0, -2.0, 1e-300):
+        with pytest.raises(ValueError, match=rf"^a must be 0 on the zero background .* got {a}"):
+            kd.Seed(a=a, c=0.0)
+    assert kd.Seed(a=0.0, c=0.0) == kd.Seed() == zero_seed()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -202,6 +210,15 @@ def test_plane_wave_refuses_zero_weights():
         assert plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=w).phi(0.3, -0.4) != 0
 
 
+def test_plane_wave_refuses_a_vanishing_eigenfunction():
+    # at the critical eigenvalue 1 + i of (a, c) = (-2, 1) both prefactors
+    # u-+ are exactly 0, so every constant is 0 whatever the weights
+    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+    for w in ((1.0, 1.0), (1, 2), (0.3j, -4.0)):
+        with pytest.raises(ValueError, match=r"^both prefactors u-\+ vanish at lambda \(1\+1j\)"):
+            plane_wave_eigenfunction(1 + 1j, seed, weights=w)
+
+
 def test_plane_wave_components_finite_at_origin():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     for lam in (0.5 + 1j, 1.4 - 0.3j):
@@ -222,7 +239,8 @@ def test_plane_wave_matches_displayed_four_term_form():
 
 
 def test_plane_wave_rejects_zero_amplitude():
-    seed = make_plane_wave_seed(-2.0, 0.0, 1.0)
+    # c = 0 is the zero background, whose wavenumber a must be 0
+    seed = make_plane_wave_seed(0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="plane-wave eigenfunctions require c != 0"):
         plane_wave_eigenfunction(0.5 + 1j, seed)
 

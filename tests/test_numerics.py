@@ -44,7 +44,7 @@ _PUBLIC = {
     "kundu_dnls": [
         "catalog", "darboux", "errors", "lax", "verify",
         "Grid2D", "ComplexField2D", "sample", "det",
-        "ZeroSeed", "PlaneWaveSeed", "SpectralDatum",
+        "Seed", "SpectralDatum",
         "make_plane_wave_seed", "zero_seed", "zero_seed_eigenfunction",
         "plane_wave_eigenfunction", "branch_quantity", "critical_eigenvalue",
         "check_lax_residual",

@@ -24,11 +24,11 @@ def test_exact_seed_residual_pins_nonlinear_sign():
 
 def test_directly_built_seed_solves_the_equation():
     # b is derived from (a, c, alpha), never passed
-    seed = kd.PlaneWaveSeed(a=-2.0, c=1.0)
+    seed = kd.Seed(a=-2.0, c=1.0)
     assert seed.b == kd.make_plane_wave_seed(-2.0, 1.0, 1.0).b == -1.0
     assert exact_seed_residual(seed, +1) <= 1e-14
     with pytest.raises(TypeError):
-        kd.PlaneWaveSeed(a=-2.0, c=1.0, b=0.0)
+        kd.Seed(a=-2.0, c=1.0, b=0.0)
 
 
 def test_sampled_seed_residual_converges_to_the_exact_one():
