@@ -21,6 +21,7 @@ from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
                      ResolutionTooCoarseError)
 from .lax import Seed
 from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
+from .numerics.printing import WIDTH, float_text, format_floats, formatted
 from .verify import peak_analysis
 
 SOLUTIONS = {
@@ -192,9 +193,7 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        if not np.isfinite(v):
-            return '"%s"' % repr(float(v))
-        return format(float(v), ".17g")
+        return float_text(v)
     raise TypeError(f"unexpected scalar {type(v)}")
 
 
@@ -213,42 +212,66 @@ def json_text(obj) -> str:
 
 
 # Rows (t-rows for csv, x-rows for json) formatted and written per block:
-# the writers hold one block of strings at a time, whatever the grid size.
-_BLOCK_ROWS = 16
+# the writers hold one block's bytes and formatting temporaries at a time,
+# whatever nt is (about 2.5 MB for a csv block of 401 x-nodes).
+_BLOCK_ROWS = 8
 
 
-def _float_strs(a: np.ndarray) -> list[str]:
-    """`_fmt` of every element of a float array, the finite ones formatted in
-    one call ("%.17g" gives the same bytes as format(x, ".17g"))."""
-    a = a.ravel()
-    out = ("%.17g\0" * a.size % tuple(a.tolist())).split("\0")
-    out.pop()
-    for k in np.flatnonzero(~np.isfinite(a)):
-        out[k] = _fmt(a[k])
-    return out
+def _comma_slots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chars, keep) of each element's text and a comma, left-aligned in as
+    few columns as the longest needs."""
+    texts = [bytes(c[k]) + b"," for c, k in zip(*formatted(a))]
+    width = max(map(len, texts))
+    chars = np.frombuffer(b"".join(t.ljust(width) for t in texts), np.uint8)
+    lengths = np.array([len(t) for t in texts])
+    return chars.reshape(-1, width), np.arange(width) < lengths[:, None]
 
 
 def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
-    # one t row's template: x varies fastest, and x and t are formatted once
-    row = "".join(x + ",{t},%s,%s,%s\n" for x in _float_strs(grid.xs))
-    ts = _float_strs(grid.ts)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("x,t,intensity,re,im\n")
+    # x varies fastest within a t row, and x and t are formatted once
+    xs, ts = _comma_slots(grid.xs), _comma_slots(grid.ts)
+    wx, wt = xs[0].shape[1], ts[0].shape[1]
+    # a line per node: x and t, then intensity, re and im from an 8-byte boundary
+    lead = -(-(wx + wt) // 8) * 8
+    line = np.empty((_BLOCK_ROWS, grid.nx, lead + 3 * WIDTH), np.uint8)
+    mask = np.zeros(line.shape, bool)
+    with open(path, "wb") as f:
+        f.write(b"x,t,intensity,re,im\n")
         for j in range(0, grid.nt, _BLOCK_ROWS):
-            v = values[:, j:j + _BLOCK_ROWS].T.ravel()
-            block = "".join(row.replace("{t}", t) for t in ts[j:j + _BLOCK_ROWS])
-            f.write(block % tuple(_float_strs(np.stack([intensity(v), v.real, v.imag],
-                                                       axis=1))))
+            v = values[:, j:j + _BLOCK_ROWS].T
+            rows = v.shape[0]
+            line, mask = line[:rows], mask[:rows]
+            for out, x, t in zip((line, mask), xs, ts):
+                out[:, :, :wx] = x
+                out[:, :, wx:wx + wt] = t[j:j + rows, None]
+            nums, keep = (a[:, :, lead:].reshape(rows, grid.nx, 3, WIDTH) for a in (line, mask))
+            format_floats(np.stack([intensity(v), v.real, v.imag], axis=-1), nums, keep)
+            # each number's separator, in the column format_floats leaves free
+            nums[..., 45] = np.frombuffer(b",,\n", np.uint8)
+            keep[..., 45] = True
+            # np.compress indexes every byte it keeps: a t row at a time bounds that
+            for r in range(rows):
+                f.write(np.compress(mask[r].ravel(), line[r].ravel()))
 
 
 def _write_matrix(f, values: np.ndarray, part):
     """json_text of `part(values)` as a list of x-rows, block by block."""
-    row = "[" + ",".join(["%s"] * values.shape[1]) + "]"
-    f.write("[")
+    f.write(b"[")
     for i in range(0, values.shape[0], _BLOCK_ROWS):
         block = part(values[i:i + _BLOCK_ROWS])
-        f.write(("," if i else "") + ",".join([row] * len(block)) % tuple(_float_strs(block)))
-    f.write("]")
+        chars = np.empty(block.shape + (WIDTH,), np.uint8)
+        keep = np.empty(chars.shape, bool)
+        format_floats(block, chars, keep)
+        # "[" x "," ... x "]" per row, and "," after every row but the block's
+        # last, in the columns 0, 45 and 46 that format_floats leaves free
+        chars[:, 0, 0] = ord("[")
+        chars[..., 45] = ord(",")
+        chars[:, -1, 45:47] = np.frombuffer(b"],", np.uint8)
+        keep[:, 0, 0] = keep[..., 45] = keep[:-1, -1, 46] = True
+        if i:
+            f.write(b",")
+        f.write(np.compress(keep.ravel(), chars.ravel()))
+    f.write(b"]")
 
 
 def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
@@ -261,15 +284,15 @@ def write_json(path: Path, grid: Grid2D, values: np.ndarray, params: dict,
     matrices = {"data": intensity}
     if include_complex:
         matrices.update(re=np.real, im=np.imag)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("{")
+    with open(path, "wb") as f:
+        f.write(b"{")
         for n, key in enumerate(sorted([*doc, *matrices])):   # json_text's key order
-            f.write(("," if n else "") + json.dumps(key) + ":")
+            f.write((("," if n else "") + json.dumps(key) + ":").encode())
             if key in doc:
-                f.write(json_text(doc[key]))
+                f.write(json_text(doc[key]).encode())
             else:
                 _write_matrix(f, values, matrices[key])
-        f.write("}\n")
+        f.write(b"}\n")
 
 
 def write_pgm(path: Path, I: np.ndarray):

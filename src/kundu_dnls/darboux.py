@@ -345,7 +345,17 @@ def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
         lams.append(spec.lambda_c * (1 + eps_j))
         s_j = complex(branch_quantity(lams[-1], seed))
         S_j = spec.S0 + spec.S1 * eps_j + spec.S2 * eps_j * eps_j
-        weights.append((np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j)))
+        if S_j == 0:
+            w = (1.0, 1.0)      # exp(-+i s S) at S = 0, even for s beyond double's range
+        else:
+            with np.errstate(over="ignore"):
+                w = (np.exp(-1j * s_j * S_j), np.exp(1j * s_j * S_j))
+            if not np.isfinite(w).all():
+                # only the pair's ratio enters Q: take the larger exponent's real
+                # part out of both, which leaves the larger weight of modulus 1
+                z = -1j * s_j * S_j
+                w = (np.exp(z - abs(z.real)), np.exp(-z - abs(z.real)))
+        weights.append(w)
     return build_reduced_set(lams, seed, weights)
 
 

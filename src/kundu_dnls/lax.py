@@ -237,7 +237,8 @@ def plane_wave_eigenfunction(lam: complex, seed: Seed,
     The two-branch basis splits along the branch quantity s; `weights`
     stirs the two branches (the hump-splitting mechanism).  With weights
     (1, 1) the datum reduces to the unweighted eigenfunction.  A datum whose
-    constants are all zero would make the field NaN everywhere, and raises.
+    constants are all zero would make the field NaN everywhere, and raises,
+    as does a weight that is not finite.
     """
     if seed.c == 0:
         raise ValueError("plane-wave eigenfunctions require c != 0")
@@ -245,6 +246,7 @@ def plane_wave_eigenfunction(lam: complex, seed: Seed,
         raise ValueError("lambda must be nonzero")
     lam = complex(lam)
     D1, D2 = complex(weights[0]), complex(weights[1])
+    _check_finite(**{"branch weight D1": D1, "branch weight D2": D2})
     with mp.workdps(MP_DPS):
         lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
         lm2 = lm * lm

@@ -17,6 +17,13 @@ package, and a diff of two runs shows which artifacts changed:
 names.  All jobs take about 5 s on a 2-vCPU machine.  A job that exits
 non-zero prints `exit <code>` in place of its hashes, and the script then
 exits 1.
+
+`--against FILE` checks the run against a saved output of this script:
+after the hashes it prints `differs  <file name>` for each artifact whose
+hash is not the saved one, and exits 1 if there is any.  So one command
+checks a claim that a change keeps every artifact's bytes:
+
+    PYTHONPATH=src python tests/artifact_hashes.py --against hashes.txt
 """
 from __future__ import annotations
 
@@ -67,6 +74,8 @@ def main(argv=None) -> int:
     ap.add_argument("--job", action="append", default=None, metavar="NAME",
                     help="run only this job (repeatable)")
     ap.add_argument("--list", action="store_true", help="print the job names and exit")
+    ap.add_argument("--against", metavar="FILE",
+                    help="exit 1 naming each artifact whose hash differs from FILE's")
     ns = ap.parse_args(argv)
     table = jobs()
     if ns.list:
@@ -75,7 +84,13 @@ def main(argv=None) -> int:
     unknown = sorted(set(ns.job or ()) - set(table))
     if unknown:
         ap.error(f"unknown job(s) {unknown}; see --list")
-    failed = False
+    saved = None
+    if ns.against:
+        saved = {}
+        for line in Path(ns.against).read_text(encoding="utf-8").splitlines():
+            digest, name = line.split("  ", 1)
+            saved[name] = digest
+    failed, differs = False, []
     with tempfile.TemporaryDirectory() as tmp:
         for name in ns.job or table:
             output = Path(tmp) / name
@@ -85,8 +100,13 @@ def main(argv=None) -> int:
                 failed = True
                 continue
             for path in (output, Path(f"{output}.meta.json")):
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
-    return 1 if failed else 0
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.name}")
+                if saved is not None and saved.get(path.name) != digest:
+                    differs.append(path.name)
+    for name in differs:
+        print(f"differs  {name}")
+    return 1 if failed or differs else 0
 
 
 if __name__ == "__main__":

@@ -4,11 +4,13 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from kundu_dnls.darboux import DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
 from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed
 from kundu_dnls.numerics import grid as grid_mod
+from kundu_dnls.numerics import printing
 from kundu_dnls.numerics.grid import Grid2D, sample
 
 import artifact_hashes
@@ -193,6 +196,29 @@ def test_large_split_phase_keeps_the_field_finite(tmp_path):
     assert json.loads((tmp_path / "r3.json.meta.json").read_text())["masked_nodes"] == 0
     data = np.array(json.loads(out.read_text())["data"], dtype=float)
     assert np.max(np.abs(data - 1.0)) <= 1e-12    # the humps sit far outside the window
+
+
+def test_split_phase_beyond_double_exp_keeps_the_field_finite(tmp_path):
+    # S1 = 1e7 puts the split weights' exponents past exp's range: formed
+    # whole, they overflowed, and the job exited 2
+    out = tmp_path / "r3.csv"
+    assert run(["generate", "--solution", "rogue3", "--param", "S1=1e7",
+                "--grid=-40:40:41,-40:40:41", "--output", str(out), "--quiet"]) == 0
+    assert json.loads((tmp_path / "r3.csv.meta.json").read_text())["masked_nodes"] == 0
+
+
+def test_artifact_hashes_against_names_each_changed_artifact(tmp_path, capsys):
+    jobs = ["--job", "nfold-zero-n1.csv", "--job", "nfold-zero-n1.json"]
+    assert artifact_hashes.main(jobs) == 0
+    lines = capsys.readouterr().out.splitlines()
+    saved = tmp_path / "hashes.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert artifact_hashes.main([*jobs, "--against", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    lines[2] = "0" * 64 + "  nfold-zero-n1.json"     # was the json artifact's hash
+    saved.write_text("\n".join(lines) + "\n")
+    assert artifact_hashes.main([*jobs, "--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines()[4:] == ["differs  nfold-zero-n1.json"]
 
 
 def test_artifact_hashes_hash_what_generate_writes(tmp_path, capsys):
@@ -689,6 +715,74 @@ def test_block_writers_hold_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+def _formatter_lines(a: np.ndarray) -> list[str]:
+    """The array formatter's text of each element of `a`."""
+    chars, keep = printing.formatted(a)
+    chars[:, 45] = ord("\n")         # a writer's separator column
+    keep[:, 45] = True
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode().split("\n")[:-1]
+
+
+def _format_lines(a: np.ndarray) -> list[str]:
+    return [format(x, ".17g") if math.isfinite(x) else _ref_fmt(x) for x in a.tolist()]
+
+
+def _ulps(x: float, k: int) -> np.ndarray:
+    """The 2k + 1 doubles from k below x (> 0) to k above it."""
+    return (np.float64(x).view(np.int64) + np.arange(-k, k + 1)).view(np.float64)
+
+
+def test_array_formatter_matches_format_byte_for_byte():
+    rng = np.random.default_rng(25)
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    # fl(10^k) below 10^k by less than half a unit in the 17th digit rounds
+    # up to 10^k: D reaches 10^17 and the exponent moves
+    bumps = [k for k, x in zip(range(-323, 309), powers)
+             if 1 - Fraction(1, 2 * 10 ** 17) <= Fraction(x) / Fraction(10) ** k < 1]
+    assert len(bumps) >= 10
+    parts = [
+        rng.integers(0, 2**52, size=20_000, dtype=np.uint64).view(np.float64),  # subnormals
+        np.array([0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  1.7976931348623157e308, np.inf, np.nan]),
+        np.concatenate([_ulps(x, 4) for x in powers]),
+        np.array([float(f"{d}e{k}") for d in range(2, 10) for k in range(-323, 308)]),
+        np.abs(rng.normal(size=300_000)) * 10.0 ** rng.integers(-8, 9, size=300_000),
+    ]
+    # %g's switches between the fixed and exponent forms
+    for x in (1e-5, 1e-4, 1e16, 1e17):
+        parts += [_ulps(x, 2000), x * rng.uniform(0.999, 1.001, size=10_000)]
+    mags = np.concatenate(parts)
+    want = _format_lines(mags)
+    # format() writes "-" and then the text of |x|: one call serves both signs
+    want += ["-" + text if math.isfinite(x) else _ref_fmt(-x)
+             for text, x in zip(want, mags.tolist())]
+    # random bit patterns: every exponent, both signs, NaN payloads
+    bits = rng.integers(0, 2**64, size=300_000, dtype=np.uint64).view(np.float64)
+    want += _format_lines(bits)
+    a = np.concatenate([mags, -mags, bits])
+    assert a.size >= 10**6
+    for i in range(0, a.size, 2**14):
+        got = _formatter_lines(a[i:i + 2**14])
+        if got != want[i:i + 2**14]:
+            k = next(k for k, (g, w) in enumerate(zip(got, want[i:])) if g != w)
+            pytest.fail(f"{a[i + k]!r}: got {got[k]!r}, format() gives {want[i + k]!r}")
+
+
+def test_array_formatter_settles_ties_with_format(monkeypatch):
+    # 43 * 2^-22 is 1.02519989013671875e-05 exactly: 18 digits ending in 5,
+    # which %.17g rounds half to even
+    calls = []
+    float_text = printing.float_text
+
+    def fmt(v):
+        calls.append(v)
+        return float_text(v)
+    monkeypatch.setattr(printing, "float_text", fmt)
+    a = np.array([43 * 2.0 ** -22, -(45 * 2.0 ** -22), 2.0 ** -25, 0.1])
+    assert _formatter_lines(a) == [format(x, ".17g") for x in a]
+    assert calls == list(a[:3])
 
 
 _MULTI_BLOCK = "-2:2:150,-2:2:241"     # three blocks of rows

@@ -488,6 +488,15 @@ def test_plane_wave_refuses_zero_branch_weights():
         assert np.isfinite(out.Q(0.3, -0.4))
 
 
+@pytest.mark.parametrize("weights, name", [((np.nan, 1), "D1"), ((np.inf, 1), "D1"),
+                                           ((1, complex(2, -np.inf)), "D2")])
+def test_plane_wave_refuses_non_finite_branch_weights(weights, name):
+    # a NaN weight gave a field without one finite node and no error; an
+    # infinite one, numpy's invalid-value warning
+    with pytest.raises(ValueError, match=rf"^branch weight {name} must be finite"):
+        build_reduced_set([1 + 2j, 0.5 + 0.5j], SEEDP, weights_per_lambda=[(1, 1), weights])
+
+
 def test_plane_wave_refuses_a_vanishing_eigenfunction():
     # at the critical eigenvalue both prefactors vanish, so unequal weights
     # give an all-zero eigenfunction too; equal ones stay the near-branch check's

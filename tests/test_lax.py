@@ -210,6 +210,14 @@ def test_plane_wave_refuses_zero_weights():
         assert plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=w).phi(0.3, -0.4) != 0
 
 
+@pytest.mark.parametrize("weights, name", [((np.nan, 1), "D1"), ((np.inf, 1), "D1"),
+                                           ((1, complex(np.nan, 1)), "D2")])
+def test_plane_wave_refuses_non_finite_weights(weights, name):
+    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=rf"^branch weight {name} must be finite"):
+        plane_wave_eigenfunction(0.6 + 0.9j, seed, weights=weights)
+
+
 def test_plane_wave_refuses_a_vanishing_eigenfunction():
     # at the critical eigenvalue 1 + i of (a, c) = (-2, 1) both prefactors
     # u-+ are exactly 0, so every constant is 0 whatever the weights

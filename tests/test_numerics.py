@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,7 @@ from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunct
 from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
                                  batched_det, dd_batched_det, det, sample, thread_safe)
 from kundu_dnls.numerics import grid as grid_mod
+from kundu_dnls.numerics import printing
 from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
 
 import published_forms
@@ -887,3 +889,14 @@ def test_dd_batched_det_bit_identical_to_batch_first_reference(m):
         assert getattr(d, part).tobytes() == getattr(d_ref, part).tobytes()
     assert r.tobytes() == r_ref.tobytes()
     assert not np.array_equal(first.re_hi, np.moveaxis(keep["re_hi"], (-2, -1), (0, 1)))
+
+
+def test_pow10_table_is_the_double_double_rounding_of_each_power():
+    # the array formatter's error bound assumes it: (hi, lo) of 10^p / 2^k
+    # rounded once each, whatever integer arithmetic built them
+    hi, lo, k = printing._pow10_table()
+    assert hi.size == 16 - printing._E_MIN + 2 - printing._P_MIN
+    for i, p in enumerate(range(printing._P_MIN, printing._P_MIN + hi.size)):
+        exact = Fraction(10) ** p / Fraction(2) ** int(k[i])
+        assert 1 <= exact < 2
+        assert (hi[i], lo[i]) == (float(exact), float(exact - Fraction(hi[i]))), p
