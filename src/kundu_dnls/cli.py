@@ -19,8 +19,8 @@ from . import __version__, catalog
 from .darboux import DegenerationSpec, build_reduced_set, degenerate_limit, n_fold
 from .errors import (AllNodesExcludedError, InvalidConfigError, IOFailureError,
                      ResolutionTooCoarseError)
-from .lax import Seed
-from .numerics.grid import ComplexField2D, Grid2D, intensity, sample
+from .lax import Seed, critical_eigenvalue
+from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, intensity, sample
 from .numerics.printing import WIDTH, float_text, format_floats, formatted
 from .verify import peak_analysis
 
@@ -32,12 +32,12 @@ SOLUTIONS = {
     "rogue1": dict(),
     "rogue2": dict(S0=0.0, S1=0.0, S2=0.0, eps=2e-3),
     "rogue3": dict(S0=0.0, S1=0.0, S2=0.0, eps=2e-3),
-    "engine-nfold": dict(seed="zero", a=-2.0, c=1.0, alpha=1.0, theta_p=1.0, theta_q=1.0,
+    "engine-nfold": dict(a=0.0, c=0.0, alpha=1.0, theta_p=1.0, theta_q=1.0,
                          lam1_re=1.0, lam1_im=2.0, lam2_re=None, lam2_im=None,
                          lam3_re=None, lam3_im=None),
-    "engine-degenerate": dict(seed="planewave", a=-2.0, c=1.0, alpha=1.0,
-                              theta_p=1.0, theta_q=1.0, lc_re=1.0, lc_im=1.0,
-                              n=1, eps=1e-2, S0=0.0, S1=0.0, S2=0.0),
+    # without lc_re and lc_im, the seed's critical eigenvalue (resolve_params)
+    "engine-degenerate": dict(a=-2.0, c=1.0, alpha=1.0, theta_p=1.0, theta_q=1.0,
+                              lc_re=None, lc_im=None, n=1, eps=1e-2, S0=0.0, S1=0.0, S2=0.0),
 }
 
 # the catalog constructor of each closed form, which takes the solution's
@@ -93,24 +93,22 @@ def resolve_params(solution: str, raw: dict) -> dict:
                                  f"valid keys: {sorted(schema)}")
     params = dict(schema)
     for key, val in raw.items():
-        if key == "seed":
-            if val not in ("zero", "planewave"):
-                raise InvalidConfigError("seed must be 'zero' or 'planewave'")
-            params[key] = val
-        else:
-            params[key] = _number(key, val, integer=key == "n")
+        params[key] = _number(key, val, integer=key == "n")
     # build_field sees only the defaulted params, so a given eps is caught here
     if "eps" in raw and _closed_form(solution, params):
         raise InvalidConfigError("rogue2 without a split phase (S0 = S1 = S2 = 0) is the "
                                  "closed form, into which eps does not enter")
-    # likewise the plane wave's a and c, and the split phase even when given as
-    # zero, on the zero seed: the engine refuses only a nonzero phase
-    if solution in ("engine-nfold", "engine-degenerate") and params["seed"] == "zero":
-        ignored = sorted(set(raw) & {"a", "c", "S0", "S1", "S2"})
-        if ignored:
-            raise InvalidConfigError(f"{solution} on the zero seed ignores {ignored}: the "
-                                     "plane wave's a and c and the split phase S0, S1, S2 "
-                                     "enter only with seed=planewave")
+    # an eigenvalue is given whole or not at all (lamK, lc)
+    for name in [key[:-3] for key in params if key.endswith("_re")]:
+        if (params[name + "_re"] is None) != (params[name + "_im"] is None):
+            raise InvalidConfigError(f"{name} needs both {name}_re and {name}_im")
+    # the eigenvalue that runs is the one recorded: without lc, the seed's critical one
+    if solution == "engine-degenerate" and params["lc_re"] is None:
+        try:
+            lc = critical_eigenvalue(_make_seed(params))
+        except (ValueError, ArithmeticError) as exc:
+            raise InvalidConfigError(f"invalid parameters for {solution}: {exc}") from None
+        params["lc_re"], params["lc_im"] = lc.real, lc.imag
     return params
 
 
@@ -136,8 +134,7 @@ def _closed_form(solution: str, params: dict) -> bool:
 
 
 def _make_seed(params: dict) -> Seed:
-    a, c = (0.0, 0.0) if params["seed"] == "zero" else (params["a"], params["c"])
-    return Seed(a, c, params["alpha"], params["theta_p"], params["theta_q"])
+    return Seed(**{key: params[key] for key in ("a", "c", "alpha", "theta_p", "theta_q")})
 
 
 def build_field(solution: str, params: dict, precision: str):
@@ -158,29 +155,20 @@ def build_field(solution: str, params: dict, precision: str):
     if solution in ("rogue2", "rogue3"):
         # the split rogue waves are engine-degenerate's default plane wave
         # (a, c) = (-2, 1) at its critical eigenvalue 1 + i, of order 2 or 3
-        params = {**SOLUTIONS["engine-degenerate"], **params,
-                  "n": 2 if solution == "rogue2" else 3}
+        n = 2 if solution == "rogue2" else 3
         solution = "engine-degenerate"
+        params = resolve_params(solution, {**params, "n": n})
+    if solution not in ("engine-nfold", "engine-degenerate"):
+        raise InvalidConfigError(f"unknown solution {solution!r}")
+    seed = _make_seed(params)
     if solution == "engine-nfold":
-        seed = _make_seed(params)
-        lams = []
-        for k in (1, 2, 3):
-            re, im = params[f"lam{k}_re"], params[f"lam{k}_im"]
-            if (re is None) != (im is None):
-                raise InvalidConfigError(f"lam{k} needs both lam{k}_re and lam{k}_im")
-            if re is not None:
-                lams.append(complex(re, im))
-        if not lams:
-            raise InvalidConfigError("engine-nfold needs at least lam1_re/lam1_im")
-        sset = build_reduced_set(lams, seed)
-        return n_fold(sset, seed, **kw)
-    if solution == "engine-degenerate":
-        seed = _make_seed(params)
-        spec = DegenerationSpec(lambda_c=complex(params["lc_re"], params["lc_im"]),
-                                epsilon=params["eps"], n=int(params["n"]),
-                                S0=params["S0"], S1=params["S1"], S2=params["S2"])
-        return degenerate_limit(spec, seed, **kw)
-    raise InvalidConfigError(f"unknown solution {solution!r}")
+        lams = [complex(params[f"lam{k}_re"], params[f"lam{k}_im"]) for k in (1, 2, 3)
+                if params[f"lam{k}_re"] is not None]
+        return n_fold(build_reduced_set(lams, seed), seed, **kw)
+    spec = DegenerationSpec(lambda_c=complex(params["lc_re"], params["lc_im"]),
+                            epsilon=params["eps"], n=int(params["n"]),
+                            S0=params["S0"], S1=params["S1"], S2=params["S2"])
+    return degenerate_limit(spec, seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +199,10 @@ def json_text(obj) -> str:
     return _fmt(obj)
 
 
-# Rows (t-rows for csv, x-rows for json) formatted and written per block:
-# the writers hold one block's bytes and formatting temporaries at a time,
-# whatever nt is (about 2.5 MB for a csv block of 401 x-nodes).
-_BLOCK_ROWS = 8
+# Nodes formatted and written per block of whole rows (t-rows for csv,
+# x-rows for json; one row when a row alone is longer): the writers hold one
+# block's bytes and formatting temporaries at a time, about 3 MiB for csv.
+_WRITER_NODES = 2 ** 12
 
 
 def _comma_slots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,13 +221,14 @@ def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
     wx, wt = xs[0].shape[1], ts[0].shape[1]
     # a line per node: x and t, then intensity, re and im from an 8-byte boundary
     lead = -(-(wx + wt) // 8) * 8
-    line = np.empty((_BLOCK_ROWS, grid.nx, lead + 3 * WIDTH), np.uint8)
+    blocks = _row_blocks(grid.nt, grid.nx, _WRITER_NODES)
+    line = np.empty((blocks[0][1], grid.nx, lead + 3 * WIDTH), np.uint8)
     mask = np.zeros(line.shape, bool)
     with open(path, "wb") as f:
         f.write(b"x,t,intensity,re,im\n")
-        for j in range(0, grid.nt, _BLOCK_ROWS):
-            v = values[:, j:j + _BLOCK_ROWS].T
-            rows = v.shape[0]
+        for j, k in blocks:
+            v = values[:, j:k].T
+            rows = k - j
             line, mask = line[:rows], mask[:rows]
             for out, x, t in zip((line, mask), xs, ts):
                 out[:, :, :wx] = x
@@ -257,8 +246,8 @@ def write_csv(path: Path, grid: Grid2D, values: np.ndarray):
 def _write_matrix(f, values: np.ndarray, part):
     """json_text of `part(values)` as a list of x-rows, block by block."""
     f.write(b"[")
-    for i in range(0, values.shape[0], _BLOCK_ROWS):
-        block = part(values[i:i + _BLOCK_ROWS])
+    for i, j in _row_blocks(*values.shape, _WRITER_NODES):
+        block = part(values[i:j])
         chars = np.empty(block.shape + (WIDTH,), np.uint8)
         keep = np.empty(chars.shape, bool)
         format_floats(block, chars, keep)
@@ -390,16 +379,21 @@ def _checked_sample(solution: str, params: dict, precision: str, grid: Grid2D):
     """`build_field` and its samples on the grid, with a bad parameter
     reported as invalid configuration.  Building only constructs objects, so
     whatever it raises, an overflow included, is a bad parameter; sampling
-    overflows scalar arithmetic only on a parameter too large for double."""
+    overflows scalar arithmetic only on a parameter too large for double.
+    A grid on which every node is masked shows nothing, and is refused too."""
     try:
         with np.errstate(over="raise"):
             field = build_field(solution, params, precision)
     except (ValueError, ArithmeticError) as exc:
         raise InvalidConfigError(f"invalid parameters for {solution}: {exc}") from None
     try:
-        return field, sample(field, grid)
+        fld = sample(field, grid)
     except OverflowError as exc:
         raise InvalidConfigError(f"parameters of {solution} overflow double: {exc}") from None
+    if fld.invalid.all():
+        raise InvalidConfigError(f"all {fld.invalid.size} nodes of {solution} are masked "
+                                 "(poles, the condition bound or values beyond double)")
+    return field, fld
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:

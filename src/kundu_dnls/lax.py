@@ -1,10 +1,11 @@
 """Seed solutions, gauge data, spectral eigenfunctions, and Lax residual checks.
 
-A seed is the plane wave c*exp(i(ax+bt)), whose frequency b is always
-derived from the closure constraint b = -alpha c^2 a - 2 - a^2 - 2a - alpha c^2,
-so the seed satisfies the field equation identically; c = 0 is the zero
-background.  The gauge function is restricted to the affine family
-theta = p x + q t.
+The gauge is theta = p x + q t, and Q = exp(-i theta) u / sqrt(alpha)
+turns the field equation into Kaup-Newell DNLS for u (Kundu, J. Math.
+Phys. 25, 3433 (1984)).  A seed c*exp(i(ax+bt)) is there the DNLS plane
+wave of wavenumber k = a + p, amplitude C = sqrt(alpha) c and frequency
+-k^2 - C^2 k = b + q; c = 0 is the zero background.  Only `Seed` states
+this frame: every plane-wave formula below reads (k, C).
 
 Eigenfunction time-direction note: the x-part of the spectral problem pins
 phi_x = -i(lam^2/4) phi on the zero seed for both possible time signs, but
@@ -16,6 +17,7 @@ order-1 field's residual does not fall under grid refinement
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -63,10 +65,20 @@ class Seed:
                              f"does not enter, got {self.a}")
 
     @property
+    def k(self) -> float:
+        """The DNLS-frame wavenumber."""
+        return self.a + self.theta_p
+
+    @property
+    def C(self) -> float:
+        """The DNLS-frame amplitude, a Python float: C*C*k overflows to inf."""
+        return math.sqrt(self.alpha) * self.c
+
+    @property
     def b(self) -> float:
-        """The frequency fixed by the closure constraint."""
-        a, c, alpha = self.a, self.c, self.alpha
-        return -alpha * c * c * a - 2.0 - a * a - 2.0 * a - alpha * c * c
+        """The frequency: DNLS's -k^2 - C^2 k, less the gauge's q."""
+        k, C = self.k, self.C
+        return -k * k - C * C * k - self.theta_q
 
     def value(self, x, t):
         return self.c * np.exp(1j * (self.a * np.asarray(x) + self.b * np.asarray(t)))
@@ -210,9 +222,9 @@ def _radicand(lam2, a, c):
 
 
 def branch_quantity(lam: complex, seed: Seed):
-    """s(lam) = sqrt(4a^2 - 4a lam^2 + 8a + lam^4 - 4 lam^2 + 4 - 4 lam^2 c^2),
-    principal branch.  Its zero marks the breather-to-rogue critical eigenvalue."""
-    a, c = seed.a, seed.c
+    """s(lam) = sqrt((lam^2 - 2k)^2 - 4 C^2 lam^2), principal branch, the radicand
+    at a = k - 1 and c = C.  Its zero marks the breather-to-rogue critical eigenvalue."""
+    a, c = seed.k - 1, seed.C
     lam2 = np.asarray(lam) ** 2
     rad = _radicand(lam2, a, c)
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
@@ -220,13 +232,18 @@ def branch_quantity(lam: complex, seed: Seed):
 
 def critical_eigenvalue(seed: Seed) -> complex:
     """The first-quadrant zero of s(lam), where the breather turns into the
-    rogue wave.  The radicand vanishes at lam^2 = 2(a+1+c^2) +- 2c
-    sqrt(c^2+2(a+1)); this is the principal root of the + branch.  A real
-    root has no conjugate partner and raises ValueError."""
-    a, c = seed.a, seed.c
-    lam = cmath.sqrt(2 * (a + 1 + c * c) + 2 * c * cmath.sqrt(c * c + 2 * (a + 1)))
+    rogue wave.  The radicand vanishes at lam^2 = 2(k+C^2) +- 2C
+    sqrt(C^2+2k); this is the principal root of the + branch.  The zero
+    background has none, and a real root has no conjugate partner: both
+    raise ValueError."""
+    if seed.c == 0:
+        raise ValueError("the zero background (c = 0) has no critical eigenvalue: "
+                         "give one (lc_re and lc_im)")
+    k, C = seed.k, seed.C
+    lam = cmath.sqrt(2 * (k + C * C) + 2 * C * cmath.sqrt(C * C + 2 * k))
     if lam.imag == 0:
-        raise ValueError(f"critical eigenvalue {lam} is real for a={a}, c={c}")
+        raise ValueError(f"critical eigenvalue {lam} is real for a={seed.a}, c={seed.c}, "
+                         f"alpha={seed.alpha}, theta_p={seed.theta_p}")
     return lam
 
 
@@ -248,7 +265,8 @@ def plane_wave_eigenfunction(lam: complex, seed: Seed,
     D1, D2 = complex(weights[0]), complex(weights[1])
     _check_finite(**{"branch weight D1": D1, "branch weight D2": D2})
     with mp.workdps(MP_DPS):
-        lm, a, c = mp.mpc(lam), mp.mpf(seed.a), mp.mpf(seed.c)
+        # the radicand's a = k - 1, from the exact a and p, and c = C
+        lm, a, c = mp.mpc(lam), mp.mpf(seed.a) + mp.mpf(seed.theta_p) - 1, mp.mpf(seed.C)
         lm2 = lm * lm
         s = mp.sqrt(_radicand(lm2, a, c))
         u_m = 1 + (2 - lm2 + 2 * a - s) / (2 * lm * c)
@@ -286,9 +304,12 @@ def _lax_entries(seed: Seed, lam: complex, x, t,
     sign), with V21 = i g(Q, Q_x, e^{i theta}, theta_x, .).  V12 has two
     documented readings: "gstar" takes i conj of that lower generator;
     "independent" takes the mirror generator of the coupled system,
-    i g(R, R_x, e^{-i theta}, -theta_x, +1), while the lower generator
-    carries the opposite cubic sign, -1 (the reading that the residual
-    checks single out).
+    i g(R, -R_x, e^{-i theta}, theta_x, -1), and the lower generator
+    carries the same cubic sign, -1 (the reading that the residual checks
+    single out).  In the DNLS frame, with zeta = lam/2, u = sqrt(alpha) Q
+    e^{i theta} and r = -conj(u), that reading is V21 = -2i zeta^3 u -
+    zeta u_x - i zeta |u|^2 u and V12 = -2i zeta^3 r + zeta r_x - i zeta
+    |r|^2 r, which zero curvature asks for on every seed.
     """
     alpha = seed.alpha
     ra = np.sqrt(alpha)
@@ -309,7 +330,7 @@ def _lax_entries(seed: Seed, lam: complex, x, t,
         G = g(Q, Qx, eip, thx, 1)
         V12, V21 = 1j * np.conj(G), 1j * G
     elif v_conjugation == "independent":
-        V12, V21 = 1j * g(R, Rx, eim, -thx, 1), 1j * g(Q, Qx, eip, thx, -1)
+        V12, V21 = 1j * g(R, -Rx, eim, thx, -1), 1j * g(Q, Qx, eip, thx, -1)
     else:
         raise ValueError(f"unknown v_conjugation {v_conjugation!r}")
     return U, (diag, V12, V21, -diag)

@@ -1,11 +1,12 @@
 """Print one sha256 per artifact of a fixed set of `kdnls generate` jobs.
 
 The jobs are every mapped figure (`cli.FIGURE_MAP`) as pgm, csv and json,
-and Darboux-engine jobs on the zero background and on the plane wave
-(a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
+and Darboux-engine jobs on the zero background (a, c) = (0, 0) and on the
+plane wave (a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
 `engine-degenerate` at n = 2 and at n = 3 with eps = 1e-4, which runs in
 extended precision, each as csv and as json with the complex parts, all
-with a non-default coupling and gauge.  Every artifact is hashed together
+with a non-default coupling and gauge.  On the plane wave,
+`engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together
 with its `.meta.json` sidecar, one line each: `<sha256>  <file name>`.
 
 Only `cli.main` is called, so the same script hashes any checkout's
@@ -38,6 +39,7 @@ from kundu_dnls import cli
 ENGINE_GRID = "-3:3:41,-3:3:41"
 ENGINE_PARAMS = {"alpha": 0.7, "theta_p": 0.3, "theta_q": -0.4}
 LAMBDAS = [(1.0, 2.0), (0.5, 0.5), (0.4, 0.9)]
+SEEDS = {"zero": {"a": 0, "c": 0}, "planewave": {"a": -2, "c": 1}}
 
 
 def _params(**params) -> list[str]:
@@ -50,7 +52,7 @@ def jobs() -> dict[str, list[str]]:
     for fig in cli.FIGURE_MAP:
         for fmt in ("pgm", "csv", "json"):
             out[f"{fig}.{fmt}"] = ["--figure", fig, "--format", fmt]
-    for seed in ("zero", "planewave"):
+    for seed, wave in SEEDS.items():
         engine = {}
         for n in (1, 2, 3):
             lams = {f"lam{k}_{part}": v for k, lam in enumerate(LAMBDAS[:n], 1)
@@ -63,7 +65,7 @@ def jobs() -> dict[str, list[str]]:
         engine[f"degenerate-{seed}-n3-extended"] = ["--solution", "engine-degenerate", *base,
                                                     *_params(n=3, eps=1e-4)]
         for name, args in engine.items():
-            args += [*_params(seed=seed, **ENGINE_PARAMS), "--grid", ENGINE_GRID]
+            args += [*_params(**wave, **ENGINE_PARAMS), "--grid", ENGINE_GRID]
             out[f"{name}.csv"] = [*args, "--format", "csv"]
             out[f"{name}.json"] = [*args, "--format", "json", "--include-complex"]
     return out

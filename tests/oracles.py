@@ -7,7 +7,6 @@ eigenfunction as an unfolded four-term superposition.
 import numpy as np
 
 from kundu_dnls.darboux import DTOutput, _seed_terms
-from kundu_dnls.lax import branch_quantity
 from kundu_dnls.numerics import batched_det
 
 
@@ -56,21 +55,24 @@ def one_fold(spectral_set, seed):
 def unfolded_four_term_components(lam, seed, weights, x, t):
     """(phi, varphi) of the plane-wave eigenfunction as the unfolded four-term
     superposition: the basis functions plus their starred partners at
-    lam*, a cross-check of the folded `lax.plane_wave_eigenfunction`."""
-    a, c = seed.a, seed.c
+    lam*, a cross-check of the folded `lax.plane_wave_eigenfunction`.
+
+    Written in the DNLS frame of wavenumber k = a + p and amplitude
+    C = sqrt(alpha) c, taken from the seed's own parameters: with
+    s^2 = (lam^2 - 2k)^2 - 4 C^2 lam^2, a basis function carries the phases
+    shat = (s/8)(-2x + (lam^2 + 2k + 2C^2) t) and ph0 = (k/2)(x - (k + C^2) t).
+    """
+    k, C = seed.a + seed.theta_p, np.sqrt(seed.alpha) * seed.c
     D1, D2 = complex(weights[0]), complex(weights[1])
 
     def f_pair(lm):
-        s = complex(branch_quantity(lm, seed))
         lm2 = lm * lm
-        P = (1 / 8) * (-4 * a * x - 4 * x - 2 * x * s + t * lm2 * s + 8 * t * a + 4 * t * a * a
-                       + 2 * t * a * s + 4 * t + 2 * t * s + 4 * t * c * c + 4 * t * c * c * a
-                       + 2 * t * c * c * s)
-        N = (1 / 8) * (4 * a * x + 4 * x - 2 * x * s + t * lm2 * s - 8 * t * a - 4 * t * a * a
-                       + 2 * t * a * s - 4 * t + 2 * t * s - 4 * t * c * c - 4 * t * c * c * a
-                       + 2 * t * c * c * s)
-        pref_m = (2 - lm2 + 2 * a - s) / (2 * lm * c)
-        pref_p = (2 - lm2 + 2 * a + s) / (2 * lm * c)
+        s = np.sqrt(complex((lm2 - 2 * k) ** 2 - 4 * C * C * lm2))
+        shat = s * (-2 * x + (lm2 + 2 * k + 2 * C * C) * t) / 8
+        ph0 = k * (x - (k + C * C) * t) / 2
+        P, N = shat - ph0, shat + ph0
+        pref_m = (2 * k - lm2 - s) / (2 * lm * C)
+        pref_p = (2 * k - lm2 + s) / (2 * lm * C)
         f1 = (pref_m * np.exp(1j * P), np.exp(1j * N))
         f2 = (pref_p * np.exp(-1j * N), np.exp(-1j * P))
         return f1, f2

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +27,7 @@ from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics import printing
 from kundu_dnls.numerics.grid import Grid2D, sample
+from kundu_dnls.verify import ConventionVariant, pde_residual
 
 import artifact_hashes
 
@@ -126,7 +128,7 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
 
 
 @pytest.mark.parametrize("argv", [
-    [*_GEN, "--solution", "engine-nfold", "--param", "seed=zero", "--param", "alpha=-1"],
+    [*_GEN, "--solution", "engine-nfold", "--param", "alpha=-1"],
     [*_GEN, "--solution", "engine-nfold", "--param", "lam1_im=0"],
     [*_GEN, "--solution", "positon", "--param", "alpha=-1"],
     [*_GEN, "--solution", "engine-degenerate", "--param", "n=abc"],
@@ -139,49 +141,51 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     # an unsplit rogue2 is the catalog's closed form, into which no eps enters
     [*_GEN, "--solution", "rogue2", "--param", "eps=1e-5"],
     ["generate", "--solution", "rogue1", "--grid=-1:1:1,-1:1:5"],
-    # the zero seed has no plane wave and no split phase for these to enter
-    [*_GEN, "--solution", "engine-nfold", "--param", "a=5", "--param", "c=2"],
-    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "lc_re=0.8",
-     "--param", "lc_im=0.8", "--param", "n=2", "--param", "S1=500"],
-    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "S1=5"],
-    [*_GEN, "--solution", "engine-degenerate", "--param", "seed=zero", "--param", "S0=0"],
+    # the zero background (c = 0) has no wavenumber, no split phase and no
+    # critical eigenvalue
+    [*_GEN, "--solution", "engine-nfold", "--param", "a=5"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "a=0", "--param", "c=0",
+     "--param", "lc_re=0.8", "--param", "lc_im=0.8", "--param", "n=2", "--param", "S1=500"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "a=0", "--param", "c=0"],
+    [*_GEN, "--solution", "engine-degenerate", "--param", "lc_im=0.8"],
+    # (a, c) = (-1.3, 0.8) has a real critical root, which has no conjugate partner
+    [*_GEN, "--solution", "engine-degenerate", "--param", "a=-1.3", "--param", "c=0.8"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
         "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
-        "eps-on-unsplit-rogue2", "single-sample-axis", "plane-wave-on-zero-seed-nfold",
-        "split-phase-on-zero-seed-degenerate", "split-phase-on-zero-seed-default-eigenvalue",
-        "zero-split-phase-on-zero-seed"])
+        "eps-on-unsplit-rogue2", "single-sample-axis", "wavenumber-on-zero-background",
+        "split-phase-on-zero-background", "zero-background-without-eigenvalue",
+        "half-given-critical-eigenvalue", "real-critical-eigenvalue"])
 def test_bad_parameter_values_exit_2(tmp_path, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists()
 
 
-@pytest.mark.parametrize("solution, raw, ignored", [
-    ("engine-nfold", {"c": "2", "a": "5", "lam1_re": "0.5"}, "['a', 'c']"),
-    ("engine-degenerate", {"seed": "zero", "S2": "1", "a": "1", "S0": "0"}, "['S0', 'S2', 'a']"),
-])
-def test_zero_seed_engine_names_the_keys_it_would_ignore(solution, raw, ignored):
-    with pytest.raises(InvalidConfigError) as err:
-        cli.resolve_params(solution, raw)
-    assert f"zero seed ignores {ignored}:" in str(err.value)
-    # on the plane-wave seed every one of them enters
-    cli.resolve_params(solution, {**raw, "seed": "planewave"})
+@pytest.mark.parametrize("raw, message", [
+    ({"c": "0"}, "the zero background (c = 0) has no critical eigenvalue: give one "
+                 "(lc_re and lc_im)"),
+    ({"a": "-1.3", "c": "0.8", "alpha": "1", "theta_p": "1"},
+     "is real for a=-1.3, c=0.8, alpha=1.0, theta_p=1.0"),
+    ({"lc_re": "0.8"}, "lc needs both lc_re and lc_im"),
+], ids=["zero-background", "real-root", "half-given"])
+def test_engine_degenerate_without_a_critical_eigenvalue_names_why(raw, message):
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        cli.resolve_params("engine-degenerate", {"a": "0", **raw})
 
 
-def test_zero_amplitude_plane_wave_is_the_zero_seed(tmp_path):
-    # c = 0 is the zero background, and writes its field; the wavenumber a
-    # (-2 by default) does not enter there, so a nonzero one exits 2
+def test_zero_amplitude_plane_wave_is_the_zero_background(tmp_path):
+    # c = 0, engine-nfold's default, is the zero background; the wavenumber a
+    # does not enter there, so a nonzero one exits 2 naming it
     argv = ["generate", "--solution", "engine-nfold", "--param", "lam2_re=0.5",
-            "--param", "lam2_im=0.5", "--grid=-3:3:21,-2:2:17", "--quiet", "--param"]
+            "--param", "lam2_im=0.5", "--grid=-3:3:21,-2:2:17", "--quiet"]
     zero, plane, bad = tmp_path / "zero.csv", tmp_path / "plane.csv", tmp_path / "bad.csv"
-    assert run([*argv, "seed=zero", "--output", str(zero)]) == 0
-    assert run([*argv, "seed=planewave", "--param", "a=0", "--param", "c=0",
-                "--output", str(plane)]) == 0
+    assert run([*argv, "--output", str(zero)]) == 0
+    assert run([*argv, "--param", "a=0", "--param", "c=0", "--output", str(plane)]) == 0
     assert plane.read_bytes() == zero.read_bytes()
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = run([*argv, "seed=planewave", "--param", "c=0", "--output", str(bad)])
+        rc = run([*argv, "--param", "a=-2", "--output", str(bad)])
     assert rc == 2 and not bad.exists()
     assert "a must be 0 on the zero background (c = 0)" in err.getvalue()
 
@@ -224,6 +228,13 @@ def test_artifact_hashes_against_names_each_changed_artifact(tmp_path, capsys):
 def test_artifact_hashes_hash_what_generate_writes(tmp_path, capsys):
     table = artifact_hashes.jobs()
     assert {f"{fig}.{fmt}" for fig in FIGURE_MAP for fmt in ("pgm", "csv", "json")} <= set(table)
+    # each engine job names its seed by its numbers, and the plane wave's
+    # rogue waves run at the seed's own critical eigenvalue
+    for name, args in table.items():
+        if name.startswith(("nfold-", "degenerate-")):
+            wave = ["a=0", "c=0"] if "-zero-" in name else ["a=-2", "c=1"]
+            assert all(p in args for p in wave) and not any(p.startswith("seed=") for p in args)
+            assert ("lc_re=0.8" in args) == name.startswith("degenerate-zero")
     assert artifact_hashes.main(["--job", "nfold-zero-n1.csv"]) == 0
     lines = [ln.split("  ") for ln in capsys.readouterr().out.splitlines()]
     out = tmp_path / "nfold-zero-n1.csv"
@@ -283,13 +294,40 @@ def test_precision_on_split_rogue2_is_recorded(tmp_path):
     assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision"] == "double"
 
 
-def test_rogue_presets_sit_at_the_critical_eigenvalue():
-    # the split rogue2 and rogue3 take engine-degenerate's defaults, so its
-    # default eigenvalue must be the critical one of its default plane wave
+@pytest.mark.parametrize("solution", ["rogue2", "rogue3"])
+def test_rogue_presets_sit_at_the_critical_eigenvalue(solution, monkeypatch):
+    # the split rogue2 and rogue3 take engine-degenerate's defaults, the plane
+    # wave (-2, 1) at its critical eigenvalue, which is 1 + i exactly
     p = cli.SOLUTIONS["engine-degenerate"]
-    assert (p["seed"], p["a"], p["c"], p["alpha"], p["theta_p"], p["theta_q"]) == (
-        "planewave", -2.0, 1.0, 1.0, 1.0, 1.0)
-    assert complex(p["lc_re"], p["lc_im"]) == critical_eigenvalue(make_plane_wave_seed(-2, 1, 1))
+    assert (p["a"], p["c"], p["alpha"], p["theta_p"], p["theta_q"]) == (-2, 1, 1, 1, 1)
+    specs = []
+    monkeypatch.setattr(cli, "degenerate_limit", lambda spec, seed, **kw: specs.append(spec))
+    cli.build_field(solution, cli.resolve_params(solution, {"S1": "5"}), "auto")
+    assert specs[0].lambda_c == 1 + 1j and specs[0].n == (2 if solution == "rogue2" else 3)
+
+
+def test_engine_degenerate_off_the_default_frame_solves_the_equation():
+    # alpha = 0.7 and theta = 0.3x + t, at the seed's own critical eigenvalue
+    params = cli.resolve_params("engine-degenerate", {"alpha": "0.7", "theta_p": "0.3",
+                                                      "n": "2"})
+    seed = make_plane_wave_seed(-2.0, 1.0, 0.7, 0.3)
+    rep = pde_residual(cli.build_field("engine-degenerate", params, "auto"), seed,
+                       ConventionVariant(), Grid2D(-1, 1, -0.3, 0.3, 121, 73), 2)
+    assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
+
+
+def test_engine_degenerate_records_the_eigenvalue_it_ran(tmp_path):
+    # without lc_re and lc_im the seed's critical eigenvalue runs, and the
+    # json and its sidecar record it
+    out = tmp_path / "x.json"
+    assert run(["generate", "--solution", "engine-degenerate", "--param", "alpha=0.7",
+                "--param", "theta_p=0.3", "--grid=-2:2:5,-2:2:5", "--format", "json",
+                "--output", str(out), "--quiet"]) == 0
+    lc = critical_eigenvalue(make_plane_wave_seed(-2.0, 1.0, 0.7, 0.3))
+    assert lc != 1 + 1j
+    for doc in (json.loads(out.read_text()), json.loads((tmp_path / "x.json.meta.json").read_text())):
+        assert complex(doc["params"]["lc_re"], doc["params"]["lc_im"]) == lc
+        assert (doc["params"]["a"], doc["params"]["c"], doc["params"]["alpha"]) == (-2, 1, 0.7)
 
 
 @pytest.mark.parametrize("solution, raw, n", [
@@ -583,17 +621,20 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
-def test_eigenfunction_constants_beyond_double_are_masked_nodes(tmp_path, precision):
+def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision):
     # a = -1e300 puts eigenfunction constants beyond double's range: every
     # node is masked in either precision, and no RuntimeWarning (an error
-    # under pyproject's filterwarnings, so exit 1) escapes the split
+    # under pyproject's filterwarnings, so exit 1) escapes the split.  A grid
+    # of masked nodes shows nothing: the job exits 2 naming the count
     out = tmp_path / "x.csv"
-    rc = run(["generate", "--solution", "engine-degenerate", "--param", "a=-1e300",
-              "--param", "theta_q=0", "--precision", precision, "--grid", "0:30:6,38:56:7",
-              "--output", str(out), "--quiet"])
-    assert rc == 0
-    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
-    assert meta["masked_nodes"] == 42 and meta["precision_used"] == precision
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run(["generate", "--solution", "engine-degenerate", "--param", "a=-1e300",
+                  "--param", "lc_re=1", "--param", "lc_im=1", "--param", "theta_q=0",
+                  "--precision", precision, "--grid", "0:30:6,38:56:7",
+                  "--output", str(out), "--quiet"])
+    assert rc == 2 and not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+    assert "all 42 nodes of engine-degenerate are masked" in err.getvalue()
 
 
 def test_sidecar_counts_overflowing_intensity(tmp_path, monkeypatch):
@@ -673,25 +714,32 @@ def ref_write_json(path, grid, values, params, include_complex):
     path.write_text(_ref_json_text(doc) + "\n", encoding="utf-8", newline="\n")
 
 
-_B = cli._BLOCK_ROWS
+_N = cli._WRITER_NODES
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308,
             complex(1e308, 1e308), complex(1.5, np.nan), complex(np.inf, -2.0),
             complex(-0.0, np.inf), complex(3e-320, -0.0), complex(1e200, 1e200)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("nx, nt", [(2, 2), (_B - 3, _B - 3), (3, 2 * _B + 5),
-                                    (2 * _B + 5, _B - 3)])
+# blocks of whole rows with fewer than _N nodes, a row alone when longer;
+# csv rows are t-rows of nx nodes, json rows x-rows of nt nodes
+@pytest.mark.parametrize("nx, nt", [
+    (2, 2),              # one block each
+    (70, 130),           # csv 58 + 58 + 14 t-rows, json 31 + 31 + 8 x-rows
+    (_N + 3, 2),         # csv a t-row a block, json 2047 + 2047 + 2 x-rows
+    (3, _N // 2 + 7),    # csv 1365 + 690 t-rows, json an x-row a block
+])
 def test_block_writers_match_scalar_reference(tmp_path, nx, nt):
     rng = np.random.default_rng(nx * 1000 + nt)
     bits = rng.integers(0, 2**64, size=(2, nx, nt), dtype=np.uint64).view(np.float64)
-    flat = bits[0].ravel() + 1j * bits[1].ravel()          # every exponent, NaN payloads
+    with np.errstate(invalid="ignore"):    # 1j * inf; the product quiets signaling NaNs
+        flat = bits[0].ravel() + 1j * bits[1].ravel()      # every exponent, NaN payloads
     flat[::3] = rng.normal(size=flat[::3].size) * (1 + 1j)  # and values of order one
     k = min(len(_SPECIAL), flat[1::7].size)
     flat[1::7][:k] = _SPECIAL[:k]
     values = flat.reshape(nx, nt)
     grid = Grid2D(-1 / 3, 7.1, -2.2, 3.3e-5, nx, nt)
-    params = {"S1": 500.0, "eps": 1 / 3, "seed": "zero", "n": 2, "lam2_re": None}
+    params = {"S1": 500.0, "eps": 1 / 3, "lc_re": 1.0, "n": 2, "lam2_re": None}
     cases = [("csv", cli.write_csv, ref_write_csv, (grid, values))]
     for include_complex in (False, True):
         args = (grid, values, params, include_complex)

@@ -822,3 +822,56 @@ def test_engine_on_general_plane_wave_background():
     rep = pde_residual(out.Q, seed, ConventionVariant(1, "independent"),
                        kd.Grid2D(-2, 2, -1, 1, 161, 161), 2)
     assert 1.7 <= rep.estimated_order <= 2.3
+
+
+# ---------------------------------------------------------------------------
+# the plane-wave family in any frame
+# ---------------------------------------------------------------------------
+
+# (a, c, alpha, p, q) spanning each parameter; the last has a real critical
+# root, so only the n-fold map runs there
+_FAMILY = [(-2.0, 1.0, 0.7, 0.3, -0.4), (-0.5, 0.6, 1.0, -0.7, 0.0),
+           (-1.2, 0.5, 1.5, -0.4, 0.3), (0.5, 0.7, 0.7, 0.3, -0.4)]
+# t-resolved about the rogue crests (|Q|^2 up to 49 c^2 at n = 3): h = 1/60
+# in x and 1/120 in t, halved once
+_FAMILY_WINDOW = kd.Grid2D(-1, 1, -0.3, 0.3, 121, 73)
+
+
+@pytest.mark.parametrize("frame", _FAMILY)
+@pytest.mark.parametrize("lams", [[0.6 + 1.3j], [0.6 + 1.3j, 0.9 + 0.5j]], ids=["n1", "n2"])
+def test_n_fold_on_the_plane_wave_family_solves_the_equation(frame, lams):
+    from kundu_dnls.verify import ConventionVariant, pde_residual
+    seed = make_plane_wave_seed(*frame)
+    out = n_fold(build_reduced_set(lams, seed), seed)
+    rep = pde_residual(out.Q, seed, ConventionVariant(), _FAMILY_WINDOW, 2)
+    assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
+
+
+@pytest.mark.parametrize("frame", _FAMILY[:3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rogue_waves_at_the_seed_critical_eigenvalue_solve_the_equation(frame, n):
+    # n = 1 averages two exact solutions, whose residual has a floor of
+    # order eps^2: a radius of 1e-4 keeps it below the stencil error
+    from kundu_dnls.verify import ConventionVariant, pde_residual
+    seed = make_plane_wave_seed(*frame)
+    spec = DegenerationSpec(kd.critical_eigenvalue(seed), 1e-4 if n == 1 else 1e-2, n)
+    out = degenerate_limit(spec, seed)
+    rep = pde_residual(out.Q, seed, ConventionVariant(), _FAMILY_WINDOW, 2)
+    assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
+    # the crest of the order-n rogue wave, (2n + 1)^2 c^2, sits at the origin
+    crest = abs(complex(out.Q(0.0, 0.0))) ** 2
+    assert crest == pytest.approx((2 * n + 1) ** 2 * frame[1] ** 2, rel=1e-3)
+
+
+def test_gauge_moves_only_the_phase():
+    # (a, p, q) = (-1.7, 0.7, 0.4) keeps the default frame's k = -1 and
+    # b + q = 0, so Q differs from the default's by exp(-i (theta' - theta))
+    base, moved = make_plane_wave_seed(-2.0, 1.0), make_plane_wave_seed(-1.7, 1.0, 1.0, 0.7, 0.4)
+    x, t = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-1, 1, 7), indexing="ij")
+    phase = np.exp(-1j * (moved.theta(x, t) - base.theta(x, t)))
+    builds = [lambda s: n_fold(build_reduced_set([0.6 + 1.3j], s), s),
+              lambda s: n_fold(build_reduced_set([0.6 + 1.3j, 0.9 + 0.5j], s), s),
+              lambda s: degenerate_limit(DegenerationSpec(1 + 1j, 1e-2, 2, S1=3.0), s)]
+    for build in builds:
+        want, got = build(base).Q(x, t), build(moved).Q(x, t)
+        assert np.max(np.abs(got - phase * want)) <= 1e-14 * np.max(np.abs(want))

@@ -27,9 +27,14 @@ def test_constraint_derived_frequency_values():
 
 
 def test_constraint_holds_bit_for_bit():
-    seed = make_plane_wave_seed(0.37, 1.21, 0.64)
-    a, c, al = seed.a, seed.c, seed.alpha
-    assert seed.b == -al * c * c * a - 2 - a * a - 2 * a - al * c * c
+    # the DNLS frame: wavenumber k = a + p, amplitude C = sqrt(alpha) c, and
+    # b + q the DNLS plane wave's frequency -k^2 - C^2 k
+    seed = make_plane_wave_seed(0.37, 1.21, 0.64, -0.3, 0.45)
+    k, C = 0.37 + -0.3, 0.8 * 1.21
+    assert (seed.k, seed.C) == (k, C)
+    assert seed.b == -k * k - C * C * k - 0.45
+    # the default frame is k = -1, C = 1 exactly
+    assert (kd.Seed(a=-2.0, c=1.0).k, kd.Seed(a=-2.0, c=1.0).C) == (-1.0, 1.0)
 
 
 def test_plane_wave_seed_value_at_origin():
@@ -234,8 +239,10 @@ def test_plane_wave_components_finite_at_origin():
         assert np.isfinite(d.phi(0.0, 0.0)) and np.isfinite(d.varphi(0.0, 0.0))
 
 
-def test_plane_wave_matches_displayed_four_term_form():
-    seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
+@pytest.mark.parametrize("frame", [(-2.0, 1.0, 1.0, 1.0, 1.0), (0.5, 0.7, 0.7, 0.3, -0.4)],
+                         ids=["default", "off-default"])
+def test_plane_wave_matches_displayed_four_term_form(frame):
+    seed = make_plane_wave_seed(*frame)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-2, 2, (25, 2))
     for lam, w in [(0.5 + 1j, (1, 1)), (1.2 - 0.7j, (0.3 - 1j, 0.8 + 0.1j))]:
@@ -431,6 +438,33 @@ def test_plane_wave_x_equation_order_two():
     d = plane_wave_eigenfunction(0.5 + 1j, seed)
     rep = check_lax_residual(d, seed, kd.Grid2D(-1, 1, -1, 1, 101, 101))
     assert 1.8 <= rep.order_x <= 2.2
+
+
+# seeds whose DNLS frequency -k(k + C^2) is not 0: (-2, 1) at alpha = 1 and
+# theta = x + t, which pins the convention, has k + C^2 = 0
+_OFF_FRAME = [(-2.0, 1.2, 1.0, 1.0, 1.0), (-2.0, 1.0, 0.7, 0.3, -0.4),
+              (0.5, 0.7, 0.7, 0.3, -0.4)]
+
+
+@pytest.mark.parametrize("frame", _OFF_FRAME)
+def test_lax_pair_closes_off_the_pinning_seed(frame):
+    # both halves converge at second order, and the literal-conjugate
+    # reading of V12 still leaves an O(1) time defect
+    seed = make_plane_wave_seed(*frame)
+    assert seed.k + seed.C ** 2 != 0
+    d = plane_wave_eigenfunction(0.7 + 0.4j, seed)
+    g = kd.Grid2D(-1, 1, -1, 1, 81, 81)
+    rep = check_lax_residual(d, seed, g)
+    assert 1.8 <= rep.order_x <= 2.2 and 1.8 <= rep.order_t <= 2.2
+    assert rep.norms_t[-1][1] < 1e-3
+    assert check_lax_residual(d, seed, g, v_conjugation="gstar").norms_t[-1][1] > 0.1
+
+
+def test_lax_pair_closes_on_a_gauged_zero_seed():
+    seed = zero_seed(alpha=0.7, theta_p=0.3, theta_q=-0.4)
+    rep = check_lax_residual(zero_seed_eigenfunction(0.7 + 0.4j), seed,
+                             kd.Grid2D(-1, 1, -1, 1, 81, 81))
+    assert 1.8 <= rep.order_x <= 2.2 and 1.8 <= rep.order_t <= 2.2
 
 
 def test_time_flow_reading_discrimination():

@@ -22,6 +22,16 @@ def test_exact_seed_residual_pins_nonlinear_sign():
     assert exact_seed_residual(seed, -1) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("frame", [(-2.0, 1.2, 1.0, 1.0, 1.0), (-2.0, 1.0, 0.7, 0.3, -0.4),
+                                   (0.5, 0.7, 0.7, 0.3, -0.4), (1.0, 0.4, 2.0, -0.5, 0.2)])
+def test_plane_wave_seed_solves_the_equation_in_any_frame(frame):
+    # b = -k^2 - C^2 k - q with k = a + p and C = sqrt(alpha) c
+    seed = kd.make_plane_wave_seed(*frame)
+    assert seed.k + seed.C ** 2 != 0
+    assert exact_seed_residual(seed, +1) <= 1e-14
+    assert exact_seed_residual(seed, -1) > 0.1
+
+
 def test_directly_built_seed_solves_the_equation():
     # b is derived from (a, c, alpha), never passed
     seed = kd.Seed(a=-2.0, c=1.0)
