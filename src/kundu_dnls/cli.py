@@ -294,11 +294,28 @@ def write_pgm(path: Path, I: np.ndarray):
     path.write_bytes(header + pix.tobytes())
 
 
-def _node_counts(fld: ComplexField2D, I: np.ndarray) -> dict:
+# a value whose parts are both below this in magnitude has |v| below
+# sqrt(2) 2^511, whose square is below the largest double
+_SQUARE_SAFE = 2.0 ** 511
+
+
+def _node_counts(fld: ComplexField2D, I: np.ndarray | None = None) -> dict:
     """Nodes whose field value is not finite, and nodes whose value is finite
-    but whose intensity I overflows."""
-    return {"masked_nodes": int(np.count_nonzero(fld.invalid)),
-            "overflow_nodes": int(np.count_nonzero(~fld.invalid & np.isinf(I)))}
+    but whose intensity overflows.  I is the grid's intensity, if the caller
+    has it; else the intensity is taken only at the finite nodes with a part
+    of magnitude _SQUARE_SAFE or more, the only ones where it can overflow,
+    in blocks of rows as the writers take them, so no temporary is
+    grid-sized."""
+    if I is not None:
+        overflow = int(np.count_nonzero(~fld.invalid & np.isinf(I)))
+    else:
+        overflow = 0
+        for i, j in _row_blocks(*fld.values.shape, _WRITER_NODES):
+            v = fld.values[i:j]
+            big = (np.abs(v.real) >= _SQUARE_SAFE) | (np.abs(v.imag) >= _SQUARE_SAFE)
+            big &= ~fld.invalid[i:j]
+            overflow += int(np.count_nonzero(np.isinf(intensity(v[big]))))
+    return {"masked_nodes": int(np.count_nonzero(fld.invalid)), "overflow_nodes": overflow}
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
@@ -402,14 +419,14 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     output = Path(ns.output)
     try:
         output.parent.mkdir(parents=True, exist_ok=True)
+        I = None
         if ns.format == "csv":
             write_csv(output, grid, fld.values)
         elif ns.format == "json":
             write_json(output, grid, fld.values, params, ns.include_complex)
-        # one |Q|^2 for the image and the sidecar's counts, taken after the
-        # text writers, which hold theirs one block at a time
-        I = intensity(fld.values)
-        if ns.format == "pgm":
+        else:
+            # one |Q|^2 for the image and the sidecar's counts
+            I = intensity(fld.values)
             write_pgm(output, I)
         # a closed-form field is a plain closure, evaluated in double
         _write_meta(output, ns.format, solution, params, grid_spec, precision,

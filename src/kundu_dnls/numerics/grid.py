@@ -137,37 +137,51 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
     """Evaluate the vectorized f(x, t) over the grid, one block of whole
     x-rows at a time, on broadcast axes; a thread-safe f on several threads.
 
-    For the rows i:j of a block (see `_row_blocks`), f receives x of shape
-    (j - i, 1) and t of shape (1, nt), so a subexpression of x alone or of t
-    alone costs j - i or nt values, and every temporary stays a few MiB.
-    Each block carries the bits of f on the mesh of that block, and a
+    This is `sample_rows` over all rows of the grid, which states how the
+    blocks are evaluated, on which threads and with which errors.
+    Non-finite samples are masked, not fatal.  Since a node's sample does
+    not depend on its block, the result does not depend on the thread
+    count, which the field records as `workers`.
+    """
+    values = np.empty((grid.nx, grid.nt), dtype=complex)
+    workers = sample_rows(f, grid, 0, grid.nx, values)
+    return ComplexField2D(grid, values, workers=workers)
+
+
+def sample_rows(f: Callable, grid: Grid2D, start: int, stop: int, out: Array) -> int:
+    """Evaluate f over the x-rows start:stop of the grid into `out`, an
+    array of shape (stop - start, nt); returns the number of threads used.
+
+    The rows are evaluated in the blocks of `_row_blocks(stop - start, nt)`
+    shifted by `start`, which are the grid's own blocks when `start` is the
+    first row of one of them.  For the rows i:j of a block, f receives x of
+    shape (j - i, 1) and t of shape (1, nt), so a subexpression of x alone
+    or of t alone costs j - i or nt values, and every temporary stays a few
+    MiB.  Each block carries the bits of f on the mesh of that block, and a
     block-sized temporary is too small for numpy to compute a product in
     place in it (see _BLOCK_NODES), so a node's sample does not depend on
     the size of the grid around it.  A 2-D block result whose axes each
     have length 1 or the block's length (an x-only field, say) is expanded
     to the block.  Any other result raises ValueError, a scalar or
     1-D array included: write a constant field as c + 0 * x + 0 * t.
-    Non-finite results are masked, not fatal; exceptions from f propagate.
+    Non-finite results are written as they are; exceptions from f propagate.
 
     An f marked by `thread_safe` is evaluated on `_workers()` threads, at
-    most one per block; the calling thread is one of them, and a grid of
-    one block starts no thread.  Any other f is evaluated on the calling
-    thread alone, block after block in row order.  The threads take blocks
-    in row order from one counter.  A helper thread evaluates each block it
-    takes in sub-blocks of fewer than _HELPER_NODES nodes, and runs in a
-    copy of the caller's context, so numpy's error state is the caller's.
-    Since a node's sample does not depend on its block, the result does not
-    depend on the thread count, which the field records as `workers`.  Once
-    a block fails no thread takes another, and when all are done the
+    most one per block; the calling thread is one of them, and one block
+    starts no thread.  Any other f is evaluated on the calling thread
+    alone, block after block in row order.  The threads take blocks in row
+    order from one counter.  A helper thread evaluates each block it takes
+    in sub-blocks of fewer than _HELPER_NODES nodes, and runs in a copy of
+    the caller's context, so numpy's error state is the caller's.  Once a
+    block fails no thread takes another, and when all are done the
     exception of the first failing block in row order is raised.
     """
     xs, ts = grid.xs, grid.ts[None, :]
-    values = np.empty((grid.nx, grid.nt), dtype=complex)
-    blocks = _row_blocks(grid.nx, grid.nt)
+    blocks = [(start + i, start + j) for i, j in _row_blocks(stop - start, grid.nt)]
     workers = min(_workers(), len(blocks)) if getattr(f, "thread_safe", False) else 1
     taken = itertools.count()     # next() on it is atomic: the shared block counter
     errors = {}                   # block index -> its exception
-    stop = threading.Event()
+    stop_event = threading.Event()
 
     def fill(i, j):
         block = np.asarray(f(xs[i:j, None], ts), dtype=complex)
@@ -175,10 +189,10 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
         if block.ndim != 2 or any(n not in (1, full) for n, full in zip(block.shape, shape)):
             raise ValueError(f"f returned shape {block.shape} on rows {i}:{j}, "
                              f"which does not broadcast to the block's {shape}")
-        values[i:j] = block
+        out[i - start:j - start] = block
 
     def run(helper: bool):
-        while not stop.is_set():
+        while not stop_event.is_set():
             k = next(taken)
             if k >= len(blocks):
                 return
@@ -191,7 +205,7 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
                 # every earlier block was taken before this one and runs to
                 # its end, so the lowest failing index is the first in row order
                 errors[k] = exc
-                stop.set()
+                stop_event.set()
 
     with np.errstate(all="ignore"):
         helpers = []
@@ -202,9 +216,9 @@ def sample(f: Callable, grid: Grid2D) -> ComplexField2D:
                 helpers.append(thread)
             run(False)
         finally:
-            stop.set()      # an interrupt of the calling thread stops the helpers too
+            stop_event.set()    # an interrupt of the calling thread stops the helpers too
             for thread in helpers:
                 thread.join()
     if errors:
         raise errors[min(errors)]
-    return ComplexField2D(grid, values, workers=workers)
+    return workers

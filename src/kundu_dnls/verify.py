@@ -16,7 +16,10 @@ import numpy as np
 from .errors import AllNodesExcludedError, ResolutionTooCoarseError, VerificationFailedError
 from .lax import (Seed, _convergence_order, check_lax_residual, make_plane_wave_seed,
                   plane_wave_eigenfunction)
-from .numerics.grid import ComplexField2D, Grid2D, _row_blocks, intensity, sample
+# `sample` is not called here, but stays a name of this module: the
+# benchmark's tracer (benchmarks/tracing.py) wraps verify.sample
+from .numerics.grid import (ComplexField2D, Grid2D, _row_blocks, intensity, sample,  # noqa: F401
+                            sample_rows)
 
 Array = np.ndarray
 
@@ -53,6 +56,12 @@ class ResidualReport:
     estimated_order: float
 
 
+# pde_residual samples its finest grid in slabs of this many sampling blocks
+# of it: enough to share a thread-safe field's slab among threads, few
+# enough that a slab's values stay about 2 MiB
+_SLAB_BLOCKS = 8
+
+
 def _neighbours(a: Array) -> list[Array]:
     """The 8-neighbourhood of every interior node of a 2-D array: eight
     views shaped like a[1:-1, 1:-1]."""
@@ -81,8 +90,9 @@ def _pde_residual_on_grid(values: Array, invalid: Array, grid: Grid2D,
     res = _field_operator(Q[1:-1, 1:-1], Qt, Qx, Qxx, cubic[1:-1, 1:-1], Cx, seed, sign)
     # exclude flagged nodes together with their 8-neighbourhoods
     excluded = invalid[1:-1, 1:-1].copy()
-    for nb in _neighbours(invalid):
-        excluded |= nb
+    if invalid.any():
+        for nb in _neighbours(invalid):
+            excluded |= nb
     return res, excluded
 
 
@@ -90,34 +100,67 @@ def pde_residual(field_source: Callable, seed: Seed, variant: ConventionVariant,
                  grid: Grid2D, refinements: int = 2) -> ResidualReport:
     """Norms of the field-equation residual at `refinements` nested grids.
 
-    The finest grid is sampled once and each coarser level reads every s-th
+    Only the finest grid is sampled, and each coarser level reads every s-th
     node of it: the finest grid's axes at stride s are the coarser grid's
     axes bit for bit, and a node's sample does not depend on the grid
-    around it (see `sample`)."""
+    around it (see `sample_rows`).  The finest grid is sampled in row order,
+    in slabs of _SLAB_BLOCKS sampling blocks, into a buffer that keeps only
+    the rows a pending stencil block still needs.  Each level's stencil
+    blocks are its grid's sampling blocks clipped to the interior rows, each
+    with a one-row halo, and each runs as soon as its rows are sampled; the
+    kept nodes, packed in row order into one buffer per level, are those of
+    the whole interior.  So a fine node is sampled once, only the packed
+    buffers (8 bytes per interior node) grow with the grid, and the norms
+    are those of sampling each level whole.  An exception of the field is
+    raised as `sample_rows` raises it, and no later slab is sampled."""
     if refinements < 1:
         raise ValueError("need at least one refinement level")
-    fine = sample(field_source, grid.refined(2 ** (refinements - 1)))
-    norms = []
-    for level in range(refinements):
-        g = grid.refined(2 ** level) if level else grid
-        s = 2 ** (refinements - 1 - level)
-        values, invalid = fine.values[::s, ::s], fine.invalid[::s, ::s]
-        # the sampling blocks, clipped to the interior rows, each with a
-        # one-row halo; the kept nodes, packed in row order into one buffer,
-        # are those of the whole interior
-        kept = np.empty((g.nx - 2) * (g.nt - 2))
-        n = 0
-        for i, j in _row_blocks(g.nx, g.nt):
-            i, j = max(i, 1), min(j, g.nx - 1)
-            res, excluded = _pde_residual_on_grid(values[i - 1:j + 1], invalid[i - 1:j + 1],
-                                                  g, seed, variant.nonlinear_sign)
-            block = res[~excluded & np.isfinite(res)]
-            np.abs(block, out=kept[n:n + block.size])
-            n += block.size
-        if not n:
-            raise AllNodesExcludedError("no interior node survived pole exclusion")
-        r = kept[:n]
-        norms.append((g.hx, float(r.max()), float(r.mean())))
+    fine = grid.refined(2 ** (refinements - 1))
+    grids = [grid.refined(2 ** level) if level else grid for level in range(refinements)]
+    strides = [2 ** (refinements - 1 - level) for level in range(refinements)]
+    kept = [np.empty((g.nx - 2) * (g.nt - 2)) for g in grids]
+    counts = [0] * refinements
+    # every level's stencil blocks, its sampling blocks clipped to the
+    # interior rows, as (end, start, level): the fine rows start:end that the
+    # block's rows and their halo are read from, in the order in which their
+    # last row is sampled
+    tasks = sorted((min(j, g.nx - 1) * s + 1, (max(i, 1) - 1) * s, level)
+                   for level, (g, s) in enumerate(zip(grids, strides))
+                   for i, j in _row_blocks(g.nx, g.nt))
+    sampling = _row_blocks(fine.nx, fine.nt)
+    slabs = [(sampling[q][0], sampling[min(q + _SLAB_BLOCKS, len(sampling)) - 1][1])
+             for q in range(0, len(sampling), _SLAB_BLOCKS)]
+    # a pending block reads fewer rows below the next slab than its span
+    values = np.empty((max(end - start for end, start, _ in tasks) - 1
+                       + max(b - a for a, b in slabs), fine.nt), dtype=complex)
+    base, k = 0, 0        # the fine row in the buffer's first row; the next task
+    for a, b in slabs:
+        if b - base > len(values):
+            # carry forward the rows from the first one a pending block reads
+            lo = min([start for _, start, _ in tasks[k:]] + [a])
+            values[:a - lo] = values[lo - base:a - base]
+            base = lo
+        sample_rows(field_source, fine, a, b, values[a - base:b - base])
+        while k < len(tasks) and tasks[k][0] <= b:
+            end, start, level = tasks[k]
+            s, n = strides[level], counts[level]
+            v = values[start - base:end - base:s, ::s]
+            res, excluded = _pde_residual_on_grid(v, ~np.isfinite(v), grids[level], seed,
+                                                  variant.nonlinear_sign)
+            keep = np.isfinite(res)
+            keep &= ~excluded
+            if keep.all():
+                np.abs(res, out=kept[level][n:n + res.size].reshape(res.shape))
+                counts[level] += res.size
+            else:
+                block = res[keep]
+                np.abs(block, out=kept[level][n:n + block.size])
+                counts[level] += block.size
+            k += 1
+    if not all(counts):
+        raise AllNodesExcludedError("no interior node survived pole exclusion")
+    norms = [(g.hx, float(r[:n].max()), float(r[:n].mean()))
+             for g, r, n in zip(grids, kept, counts)]
     return ResidualReport(variant, norms, _convergence_order(norms))
 
 

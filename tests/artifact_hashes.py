@@ -8,21 +8,27 @@ extended precision, each as csv and as json with the complex parts, all
 with a non-default coupling and gauge.  On the plane wave,
 `engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together
 with its `.meta.json` sidecar, one line each: `<sha256>  <file name>`.
+Then each criterion-2 window (`acceptance._FIGURE_WINDOWS`) gets one line
+per refinement count 1, 2 and 3, the `repr` of `verify.pde_residual`'s
+norms and order: `<repr>  residual-<window>-r<refinements>`.
 
-Only `cli.main` is called, so the same script hashes any checkout's
-package, and a diff of two runs shows which artifacts changed:
+Only `cli.main` and `verify.pde_residual` are called, so the same script
+hashes any checkout's package, and a diff of two runs shows which
+artifacts or residual reports changed:
 
     PYTHONPATH=<checkout>/src python tests/artifact_hashes.py > hashes.txt
 
 `--job NAME` (repeatable) runs only the named jobs, `--list` prints the
-names.  All jobs take about 5 s on a 2-vCPU machine.  A job that exits
+names.  All jobs take about 5 s on a 2-vCPU machine, and the residual
+jobs about 15 s more.  A job that exits
 non-zero prints `exit <code>` in place of its hashes, and the script then
 exits 1.
 
 `--against FILE` checks the run against a saved output of this script:
 after the hashes it prints `differs  <file name>` for each artifact whose
-hash is not the saved one, and exits 1 if there is any.  So one command
-checks a claim that a change keeps every artifact's bytes:
+hash or report is not the saved one, and exits 1 if there is any.  So one
+command checks a claim that a change keeps every artifact's bytes and
+every residual report:
 
     PYTHONPATH=src python tests/artifact_hashes.py --against hashes.txt
 """
@@ -34,7 +40,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from kundu_dnls import cli
+from kundu_dnls import acceptance, cli, verify
+from kundu_dnls.lax import zero_seed
 
 ENGINE_GRID = "-3:3:41,-3:3:41"
 ENGINE_PARAMS = {"alpha": 0.7, "theta_p": 0.3, "theta_q": -0.4}
@@ -71,6 +78,20 @@ def jobs() -> dict[str, list[str]]:
     return out
 
 
+def residual_jobs() -> dict[str, tuple]:
+    """Report name -> (criterion-2 window name, refinement count)."""
+    return {f"residual-{name}-r{r}": (name, r)
+            for name in acceptance._FIGURE_WINDOWS for r in (1, 2, 3)}
+
+
+def residual_line(window: str, refinements: int) -> str:
+    """The repr of the residual report's norms and order on a window."""
+    grid, make = acceptance._FIGURE_WINDOWS[window]
+    rep = verify.pde_residual(make().eval, zero_seed(), verify.ConventionVariant(1, "independent"),
+                              grid, refinements=refinements)
+    return repr((rep.norms, rep.estimated_order))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--job", action="append", default=None, metavar="NAME",
@@ -79,11 +100,11 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="FILE",
                     help="exit 1 naming each artifact whose hash differs from FILE's")
     ns = ap.parse_args(argv)
-    table = jobs()
+    table, residuals = jobs(), residual_jobs()
     if ns.list:
-        print("\n".join(table))
+        print("\n".join([*table, *residuals]))
         return 0
-    unknown = sorted(set(ns.job or ()) - set(table))
+    unknown = sorted(set(ns.job or ()) - set(table) - set(residuals))
     if unknown:
         ap.error(f"unknown job(s) {unknown}; see --list")
     saved = None
@@ -94,7 +115,7 @@ def main(argv=None) -> int:
             saved[name] = digest
     failed, differs = False, []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ns.job or table:
+        for name in [n for n in ns.job or table if n in table]:
             output = Path(tmp) / name
             rc = cli.main(["generate", *table[name], "--output", str(output), "--quiet"])
             if rc:
@@ -106,6 +127,11 @@ def main(argv=None) -> int:
                 print(f"{digest}  {path.name}")
                 if saved is not None and saved.get(path.name) != digest:
                     differs.append(path.name)
+    for name in [n for n in ns.job or residuals if n in residuals]:
+        line = residual_line(*residuals[name])
+        print(f"{line}  {name}")
+        if saved is not None and saved.get(name) != line:
+            differs.append(name)
     for name in differs:
         print(f"differs  {name}")
     return 1 if failed or differs else 0

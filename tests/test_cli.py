@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kundu_dnls import catalog, cli
+from kundu_dnls import acceptance, catalog, cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
 from kundu_dnls.darboux import DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
-from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed
+from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed, zero_seed
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics import printing
 from kundu_dnls.numerics.grid import Grid2D, sample
@@ -223,6 +223,27 @@ def test_artifact_hashes_against_names_each_changed_artifact(tmp_path, capsys):
     saved.write_text("\n".join(lines) + "\n")
     assert artifact_hashes.main([*jobs, "--against", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines()[4:] == ["differs  nfold-zero-n1.json"]
+
+
+def test_artifact_hashes_print_each_residual_report(tmp_path, capsys):
+    # one line per criterion-2 window and refinement count, the repr of the
+    # report's norms and order, checked by --against like a hash
+    assert sorted(artifact_hashes.residual_jobs()) == sorted(
+        f"residual-{name}-r{r}" for name in acceptance._FIGURE_WINDOWS for r in (1, 2, 3))
+    job = ["--job", "residual-one_soliton-r2"]
+    assert artifact_hashes.main(job) == 0
+    lines = capsys.readouterr().out.splitlines()
+    grid, make = acceptance._FIGURE_WINDOWS["one_soliton"]
+    rep = pde_residual(make().eval, zero_seed(), ConventionVariant(1, "independent"), grid,
+                       refinements=2)
+    assert lines == [f"{(rep.norms, rep.estimated_order)!r}  residual-one_soliton-r2"]
+    saved = tmp_path / "hashes.txt"
+    saved.write_text(lines[0] + "\n")
+    assert artifact_hashes.main([*job, "--against", str(saved)]) == 0
+    capsys.readouterr()
+    saved.write_text(lines[0].replace(repr(rep.estimated_order), "2.0") + "\n")
+    assert artifact_hashes.main([*job, "--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [*lines, "differs  residual-one_soliton-r2"]
 
 
 def test_artifact_hashes_hash_what_generate_writes(tmp_path, capsys):
@@ -635,6 +656,33 @@ def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precisi
                   "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
     assert "all 42 nodes of engine-degenerate are masked" in err.getvalue()
+
+
+def test_sidecar_counts_overflow_at_the_square_safe_bound(tmp_path, monkeypatch):
+    # a text job squares only the nodes with a part of magnitude 2^511 or
+    # more; finite values just below and above that bound, and about the
+    # square root of the largest double, count as the whole grid's |Q|^2 does
+    B, s = 2.0 ** 511, math.sqrt(sys.float_info.max)
+    below, above = np.nextafter(B, 0), np.nextafter(s, np.inf)
+    table = np.array([complex(below, below), complex(-below, 0), complex(0, below),
+                      complex(B, 0), complex(B, -B), complex(0, -B), complex(s, 0),
+                      complex(-s, 0), complex(above, 0), complex(0, -above),
+                      complex(2 * B, 0), complex(-1.5 * B, 1.5 * B), complex(0.75 * s, 0.75 * s),
+                      np.nan, complex(np.inf, 0)] + [1 + 1j] * 10)
+
+    def field(x, t):
+        return table[(np.rint(2 * (x + 1)) * 5 + np.rint(2 * (t + 1))).astype(int)]
+    monkeypatch.setattr(cli, "build_field", lambda *args: field)
+    grid = "-1:1:5,-1:1:5"
+    fld = sample(field, parse_grid(grid))
+    want = int(np.count_nonzero(~fld.invalid & np.isinf(cli.intensity(fld.values))))
+    assert want == 5 and cli._node_counts(fld) == cli._node_counts(fld, cli.intensity(fld.values))
+    for fmt in ("csv", "json", "pgm"):
+        out = tmp_path / f"edge.{fmt}"
+        assert run(["generate", "--solution", "rogue1", "--grid", grid, "--format", fmt,
+                    "--output", str(out), "--quiet"]) == 0
+        meta = json.loads((tmp_path / f"edge.{fmt}.meta.json").read_text())
+        assert (meta["masked_nodes"], meta["overflow_nodes"]) == (2, want)
 
 
 def test_sidecar_counts_overflowing_intensity(tmp_path, monkeypatch):

@@ -568,6 +568,33 @@ def test_a_field_overflowing_in_helper_rows_is_masked_without_warnings(monkeypat
     assert fld.invalid[in_helper].all() and not fld.invalid[~in_helper].any()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_rows_gives_the_rows_of_the_whole_grid(monkeypatch, workers):
+    # sample is sample_rows over all rows; a row range from a block edge is
+    # evaluated in the grid's own blocks, any other in blocks from its start
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    g = Grid2D(-1, 1, 0, 2, 150, 241)              # blocks of 67 rows
+    rogue = catalog.rogue1().eval
+    f = thread_safe(lambda x, t: rogue(x, t))
+    whole = sample(f, g).values
+    xs = g.xs
+    for start, stop in [(0, 150), (67, 150), (67, 134), (5, 140), (149, 150)]:
+        calls, out = [], np.empty((stop - start, g.nt), dtype=complex)
+
+        def probe(x, t):
+            i = int(np.flatnonzero(xs == x[0, 0])[0])
+            calls.append((i, i + x.shape[0]))
+            return f(x, t)
+        used = grid_mod.sample_rows(thread_safe(probe), g, start, stop, out)
+        assert out.tobytes() == whole[start:stop].tobytes()
+        blocks = [(start + i, start + j) for i, j in _blocks(stop - start, g.nt)]
+        assert used == min(workers, len(blocks))
+        covered = sorted(calls)
+        if workers == 1:
+            assert covered == blocks
+        assert [r for i, j in covered for r in range(i, j)] == list(range(start, stop))
+
+
 def test_a_single_block_grid_starts_no_thread(monkeypatch):
     monkeypatch.setattr(grid_mod, "_workers", lambda: 4)
     starts, real_start = [], threading.Thread.start

@@ -1,4 +1,6 @@
 """Verifier tests: residual operator, comparisons, convergence, peak analysis."""
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 import kundu_dnls as kd
 from kundu_dnls import verify
 from kundu_dnls.errors import AllNodesExcludedError, ResolutionTooCoarseError
+from kundu_dnls.numerics import grid as grid_mod
+from kundu_dnls.numerics.grid import thread_safe
 from kundu_dnls.verify import (ALL_VARIANTS, ConventionVariant, compare_fields,
                                convergence_study, exact_seed_residual, pde_residual,
                                peak_analysis, pin_down_convention)
@@ -176,17 +180,139 @@ def test_residual_of_one_sampled_grid_is_that_of_each_level_sampled(refinements)
                                                       refinements)
 
 
-def test_residual_holds_bounded_memory():
+def _slabs(monkeypatch):
+    """Record the fine rows (start, stop) of each slab pde_residual samples."""
+    slabs, real = [], verify.sample_rows
+
+    def spy(f, grid, start, stop, out):
+        slabs.append((start, stop))
+        return real(f, grid, start, stop, out)
+    monkeypatch.setattr(verify, "sample_rows", spy)
+    return slabs
+
+
+@pytest.mark.parametrize("refinements", [2, 3])
+def test_masked_rows_across_a_slab_edge_give_the_norms_of_each_level(monkeypatch, refinements):
+    # NaN nodes on the last fine row of one slab and the first of the next;
+    # a slab edge is a multiple of four, so the first row is a node of every
+    # level and the stencils on both sides of the edge see the masked nodes
+    g = _shifted(kd.Grid2D(-4, 4, -4, 4, 1 + 480 // 2 ** (refinements - 1),
+                           1 + 1280 // 2 ** (refinements - 1)), 0.1, -0.05)
+    fine = g.refined(2 ** (refinements - 1))
+    rogue = kd.catalog.rogue1().eval
+    slabs = _slabs(monkeypatch)
+    pde_residual(rogue, kd.zero_seed(), ConventionVariant(), g, refinements=refinements)
+    assert len(slabs) >= 5
+    edge = slabs[3][0]
+    xs, ts = fine.xs, fine.ts
+    poisoned = [(edge - 1, 8), (edge - 1, 13), (edge, 4), (edge, 600), (edge, 1271)]
+
+    def field(x, t):
+        out = rogue(x, t)
+        for i, j in poisoned:
+            out = np.where((x == xs[i]) & (t == ts[j]), np.nan, out)
+        return out
+    monkeypatch.undo()
+    assert edge % 4 == 0 and kd.sample(field, fine).invalid.sum() == len(poisoned)
+    rep = pde_residual(field, kd.zero_seed(), ConventionVariant(), g, refinements=refinements)
+    assert rep.norms == _residual_norms_per_level(field, kd.zero_seed(), ConventionVariant(), g,
+                                                  refinements)
+    clean = pde_residual(rogue, kd.zero_seed(), ConventionVariant(), g, refinements=refinements)
+    assert all(a[2] != b[2] for a, b in zip(rep.norms, clean.norms))
+
+
+def test_a_thread_safe_field_gives_the_same_norms_on_one_and_two_threads(monkeypatch):
+    f = kd.n_fold(kd.build_reduced_set([1 + 2j], kd.zero_seed()), kd.zero_seed()).Q
+    assert f.thread_safe
+    g = kd.Grid2D(-3, 3, -2, 2, 101, 201)       # six sampling blocks of the finest grid
+    starts, real_start = [], threading.Thread.start
+
+    def counted_start(self):
+        starts.append(self)
+        real_start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    reports = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_mod, "_workers", lambda w=workers: w)
+        before = len(starts)
+        reports[workers] = pde_residual(f, kd.zero_seed(), ConventionVariant(), g, refinements=2)
+        assert (len(starts) > before) == (workers == 2)
+    assert reports[1].norms == reports[2].norms
+    assert reports[1].norms == _residual_norms_per_level(f, kd.zero_seed(), ConventionVariant(),
+                                                         g, 2)
+
+
+@pytest.mark.parametrize("refinements", [1, 3])
+def test_every_fine_node_is_sampled_once(monkeypatch, refinements):
+    g = kd.Grid2D(-4, 4, -4, 4, 1 + 240 // 2 ** (refinements - 1),
+                  1 + 960 // 2 ** (refinements - 1))
+    fine = g.refined(2 ** (refinements - 1))
+    hits = np.zeros((fine.nx, fine.nt), dtype=int)
+    rogue = kd.catalog.rogue1().eval
+
+    def field(x, t):
+        rows = np.searchsorted(fine.xs, x[:, 0])
+        cols = np.searchsorted(fine.ts, t[0])
+        hits[rows[:, None], cols[None, :]] += 1
+        return rogue(x, t)
+    slabs = _slabs(monkeypatch)
+    pde_residual(field, kd.zero_seed(), ConventionVariant(), g, refinements=refinements)
+    assert len(slabs) >= 2 and (hits == 1).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_field_raising_in_a_late_slab_stops_the_stream(monkeypatch, workers):
+    # the field raises on two rows of the third slab, the later one at
+    # once: the earlier row's error is raised, and no later slab is sampled
+    monkeypatch.setattr(grid_mod, "_workers", lambda: workers)
+    g = kd.Grid2D(-4, 4, -4, 4, 161, 641)
+    fine = g.refined(2)
+    rogue = kd.catalog.rogue1().eval
+    slabs = _slabs(monkeypatch)
+    pde_residual(rogue, kd.zero_seed(), ConventionVariant(), g, refinements=2)
+    assert len(slabs) >= 4
+    first, last = slabs[2][0] + 1, slabs[2][1] - 1
+    rows, xs = [], fine.xs
+
+    def field(x, t):
+        block = np.searchsorted(xs, x[:, 0])
+        rows.extend(block)
+        if first in block:
+            time.sleep(0.05)
+            raise ValueError(f"row {first}")
+        if last in block:
+            raise KeyError(f"row {last}")
+        return rogue(x, t)
+    del slabs[:]
+    with pytest.raises(ValueError, match=f"row {first}"):
+        pde_residual(thread_safe(field), kd.zero_seed(), ConventionVariant(), g, refinements=2)
+    assert len(slabs) == 3 and max(rows) < slabs[2][1]
+
+
+def _residual_peak(refinements):
+    """rogue2's residual report on its 641² window and the traced peak."""
     g = kd.Grid2D(-4, 4, -4, 4, 641, 641)
     tracemalloc.start()
     try:
         rep = pde_residual(kd.catalog.rogue2().eval, kd.zero_seed(), ConventionVariant(), g,
-                           refinements=2)
+                           refinements=refinements)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert 1.7 <= rep.estimated_order <= 2.3
-    assert peak <= 96 * 2 ** 20
+    return peak
+
+
+# measured peaks: 21.0 MiB at two levels, of which 15.6 MiB are the levels'
+# packed magnitudes and 2.9 MiB the fine rows in hand, and 76.0 MiB at three
+# (65.6 and 5.9); sampling the finest grid whole held 44.9 and 171.6 MiB.
+# The bounds leave 3-4 MiB for the temporaries.
+def test_residual_holds_bounded_memory():
+    assert _residual_peak(2) <= 24 * 2 ** 20
+
+
+def test_residual_holds_bounded_memory_at_three_levels():
+    assert _residual_peak(3) <= 80 * 2 ** 20
 
 
 def test_residual_reports_decreasing_h():
