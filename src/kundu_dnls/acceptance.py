@@ -167,7 +167,7 @@ def pattern_field(config_name: str) -> ComplexField2D:
     """Intensity of one pattern field, built as `kdnls generate` builds it."""
     solution, params, grid_spec = PATTERN_CONFIGS[config_name]
     grid = cli.parse_grid(grid_spec)
-    field_fn = cli.build_field(solution, cli.resolve_params(solution, dict(params)), "auto")
+    field_fn = cli.build_field(solution, cli.resolve_params(solution, dict(params)))
     fld = sample(field_fn, grid)
     return ComplexField2D(grid, intensity(fld.values), fld.invalid)
 

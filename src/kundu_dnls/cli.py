@@ -137,21 +137,20 @@ def _make_seed(params: dict) -> Seed:
     return Seed(**{key: params[key] for key in ("a", "c", "alpha", "theta_p", "theta_q")})
 
 
-def build_field(solution: str, params: dict, precision: str):
+def build_field(solution: str, params: dict, precision: str = "auto"):
     """Vectorized (x, t) -> complex closure for the requested solution.
 
-    A closed-form solution is evaluated in double whatever the precision, so
-    a precision other than "auto" is invalid configuration there.  An engine
-    solution is its `DTOutput`, which records the precision it runs in."""
+    A closed form is evaluated in double.  An engine solution is its
+    `DTOutput`, whose precision `degenerate_limit`'s radius rule chooses and
+    records.  `precision` is kept for callers that pass "auto"; any other
+    value is refused."""
+    if precision != "auto":
+        raise ValueError(f"precision is chosen by the engine, got {precision!r}")
     if _closed_form(solution, params):
-        if precision != "auto":
-            raise InvalidConfigError(f"{solution} is closed-form: precision {precision!r} "
-                                     "applies only to the Darboux engine")
         # looked up when called, so that a constructor replaced on the
         # catalog module (as instrumentation does) is the one called
         make = getattr(catalog, _CLOSED_FORMS[solution])
         return make(**({} if solution == "rogue2" else params)).eval
-    kw = {} if precision == "auto" else {"precision": precision}
     if solution in ("rogue2", "rogue3"):
         # the split rogue waves are engine-degenerate's default plane wave
         # (a, c) = (-2, 1) at its critical eigenvalue 1 + i, of order 2 or 3
@@ -164,11 +163,11 @@ def build_field(solution: str, params: dict, precision: str):
     if solution == "engine-nfold":
         lams = [complex(params[f"lam{k}_re"], params[f"lam{k}_im"]) for k in (1, 2, 3)
                 if params[f"lam{k}_re"] is not None]
-        return n_fold(build_reduced_set(lams, seed), seed, **kw)
+        return n_fold(build_reduced_set(lams, seed), seed)
     spec = DegenerationSpec(lambda_c=complex(params["lc_re"], params["lc_im"]),
                             epsilon=params["eps"], n=int(params["n"]),
                             S0=params["S0"], S1=params["S1"], S2=params["S2"])
-    return degenerate_limit(spec, seed, **kw)
+    return degenerate_limit(spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +318,10 @@ def _node_counts(fld: ComplexField2D, I: np.ndarray | None = None) -> dict:
 
 
 def _write_meta(output: Path, fmt: str, solution: str, params: dict, grid_spec: str,
-                precision: str, precision_used: str, workers: int, counts: dict):
+                precision_used: str, workers: int, counts: dict):
     meta = {
         "tool_version": __version__,
         "convention_variant": "nonlinear_sign=+1, v_conjugation=independent",
-        "precision": precision,
         "precision_used": precision_used,
         "solution": solution,
         "params": params,
@@ -352,7 +350,7 @@ def _load_config(ns: argparse.Namespace) -> dict:
         if not isinstance(merged, dict):
             raise InvalidConfigError("config file must hold a JSON object")
         # the JSON type of each field the CLI reads; any other field is a typo
-        kinds = dict(solution=str, figure=str, grid=str, precision=str, params=dict)
+        kinds = dict(solution=str, figure=str, grid=str, params=dict)
         unknown = sorted(set(merged) - set(kinds))
         if unknown:
             raise InvalidConfigError(f"unknown config field(s) {unknown}; "
@@ -385,14 +383,10 @@ def _effective(ns: argparse.Namespace):
     if not grid_spec:
         raise InvalidConfigError("no grid given (use --grid min:max:n,min:max:n)")
     params = resolve_params(solution, raw_params)
-    # explicit flag > config field > auto selection
-    precision = ns.precision or cfg.get("precision", "auto")
-    if precision not in ("auto", "double", "extended"):
-        raise InvalidConfigError(f"precision must be double or extended, got {precision!r}")
-    return solution, params, parse_grid(grid_spec), grid_spec, precision
+    return solution, params, parse_grid(grid_spec), grid_spec
 
 
-def _checked_sample(solution: str, params: dict, precision: str, grid: Grid2D):
+def _checked_sample(solution: str, params: dict, grid: Grid2D):
     """`build_field` and its samples on the grid, with a bad parameter
     reported as invalid configuration.  Building only constructs objects, so
     whatever it raises, an overflow included, is a bad parameter; sampling
@@ -400,7 +394,7 @@ def _checked_sample(solution: str, params: dict, precision: str, grid: Grid2D):
     A grid on which every node is masked shows nothing, and is refused too."""
     try:
         with np.errstate(over="raise"):
-            field = build_field(solution, params, precision)
+            field = build_field(solution, params)
     except (ValueError, ArithmeticError) as exc:
         raise InvalidConfigError(f"invalid parameters for {solution}: {exc}") from None
     try:
@@ -414,8 +408,8 @@ def _checked_sample(solution: str, params: dict, precision: str, grid: Grid2D):
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
-    solution, params, grid, grid_spec, precision = _effective(ns)
-    field, fld = _checked_sample(solution, params, precision, grid)
+    solution, params, grid, grid_spec = _effective(ns)
+    field, fld = _checked_sample(solution, params, grid)
     output = Path(ns.output)
     try:
         output.parent.mkdir(parents=True, exist_ok=True)
@@ -429,9 +423,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             I = intensity(fld.values)
             write_pgm(output, I)
         # a closed-form field is a plain closure, evaluated in double
-        _write_meta(output, ns.format, solution, params, grid_spec, precision,
-                    getattr(field, "precision", "double"), fld.workers,
-                    _node_counts(fld, I))
+        _write_meta(output, ns.format, solution, params, grid_spec,
+                    getattr(field, "precision", "double"), fld.workers, _node_counts(fld, I))
     except OSError as exc:
         raise IOFailureError(f"cannot write {output}: {exc}") from None
     if not ns.quiet:
@@ -443,8 +436,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if not (math.isfinite(ns.cluster_radius) and ns.cluster_radius >= 0):
         raise InvalidConfigError(f"--cluster-radius must be a finite number >= 0, "
                                  f"got {ns.cluster_radius!r}")
-    solution, params, grid, grid_spec, precision = _effective(ns)
-    field, fld = _checked_sample(solution, params, precision, grid)
+    solution, params, grid, grid_spec = _effective(ns)
+    _, fld = _checked_sample(solution, params, grid)
     I = intensity(fld.values)
     try:
         ps = peak_analysis(ComplexField2D(grid, I, fld.invalid),
@@ -504,7 +497,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", default=None, help="xmin:xmax:nx,tmin:tmax:nt")
         p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--config", default=None, help="JSON config file; flags override")
-        p.add_argument("--precision", choices=["double", "extended"], default=None)
         p.add_argument("--quiet", action="store_true")
         if need_output:
             p.add_argument("--output", required=True)

@@ -83,7 +83,7 @@ def test_engine_figures_and_patterns_build_in_double():
 
     used = {}
     for name, (solution, params, _) in {**cli.FIGURE_MAP, **acceptance.PATTERN_CONFIGS}.items():
-        field = cli.build_field(solution, cli.resolve_params(solution, dict(params)), "auto")
+        field = cli.build_field(solution, cli.resolve_params(solution, dict(params)))
         if isinstance(field, DTOutput):
             used[name] = field.precision
     assert set(used) == {"fig7", "fig8", "fig9", "fig10",

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from kundu_dnls import acceptance, catalog, cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
-from kundu_dnls.darboux import DegenerationSpec, degenerate_limit
+from kundu_dnls.darboux import EXTENDED_EPS_RADIUS, DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
 from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed, zero_seed
 from kundu_dnls.numerics import grid as grid_mod
@@ -80,7 +80,8 @@ def test_generate_json_and_meta(tmp_path):
     assert doc["grid"]["nx"] == 21
     assert np.asarray(doc["data"]).shape == (21, 21)
     meta = json.loads((tmp_path / "r1.json.meta.json").read_text())
-    assert meta["precision"] == "auto"
+    # the engine decides the precision: the sidecar records only the one used
+    assert "precision" not in meta and meta["precision_used"] == "double"
     assert "independent" in meta["convention_variant"]
     assert meta["masked_nodes"] == 0
 
@@ -274,12 +275,11 @@ def test_artifact_hashes_hash_what_generate_writes(tmp_path, capsys):
     {"solution": ["rogue1"]},
     {"figure": ["fig1"]},
     {"solution": "soliton1", "figure": ""},
-    {"solution": "rogue1", "precision": None},
     {"solution": "soliton1", "params": {"m1": True}},
     {"solution": "engine-degenerate", "params": {"n": 10 ** 400}},   # no float holds it
     {"solution": "soliton1", "param": {"m1": 5}},                   # misspelt field
 ], ids=["list-valued", "fractional-order", "params-string", "params-number", "params-list",
-        "grid-number", "solution-list", "figure-list", "figure-empty", "precision-null",
+        "grid-number", "solution-list", "figure-list", "figure-empty",
         "boolean-value", "integer-overflows-float", "unknown-field"])
 def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
     cfg = tmp_path / "job.json"
@@ -290,29 +290,37 @@ def test_config_parameter_of_wrong_type_exits_2(tmp_path, job):
     assert rc == 2 and not out.exists()
 
 
-_CLOSED_FORM = ["soliton1", "soliton2", "positon", "breather", "rogue1", "rogue2"]
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("solution", _CLOSED_FORM)
-def test_precision_on_closed_form_solution_exits_2(tmp_path, solution, source):
-    # these are evaluated in double whatever is asked, so asking is an error
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+def test_precision_option_is_gone(tmp_path, command, precision):
+    # the engine's radius rule alone decides the precision: the old option
+    # is a usage error, and nothing is written
     out = tmp_path / "x.csv"
-    argv = ["generate", "--solution", solution, "--grid", "-1:1:11,-1:1:11"]
-    if source == "flag":
-        argv += ["--precision", "extended"]
+    rc = run([command, "--precision", precision, "--solution", "rogue3",
+              "--grid", "-1:1:3,-1:1:3", "--output", str(out), "--quiet"])
+    assert rc == 2 and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("precision", ["auto", "double", "extended"])
+def test_build_field_takes_no_precision_but_auto(precision):
+    # its third parameter stays for callers that pass "auto"
+    params = cli.resolve_params("rogue3", {})
+    if precision == "auto":
+        assert cli.build_field("rogue3", params, precision).precision == "double"
     else:
-        cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps({"precision": "double"}))
-        argv += ["--config", str(cfg)]
-    assert run([*argv, "--output", str(out), "--quiet"]) == 2 and not out.exists()
+        with pytest.raises(ValueError, match="chosen by the engine"):
+            cli.build_field("rogue3", params, precision)
 
 
-def test_precision_on_split_rogue2_is_recorded(tmp_path):
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+def test_config_precision_field_is_unknown(tmp_path, capsys, command):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"solution": "rogue3", "precision": "double"}))
     out = tmp_path / "x.csv"
-    assert run(["generate", "--solution", "rogue2", "--param", "S1=1", "--precision", "double",
-                "--grid", "-1:1:5,-1:1:5", "--output", str(out), "--quiet"]) == 0
-    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision"] == "double"
+    rc = run([command, "--config", str(cfg), "--grid", "-1:1:3,-1:1:3",
+              "--output", str(out), "--quiet"])
+    assert rc == 2 and not out.exists()
+    assert "unknown config field(s) ['precision']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solution", ["rogue2", "rogue3"])
@@ -323,7 +331,7 @@ def test_rogue_presets_sit_at_the_critical_eigenvalue(solution, monkeypatch):
     assert (p["a"], p["c"], p["alpha"], p["theta_p"], p["theta_q"]) == (-2, 1, 1, 1, 1)
     specs = []
     monkeypatch.setattr(cli, "degenerate_limit", lambda spec, seed, **kw: specs.append(spec))
-    cli.build_field(solution, cli.resolve_params(solution, {"S1": "5"}), "auto")
+    cli.build_field(solution, cli.resolve_params(solution, {"S1": "5"}))
     assert specs[0].lambda_c == 1 + 1j and specs[0].n == (2 if solution == "rogue2" else 3)
 
 
@@ -332,7 +340,7 @@ def test_engine_degenerate_off_the_default_frame_solves_the_equation():
     params = cli.resolve_params("engine-degenerate", {"alpha": "0.7", "theta_p": "0.3",
                                                       "n": "2"})
     seed = make_plane_wave_seed(-2.0, 1.0, 0.7, 0.3)
-    rep = pde_residual(cli.build_field("engine-degenerate", params, "auto"), seed,
+    rep = pde_residual(cli.build_field("engine-degenerate", params), seed,
                        ConventionVariant(), Grid2D(-1, 1, -0.3, 0.3, 121, 73), 2)
     assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
 
@@ -362,7 +370,7 @@ def test_split_rogue_waves_are_the_degenerate_limit_at_the_critical_eigenvalue(s
     spec = DegenerationSpec(lambda_c=critical_eigenvalue(seed), epsilon=params["eps"], n=n,
                             S0=params["S0"], S1=params["S1"], S2=params["S2"])
     g = Grid2D(-3.1, 2.9, -2.3, 3.3, 23, 19)
-    got, want = cli.build_field(solution, params, "auto"), degenerate_limit(spec, seed)
+    got, want = cli.build_field(solution, params), degenerate_limit(spec, seed)
     assert got.precision == want.precision
     assert sample(got, g).values.tobytes() == sample(want, g).values.tobytes()
 
@@ -385,25 +393,33 @@ def test_closed_form_constructor_is_looked_up_when_built(monkeypatch, solution):
         seen.append(kwargs)
         return catalog.CatalogEntry(lambda x, t: 0 * x + 0 * t + 1j)
     monkeypatch.setattr(catalog, name, stand_in)
-    field = cli.build_field(solution, cli.resolve_params(solution, {}), "auto")
+    field = cli.build_field(solution, cli.resolve_params(solution, {}))
     assert field(0.0, 0.0) == 1j and len(seen) == 1
 
 
-@pytest.mark.parametrize("argv, requested, used", [
+def _at_radius(n):
+    """engine-degenerate of order n at its extended radius, which runs double,
+    and at the next double below it, which runs extended."""
+    radius = EXTENDED_EPS_RADIUS[n]
+    for eps, used in ((radius, "double"), (math.nextafter(radius, 0), "extended")):
+        yield pytest.param(["--solution", "engine-degenerate", "--param", f"n={n}",
+                            "--param", f"eps={eps!r}"], used, id=f"n{n}-{used}")
+
+
+@pytest.mark.parametrize("argv, used", [
     # a split rogue2 runs the engine, and eps 1e-5 is below order 2's extended radius
-    (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "auto", "extended"),
+    (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "extended"),
     # an unsplit rogue2 is the closed form
-    (["--solution", "rogue2"], "auto", "double"),
-    (["--solution", "rogue3"], "auto", "double"),
-    (["--solution", "rogue3", "--precision", "extended"], "extended", "extended"),
-    (["--solution", "soliton1"], "auto", "double"),
+    (["--solution", "rogue2"], "double"),
+    (["--solution", "rogue3"], "double"),
+    (["--solution", "soliton1"], "double"),
+    *(row for n in (1, 2, 3) for row in _at_radius(n)),
 ])
-def test_sidecar_records_the_precision_used(tmp_path, argv, requested, used):
+def test_sidecar_records_the_precision_used(tmp_path, argv, used):
     out = tmp_path / "x.csv"
     assert run(["generate", *argv, "--grid", "-1:1:3,-1:1:3", "--output", str(out),
                 "--quiet"]) == 0
-    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
-    assert (meta["precision"], meta["precision_used"]) == (requested, used)
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision_used"] == used
 
 
 @pytest.mark.parametrize("solution", sorted(cli.SOLUTIONS))
@@ -452,14 +468,10 @@ def _generate_twice(argv, suffix):
 @settings(max_examples=150, deadline=None)
 @given(solution=st.sampled_from(sorted(cli.SOLUTIONS)),
        fmt=st.sampled_from(["csv", "json", "pgm"]),
-       precision=st.sampled_from([None, "double", "extended"]),
        nx=st.integers(1, 9), nt=st.integers(1, 7), xw=_WINDOW, tw=_WINDOW, data=st.data())
-def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, precision, nx, nt,
-                                                     xw, tw, data):
+def test_generate_fuzz_fails_loudly_and_reproducibly(solution, fmt, nx, nt, xw, tw, data):
     grid = f"{xw[0]!r}:{xw[0] + xw[1]!r}:{nx},{tw[0]!r}:{tw[0] + tw[1]!r}:{nt}"
     argv = ["--solution", solution, "--grid", grid, "--format", fmt]
-    if precision:
-        argv += ["--precision", precision]
     keys = sorted(cli.SOLUTIONS[solution])
     for key in data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)
                          if keys else st.just([])):
@@ -492,15 +504,14 @@ def _config_field(valid):
 @settings(max_examples=100, deadline=None)
 @given(solution=_config_field(sorted(cli.SOLUTIONS)), figure=_config_field(["fig5", "fig3"]),
        grid=_config_field(["-1:1:5,-1:1:4", "-1:1:1,-1:1:4"]),
-       precision=_config_field(["double", "extended", "auto"]),
        params=_config_field([{}, {"m1": 0.5}, {"S1": 1.0, "eps": 1e-2}, {"n": 2}]),
-       absent=st.sets(st.sampled_from(["solution", "figure", "grid", "precision", "params"])),
+       absent=st.sets(st.sampled_from(["solution", "figure", "grid", "params"])),
        unknown=st.dictionaries(st.sampled_from(["param", "Solution", "grids", ""]), _JSON,
                                max_size=1))
-def test_config_fuzz_fails_loudly_and_reproducibly(solution, figure, grid, precision, params,
-                                                   absent, unknown):
+def test_config_fuzz_fails_loudly_and_reproducibly(solution, figure, grid, params, absent,
+                                                   unknown):
     doc = {key: value for key, value in dict(solution=solution, figure=figure, grid=grid,
-                                             precision=precision, params=params).items()
+                                             params=params).items()
            if key not in absent}
     if isinstance(doc.get("figure"), str) and doc["figure"] in FIGURE_MAP:
         doc["grid"] = "-1:1:5,-1:1:4"     # a figure's own grid is figure-sized
@@ -511,6 +522,20 @@ def test_config_fuzz_fails_loudly_and_reproducibly(solution, figure, grid, preci
         rc, _, _ = _generate_twice(["--config", str(cfg)], "csv")
     # a field the schema does not name is a typo, never silently ignored
     assert rc == 2 or not unknown
+
+
+def test_every_option_in_the_readme_cli_section_is_accepted():
+    # an option documented under README's "## CLI" is one some subcommand
+    # (or kdnls itself) accepts, so a removed option cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    ap = cli.make_parser()
+    parsers = [ap, *(p for action in ap._actions if action.choices and action.dest == "command"
+                     for p in action.choices.values())]
+    accepted = {opt for p in parsers for action in p._actions for opt in action.option_strings}
+    assert {"--solution", "--grid", "--config", "--suite"} <= documented
+    assert documented <= accepted, sorted(documented - accepted)
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -641,18 +666,20 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
     assert meta["overflow_nodes"] == 0
 
 
-@pytest.mark.parametrize("precision", ["double", "extended"])
-def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision):
+@pytest.mark.parametrize("precision, eps", [("double", 1e-2), ("extended", 1e-7)])
+def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision, eps):
     # a = -1e300 puts eigenfunction constants beyond double's range: every
     # node is masked in either precision, and no RuntimeWarning (an error
     # under pyproject's filterwarnings, so exit 1) escapes the split.  A grid
-    # of masked nodes shows nothing: the job exits 2 naming the count
+    # of masked nodes shows nothing: the job exits 2 naming the count.  The
+    # order-1 radius rule picks the precision from eps
+    assert (eps < EXTENDED_EPS_RADIUS[1]) == (precision == "extended")
     out = tmp_path / "x.csv"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = run(["generate", "--solution", "engine-degenerate", "--param", "a=-1e300",
                   "--param", "lc_re=1", "--param", "lc_im=1", "--param", "theta_q=0",
-                  "--precision", precision, "--grid", "0:30:6,38:56:7",
+                  "--param", f"eps={eps!r}", "--grid", "0:30:6,38:56:7",
                   "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
     assert "all 42 nodes of engine-degenerate are masked" in err.getvalue()

@@ -664,7 +664,7 @@ def _engine_fields():
 
 
 def _fig9():
-    return build_field("rogue3", dict(S0=0.0, S1=500.0, S2=0.0, eps=4e-3), "double")
+    return build_field("rogue3", dict(S0=0.0, S1=500.0, S2=0.0, eps=4e-3))
 
 
 @pytest.mark.parametrize("f, window, shape, multi_block",
