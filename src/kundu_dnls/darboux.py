@@ -6,9 +6,12 @@ rescaling of a row cancels (gauge covariance).  They come in two pairs, each
 an unshifted matrix and its shifted twin, which differ in the leading column
 only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
 conjugate-reduced sets one pair follows from the other by conjugation, so
-only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing) spectral
-configurations are handled numerically with a small perturbation radius and,
-when that radius is tiny, extended-precision determinants.
+only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing)
+spectral configurations are evaluated at a small perturbation radius, or,
+below the radius where double would need extended precision, as the exact
+limit: the same determinants of Taylor-coefficient rows, in double
+(Guo, Ling & Liu, PRE 85, 026607 (2012); He et al., PRE 87, 052914 (2013)).
+Extended-precision determinants remain for explicit requests.
 """
 from __future__ import annotations
 
@@ -19,17 +22,17 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, Seed, _check_finite, branch_quantity, plane_wave_eigenfunction,
-                  zero_seed_eigenfunction)
+from .lax import (MP_DPS, ExpSum, Seed, _check_finite, at_critical, branch_quantity,
+                  plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
 from .numerics.doubledouble import DDComplexArray, dd_batched_det
 from .numerics.grid import thread_safe
 
 
-# degenerate_limit's automatic precision: extended below the order's radius.
+# degenerate_limit's automatic path: the exact limit below the order's radius.
 # The rule: double unless its rounding error (against extended) exceeds
-# ROUNDING_SHARE of the truncation error (against the eps -> 0 limit); each
+# ROUNDING_SHARE of the truncation error (against the exact limit); each
 # radius is where the table tests/precision_table.py prints crosses it.
 ROUNDING_SHARE = 0.1
 EXTENDED_EPS_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
@@ -126,8 +129,9 @@ class DTOutput:
     points: transformation poles (non-finite values) and pivot ratios above
     `DEFAULT_CONDITION_BOUND`.  Calling the output calls its `Q` attribute,
     so it serves wherever a field closure does, and rewrapping `Q` (as
-    instrumentation does) rewraps the call too.  `precision` is the
-    precision the determinants are evaluated in: "double" or "extended".
+    instrumentation does) rewraps the call too.  `precision` is what ran:
+    "double" or "extended" determinants of a finite-radius set, or "exact",
+    the double determinants of `exact_limit`.
     `evaluate` only reads the spectral data, so the closures are marked
     `thread_safe`, and so is the output as long as its Q is.
     """
@@ -258,19 +262,49 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
                 # before elimination
                 phis.clear()
                 vphs.clear()
-            if extended:
-                pair, ratios = dd_batched_det(M)
-                pair = pair.to_complex()
-            else:
-                pair, ratios = batched_det(M)
-            # column 0 was moved past the 2n - 1 others: a factor (-1)^(2n-1)
-            return -pair[0], -pair[1], ratios
+            return _eliminate(M)
 
-        main, main_shift, ratios = dets(False)
         if spectral_set.reduction:
-            return main, np.conj(main), main_shift, np.conj(main_shift), ratios
+            return _reduced_dets(*dets(False))
+        main, main_shift, ratios = dets(False)
         swapped, swapped_shift, _ = dets(True)
         return main, swapped, main_shift, swapped_shift, ratios
+
+
+def _eliminate(M):
+    """(det, shifted det, pivot ratios) of an `_omega_matrix` stack, complex
+    or double-double; column 0 was moved past the 2n - 1 others, a factor
+    (-1)^(2n-1)."""
+    if isinstance(M, DDComplexArray):
+        pair, ratios = dd_batched_det(M)
+        pair = pair.to_complex()
+    else:
+        pair, ratios = batched_det(M)
+    return -pair[0], -pair[1], ratios
+
+
+def _reduced_dets(main, main_shift, ratios):
+    """The five of `_omega_dets` on a reduced set, whose swapped pair is the
+    main pair's conjugate (the sign (-1)^n left out)."""
+    return main, np.conj(main), main_shift, np.conj(main_shift), ratios
+
+
+def _combine(seed: Seed, reduction: bool, dets, x, t):
+    """(Q, R, pivot ratio) at (x, t) from `_omega_dets`' five: the n-fold map
+    of the seed, NaN where the value is not finite or the ratio exceeds
+    `DEFAULT_CONDITION_BOUND`."""
+    main, swapped, main_shift, swapped_shift, ratios = dets
+    Q, eim, ra = _seed_terms(seed, x, t)
+    keep = ratios <= DEFAULT_CONDITION_BOUND
+    with np.errstate(all="ignore"):
+        main2, sw2 = main ** 2, swapped ** 2
+        q = (sw2 / main2) * Q + eim / ra * swapped * swapped_shift / main2
+        if reduction:
+            r = -np.conj(q)
+        else:
+            r = (main2 / sw2) * -np.conj(Q) - np.conj(eim) / ra * main * main_shift / sw2
+    return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
+            np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 
 
 def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
@@ -286,18 +320,8 @@ def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> 
     powers = _row_powers(spectral_set, precision)
 
     def evaluate(x, t):
-        main, swapped, main_shift, swapped_shift, ratios = _omega_dets(spectral_set, powers, x, t)
-        Q, eim, ra = _seed_terms(seed, x, t)
-        keep = ratios <= DEFAULT_CONDITION_BOUND
-        with np.errstate(all="ignore"):
-            main2, sw2 = main ** 2, swapped ** 2
-            q = (sw2 / main2) * Q + eim / ra * swapped * swapped_shift / main2
-            if spectral_set.reduction:
-                r = -np.conj(q)
-            else:
-                r = (main2 / sw2) * -np.conj(Q) - np.conj(eim) / ra * main * main_shift / sw2
-        return (np.where(np.isfinite(q) & keep, q, np.nan + 0j),
-                np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
+        return _combine(seed, spectral_set.reduction,
+                        _omega_dets(spectral_set, powers, x, t), x, t)
 
     return DTOutput(evaluate, precision)
 
@@ -334,11 +358,15 @@ class DegenerationSpec:
             raise ValueError("order must be 1, 2 or 3")
 
 
-def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
+def _check_split_phase(spec: DegenerationSpec, seed: Seed):
     # on the zero background the phase is 0, so the weights are (1, 1) exactly
     if not seed.c and (spec.S0, spec.S1, spec.S2) != (0, 0, 0):
         raise ValueError(f"the zero seed ignores the split phase S0, S1, S2 = {spec.S0}, "
                          f"{spec.S1}, {spec.S2}: it enters only on a plane wave")
+
+
+def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
+    _check_split_phase(spec, seed)
     lams, weights = [], []
     for off in offsets:
         eps_j = spec.epsilon * off
@@ -359,6 +387,143 @@ def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
     return build_reduced_set(lams, seed, weights)
 
 
+# ---------------------------------------------------------------------------
+# the exact limit: Taylor rows
+# ---------------------------------------------------------------------------
+
+def _mul(a, b):
+    """The product of two power series truncated to a's length."""
+    return np.convolve(a, b)[:len(a)]
+
+
+def _exp_series(f) -> list:
+    """exp(f - f[0]) of a power series, coefficients along f's first index
+    over any trailing shape, by g_m = sum_j (j/m) f_j g_(m-j)."""
+    jf = [j * fj for j, fj in enumerate(f)]
+    g = [np.ones_like(f[0])]
+    for m in range(1, len(f)):
+        g.append(sum(jf[j] * g[m - j] for j in range(1, m + 1)) / m)
+    return g
+
+
+def _sqrt_series(a):
+    """The principal square root of a power series with a nonzero constant."""
+    b = np.zeros_like(a)
+    b[0] = np.sqrt(a[0])
+    for m in range(1, len(a)):
+        b[m] = (a[m] - np.dot(b[1:m], b[m - 1:0:-1])) / (2 * b[0])
+    return b
+
+
+def _taylor_terms(spec: DegenerationSpec, seed: Seed):
+    """(d, Taylor orders, lam, terms) of the rows of `exact_limit`.
+
+    The rows are functions of z = lam/lambda_c - 1 = w^d, expanded in w.
+    Each component is a sum of terms c(w) exp(kx(w) x + kt(w) t): a term is
+    (0 for phi or 1 for varphi, c, kx, kt), each series, like lam(w), d k + 1
+    long for the highest order k.  At a critical lambda_c (`lax.at_critical`) the
+    order-0 row vanishes, as u-+(lambda_c) = 0, so the orders start at 1,
+    and s(lam) is odd in w = sqrt(z) (d = 2): the components' two branch
+    terms are T(w) and T(-w), whose even coefficients are T's doubled, so
+    T alone stands for both (the 2 is a row scaling).  Elsewhere d = 1 and
+    the orders start at 0.  The split phase S(z) enters the weights
+    exp(-+i s S), scaled together like `_degenerate_set`'s.
+    """
+    critical = at_critical(spec.lambda_c, seed)
+    d, k0 = (2, 1) if critical else (1, 0)
+    orders = np.arange(k0, k0 + spec.n)
+    size = d * orders[-1] + 2          # one more: s at d = 2 is w sqrt(rad / w^2)
+    one, z = (np.eye(1, size, k, dtype=complex)[0] for k in (0, d))
+    lam = complex(spec.lambda_c) * (one + z)
+    L = _mul(lam, lam)
+    if not seed.c:
+        kx, kt = -0.25j * L, 0.125j * _mul(L, L)
+        terms = [(0, one, kx, kt), (1, one, -kx, -kt)]
+        return d, orders, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
+    a, c = np.float64(seed.k - 1), np.float64(seed.C)    # overflows quietly, to inf
+    rad = _mul(L, L) - 4 * (a + 1 + c * c) * L + 4 * (a + 1) ** 2 * one
+    if critical:
+        s = np.zeros(size, dtype=complex)
+        s[1:-1] = _sqrt_series(rad[2:])    # rad's constant is zero to within rounding
+    else:
+        s = _sqrt_series(rad)
+    inv_lam = np.zeros(size, dtype=complex)
+    inv_lam[::d] = (-1.0) ** np.arange(len(inv_lam[::d])) / complex(spec.lambda_c)
+    sx, st = -s / 4, _mul(s, L + (2 * a + 2 + 2 * c * c) * one) / 8
+    px, pt = (a + 1) / 2 * one, -(a + 1) * (a + 1 + c * c) / 2 * one
+    u_m, u_p = (one + _mul((2 + 2 * a) * one - L + sign * s, inv_lam) / (2 * c)
+                for sign in (-1, 1))
+    sS = _mul(s, spec.S0 * one + spec.S1 * z + spec.S2 * _mul(z, z))
+    e0 = -1j * sS[0]
+    W1, W2 = (np.exp(sign * e0 - abs(e0.real)) * np.array(_exp_series(sign * -1j * sS))
+              for sign in (1, -1))
+    terms = [(0, _mul(W1, u_m), 1j * (sx - px), 1j * (st - pt)),
+             (1, _mul(W1, u_p), 1j * (sx + px), 1j * (st + pt))]
+    if not critical:
+        terms += [(0, _mul(W2, u_p), 1j * (-sx - px), 1j * (-st - pt)),
+                  (1, _mul(W2, u_m), 1j * (px - sx), 1j * (pt - st))]
+    return d, orders, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
+
+
+def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
+    """The eps -> 0 limit of `degenerate_limit`, evaluated in double; the
+    spec's epsilon does not enter.
+
+    Each representative's n rows are the Taylor coefficients of orders k0
+    .. k0 + n - 1 of its row, lam^p times phi or varphi, in z = lam/lambda_c
+    - 1, and each partner row is the conjugate with phi and varphi
+    exchanged (see `_taylor_terms`).  A term c(w) exp(kx(w) x + kt(w) t)
+    contributes exp(kx_0 x + kt_0 t), evaluated as an `ExpSum`, times the
+    series of exp((kx - kx_0) x + (kt - kt_0) t), whose coefficient of w^m
+    is a polynomial of degree m in (x, t), contracted with the constant
+    series of lam^p c.  The finite-eps determinants' common factor, a
+    Vandermonde determinant in the offsets eps omega_j times its conjugate
+    and a power of eps, is real and positive and cancels from Q, as every
+    row scaling does; the four determinants, the pair elimination, the
+    combine and the pivot mask are `n_fold`'s.
+    """
+    _check_split_phase(spec, seed)
+    lc = complex(spec.lambda_c)
+    if lc.real == 0.0 or lc.imag == 0.0:
+        raise ValueError(f"lambda_c {lc} on an axis collapses its conjugate pair")
+    n, m = spec.n, 2 * spec.n
+    order = [*range(m - 2, -1, -1), m - 1, m]
+    with np.errstate(all="ignore"):
+        d, orders, lam, terms = _taylor_terms(spec, seed)
+        rows = []
+        for f, c, kx, kt in terms:
+            # K[p, i, j]: the coefficient of w^(d k_i - j) in lam^p c, at column power p
+            powers = [c]
+            for _ in range(m):
+                powers.append(_mul(powers[-1], lam))
+            lag = d * orders[:, None] - np.arange(len(c))
+            K = np.where(lag >= 0, np.array(powers)[:, np.maximum(lag, 0)], 0)
+            rows.append((f, K[order], kx, kt, ExpSum([(1, kx[0], kt[0])])))
+        # each order's largest coefficient 1: a row scaling, which cancels, but
+        # a split phase's powers (S2 = 1e12 gives 1e12 at order 3) would
+        # otherwise set the pivot ratio
+        scale = np.max([np.abs(row[1]).max(axis=(0, 2)) for row in rows], axis=0)
+        rows = [(f, K / scale[:, None], *rest) for f, K, *rest in rows]
+
+    def evaluate(x, t):
+        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        with np.errstate(all="ignore"):
+            table = np.zeros((2, m + 1, n) + shape, dtype=complex)
+            for f, K, kx, kt, base in rows:
+                g = _exp_series([np.zeros(shape), *(kx[j] * x + kt[j] * t
+                                                    for j in range(1, len(kx)))])
+                table[f] += np.tensordot(K, np.array(g) * base(x, t), axes=1)
+            M = np.empty((m, m + 1) + shape, dtype=complex)
+            odd = (np.array(order) % 2 == 1).reshape((-1, 1) + (1,) * len(shape))
+            M[:n] = np.moveaxis(np.where(odd, table[1], table[0]), 0, 1)
+            M[n:] = np.moveaxis(np.where(odd, table[0], table[1]), 0, 1).conj()
+            dets = _reduced_dets(*_eliminate(np.moveaxis(M, (0, 1), (-2, -1))))
+        return _combine(seed, True, dets, x, t)
+
+    return DTOutput(evaluate, "exact")
+
+
 def degenerate_limit(spec: DegenerationSpec, seed: Seed,
                      precision: Optional[str] = None) -> DTOutput:
     """Coalescing-eigenvalue approximation of the order-n degenerate solution.
@@ -368,11 +533,16 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
     leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
     root-of-unity symmetry already cancels the linear term.  Without a
-    precision, radii below the order's `EXTENDED_EPS_RADIUS` run extended,
-    others double; the output's `precision` records the one used.
+    precision, a radius below the order's `EXTENDED_EPS_RADIUS`, where double
+    would need extended, gives the limit itself (`exact_limit`, precision
+    "exact"), and any other runs double.  An explicit "double" or "extended"
+    evaluates the finite-radius field in that precision at any radius.  The
+    output's `precision` records what ran.
     """
     if precision is None:
-        precision = "extended" if spec.epsilon < EXTENDED_EPS_RADIUS[spec.n] else "double"
+        if spec.epsilon < EXTENDED_EPS_RADIUS[spec.n]:
+            return exact_limit(spec, seed)
+        precision = "double"
     offsets = _default_offsets(spec.n)
     main = n_fold(_degenerate_set(spec, seed, offsets), seed, precision=precision)
     if spec.n > 1:

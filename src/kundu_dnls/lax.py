@@ -230,6 +230,21 @@ def branch_quantity(lam: complex, seed: Seed):
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
+def at_critical(lam: complex, seed: Seed) -> bool:
+    """Whether lam zeroes the radicand s(lam)^2 to within its rounding: its
+    magnitude at most 16 ulp of the sum of its terms' magnitudes, which
+    admits `critical_eigenvalue` and its neighbours a few ulp away.  The zero
+    background has no critical eigenvalue."""
+    if not seed.c:
+        return False
+    a, c = np.float64(seed.k - 1), np.float64(seed.C)
+    with np.errstate(all="ignore"):
+        lam2 = np.complex128(lam) ** 2
+        size = sum(map(abs, (4 * a * a, 4 * a * lam2, 8 * a, lam2 * lam2, 4 * lam2, 4,
+                             4 * lam2 * c * c)))
+        return bool(abs(_radicand(lam2, a, c)) <= 16 * np.finfo(float).eps * size)
+
+
 def critical_eigenvalue(seed: Seed) -> complex:
     """The first-quadrant zero of s(lam), where the breather turns into the
     rogue wave.  The radicand vanishes at lam^2 = 2(k+C^2) +- 2C

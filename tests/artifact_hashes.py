@@ -3,8 +3,9 @@
 The jobs are every mapped figure (`cli.FIGURE_MAP`) as pgm, csv and json,
 and Darboux-engine jobs on the zero background (a, c) = (0, 0) and on the
 plane wave (a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
-`engine-degenerate` at n = 2 and at n = 3 with eps = 1e-4, which runs in
-extended precision, each as csv and as json with the complex parts, all
+`engine-degenerate` at n = 2 and at n = 3 with eps = 1e-4, which is below
+order 3's extended radius and so the exact limit, each as csv and as json
+with the complex parts, all
 with a non-default coupling and gauge.  On the plane wave,
 `engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together
 with its `.meta.json` sidecar, one line each: `<sha256>  <file name>`.
@@ -69,8 +70,8 @@ def jobs() -> dict[str, list[str]]:
         base = _params(lc_re=0.8, lc_im=0.8) if seed == "zero" else []
         engine[f"degenerate-{seed}-n2"] = ["--solution", "engine-degenerate", *base,
                                            *_params(n=2)]
-        engine[f"degenerate-{seed}-n3-extended"] = ["--solution", "engine-degenerate", *base,
-                                                    *_params(n=3, eps=1e-4)]
+        engine[f"degenerate-{seed}-n3-exact"] = ["--solution", "engine-degenerate", *base,
+                                                 *_params(n=3, eps=1e-4)]
         for name, args in engine.items():
             args += [*_params(**wave, **ENGINE_PARAMS), "--grid", ENGINE_GRID]
             out[f"{name}.csv"] = [*args, "--format", "csv"]

@@ -8,14 +8,14 @@ prints one row per window, order and radius eps in 1e-1 .. 1e-7, of
 - rounding: max |I_double - I_extended| over the window's lattice, where I
   is |Q|^2 of `degenerate_limit` in that precision;
 - truncation: max |I_extended - I_0|, the finite-eps error against the
-  eps -> 0 limit I_0: the closed form where the catalog has one (`rogue1`,
-  `rogue2`, `one_soliton`, `positon`), otherwise the Richardson
-  extrapolation of extended runs at eps and eps/2, with the convergence
-  order p measured from a third run at eps/4;
+  eps -> 0 limit I_0, `darboux.exact_limit` (which matches the catalog's
+  closed forms `rogue1`, `rogue2`, `one_soliton` and `positon` to about
+  1e-15 of their peak);
 - their ratio, against `darboux.ROUNDING_SHARE`: double serves a radius
   while rounding stays within that share of truncation.
 
-A lattice node masked in either precision is reported instead of a ratio.
+A lattice node masked in either precision or in the limit is reported
+instead of a ratio.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from kundu_dnls import catalog
 from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, ROUNDING_SHARE, DegenerationSpec,
-                                degenerate_limit)
+                                degenerate_limit, exact_limit)
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed
 from kundu_dnls.numerics.grid import intensity
 
@@ -40,14 +39,14 @@ EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e
 @dataclass
 class Window:
     """A square lattice on [-half, half]^2 (`nodes` per axis, or the table's
-    count) with its seed, critical eigenvalue, split phase, and the
-    closed-form limit of each order it covers (None: Richardson)."""
+    count) with its seed, critical eigenvalue, split phase, and the orders
+    it covers."""
 
     name: str
     seed: object
     lambda_c: complex
     half: float
-    limits: dict
+    orders: tuple
     S1: float = 0.0
     S2: float = 0.0
     nodes: Optional[int] = None
@@ -57,42 +56,34 @@ class Window:
         return np.meshgrid(axis, axis, indexing="ij")
 
     def intensity(self, n: int, eps: float, precision: str, X, T) -> np.ndarray:
+        """|Q|^2 of `degenerate_limit` in that precision, or of the exact limit."""
         spec = DegenerationSpec(self.lambda_c, eps, n, S1=self.S1, S2=self.S2)
-        return intensity(degenerate_limit(spec, self.seed, precision=precision).Q(X, T))
+        out = (exact_limit(spec, self.seed) if precision == "exact"
+               else degenerate_limit(spec, self.seed, precision=precision))
+        return intensity(out.Q(X, T))
 
 
-ROGUES = {1: catalog.rogue1, 2: catalog.rogue2, 3: None}
 # the coalescence benchmark's window around the rogue centre (11 x 11), fig8's
 # unsplit window, the split figure windows at their own orders and phases,
 # and the zero seed at the positon's eigenvalue
 WINDOWS = {w.name: w for w in (
-    Window("coalescence", PLANE, 1 + 1j, 1.0, ROGUES, nodes=11),
-    Window("fig8", PLANE, 1 + 1j, 6.0, ROGUES),
-    Window("fig7", PLANE, 1 + 1j, 30.0, {2: None}, S1=500.0),
-    Window("fig9", PLANE, 1 + 1j, 40.0, {3: None}, S1=500.0),
-    Window("fig10", PLANE, 1 + 1j, 25.0, {3: None}, S2=1000.0),
-    Window("zero", ZERO, 0.8 + 0.8j, 10.0, {1: lambda: catalog.one_soliton(0.8, 0.8),
-                                           2: lambda: catalog.positon(0.8, 0.8), 3: None}),
+    Window("coalescence", PLANE, 1 + 1j, 1.0, (1, 2, 3), nodes=11),
+    Window("fig8", PLANE, 1 + 1j, 6.0, (1, 2, 3)),
+    Window("fig7", PLANE, 1 + 1j, 30.0, (2,), S1=500.0),
+    Window("fig9", PLANE, 1 + 1j, 40.0, (3,), S1=500.0),
+    Window("fig10", PLANE, 1 + 1j, 25.0, (3,), S2=1000.0),
+    Window("zero", ZERO, 0.8 + 0.8j, 10.0, (1, 2, 3)),
 )}
 
 
 def measure(window: Window, n: int, eps: float, nodes: int = 41) -> dict:
-    """One row: rounding, truncation, their ratio, the measured order p
-    (Richardson rows only) and the masked node count of either precision."""
+    """One row: rounding, truncation, their ratio and the count of nodes
+    masked in either precision or in the limit."""
     X, T = window.lattice(nodes)
-    Ie = window.intensity(n, eps, "extended", X, T)
-    Id = window.intensity(n, eps, "double", X, T)
-    row = {"window": window.name, "n": n, "eps": eps, "p": None,
-           "masked": int(np.sum(~np.isfinite(Ie) | ~np.isfinite(Id)))}
-    limit = window.limits[n]
-    if limit is not None:
-        I0 = intensity(limit().eval(X, T))
-    else:
-        Ih = window.intensity(n, eps / 2, "extended", X, T)
-        Iq = window.intensity(n, eps / 4, "extended", X, T)
-        d1, d2 = np.max(np.abs(Ie - Ih)), np.max(np.abs(Ih - Iq))
-        row["p"] = p = math.log2(d1 / d2) if d1 > 0 and d2 > 0 else math.nan
-        I0 = Ih + (Ih - Ie) / (2.0 ** p - 1.0)
+    Ie, Id, I0 = (window.intensity(n, eps, precision, X, T)
+                  for precision in ("extended", "double", "exact"))
+    row = {"window": window.name, "n": n, "eps": eps,
+           "masked": int(np.sum(~np.isfinite(Ie) | ~np.isfinite(Id) | ~np.isfinite(I0)))}
     row["rounding"] = float(np.max(np.abs(Id - Ie)))
     row["truncation"] = float(np.max(np.abs(Ie - I0)))
     row["ratio"] = row["rounding"] / row["truncation"] if row["truncation"] > 0 else math.inf
@@ -100,12 +91,8 @@ def measure(window: Window, n: int, eps: float, nodes: int = 41) -> dict:
 
 
 def resolved(row: dict) -> bool:
-    """Whether the row measures both errors: no masked node, and a Richardson
-    ladder that contracts at least linearly (p >= 1).  Far from the limit the
-    ladder is not yet asymptotic, and on a split window at tiny eps the
-    extended runs themselves stop converging (likely from their split-phase
-    weights, which are rounded to double)."""
-    return row["masked"] == 0 and (row["p"] is None or row["p"] >= 1.0)
+    """Whether the row measures both errors: no masked node."""
+    return row["masked"] == 0
 
 
 def double_serves(row: dict) -> bool:
@@ -117,7 +104,7 @@ def double_serves(row: dict) -> bool:
 def table(nodes: int = 41, epsilons=EPSILONS, orders=(1, 2, 3)):
     """The rows of every window at each of its orders among `orders`."""
     for window in WINDOWS.values():
-        for n in sorted(set(window.limits) & set(orders)):
+        for n in sorted(set(window.orders) & set(orders)):
             for eps in epsilons:
                 yield measure(window, n, eps, nodes)
 
@@ -150,12 +137,11 @@ def radius(n: int, coarse: list, nodes: int = 41):
 
 
 def _line(r: dict) -> str:
-    p = "" if r["p"] is None else f"{r['p']:.2f}"
     ratio = f"{r['masked']} masked" if r["masked"] else f"{r['ratio']:.2e}"
     verdict = ("unresolved" if not resolved(r)
                else "double serves" if double_serves(r) else "over the share")
     return (f"{r['window']:<12} {r['n']:>1} {r['eps']:>7.1e} {r['rounding']:>9.2e} "
-            f"{r['truncation']:>10.2e} {ratio:>10} {p:>5}  {verdict}")
+            f"{r['truncation']:>10.2e} {ratio:>10}  {verdict}")
 
 
 def main(argv=None) -> None:
@@ -165,7 +151,7 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     print(f"rule: double unless rounding > {ROUNDING_SHARE} x truncation")
     header = (f"{'window':<12} {'n':>1} {'eps':>7} {'rounding':>9} {'truncation':>10} "
-              f"{'ratio':>10} {'p':>5}  verdict")
+              f"{'ratio':>10}  verdict")
     print(header)
     coarse = []
     for r in table(args.nodes):

@@ -399,16 +399,17 @@ def test_closed_form_constructor_is_looked_up_when_built(monkeypatch, solution):
 
 def _at_radius(n):
     """engine-degenerate of order n at its extended radius, which runs double,
-    and at the next double below it, which runs extended."""
+    and at the next double below it, which is the exact limit."""
     radius = EXTENDED_EPS_RADIUS[n]
-    for eps, used in ((radius, "double"), (math.nextafter(radius, 0), "extended")):
+    for eps, used in ((radius, "double"), (math.nextafter(radius, 0), "exact")):
         yield pytest.param(["--solution", "engine-degenerate", "--param", f"n={n}",
                             "--param", f"eps={eps!r}"], used, id=f"n{n}-{used}")
 
 
 @pytest.mark.parametrize("argv, used", [
-    # a split rogue2 runs the engine, and eps 1e-5 is below order 2's extended radius
-    (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "extended"),
+    # a split rogue2 runs the engine, and eps 1e-5 is below order 2's extended
+    # radius: the exact limit
+    (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "exact"),
     # an unsplit rogue2 is the closed form
     (["--solution", "rogue2"], "double"),
     (["--solution", "rogue3"], "double"),
@@ -420,6 +421,56 @@ def test_sidecar_records_the_precision_used(tmp_path, argv, used):
     assert run(["generate", *argv, "--grid", "-1:1:3,-1:1:3", "--output", str(out),
                 "--quiet"]) == 0
     assert json.loads((tmp_path / "x.csv.meta.json").read_text())["precision_used"] == used
+
+
+def test_no_automatic_path_enters_double_double(monkeypatch):
+    # every field the CLI, the gate and the figures build, the engine at and
+    # just below each order's radius, and split rogue waves at a tiny eps,
+    # each sampled on a coarse version of its grid
+    from kundu_dnls import darboux
+    from kundu_dnls.lax import ExpSum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("double-double entered")
+    monkeypatch.setattr(darboux, "dd_batched_det", refuse)
+    monkeypatch.setattr(ExpSum, "dd_each", staticmethod(refuse))
+    jobs = [*FIGURE_MAP.values(), *acceptance.PATTERN_CONFIGS.values()]
+    for n, radius in EXTENDED_EPS_RADIUS.items():
+        for eps in (radius, math.nextafter(radius, 0)):
+            jobs.append(("engine-degenerate", {"n": n, "eps": eps}, "-2:2:5,-2:2:5"))
+    for solution in ("rogue2", "rogue3"):
+        jobs.append((solution, {"S1": 30.0, "eps": 1e-5}, "-2:2:5,-2:2:5"))
+    for solution, params, grid_spec in jobs:
+        g = parse_grid(grid_spec)
+        coarse = Grid2D(g.x_min, g.x_max, g.t_min, g.t_max, 9, 7)
+        fld = sample(cli.build_field(solution, cli.resolve_params(solution, dict(params))),
+                     coarse)
+        assert not fld.invalid.any(), (solution, params)
+    assert acceptance.check_degeneration_convergence().passed
+
+
+@pytest.mark.parametrize("params", [
+    {"solution": "rogue3", "S1": 1e6}, {"solution": "rogue3", "S2": 1e12},
+    {"solution": "engine-degenerate", "n": 3, "lc_re": math.nextafter(1.0, 2.0), "lc_im": 1.0},
+    {"solution": "engine-degenerate", "n": 1, "a": -1e300, "lc_re": 1.0, "lc_im": 1.0},
+], ids=["S1=1e6", "S2=1e12", "lc-one-ulp-off", "a=-1e300"])
+def test_exact_limit_at_extreme_parameters_is_finite_or_counted(tmp_path, params):
+    # below the radius: finite nodes (with the masked ones counted), or every
+    # node masked and exit 2; never a warning (exit 1) or an all-NaN exit 0
+    params = dict(params)
+    argv = ["generate", "--solution", params.pop("solution"), "--param", "eps=1e-7",
+            *(a for k, v in params.items() for a in ("--param", f"{k}={v!r}")),
+            "--grid", "-1:1:9,-1:1:7", "--output", str(tmp_path / "x.csv"), "--quiet"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert rc in (0, 2), err.getvalue()
+    if rc == 2:
+        assert "all 63 nodes of" in err.getvalue()
+        return
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    nan_rows = (tmp_path / "x.csv").read_text().count('"nan"') // 2
+    assert meta["precision_used"] == "exact" and meta["masked_nodes"] == nan_rows < 63
 
 
 @pytest.mark.parametrize("solution", sorted(cli.SOLUTIONS))
@@ -666,14 +717,14 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
     assert meta["overflow_nodes"] == 0
 
 
-@pytest.mark.parametrize("precision, eps", [("double", 1e-2), ("extended", 1e-7)])
+@pytest.mark.parametrize("precision, eps", [("double", 1e-2), ("exact", 1e-7)])
 def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision, eps):
     # a = -1e300 puts eigenfunction constants beyond double's range: every
-    # node is masked in either precision, and no RuntimeWarning (an error
-    # under pyproject's filterwarnings, so exit 1) escapes the split.  A grid
-    # of masked nodes shows nothing: the job exits 2 naming the count.  The
-    # order-1 radius rule picks the precision from eps
-    assert (eps < EXTENDED_EPS_RADIUS[1]) == (precision == "extended")
+    # node is masked on either path, and no RuntimeWarning (an error under
+    # pyproject's filterwarnings, so exit 1) escapes the split or the Taylor
+    # series.  A grid of masked nodes shows nothing: the job exits 2 naming
+    # the count.  The order-1 radius rule picks the path from eps
+    assert (eps < EXTENDED_EPS_RADIUS[1]) == (precision == "exact")
     out = tmp_path / "x.csv"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

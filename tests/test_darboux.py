@@ -7,7 +7,8 @@ import pytest
 import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, DegenerationSpec, SpectralSet,
-                                _scaled_weights, build_reduced_set, degenerate_limit, n_fold)
+                                _scaled_weights, build_reduced_set, degenerate_limit,
+                                exact_limit, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
@@ -155,14 +156,15 @@ def test_reduction_symmetry_companion_field():
 
 
 def test_reduced_r_is_exactly_minus_conj_q():
-    # a reduced set's R is -conj(Q) bit for bit, in both precisions and
-    # through the n = 1 average of `degenerate_limit`
+    # a reduced set's R is -conj(Q) bit for bit, in both precisions, through
+    # the n = 1 average of `degenerate_limit`, and in the exact limit
     X, T = grid_pts(8, -2, 2, seed=3).T
     sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
     for out in (n_fold(sset, SEEDP), n_fold(sset, SEEDP, precision="extended"),
                 degenerate_limit(spec, SEEDP, precision="double"),
-                degenerate_limit(spec, SEEDP, precision="extended")):
+                degenerate_limit(spec, SEEDP, precision="extended"),
+                exact_limit(DegenerationSpec(1 + 1j, 1e-3, 3), SEEDP)):
         q, r, _ = out.evaluate(X, T)
         assert np.all(np.isfinite(q))
         assert r.tobytes() == (-np.conj(q)).tobytes()
@@ -637,7 +639,8 @@ def test_extended_path_mpmath_work_does_not_grow_with_the_block(monkeypatch):
     for shape in ((2, 2), (40, 30)):
         values.clear()
         spec = DegenerationSpec(1 + 1j, 1e-4, 3)
-        kd.sample(degenerate_limit(spec, SEEDP).Q, kd.Grid2D(-1, 1, -1, 1, *shape))
+        kd.sample(degenerate_limit(spec, SEEDP, precision="extended").Q,
+                  kd.Grid2D(-1, 1, -1, 1, *shape))
         per_block.append(sum(values))
     assert per_block[0] == per_block[1] > 0
 
@@ -756,30 +759,28 @@ def test_split_weights_produce_three_humps():
     assert all(h > 4.0 for _, _, h in ps.structures)
 
 
-def test_degenerate_limit_engages_extended_automatically():
-    # per order, extended just below its radius and double at and just above
-    # it; an explicit precision wins on either side
-    captured = {}
+def test_degenerate_limit_engages_the_exact_limit_automatically(monkeypatch):
+    # per order, the exact limit just below its radius, with no n-fold field,
+    # and double at and just above it; an explicit precision wins on either side
     import kundu_dnls.darboux as dx
-    orig = dx.n_fold
+    orig, captured = dx.n_fold, []
 
     def spy(sset, seed, precision="double"):
-        captured["precision"] = precision
+        captured.append(precision)
         return orig(sset, seed, precision=precision)
 
-    dx.n_fold = spy
-    try:
-        for n, radius in dx.EXTENDED_EPS_RADIUS.items():
-            for eps, given, used in ((0.99 * radius, None, "extended"),
-                                     (radius, None, "double"), (1.01 * radius, None, "double"),
-                                     (0.99 * radius, "double", "double"),
-                                     (1.01 * radius, "extended", "extended")):
-                spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n)
-                out = degenerate_limit(spec, SEEDP, precision=given)
-                out.Q(0.0, 0.0)
-                assert captured["precision"] == out.precision == used, (n, eps, given)
-    finally:
-        dx.n_fold = orig
+    monkeypatch.setattr(dx, "n_fold", spy)
+    for n, radius in dx.EXTENDED_EPS_RADIUS.items():
+        for eps, given, used in ((0.99 * radius, None, "exact"),
+                                 (radius, None, "double"), (1.01 * radius, None, "double"),
+                                 (0.99 * radius, "double", "double"),
+                                 (0.99 * radius, "extended", "extended"),
+                                 (1.01 * radius, "extended", "extended")):
+            captured.clear()
+            spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n)
+            out = degenerate_limit(spec, SEEDP, precision=given)
+            assert np.isfinite(out.Q(0.0, 0.0)) and out.precision == used, (n, eps, given)
+            assert captured == ([] if used == "exact" else [used] * (1 if n > 1 else 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -792,6 +793,85 @@ def test_precision_table_keeps_its_coarse_shape(n):
     above, below = (precision_table.measure(window, n, eps) for eps in (3 * radius, radius / 10))
     assert precision_table.resolved(above) and precision_table.double_serves(above), above
     assert precision_table.resolved(below) and not precision_table.double_serves(below), below
+
+
+# ---------------------------------------------------------------------------
+# the exact limit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, lambda_c, n, closed, half", [
+    (SEEDP, 1 + 1j, 1, catalog.rogue1, 4.0),
+    (SEEDP, 1 + 1j, 2, catalog.rogue2, 4.0),
+    (SEED0, 0.8 + 0.8j, 2, lambda: catalog.positon(0.8, 0.8), 10.0),
+], ids=["rogue1", "rogue2", "positon"])
+def test_exact_limit_matches_the_closed_forms(seed, lambda_c, n, closed, half):
+    g = kd.Grid2D(-half, half, -half, half, 41, 41)
+    got = kd.sample(exact_limit(DegenerationSpec(lambda_c, 1e-3, n), seed).Q, g)
+    want = kd.sample(closed().eval, g)
+    assert not got.invalid.any()
+    I, Ic = np.abs(got.values) ** 2, np.abs(want.values) ** 2
+    assert np.max(np.abs(I - Ic)) <= 1e-10 * np.max(Ic)
+
+
+def test_exact_limit_of_order_three_has_crest_49():
+    # and its epsilon does not enter
+    for eps in (1e-3, 1e-7):
+        q = exact_limit(DegenerationSpec(1 + 1j, eps, 3), SEEDP).Q(0.0, 0.0)
+        assert abs(abs(complex(q)) ** 2 - 49.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n, S1, errors", [
+    (2, 0.0, (1.37e-4, 1.37e-6)), (3, 0.0, (1.16e-6, 1.16e-9)), (2, 2.0, (2.99e-3, 2.99e-5))])
+def test_extended_converges_to_the_exact_limit_at_its_order(n, S1, errors):
+    # |Q_eps - Q_0| at one node, eps = 1e-2 then 1e-3: order 2, or 3 at n = 3
+    limit = complex(exact_limit(DegenerationSpec(1 + 1j, 1e-3, n, S1=S1), SEEDP).Q(0.3, -0.2))
+    for eps, want in zip((1e-2, 1e-3), errors):
+        spec = DegenerationSpec(1 + 1j, eps, n, S1=S1)
+        got = complex(degenerate_limit(spec, SEEDP, precision="extended").Q(0.3, -0.2))
+        assert abs(got - limit) == pytest.approx(want, rel=5e-3), eps
+
+
+@pytest.mark.parametrize("seed, lambda_c", [(SEEDP, 0.6 + 1.3j), (SEEDP, 0.5 + 0.5j),
+                                            (SEED0, 0.8 + 0.8j)],
+                         ids=["planewave-a", "planewave-b", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_limit_off_the_critical_point_is_the_coalescence_limit(seed, lambda_c, n):
+    # off a critical eigenvalue the Taylor orders start at 0 and both branch
+    # terms enter: the finite-radius field converges to the limit
+    X, T = grid_pts(6, -2, 2, seed=7).T
+    limit = exact_limit(DegenerationSpec(lambda_c, 1e-3, n), seed).Q(X, T)
+    err = [np.max(np.abs(degenerate_limit(DegenerationSpec(lambda_c, eps, n), seed,
+                                          precision="extended").Q(X, T) - limit))
+           for eps in (1e-2, 1e-3)]
+    assert 0 < err[1] <= err[0] / 50, err
+
+
+def test_the_critical_point_is_a_zero_of_the_radicand_within_its_rounding():
+    # the rule that starts the Taylor orders at 1: |s(lam)^2| within 16 ulp of
+    # its terms' magnitudes.  A seed's critical eigenvalue and its one-ulp
+    # neighbours pass, and give the same field; 1e-9 away is not critical
+    from kundu_dnls.lax import at_critical
+    for frame in _FAMILY[:3] + [(-2.0, 1.0, 1.0, 1.0, 1.0)]:
+        seed = make_plane_wave_seed(*frame)
+        lc = kd.critical_eigenvalue(seed)
+        near = [complex(np.nextafter(lc.real, 9), lc.imag),
+                complex(lc.real, np.nextafter(lc.imag, -9))]
+        assert at_critical(lc, seed) and all(at_critical(lam, seed) for lam in near)
+        assert not at_critical(lc * (1 + 1e-9), seed)
+        assert not at_critical(lc, zero_seed())
+        X, T = grid_pts(5, -1, 1, seed=2).T
+        want = exact_limit(DegenerationSpec(lc, 1e-3, 3), seed).Q(X, T)
+        for lam in near:
+            got = exact_limit(DegenerationSpec(lam, 1e-3, 3), seed).Q(X, T)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_exact_limit_refuses_what_the_finite_radius_refuses():
+    with pytest.raises(ValueError, match="split phase"):
+        exact_limit(DegenerationSpec(0.8 + 0.8j, 1e-3, 2, S1=1.0), SEED0)
+    for lc in (1.0 + 0j, 1j):
+        with pytest.raises(ValueError, match="axis"):
+            exact_limit(DegenerationSpec(lc, 1e-3, 3), SEEDP)
 
 
 def test_engine_respects_general_gauge_and_coupling():
@@ -861,6 +941,17 @@ def test_rogue_waves_at_the_seed_critical_eigenvalue_solve_the_equation(frame, n
     # the crest of the order-n rogue wave, (2n + 1)^2 c^2, sits at the origin
     crest = abs(complex(out.Q(0.0, 0.0))) ** 2
     assert crest == pytest.approx((2 * n + 1) ** 2 * frame[1] ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("frame", _FAMILY[:3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_limit_solves_the_equation(frame, n):
+    # no eps, so no residual floor, at n = 1 too
+    from kundu_dnls.verify import ConventionVariant, pde_residual
+    seed = make_plane_wave_seed(*frame)
+    out = exact_limit(DegenerationSpec(kd.critical_eigenvalue(seed), 1e-3, n), seed)
+    rep = pde_residual(out.Q, seed, ConventionVariant(), _FAMILY_WINDOW, 2)
+    assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
 
 
 def test_gauge_moves_only_the_phase():
