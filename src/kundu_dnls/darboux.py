@@ -7,11 +7,10 @@ an unshifted matrix and its shifted twin, which differ in the leading column
 only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
 conjugate-reduced sets one pair follows from the other by conjugation, so
 only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing)
-spectral configurations are evaluated at a small perturbation radius, or,
-below the radius where double would need extended precision, as the exact
-limit: the same determinants of Taylor-coefficient rows, in double
-(Guo, Ling & Liu, PRE 85, 026607 (2012); He et al., PRE 87, 052914 (2013)).
-Extended-precision determinants remain for explicit requests.
+configurations are evaluated at a small perturbation radius or, below the
+radius where double would need extended precision, as the exact limit of
+Taylor-coefficient rows (Guo, Ling & Liu, PRE 85, 026607 (2012); He et al.,
+PRE 87, 052914 (2013)); extended determinants remain for explicit requests.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, ExpSum, Seed, _check_finite, at_critical, branch_quantity,
+from .lax import (MP_DPS, ExpSum, Seed, _check_finite, branch_quantity, nearest_branch_point,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
@@ -37,6 +36,10 @@ from .numerics.grid import thread_safe
 ROUNDING_SHARE = 0.1
 EXTENDED_EPS_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
 DEFAULT_CONDITION_BOUND = 1e12
+# exact_limit expands at a branch point lam* when |lambda_c/lam* - 1| < NEAR_BRANCH_POINT,
+# where terms at lambda_c cancel as its (1/2 - n)-th power; B's powers stop at RECENTRING_TAIL
+NEAR_BRANCH_POINT = 2e-2
+RECENTRING_TAIL = 1e-24
 
 
 @dataclass
@@ -130,8 +133,7 @@ class DTOutput:
     `DEFAULT_CONDITION_BOUND`.  Calling the output calls its `Q` attribute,
     so it serves wherever a field closure does, and rewrapping `Q` (as
     instrumentation does) rewraps the call too.  `precision` is what ran:
-    "double" or "extended" determinants of a finite-radius set, or "exact",
-    the double determinants of `exact_limit`.
+    "double" or "extended" finite-radius determinants, or "exact" (`exact_limit`).
     `evaluate` only reads the spectral data, so the closures are marked
     `thread_safe`, and so is the output as long as its Q is.
     """
@@ -409,37 +411,50 @@ def _exp_series(f) -> list:
 def _sqrt_series(a):
     """The principal square root of a power series with a nonzero constant."""
     b = np.zeros_like(a)
-    b[0] = np.sqrt(a[0])
+    b[:1] = np.sqrt(a[:1])
     for m in range(1, len(a)):
         b[m] = (a[m] - np.dot(b[1:m], b[m - 1:0:-1])) / (2 * b[0])
     return b
 
 
-def _taylor_terms(spec: DegenerationSpec, seed: Seed):
-    """(d, Taylor orders, lam, terms) of the rows of `exact_limit`.
+def _recentring(n: int, k0: int, zeta0: complex):
+    """(orders, B): Taylor orders k0 .. K at a branch point, and B spanning
+    the orders 0 .. n - 1 at zeta0, sum_k C(k, j) zeta0^(k - j) G_k (G_0 = 0
+    if k0 = 1), as [I | M zeta0^(k - k0 - i)], M = P_lead^-1 P_tail, P_jk =
+    C(k, j): no cancellation.  A few-ulp zeta0 is lam*'s rounding: B = I."""
+    if abs(zeta0) <= 4 * np.finfo(float).eps:
+        return np.arange(k0, k0 + n), np.eye(n)
+    orders = np.arange(k0, k0 + n + math.ceil(math.log(RECENTRING_TAIL) / math.log(abs(zeta0))))
+    P = np.array([[math.comb(k, j) for k in orders] for j in range(n)], dtype=float)
+    M = np.rint(np.linalg.solve(P[:, :n], P[:, n:]))     # det P_lead = 1
+    lag = orders[n:] - k0 - np.arange(n)[:, None]
+    return orders, np.hstack([np.eye(n), M * complex(zeta0) ** lag])
 
-    The rows are functions of z = lam/lambda_c - 1 = w^d, expanded in w.
-    Each component is a sum of terms c(w) exp(kx(w) x + kt(w) t): a term is
-    (0 for phi or 1 for varphi, c, kx, kt), each series, like lam(w), d k + 1
-    long for the highest order k.  At a critical lambda_c (`lax.at_critical`) the
-    order-0 row vanishes, as u-+(lambda_c) = 0, so the orders start at 1,
-    and s(lam) is odd in w = sqrt(z) (d = 2): the components' two branch
-    terms are T(w) and T(-w), whose even coefficients are T's doubled, so
-    T alone stands for both (the 2 is a row scaling).  Elsewhere d = 1 and
-    the orders start at 0.  The split phase S(z) enters the weights
-    exp(-+i s S), scaled together like `_degenerate_set`'s.
-    """
-    critical = at_critical(spec.lambda_c, seed)
-    d, k0 = (2, 1) if critical else (1, 0)
-    orders = np.arange(k0, k0 + spec.n)
+
+def _taylor_terms(spec: DegenerationSpec, seed: Seed):
+    """(d, orders, B, lam, terms) of `exact_limit`'s rows in w, zeta = lam/center
+    - 1 = w^d: a term c(w) exp(kx(w) x + kt(w) t) of phi (0) or varphi (1) is
+    (0 or 1, c, kx, kt).  Off a branch point the center is lambda_c, d = 1.
+    Within NEAR_BRANCH_POINT of one, lam* (`lax.nearest_branch_point`), it is
+    lam*, where s is odd in w (d = 2): a component's branch terms are T(w)
+    and T(-w), so T's even coefficients, doubled, stand for both, with no
+    cancellation; orders start at k0 = 1 where u-+(lam*) = 0, else at 0, and
+    B carries them to lambda_c.  S(z), z = lam/lambda_c - 1, enters the
+    weights exp(-+i s S), scaled like `_degenerate_set`'s."""
+    lc, n = complex(spec.lambda_c), spec.n
+    branch = nearest_branch_point(lc, seed)
+    zeta0 = lc / branch[0] - 1 if branch else math.inf
+    critical = abs(zeta0) < NEAR_BRANCH_POINT
+    center, d, k0, zeta0 = (branch[0], 2, int(branch[1]), zeta0) if critical else (lc, 1, 0, 0)
+    orders, B = _recentring(n, k0, zeta0)
     size = d * orders[-1] + 2          # one more: s at d = 2 is w sqrt(rad / w^2)
-    one, z = (np.eye(1, size, k, dtype=complex)[0] for k in (0, d))
-    lam = complex(spec.lambda_c) * (one + z)
+    one, zeta = (np.eye(1, size, k, dtype=complex)[0] for k in (0, d))
+    lam = center * (one + zeta)
     L = _mul(lam, lam)
     if not seed.c:
         kx, kt = -0.25j * L, 0.125j * _mul(L, L)
         terms = [(0, one, kx, kt), (1, one, -kx, -kt)]
-        return d, orders, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
+        return d, orders, B, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
     a, c = np.float64(seed.k - 1), np.float64(seed.C)    # overflows quietly, to inf
     rad = _mul(L, L) - 4 * (a + 1 + c * c) * L + 4 * (a + 1) ** 2 * one
     if critical:
@@ -448,11 +463,12 @@ def _taylor_terms(spec: DegenerationSpec, seed: Seed):
     else:
         s = _sqrt_series(rad)
     inv_lam = np.zeros(size, dtype=complex)
-    inv_lam[::d] = (-1.0) ** np.arange(len(inv_lam[::d])) / complex(spec.lambda_c)
+    inv_lam[::d] = (-1.0) ** np.arange(len(inv_lam[::d])) / center
     sx, st = -s / 4, _mul(s, L + (2 * a + 2 + 2 * c * c) * one) / 8
     px, pt = (a + 1) / 2 * one, -(a + 1) * (a + 1 + c * c) / 2 * one
     u_m, u_p = (one + _mul((2 + 2 * a) * one - L + sign * s, inv_lam) / (2 * c)
                 for sign in (-1, 1))
+    z = (zeta - zeta0 * one) / (1 + zeta0)
     sS = _mul(s, spec.S0 * one + spec.S1 * z + spec.S2 * _mul(z, z))
     e0 = -1j * sS[0]
     W1, W2 = (np.exp(sign * e0 - abs(e0.real)) * np.array(_exp_series(sign * -1j * sS))
@@ -462,25 +478,22 @@ def _taylor_terms(spec: DegenerationSpec, seed: Seed):
     if not critical:
         terms += [(0, _mul(W2, u_p), 1j * (-sx - px), 1j * (-st - pt)),
                   (1, _mul(W2, u_m), 1j * (px - sx), 1j * (pt - st))]
-    return d, orders, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
+    return d, orders, B, lam[:-1], [(f, *(v[:-1] for v in tm)) for f, *tm in terms]
 
 
 def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     """The eps -> 0 limit of `degenerate_limit`, evaluated in double; the
     spec's epsilon does not enter.
 
-    Each representative's n rows are the Taylor coefficients of orders k0
-    .. k0 + n - 1 of its row, lam^p times phi or varphi, in z = lam/lambda_c
-    - 1, and each partner row is the conjugate with phi and varphi
-    exchanged (see `_taylor_terms`).  A term c(w) exp(kx(w) x + kt(w) t)
-    contributes exp(kx_0 x + kt_0 t), evaluated as an `ExpSum`, times the
-    series of exp((kx - kx_0) x + (kt - kt_0) t), whose coefficient of w^m
-    is a polynomial of degree m in (x, t), contracted with the constant
-    series of lam^p c.  The finite-eps determinants' common factor, a
-    Vandermonde determinant in the offsets eps omega_j times its conjugate
-    and a power of eps, is real and positive and cancels from Q, as every
-    row scaling does; the four determinants, the pair elimination, the
-    combine and the pivot mask are `n_fold`'s.
+    Each representative's n rows span the Taylor coefficients of orders 0
+    .. n - 1 (1 .. n where the order-0 row vanishes) of its row, lam^p times
+    phi or varphi, in z = lam/lambda_c - 1; its partner's are their
+    conjugates, phi and varphi exchanged (`_taylor_terms`).  A term's
+    `ExpSum` exp(kx_0 x + kt_0 t) multiplies the series of exp((kx - kx_0) x +
+    (kt - kt_0) t), contracted with that of lam^p c.  The finite-eps common
+    factor (Vandermonde in eps omega_j, its conjugate, a power of eps)
+    cancels, as row scalings do; the elimination, combine and mask are
+    `n_fold`'s.
     """
     _check_split_phase(spec, seed)
     lc = complex(spec.lambda_c)
@@ -489,15 +502,16 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     n, m = spec.n, 2 * spec.n
     order = [*range(m - 2, -1, -1), m - 1, m]
     with np.errstate(all="ignore"):
-        d, orders, lam, terms = _taylor_terms(spec, seed)
+        d, orders, B, lam, terms = _taylor_terms(spec, seed)
         rows = []
         for f, c, kx, kt in terms:
-            # K[p, i, j]: the coefficient of w^(d k_i - j) in lam^p c, at column power p
+            # K[p, i, j]: B times the coefficients of w^(d k - j) in lam^p c, orders k
             powers = [c]
             for _ in range(m):
                 powers.append(_mul(powers[-1], lam))
             lag = d * orders[:, None] - np.arange(len(c))
-            K = np.where(lag >= 0, np.array(powers)[:, np.maximum(lag, 0)], 0)
+            K = np.einsum("ik,pkj->pij", B,
+                          np.where(lag >= 0, np.array(powers)[:, np.maximum(lag, 0)], 0))
             rows.append((f, K[order], kx, kt, ExpSum([(1, kx[0], kt[0])])))
         # each order's largest coefficient 1: a row scaling, which cancels, but
         # a split phase's powers (S2 = 1e12 gives 1e12 at order 3) would
@@ -533,11 +547,9 @@ def degenerate_limit(spec: DegenerationSpec, seed: Seed,
     leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
     root-of-unity symmetry already cancels the linear term.  Without a
-    precision, a radius below the order's `EXTENDED_EPS_RADIUS`, where double
-    would need extended, gives the limit itself (`exact_limit`, precision
-    "exact"), and any other runs double.  An explicit "double" or "extended"
-    evaluates the finite-radius field in that precision at any radius.  The
-    output's `precision` records what ran.
+    precision, a radius below the order's `EXTENDED_EPS_RADIUS` gives the
+    limit itself (`exact_limit`), any other runs double; an explicit "double"
+    or "extended" runs the finite radius in it.  `precision` records what ran.
     """
     if precision is None:
         if spec.epsilon < EXTENDED_EPS_RADIUS[spec.n]:

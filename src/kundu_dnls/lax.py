@@ -230,19 +230,20 @@ def branch_quantity(lam: complex, seed: Seed):
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
-def at_critical(lam: complex, seed: Seed) -> bool:
-    """Whether lam zeroes the radicand s(lam)^2 to within its rounding: its
-    magnitude at most 16 ulp of the sum of its terms' magnitudes, which
-    admits `critical_eigenvalue` and its neighbours a few ulp away.  The zero
-    background has no critical eigenvalue."""
-    if not seed.c:
-        return False
-    a, c = np.float64(seed.k - 1), np.float64(seed.C)
+def nearest_branch_point(lam: complex, seed: Seed):
+    """(lam*, vanishing): the zero of s(lam)^2 = (lam^2 - 2C lam - 2k)(lam^2 +
+    2C lam - 2k) nearest lam, and whether u-+ vanish there: at the roots
+    C +- r of the first factor, r = sqrt(C^2 + 2k), `critical_eigenvalue`
+    among them, where the roots -C +- r of the second have u-+ = 2.  None
+    without a simple zero: the zero background, or r = 0."""
+    C = np.float64(seed.C)
     with np.errstate(all="ignore"):
-        lam2 = np.complex128(lam) ** 2
-        size = sum(map(abs, (4 * a * a, 4 * a * lam2, 8 * a, lam2 * lam2, 4 * lam2, 4,
-                             4 * lam2 * c * c)))
-        return bool(abs(_radicand(lam2, a, c)) <= 16 * np.finfo(float).eps * size)
+        r = np.sqrt(np.complex128(C * C + 2 * np.float64(seed.k)))
+    if not seed.c or r == 0 or not np.isfinite(r):
+        return None
+    star, vanishing = min(((u * C + v * r, u > 0) for u in (1, -1) for v in (1, -1)),
+                          key=lambda zero: abs(complex(lam) - zero[0]))
+    return complex(star), vanishing
 
 
 def critical_eigenvalue(seed: Seed) -> complex:

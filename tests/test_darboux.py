@@ -831,13 +831,18 @@ def test_extended_converges_to_the_exact_limit_at_its_order(n, S1, errors):
         assert abs(got - limit) == pytest.approx(want, rel=5e-3), eps
 
 
-@pytest.mark.parametrize("seed, lambda_c", [(SEEDP, 0.6 + 1.3j), (SEEDP, 0.5 + 0.5j),
-                                            (SEED0, 0.8 + 0.8j)],
-                         ids=["planewave-a", "planewave-b", "zero"])
+@pytest.mark.parametrize("seed, lambda_c", [
+    (SEEDP, 0.6 + 1.3j), (SEEDP, 0.5 + 0.5j), (SEED0, 0.8 + 0.8j),
+    (SEEDP, 1 + 1j), (SEEDP, 1 - 1j), (SEEDP, -1 - 1j), (SEEDP, -1 + 1j)],
+    ids=["planewave-a", "planewave-b", "zero", "critical", "critical-conj", "mirror",
+         "mirror-conj"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_exact_limit_off_the_critical_point_is_the_coalescence_limit(seed, lambda_c, n):
-    # off a critical eigenvalue the Taylor orders start at 0 and both branch
-    # terms enter: the finite-radius field converges to the limit
+def test_exact_limit_is_the_coalescence_limit_on_and_off_the_branch_points(seed, lambda_c, n):
+    # off the zeros of s(lam)^2 the Taylor orders start at 0 and both branch
+    # terms enter; at the four zeros on (-2, 1) they start at 1 where u-+
+    # vanish (the critical eigenvalue and its conjugate) and at 0 where they
+    # are 2 (the mirrors).  Either way the finite-radius field converges to
+    # the limit at its order
     X, T = grid_pts(6, -2, 2, seed=7).T
     limit = exact_limit(DegenerationSpec(lambda_c, 1e-3, n), seed).Q(X, T)
     err = [np.max(np.abs(degenerate_limit(DegenerationSpec(lambda_c, eps, n), seed,
@@ -846,24 +851,57 @@ def test_exact_limit_off_the_critical_point_is_the_coalescence_limit(seed, lambd
     assert 0 < err[1] <= err[0] / 50, err
 
 
-def test_the_critical_point_is_a_zero_of_the_radicand_within_its_rounding():
-    # the rule that starts the Taylor orders at 1: |s(lam)^2| within 16 ulp of
-    # its terms' magnitudes.  A seed's critical eigenvalue and its one-ulp
-    # neighbours pass, and give the same field; 1e-9 away is not critical
-    from kundu_dnls.lax import at_critical
+def test_the_orders_start_at_one_where_u_vanishes_at_the_nearest_branch_point():
+    # the k0 rule: s(lam)^2 = (lam^2 - 2C lam - 2k)(lam^2 + 2C lam - 2k) has four
+    # zeros; u-+ vanish at the critical eigenvalue and its conjugate (k0 = 1),
+    # and are 2 at their negatives (k0 = 0).  Its one-ulp neighbours expand at
+    # the same branch point and give the same field; the zero seed has none
+    from kundu_dnls.lax import nearest_branch_point
+    X, T = grid_pts(5, -1, 1, seed=2).T
     for frame in _FAMILY[:3] + [(-2.0, 1.0, 1.0, 1.0, 1.0)]:
         seed = make_plane_wave_seed(*frame)
         lc = kd.critical_eigenvalue(seed)
+        for lam, vanishing in ((lc, True), (lc.conjugate(), True),
+                               (-lc, False), (-lc.conjugate(), False)):
+            star, got = nearest_branch_point(lam * (1 + 1e-3), seed)
+            assert got == vanishing and abs(star - lam) <= 1e-14 * abs(lam)
+        assert nearest_branch_point(lc, zero_seed()) is None
         near = [complex(np.nextafter(lc.real, 9), lc.imag),
                 complex(lc.real, np.nextafter(lc.imag, -9))]
-        assert at_critical(lc, seed) and all(at_critical(lam, seed) for lam in near)
-        assert not at_critical(lc * (1 + 1e-9), seed)
-        assert not at_critical(lc, zero_seed())
-        X, T = grid_pts(5, -1, 1, seed=2).T
         want = exact_limit(DegenerationSpec(lc, 1e-3, 3), seed).Q(X, T)
         for lam in near:
             got = exact_limit(DegenerationSpec(lam, 1e-3, 3), seed).Q(X, T)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_limit_near_a_branch_point_is_continuous(n):
+    # lambda_c (1 + delta): the limit moves off the critical field linearly in
+    # delta, however small delta is, with no cancellation between the branches
+    X, T = grid_pts(8, -2, 2, seed=5).T
+    lc = kd.critical_eigenvalue(SEEDP)
+    crit = exact_limit(DegenerationSpec(lc, 1e-3, n), SEEDP).Q(X, T)
+    diff = {delta: np.max(np.abs(exact_limit(DegenerationSpec(lc * (1 + delta), 1e-3, n),
+                                             SEEDP).Q(X, T) - crit))
+            for delta in (1e-6, 1e-9, 1e-12)}
+    assert diff[1e-6] <= 100 * 1e-6 * np.max(np.abs(crit))
+    for big, small in ((1e-6, 1e-9), (1e-9, 1e-12)):
+        assert 900 <= diff[big] / diff[small] <= 1100, diff
+
+
+@pytest.mark.parametrize("delta", [5e-3, 1.9e-2, 2.1e-2, 5e-2])
+def test_exact_limit_on_either_side_of_the_recentring_switch(delta):
+    # within NEAR_BRANCH_POINT the rows are carried from the branch point,
+    # beyond it expanded at lambda_c, whose branch terms cancel most just
+    # beyond it: measured 6.4e-14 within and 1.6e-11 at 2.1e-2 of the
+    # finite-radius field at eps = 1e-5, which the order 3 has converged
+    from kundu_dnls.darboux import NEAR_BRANCH_POINT
+    assert 5e-3 < NEAR_BRANCH_POINT < 5e-2
+    X, T = grid_pts(6, -6, 6, seed=3).T
+    lam = kd.critical_eigenvalue(SEEDP) * (1 + delta * np.exp(0.7j))
+    limit = exact_limit(DegenerationSpec(lam, 1e-3, 3), SEEDP).Q(X, T)
+    near = degenerate_limit(DegenerationSpec(lam, 1e-5, 3), SEEDP, precision="extended").Q(X, T)
+    assert np.max(np.abs(limit - near)) <= 1e-10 * np.max(np.abs(near))
 
 
 def test_exact_limit_refuses_what_the_finite_radius_refuses():
