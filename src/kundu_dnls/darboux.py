@@ -8,9 +8,9 @@ only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
 conjugate-reduced sets one pair follows from the other by conjugation, so
 only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing)
 configurations are evaluated at a small perturbation radius or, below the
-radius where double would need extended precision, as the exact limit of
+radius where double's rounding would show, as the exact limit of
 Taylor-coefficient rows (Guo, Ling & Liu, PRE 85, 026607 (2012); He et al.,
-PRE 87, 052914 (2013)); extended determinants remain for explicit requests.
+PRE 87, 052914 (2013)).  Everything is evaluated in double.
 """
 from __future__ import annotations
 
@@ -18,23 +18,22 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
-from .lax import (MP_DPS, ExpSum, Seed, _check_finite, branch_quantity, nearest_branch_point,
+from .lax import (ExpSum, Seed, _check_finite, branch_quantity, nearest_branch_point,
                   plane_wave_eigenfunction, zero_seed_eigenfunction)
 # called by these module names in the engine, which instrumentation wraps
 from .numerics.determinant import batched_det
-from .numerics.doubledouble import DDComplexArray, dd_batched_det
+# kept unused: benchmarks/tracing.py patches `darboux.dd_batched_det`
+from .numerics.doubledouble import dd_batched_det  # noqa: F401
 from .numerics.grid import thread_safe
 
 
-# degenerate_limit's automatic path: the exact limit below the order's radius.
-# The rule: double unless its rounding error (against extended) exceeds
-# ROUNDING_SHARE of the truncation error (against the exact limit); each
-# radius is where the table tests/precision_table.py prints crosses it.
-ROUNDING_SHARE = 0.1
-EXTENDED_EPS_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
+# degenerate_limit serves the exact limit below the order's radius: there
+# double's rounding error (against 40-digit mpmath) would exceed 0.1 of the
+# truncation error (against the exact limit), the share at which the table
+# tests/precision_table.py prints crosses
+EXACT_LIMIT_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
 DEFAULT_CONDITION_BOUND = 1e12
 # exact_limit expands at a branch point lam* when |lambda_c/lam* - 1| < NEAR_BRANCH_POINT,
 # where terms at lambda_c cancel as its (1/2 - n)-th power; B's powers stop at RECENTRING_TAIL
@@ -133,7 +132,7 @@ class DTOutput:
     `DEFAULT_CONDITION_BOUND`.  Calling the output calls its `Q` attribute,
     so it serves wherever a field closure does, and rewrapping `Q` (as
     instrumentation does) rewraps the call too.  `precision` is what ran:
-    "double" or "extended" finite-radius determinants, or "exact" (`exact_limit`).
+    "double" finite-radius determinants, or "exact" (`exact_limit`).
     `evaluate` only reads the spectral data, so the closures are marked
     `thread_safe`, and so is the output as long as its Q is.
     """
@@ -165,19 +164,12 @@ def _seed_terms(seed: Seed, x, t):
 # n-fold determinants
 # ---------------------------------------------------------------------------
 
-def _row_powers(spectral_set: SpectralSet, precision: str):
+def _row_powers(spectral_set: SpectralSet):
     """The 2n x (2n+1) table lam_j^p, p = 0 .. 2n, for the eigenvalue of each
-    of the 2n rows, a reduced set's partners at lam*: a complex array in
-    double; extended, a `DDComplexArray` split from the powers taken in
-    mpmath at `MP_DPS`."""
+    of the 2n rows, a reduced set's partners at lam*."""
     lams = [lam for d in spectral_set.data for lam in
             ((d.lam, np.conj(d.lam)) if spectral_set.reduction else (d.lam,))]
-    m = len(lams)
-    if precision == "double":
-        return np.array([[lam ** p for p in range(m + 1)] for lam in lams])
-    with mp.workdps(MP_DPS):
-        return DDComplexArray.from_mp([[mp.mpc(lam) ** p for p in range(m + 1)]
-                                       for lam in lams])
+    return np.array([[lam ** p for p in range(len(lams) + 1)] for lam in lams])
 
 
 def _omega_matrix(powers, phis, vphs, swap: bool):
@@ -189,18 +181,15 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
     matrix differs in its leading column only, lam^{2n} times the even-power
     component.  The pair is laid out as one stack for `_omega_dets`: the
     unshifted columns 1 .. 2n-1, then the unshifted column 0, then the
-    shifted column 0.  `powers` comes from `_row_powers`: complex powers and
-    components give a complex stack, double-double ones a `DDComplexArray`
-    stack.  The entries are stored matrix-first, so the returned
-    (..., m, m+1) view is already in the batch-last layout of elimination,
-    and `batched_det` or `dd_batched_det` eliminates it in place.
+    shifted column 0 (`_column_powers`).  The entries are stored
+    matrix-first, so the returned (..., m, m+1) view is already in the
+    batch-last layout of elimination, and `batched_det` eliminates it in
+    place.
     """
     m = len(phis)
-    order = [*range(m - 2, -1, -1), m - 1, m]
+    order = _column_powers(m)
     shape = np.broadcast_shapes(np.shape(phis[0]), np.shape(vphs[0]))
-    full = (m, m + 1) + shape
-    extended = isinstance(powers, DDComplexArray)
-    M = DDComplexArray.empty(full) if extended else np.empty(full, dtype=complex)
+    M = np.empty((m, m + 1) + shape, dtype=complex)
     # lam_j^p in column order, broadcast over the point shape
     row_powers = powers[(slice(None), order) + (None,) * len(shape)]
     for j in range(m):
@@ -208,26 +197,29 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
         for col, power in enumerate(order):
             M[j, col] = v if power % 2 == 1 else f
         # the powers first: numpy's complex product is not commutative bit for
-        # bit; a complex row is scaled in place, with no block-sized temporary
-        if extended:
-            M[j] = row_powers[j] * M[j]
-        else:
-            np.multiply(row_powers[j], M[j], out=M[j])
+        # bit; the row is scaled in place, with no block-sized temporary
+        np.multiply(row_powers[j], M[j], out=M[j])
+    return _batch_last(M)
 
-    def batch_last(a):
-        return np.moveaxis(a, (0, 1), (-2, -1))
-    return M.map(batch_last) if extended else batch_last(M)
+
+def _column_powers(m: int) -> list:
+    """The power of lam in each of the m + 1 columns of an `_omega_matrix`
+    stack: m - 2 down to 0, then m - 1 and m.  Even powers take phi, in the
+    even columns 0, 2, .., m; odd powers varphi, in the odd columns."""
+    return [*range(m - 2, -1, -1), m - 1, m]
+
+
+def _batch_last(M):
+    """The (..., m, m+1) view of a matrix-first (m, m+1, ...) stack."""
+    return np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
 
-    The type of `powers`, from `_row_powers`, is the precision: complex
-    powers take each datum's `phi` and `varphi` in double and eliminate with
-    `batched_det`; a `DDComplexArray` takes its `mp_components` and
-    eliminates with `dd_batched_det`.  On a reduced set each representative
-    is followed by its conjugate partner, whose components are the
-    representative's, conjugated exactly and exchanged.
+    Each datum's `phi` and `varphi` are taken once per block; on a reduced
+    set each representative is followed by its conjugate partner, whose
+    components are the representative's, conjugated exactly and exchanged.
 
     The unshifted and shifted matrices share all columns but the leading
     one, so one elimination over the shared columns gives both determinants
@@ -238,50 +230,37 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     instead of two.  The sign is left out, because the transformation only
     uses swapped^2 and swapped * swapped_shift.
     """
-    extended = isinstance(powers, DDComplexArray)
-    # an overflowing extended component gives non-finite determinants, which
-    # are masked; in double numpy's settings stand (None leaves them as they are)
-    quiet = "ignore" if extended else None
-    with np.errstate(over=quiet, invalid=quiet):
-        phis, vphs = [], []
-        for d in spectral_set.data:
-            if extended:
-                p, v = d.mp_components(x, t)
-            else:
-                p = np.asarray(d.phi(x, t), dtype=complex)
-                v = np.asarray(d.varphi(x, t), dtype=complex)
-            phis.append(p)
-            vphs.append(v)
-            if spectral_set.reduction:
-                phis.append(v.conjugate())
-                vphs.append(p.conjugate())
-        del p, v        # the lists hold the only references, which dets clears
-
-        def dets(swap):
-            M = _omega_matrix(powers, phis, vphs, swap)
-            if swap or spectral_set.reduction:
-                # the last stack built holds copies: free the components
-                # before elimination
-                phis.clear()
-                vphs.clear()
-            return _eliminate(M)
-
+    phis, vphs = [], []
+    for d in spectral_set.data:
+        p = np.asarray(d.phi(x, t), dtype=complex)
+        v = np.asarray(d.varphi(x, t), dtype=complex)
+        phis.append(p)
+        vphs.append(v)
         if spectral_set.reduction:
-            return _reduced_dets(*dets(False))
-        main, main_shift, ratios = dets(False)
-        swapped, swapped_shift, _ = dets(True)
-        return main, swapped, main_shift, swapped_shift, ratios
+            phis.append(v.conjugate())
+            vphs.append(p.conjugate())
+    del p, v        # the lists hold the only references, which dets clears
+
+    def dets(swap):
+        M = _omega_matrix(powers, phis, vphs, swap)
+        if swap or spectral_set.reduction:
+            # the last stack built holds copies: free the components
+            # before elimination
+            phis.clear()
+            vphs.clear()
+        return _eliminate(M)
+
+    if spectral_set.reduction:
+        return _reduced_dets(*dets(False))
+    main, main_shift, ratios = dets(False)
+    swapped, swapped_shift, _ = dets(True)
+    return main, swapped, main_shift, swapped_shift, ratios
 
 
 def _eliminate(M):
-    """(det, shifted det, pivot ratios) of an `_omega_matrix` stack, complex
-    or double-double; column 0 was moved past the 2n - 1 others, a factor
-    (-1)^(2n-1)."""
-    if isinstance(M, DDComplexArray):
-        pair, ratios = dd_batched_det(M)
-        pair = pair.to_complex()
-    else:
-        pair, ratios = batched_det(M)
+    """(det, shifted det, pivot ratios) of an `_omega_matrix` stack; column 0
+    was moved past the 2n - 1 others, a factor (-1)^(2n-1)."""
+    pair, ratios = batched_det(M)
     return -pair[0], -pair[1], ratios
 
 
@@ -309,23 +288,19 @@ def _combine(seed: Seed, reduction: bool, dets, x, t):
             np.where(np.isfinite(r) & keep, r, np.nan + 0j), ratios)
 
 
-def n_fold(spectral_set: SpectralSet, seed: Seed, precision: str = "double") -> DTOutput:
+def n_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
     """Determinant-form transformation of order n = `spectral_set.order` (1..3);
     on a reduced set, R is -conj(Q) under Q's mask."""
     n = spectral_set.order
     if n not in (1, 2, 3):
         raise ValueError(f"supported orders are 1..3, got {n}")
-    if precision not in ("double", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    if precision == "extended" and any(d.mp_components is None for d in spectral_set.data):
-        raise ValueError("extended precision needs mp_components on every datum")
-    powers = _row_powers(spectral_set, precision)
+    powers = _row_powers(spectral_set)
 
     def evaluate(x, t):
         return _combine(seed, spectral_set.reduction,
                         _omega_dets(spectral_set, powers, x, t), x, t)
 
-    return DTOutput(evaluate, precision)
+    return DTOutput(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +475,7 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     if lc.real == 0.0 or lc.imag == 0.0:
         raise ValueError(f"lambda_c {lc} on an axis collapses its conjugate pair")
     n, m = spec.n, 2 * spec.n
-    order = [*range(m - 2, -1, -1), m - 1, m]
+    order = _column_powers(m)
     with np.errstate(all="ignore"):
         d, orders, B, lam, terms = _taylor_terms(spec, seed)
         rows = []
@@ -523,48 +498,59 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
         x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(x.shape, t.shape)
         with np.errstate(all="ignore"):
-            table = np.zeros((2, m + 1, n) + shape, dtype=complex)
+            # the rows go straight into the matrix-first stack: a phi term
+            # (f = 0) fills the even columns of the representatives' rows and
+            # the odd ones of their partners', a varphi term the others
+            M = np.zeros((m, m + 1) + shape, dtype=complex)
+            P = np.empty((m + 1, n) + shape, dtype=complex)    # one buffer for all terms
             for f, K, kx, kt, base in rows:
-                g = _exp_series([np.zeros(shape), *(kx[j] * x + kt[j] * t
-                                                    for j in range(1, len(kx)))])
-                table[f] += np.tensordot(K, np.array(g) * base(x, t), axes=1)
-            M = np.empty((m, m + 1) + shape, dtype=complex)
-            odd = (np.array(order) % 2 == 1).reshape((-1, 1) + (1,) * len(shape))
-            M[:n] = np.moveaxis(np.where(odd, table[1], table[0]), 0, 1)
-            M[n:] = np.moveaxis(np.where(odd, table[0], table[1]), 0, 1).conj()
-            dets = _reduced_dets(*_eliminate(np.moveaxis(M, (0, 1), (-2, -1))))
+                g = np.array(_exp_series([np.zeros(shape), *(kx[j] * x + kt[j] * t
+                                                             for j in range(1, len(kx)))]),
+                             dtype=complex)
+                g *= base(x, t)
+                # K contracted with g, as tensordot forms it, into the buffer
+                np.dot(K.reshape(-1, len(g)), g.reshape(len(g), -1),
+                       out=P.reshape(K.shape[0] * n, -1))
+                own, other = slice(f, None, 2), slice(1 - f, None, 2)
+                M[:n, own] += P[own].swapaxes(0, 1)
+                M[n:, other] += P[other].swapaxes(0, 1)
+            np.conjugate(M[n:], out=M[n:])
+            dets = _reduced_dets(*_eliminate(_batch_last(M)))
         return _combine(seed, True, dets, x, t)
 
     return DTOutput(evaluate, "exact")
 
 
-def degenerate_limit(spec: DegenerationSpec, seed: Seed,
-                     precision: Optional[str] = None) -> DTOutput:
-    """Coalescing-eigenvalue approximation of the order-n degenerate solution.
+def finite_radius(spec: DegenerationSpec, seed: Seed) -> DTOutput:
+    """The order-n degenerate solution approximated at the radius eps.
 
     Perturbed eigenvalues sit at lambda_c (1 + eps * offset_j), with the
     n-th roots of unity as offsets.  For n = 1 the single offset makes the
     leading error linear in eps, so the output averages the +offset and
     -offset evaluations, restoring quadratic convergence; for n >= 2 the
-    root-of-unity symmetry already cancels the linear term.  Without a
-    precision, a radius below the order's `EXTENDED_EPS_RADIUS` gives the
-    limit itself (`exact_limit`), any other runs double; an explicit "double"
-    or "extended" runs the finite radius in it.  `precision` records what ran.
+    root-of-unity symmetry already cancels the linear term.  Below the
+    order's `EXACT_LIMIT_RADIUS` double's rounding error grows past the
+    truncation error it approximates.
     """
-    if precision is None:
-        if spec.epsilon < EXTENDED_EPS_RADIUS[spec.n]:
-            return exact_limit(spec, seed)
-        precision = "double"
     offsets = _default_offsets(spec.n)
-    main = n_fold(_degenerate_set(spec, seed, offsets), seed, precision=precision)
+    main = n_fold(_degenerate_set(spec, seed, offsets), seed)
     if spec.n > 1:
         return main
-    mirror = n_fold(_degenerate_set(spec, seed, [-o for o in offsets]), seed,
-                    precision=precision)
+    mirror = n_fold(_degenerate_set(spec, seed, [-o for o in offsets]), seed)
 
     def evaluate(x, t):
         qa, ra, ca = main.evaluate(x, t)
         qb, rb, cb = mirror.evaluate(x, t)
         return 0.5 * (qa + qb), 0.5 * (ra + rb), np.maximum(ca, cb)
 
-    return DTOutput(evaluate, precision)
+    return DTOutput(evaluate)
+
+
+def degenerate_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
+    """The order-n degenerate solution: below the order's
+    `EXACT_LIMIT_RADIUS` the limit itself (`exact_limit`), otherwise the
+    field at the radius eps (`finite_radius`).  `precision` records which
+    ran, "exact" or "double"."""
+    if spec.epsilon < EXACT_LIMIT_RADIUS[spec.n]:
+        return exact_limit(spec, seed)
+    return finite_radius(spec, seed)

@@ -19,18 +19,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
 
-from .numerics.doubledouble import DDComplexArray, dd_exp_terms
 from .numerics.grid import Grid2D
 
 
-# digits of the eigenfunction constants, which the extended path splits
-# into double-double (hi, lo) pairs, and of the eigenvalue powers of its rows
+# digits at which the eigenfunction constants are computed before they are
+# rounded to double
 MP_DPS = 40
 
 
@@ -105,33 +103,22 @@ class SpectralDatum:
     """One eigenvalue with its two-component eigenfunction samples.
 
     `phi` and `varphi` are vectorized callables (x, t) -> complex (the
-    constructors below give `ExpSum`s).  `mp_components`, when present,
-    serves the extended-precision determinant path: (x, t) -> (phi, varphi)
-    as two `DDComplexArray`s over the broadcast shape of x and t, a whole
-    block in one call, from constants computed in mpmath at `MP_DPS`.
+    constructors below give `ExpSum`s).
     """
 
     lam: complex
     phi: Callable
     varphi: Callable
-    mp_components: Optional[Callable] = None
+    # kept, not a field: benchmarks/tracing.py's eigen_wrapper reads it
+    mp_components = None
 
     def conjugate_partner(self) -> "SpectralDatum":
         """The reduction partner (lam*, varphi*, phi*)."""
         phi, vph = self.phi, self.varphi
-        mp_comp = None
-        if self.mp_components is not None:
-            base = self.mp_components
-
-            def mp_comp(x, t):
-                p, v = base(x, t)
-                return v.conjugate(), p.conjugate()
-
         return SpectralDatum(
             lam=np.conj(self.lam),
             phi=lambda x, t: np.conj(vph(x, t)),
             varphi=lambda x, t: np.conj(phi(x, t)),
-            mp_components=mp_comp,
         )
 
 
@@ -143,17 +130,14 @@ class ExpSum:
     """One eigenfunction component, sum_k c_k exp(kx_k x + kt_k t).
 
     The constants are mpmath values, computed once at `MP_DPS` digits.
-    Calling the sum evaluates it in double, vectorized over any array shape;
-    `dd_each` evaluates sums in double-double from the constants' hi/lo
-    split, made once, on first use.
+    Calling the sum evaluates it in double, vectorized over any array shape.
 
-    In double, each term is exp(Re kx x + Re kt t) times the phase
+    Each term is exp(Re kx x + Re kt t) times the phase
     c exp(i Im kx x) exp(i Im kt t): on the broadcast axes of `sample` the
     two phase factors cost one complex exp per row and per column instead
     of one per node.  The real exponent stays one sum over the block, so it
     over- and underflows where the whole exponent does, and a term whose x
-    and t parts are each huge but cancel stays finite.  The double-double
-    evaluation (`dd_exp_terms`) splits each term the same way.
+    and t parts are each huge but cancel stays finite.
     """
 
     def __init__(self, terms):
@@ -167,31 +151,6 @@ class ExpSum:
         x, t = np.asarray(x), np.asarray(t)
         return sum(np.exp(rx * x + rt * t) * (c * np.exp(ix * x) * np.exp(it * t))
                    for c, rx, rt, ix, it in self._double)
-
-    @cached_property
-    def _dd(self) -> DDComplexArray:
-        """The (K, 3) constants (c, kx, kt) as double-double, split on first use."""
-        return DDComplexArray.from_mp(np.array(self.terms, dtype=object))
-
-    @staticmethod
-    def dd_each(sums, x, t) -> list:
-        """Each of several sums in double-double over the broadcast shape of
-        x and t, with every term of every sum in one `dd_exp_terms` call."""
-        x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-        consts = DDComplexArray(*map(np.concatenate, zip(*(s._dd.parts for s in sums))))
-        lead = (None,) * max(x.ndim, t.ndim)
-        terms = dd_exp_terms(*(consts[(slice(None), j, *lead)] for j in range(3)), x, t)
-        out, i = [], 0
-        for s in sums:
-            k = len(s.terms)
-            out.append(sum((terms[j] for j in range(i + 1, i + k)), terms[i]))
-            i += k
-        return out
-
-
-def _datum(lam: complex, phi: ExpSum, varphi: ExpSum) -> SpectralDatum:
-    return SpectralDatum(lam=lam, phi=phi, varphi=varphi,
-                         mp_components=lambda x, t: tuple(ExpSum.dd_each((phi, varphi), x, t)))
 
 
 def zero_seed_eigenfunction(lam: complex) -> SpectralDatum:
@@ -208,7 +167,7 @@ def zero_seed_eigenfunction(lam: complex) -> SpectralDatum:
         lm = mp.mpc(lam)
         kx = mp.mpc(0, -0.25) * lm ** 2
         kt = mp.mpc(0, 0.125) * lm ** 4
-        return _datum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]))
+        return SpectralDatum(lam, ExpSum([(1, kx, kt)]), ExpSum([(1, -kx, -kt)]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +261,8 @@ def plane_wave_eigenfunction(lam: complex, seed: Seed,
                    else f"both prefactors u-+ vanish at lambda {lam}")
             raise ValueError(f"{why}: the eigenfunction vanishes and the field is NaN "
                              "everywhere")
-        return _datum(lam, ExpSum([(consts[0], *e_p), (consts[1], *e_m)]),
-                      ExpSum([(consts[2], *g_p), (consts[3], *g_m)]))
+        return SpectralDatum(lam, ExpSum([(consts[0], *e_p), (consts[1], *e_m)]),
+                             ExpSum([(consts[2], *g_p), (consts[3], *g_m)]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 Array = np.ndarray
 
 
+# `one` and `where` kept for `dd_batched_det`, which benchmarks/tracing.py patches on darboux
 @np.errstate(divide="ignore", invalid="ignore")
 def eliminate(a, one, where) -> tuple:
     """Pivoted elimination of an (m, m+e, N) stack in place: (det, pivot_ratio).

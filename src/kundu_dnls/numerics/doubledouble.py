@@ -1,19 +1,14 @@
 """Vectorized double-double (~31 significant digits) complex arithmetic.
 
 Built from the classic error-free transformations (two_sum, Dekker split /
-two_prod).  Near-coalescent spectral data cancel roughly n*|log10 eps|
-digits inside the transformation determinants, which overruns plain doubles
-for the smallest perturbation radii; the engine switches to this
-representation there.  Constants computed in mpmath are split into hi/lo
-parts once (`from_mp`); the eigenfunctions are then evaluated here, with the
-double-double `exp` and `cos`/`sin` of Hida, Li & Bailey ("Algorithms for
-quad-double precision floating point arithmetic", ARITH-15, 2001; the QD
-library): argument reduction by ln 2 and pi/2, then a Taylor series.
+two_prod).  `numerics.printing` forms its scaled products with
+`_dd_mul_double`.  The engine evaluates in double only: `DDComplexArray` and
+`dd_batched_det` are no longer on any of its paths and stay, checked
+against mpmath, because the benchmark tracer binds them by name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -71,82 +66,6 @@ def _dd_mul_double(ahi, alo, b):
     return _quick_two_sum(p, e + alo * b)
 
 
-def _dd_const(num: int, den: int) -> tuple[float, float]:
-    """num / den as a double-double; Python's integer division rounds correctly."""
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
-# ln 2 and pi/2 in three doubles (about 160 bits), so that k times either is
-# exact to well below a double-double ulp for any reduction count k in range
-_LN2 = (0.6931471805599453, 2.3190468138462996e-17, 5.707708438416212e-34)
-_PI_2 = (1.5707963267948966, 6.123233995736766e-17, -1.4973849048591698e-33)
-_EXP_HALVINGS = 9          # exp's reduced argument is scaled by 2**-9 ...
-_EXP_COEFFS = [_dd_const(1, factorial(j)) for j in range(1, 10)]  # ... to s**9/9!
-# |r| <= pi/4: sin r / r in r**2 up to r**26/27!
-_SIN_COEFFS = [_dd_const((-1) ** j, factorial(2 * j + 1)) for j in range(14)]
-
-
-def _reduce(hi, lo, const):
-    """(k, r): hi + lo = k const + r with k the integer nearest (hi + lo)/const."""
-    k = np.round(hi / const[0])
-    r = _dd_add(hi, lo, *(-v for v in _two_prod(k, const[0])))
-    r = _dd_add(*r, *(-v for v in _two_prod(k, const[1])))
-    return k, _dd_add(*r, -k * const[2], 0.0)
-
-
-def _horner(shi, slo, coeffs):
-    """sum_j coeffs[j] s**j for double-double coefficients, highest last."""
-    ph, pl = coeffs[-1]
-    for ch, cl in coeffs[-2::-1]:
-        ph, pl = _dd_add(*_dd_mul(ph, pl, shi, slo), ch, cl)
-    return ph, pl
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def dd_exp(hi: Array, lo: Array) -> tuple[Array, Array]:
-    """exp of a double-double array, as (hi, lo).
-
-    a = k ln 2 + r with |r| <= ln2 / 2; expm1(r / 2**9) by Taylor series,
-    doubled back by expm1(2s) = 2 expm1(s) + expm1(s)**2 nine times, and
-    exp(a) = 2**k (1 + expm1(r)), scaled by `ldexp`.  An argument beyond
-    double's range gives inf or 0 without a warning; NaN stays NaN.
-    """
-    k, (rh, rl) = _reduce(hi, lo, _LN2)
-    scale = 2.0 ** -_EXP_HALVINGS
-    sh, sl = rh * scale, rl * scale
-    eh, el = _dd_mul(*_horner(sh, sl, _EXP_COEFFS), sh, sl)
-    for _ in range(_EXP_HALVINGS):
-        eh, el = _dd_add(2.0 * eh, 2.0 * el, *_dd_mul(eh, el, eh, el))
-    mh, ml = _dd_add(1.0, 0.0, eh, el)
-    # past +-4000 every double mantissa over- or underflows alike
-    n = np.clip(np.where(np.isnan(k), 0.0, k), -4000, 4000).astype(np.int64)
-    return np.ldexp(mh, n), np.ldexp(ml, n)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def dd_cos_sin(hi: Array, lo: Array) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
-    """(cos, sin) of a double-double array, each as (hi, lo).
-
-    a = k pi/2 + r with |r| <= pi/4; sin r by its Taylor series in r**2 and
-    cos r = sqrt(1 - sin(r)**2) >= 1/sqrt(2) (one Newton step from the
-    double root), then rotated by the quadrant k mod 4.
-    """
-    k, (rh, rl) = _reduce(hi, lo, _PI_2)
-    s = _dd_mul(*_horner(*_dd_mul(rh, rl, rh, rl), _SIN_COEFFS), rh, rl)
-    c2h, c2l = _dd_add(1.0, 0.0, *(-v for v in _dd_mul(*s, *s)))
-    root = np.sqrt(c2h)
-    eh, el = _dd_add(c2h, c2l, *(-v for v in _two_prod(root, root)))
-    c = _dd_add(root, 0.0, eh / (2.0 * root), el / (2.0 * root))
-    q = np.mod(k, 4.0)
-    swap, cos_neg, sin_neg = (q == 1) | (q == 3), (q == 1) | (q == 2), q >= 2
-    cos = [np.where(swap, b, a) for a, b in zip(c, s)]
-    sin = [np.where(swap, a, b) for a, b in zip(c, s)]
-    return (tuple(np.where(cos_neg, -v, v) for v in cos),
-            tuple(np.where(sin_neg, -v, v) for v in sin))
-
-
 def _dd_div(ahi, alo, bhi, blo):
     q1 = ahi / bhi
     # r = a - q1*b, evaluated in double-double
@@ -156,6 +75,7 @@ def _dd_div(ahi, alo, bhi, blo):
     return _quick_two_sum(q1, q2)
 
 
+# kept: benchmarks/tracing.py imports it and patches its `from_mp`
 @dataclass
 class DDComplexArray:
     """Complex array with double-double real and imaginary parts."""
@@ -259,32 +179,7 @@ class DDComplexArray:
                               np.where(mask, x.im_hi, y.im_hi), np.where(mask, x.im_lo, y.im_lo))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def dd_exp_terms(c: DDComplexArray, kx: DDComplexArray, kt: DDComplexArray,
-                 x: Array, t: Array) -> DDComplexArray:
-    """c exp(kx x + kt t) over the broadcast shape of all five operands, for
-    double-double complex c, kx, kt and double x, t.
-
-    The real exponent Re kx x + Re kt t is formed whole, each product exactly
-    (`_two_prod`), and exponentiated whole: it over- and underflows where the
-    whole exponent does, and x and t parts that are each huge but cancel stay
-    finite.  An overflow gives non-finite values, never a warning.  The
-    phase c exp(i Im kx x) exp(i Im kt t) takes each factor on its own
-    operands' shape: on the broadcast axes of `sample`, cos and sin cost one
-    evaluation per row and per column, not per node.
-    """
-    mag = dd_exp(*_dd_add(*_dd_mul_double(kx.re_hi, kx.re_lo, x),
-                          *_dd_mul_double(kt.re_hi, kt.re_lo, t)))
-    ix, it = (_dd_mul_double(k.im_hi, k.im_lo, v) for k, v in ((kx, x), (kt, t)))
-    # one cos/sin call for both phase factors, their arguments laid end to end
-    cos, sin = dd_cos_sin(*(np.concatenate([a.ravel(), b.ravel()]) for a, b in zip(ix, it)))
-    cis, n = DDComplexArray(*cos, *sin), ix[0].size
-    phase = (c * cis.map(lambda part: part[:n].reshape(ix[0].shape))
-             * cis.map(lambda part: part[n:].reshape(it[0].shape)))
-    return DDComplexArray(*_dd_mul(*mag, phase.re_hi, phase.re_lo),
-                          *_dd_mul(*mag, phase.im_hi, phase.im_lo))
-
-
+# kept: benchmarks/tracing.py patches `darboux.dd_batched_det`
 def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     """Pivoted elimination determinants over a (..., m, m+e) double-double stack.
 

@@ -4,7 +4,7 @@ The jobs are every mapped figure (`cli.FIGURE_MAP`) as pgm, csv and json,
 and Darboux-engine jobs on the zero background (a, c) = (0, 0) and on the
 plane wave (a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
 `engine-degenerate` at n = 2 and at n = 3 with eps = 1e-4, which is below
-order 3's extended radius and so the exact limit, each as csv and as json
+order 3's `EXACT_LIMIT_RADIUS` and so the exact limit, each as csv and as json
 with the complex parts, all
 with a non-default coupling and gauge.  On the plane wave,
 `engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together

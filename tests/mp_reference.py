@@ -1,12 +1,15 @@
-"""Per-node mpmath references for the double-double (extended) path.
+"""Per-node mpmath references for the engine's finite-radius fields.
 
-Everything here is evaluated one point at a time at 40 digits, with no
-double-double arithmetic, so the vectorized extended path is checked
-against an independent computation: the exponential sums term by term, and
-each of the four transformation determinants by `mp.det`.
+Everything here is evaluated one point at a time at 40 digits, so the
+vectorized double path is checked against an independent computation, free
+of its rounding error: the exponential sums term by term, and each of the
+four transformation determinants by `mp.det`.  The spectral sets are the
+engine's own, with eigenvalues and branch weights in double.
 """
 import mpmath as mp
 import numpy as np
+
+from kundu_dnls import darboux
 
 
 DPS = 40
@@ -17,12 +20,6 @@ def exp_sum(s, x, t):
     at the caller's working precision."""
     x, t = mp.mpf(x), mp.mpf(t)
     return sum(c * mp.exp(kx * x + kt * t) for c, kx, kt in s.terms)
-
-
-def dd_value(dd, idx=()):
-    """The exact value of one entry of a `DDComplexArray` as an mpc."""
-    re_hi, re_lo, im_hi, im_lo = (mp.mpf(float(part[idx])) for part in dd.parts)
-    return mp.mpc(re_hi + re_lo, im_hi + im_lo)
 
 
 def _rows(spectral_set, x, t):
@@ -66,11 +63,16 @@ def n_fold_q(spectral_set, seed, x, t):
         return complex(q)
 
 
-def degenerate_q(sets, seed, xs, ts):
-    """Q of `degenerate_limit` on the nodes (xs[i], ts[j]) from its spectral
-    sets (two for n = 1, whose Q is the average), node by node."""
-    out = np.empty((len(xs), len(ts)), dtype=complex)
-    for i, x in enumerate(xs):
-        for j, t in enumerate(ts):
-            out[i, j] = sum(n_fold_q(s, seed, x, t) for s in sets) / len(sets)
+def finite_radius_q(spec, seed, x, t):
+    """Q of `darboux.finite_radius` at each node of the broadcast x and t,
+    node by node, from its spectral sets (two for n = 1, whose Q is the
+    average)."""
+    offsets = darboux._default_offsets(spec.n)
+    sets = [darboux._degenerate_set(spec, seed, offsets)]
+    if spec.n == 1:
+        sets.append(darboux._degenerate_set(spec, seed, [-o for o in offsets]))
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    out = np.empty(x.shape, dtype=complex)
+    for idx in np.ndindex(x.shape):
+        out[idx] = sum(n_fold_q(s, seed, x[idx], t[idx]) for s in sets) / len(sets)
     return out

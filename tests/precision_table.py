@@ -1,21 +1,25 @@
 """Double's rounding error against the finite-radius truncation error of
-`degenerate_limit`: the table `darboux.EXTENDED_EPS_RADIUS` is read from.
+`darboux.finite_radius`: the table `darboux.EXACT_LIMIT_RADIUS` is read from.
 
-    PYTHONPATH=src python tests/precision_table.py [--nodes 41]
+    PYTHONPATH=src python tests/precision_table.py [--nodes 11]
 
 prints one row per window, order and radius eps in 1e-1 .. 1e-7, of
 
-- rounding: max |I_double - I_extended| over the window's lattice, where I
-  is |Q|^2 of `degenerate_limit` in that precision;
-- truncation: max |I_extended - I_0|, the finite-eps error against the
-  eps -> 0 limit I_0, `darboux.exact_limit` (which matches the catalog's
-  closed forms `rogue1`, `rogue2`, `one_soliton` and `positon` to about
-  1e-15 of their peak);
-- their ratio, against `darboux.ROUNDING_SHARE`: double serves a radius
-  while rounding stays within that share of truncation.
+- rounding: max |I_double - I_mp| over the window's lattice, where I is
+  |Q|^2 of the finite-radius field, I_double from `finite_radius` and I_mp
+  node by node in 40-digit mpmath (`mp_reference.finite_radius_q`);
+- truncation: max |I_mp - I_0|, the finite-eps error against the eps -> 0
+  limit I_0, `darboux.exact_limit` (which matches the catalog's closed
+  forms `rogue1`, `rogue2`, `one_soliton` and `positon` to about 1e-15 of
+  their peak);
+- their ratio, against `ROUNDING_SHARE`: double serves a radius while
+  rounding stays within that share of truncation, and below the radius
+  `degenerate_limit` serves the exact limit.
 
-A lattice node masked in either precision or in the limit is reported
-instead of a ratio.
+A lattice node masked in double, in mpmath or in the limit is reported
+instead of a ratio.  The mpmath nodes set the run time: about 2, 4 and
+10 ms a node at n = 1, 2 and 3, so the default 11 x 11 lattices take about
+4 minutes on a 2-vCPU machine (252 s measured), and 41 x 41 about an hour.
 """
 from __future__ import annotations
 
@@ -26,10 +30,15 @@ from typing import Optional
 
 import numpy as np
 
-from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, ROUNDING_SHARE, DegenerationSpec,
-                                degenerate_limit, exact_limit)
+from kundu_dnls.darboux import EXACT_LIMIT_RADIUS, DegenerationSpec, exact_limit, finite_radius
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed
 from kundu_dnls.numerics.grid import intensity
+
+import mp_reference
+
+# the rule the radii follow: double unless its rounding error exceeds this
+# share of the truncation error
+ROUNDING_SHARE = 0.1
 
 PLANE = make_plane_wave_seed(-2.0, 1.0, 1.0)
 ZERO = zero_seed()
@@ -55,11 +64,13 @@ class Window:
         axis = np.linspace(-self.half, self.half, self.nodes or nodes)
         return np.meshgrid(axis, axis, indexing="ij")
 
-    def intensity(self, n: int, eps: float, precision: str, X, T) -> np.ndarray:
-        """|Q|^2 of `degenerate_limit` in that precision, or of the exact limit."""
+    def intensity(self, n: int, eps: float, kind: str, X, T) -> np.ndarray:
+        """|Q|^2 of the finite-radius field in double or in mpmath, or of the
+        exact limit: `kind` is "double", "mp" or "exact"."""
         spec = DegenerationSpec(self.lambda_c, eps, n, S1=self.S1, S2=self.S2)
-        out = (exact_limit(spec, self.seed) if precision == "exact"
-               else degenerate_limit(spec, self.seed, precision=precision))
+        if kind == "mp":
+            return intensity(mp_reference.finite_radius_q(spec, self.seed, X, T))
+        out = exact_limit(spec, self.seed) if kind == "exact" else finite_radius(spec, self.seed)
         return intensity(out.Q(X, T))
 
 
@@ -76,16 +87,15 @@ WINDOWS = {w.name: w for w in (
 )}
 
 
-def measure(window: Window, n: int, eps: float, nodes: int = 41) -> dict:
+def measure(window: Window, n: int, eps: float, nodes: int = 11) -> dict:
     """One row: rounding, truncation, their ratio and the count of nodes
-    masked in either precision or in the limit."""
+    masked in double, in mpmath or in the limit."""
     X, T = window.lattice(nodes)
-    Ie, Id, I0 = (window.intensity(n, eps, precision, X, T)
-                  for precision in ("extended", "double", "exact"))
+    Im, Id, I0 = (window.intensity(n, eps, kind, X, T) for kind in ("mp", "double", "exact"))
     row = {"window": window.name, "n": n, "eps": eps,
-           "masked": int(np.sum(~np.isfinite(Ie) | ~np.isfinite(Id) | ~np.isfinite(I0)))}
-    row["rounding"] = float(np.max(np.abs(Id - Ie)))
-    row["truncation"] = float(np.max(np.abs(Ie - I0)))
+           "masked": int(np.sum(~np.isfinite(Im) | ~np.isfinite(Id) | ~np.isfinite(I0)))}
+    row["rounding"] = float(np.max(np.abs(Id - Im)))
+    row["truncation"] = float(np.max(np.abs(Im - I0)))
     row["ratio"] = row["rounding"] / row["truncation"] if row["truncation"] > 0 else math.inf
     return row
 
@@ -101,7 +111,7 @@ def double_serves(row: dict) -> bool:
     return row["ratio"] <= ROUNDING_SHARE
 
 
-def table(nodes: int = 41, epsilons=EPSILONS, orders=(1, 2, 3)):
+def table(nodes: int = 11, epsilons=EPSILONS, orders=(1, 2, 3)):
     """The rows of every window at each of its orders among `orders`."""
     for window in WINDOWS.values():
         for n in sorted(set(window.orders) & set(orders)):
@@ -109,7 +119,7 @@ def table(nodes: int = 41, epsilons=EPSILONS, orders=(1, 2, 3)):
                 yield measure(window, n, eps, nodes)
 
 
-def radius(n: int, coarse: list, nodes: int = 41):
+def radius(n: int, coarse: list, nodes: int = 11):
     """(radius, rows) of order n: the largest eps at which a window's ratio
     reaches `ROUNDING_SHARE`, rounded to two significant digits.
 
@@ -146,7 +156,7 @@ def _line(r: dict) -> str:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--nodes", type=int, default=41,
+    ap.add_argument("--nodes", type=int, default=11,
                     help="lattice nodes per axis (the coalescence window keeps its 11)")
     args = ap.parse_args(argv)
     print(f"rule: double unless rounding > {ROUNDING_SHARE} x truncation")
@@ -163,7 +173,7 @@ def main(argv=None) -> None:
         for r in rows:
             print(_line(r))
         print(f"order {n}: measured radius {found:.1e}, "
-              f"darboux.EXTENDED_EPS_RADIUS[{n}] = {EXTENDED_EPS_RADIUS[n]:.1e}", flush=True)
+              f"darboux.EXACT_LIMIT_RADIUS[{n}] = {EXACT_LIMIT_RADIUS[n]:.1e}", flush=True)
 
 
 if __name__ == "__main__":

@@ -75,8 +75,8 @@ def test_every_mapped_figure_has_one_row_of_checks():
 
 
 def test_engine_figures_and_patterns_build_in_double():
-    # under auto, every engine-backed mapped figure and pattern field sits at
-    # or above its order's extended radius; building constructs the field
+    # every engine-backed mapped figure and pattern field sits at or above
+    # its order's exact-limit radius; building constructs the field
     # and samples nothing
     from kundu_dnls import cli
     from kundu_dnls.darboux import DTOutput

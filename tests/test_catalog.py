@@ -144,7 +144,7 @@ def test_positon_as_published_fails_residual():
 def test_positon_is_coalescence_limit_of_engine():
     ref = kd.sample(catalog.positon(0.8, 0.8).eval, kd.Grid2D(-10, 10, -10, 10, 41, 41))
     spec = kd.DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=1e-2, n=2)
-    fld = kd.sample(kd.degenerate_limit(spec, SEED0, precision="double").Q, ref.grid)
+    fld = kd.sample(kd.degenerate_limit(spec, SEED0).Q, ref.grid)
     err, _ = kd.compare_fields(fld, ref)
     assert err <= 2e-2
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from kundu_dnls import acceptance, catalog, cli
 from kundu_dnls.cli import FIGURE_MAP, json_text, main, parse_grid
-from kundu_dnls.darboux import EXTENDED_EPS_RADIUS, DegenerationSpec, degenerate_limit
+from kundu_dnls.darboux import EXACT_LIMIT_RADIUS, DegenerationSpec, degenerate_limit
 from kundu_dnls.errors import InvalidConfigError
 from kundu_dnls.lax import critical_eigenvalue, make_plane_wave_seed, zero_seed
 from kundu_dnls.numerics import grid as grid_mod
@@ -398,17 +398,17 @@ def test_closed_form_constructor_is_looked_up_when_built(monkeypatch, solution):
 
 
 def _at_radius(n):
-    """engine-degenerate of order n at its extended radius, which runs double,
-    and at the next double below it, which is the exact limit."""
-    radius = EXTENDED_EPS_RADIUS[n]
+    """engine-degenerate of order n at its exact-limit radius, which runs
+    double, and at the next double below it, which is the exact limit."""
+    radius = EXACT_LIMIT_RADIUS[n]
     for eps, used in ((radius, "double"), (math.nextafter(radius, 0), "exact")):
         yield pytest.param(["--solution", "engine-degenerate", "--param", f"n={n}",
                             "--param", f"eps={eps!r}"], used, id=f"n{n}-{used}")
 
 
 @pytest.mark.parametrize("argv, used", [
-    # a split rogue2 runs the engine, and eps 1e-5 is below order 2's extended
-    # radius: the exact limit
+    # a split rogue2 runs the engine, and eps 1e-5 is below order 2's
+    # exact-limit radius: the exact limit
     (["--solution", "rogue2", "--param", "S1=1", "--param", "eps=1e-5"], "exact"),
     # an unsplit rogue2 is the closed form
     (["--solution", "rogue2"], "double"),
@@ -426,16 +426,17 @@ def test_sidecar_records_the_precision_used(tmp_path, argv, used):
 def test_no_automatic_path_enters_double_double(monkeypatch):
     # every field the CLI, the gate and the figures build, the engine at and
     # just below each order's radius, and split rogue waves at a tiny eps,
-    # each sampled on a coarse version of its grid
+    # each sampled on a coarse version of its grid: the double-double names
+    # kept for the benchmark tracer are on no path
     from kundu_dnls import darboux
-    from kundu_dnls.lax import ExpSum
+    from kundu_dnls.numerics.doubledouble import DDComplexArray
 
     def refuse(*args, **kwargs):
         raise AssertionError("double-double entered")
     monkeypatch.setattr(darboux, "dd_batched_det", refuse)
-    monkeypatch.setattr(ExpSum, "dd_each", staticmethod(refuse))
+    monkeypatch.setattr(DDComplexArray, "from_mp", classmethod(refuse))
     jobs = [*FIGURE_MAP.values(), *acceptance.PATTERN_CONFIGS.values()]
-    for n, radius in EXTENDED_EPS_RADIUS.items():
+    for n, radius in EXACT_LIMIT_RADIUS.items():
         for eps in (radius, math.nextafter(radius, 0)):
             jobs.append(("engine-degenerate", {"n": n, "eps": eps}, "-2:2:5,-2:2:5"))
     for solution in ("rogue2", "rogue3"):
@@ -724,7 +725,7 @@ def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precisi
     # pyproject's filterwarnings, so exit 1) escapes the split or the Taylor
     # series.  A grid of masked nodes shows nothing: the job exits 2 naming
     # the count.  The order-1 radius rule picks the path from eps
-    assert (eps < EXTENDED_EPS_RADIUS[1]) == (precision == "exact")
+    assert (eps < EXACT_LIMIT_RADIUS[1]) == (precision == "exact")
     out = tmp_path / "x.csv"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

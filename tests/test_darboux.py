@@ -6,9 +6,9 @@ import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import catalog
-from kundu_dnls.darboux import (EXTENDED_EPS_RADIUS, DegenerationSpec, SpectralSet,
+from kundu_dnls.darboux import (EXACT_LIMIT_RADIUS, DegenerationSpec, SpectralSet,
                                 _scaled_weights, build_reduced_set, degenerate_limit,
-                                exact_limit, n_fold)
+                                exact_limit, finite_radius, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
@@ -156,14 +156,12 @@ def test_reduction_symmetry_companion_field():
 
 
 def test_reduced_r_is_exactly_minus_conj_q():
-    # a reduced set's R is -conj(Q) bit for bit, in both precisions, through
-    # the n = 1 average of `degenerate_limit`, and in the exact limit
+    # a reduced set's R is -conj(Q) bit for bit, through the n = 1 average
+    # of `finite_radius`, and in the exact limit
     X, T = grid_pts(8, -2, 2, seed=3).T
     sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    for out in (n_fold(sset, SEEDP), n_fold(sset, SEEDP, precision="extended"),
-                degenerate_limit(spec, SEEDP, precision="double"),
-                degenerate_limit(spec, SEEDP, precision="extended"),
+    for out in (n_fold(sset, SEEDP), finite_radius(spec, SEEDP),
                 exact_limit(DegenerationSpec(1 + 1j, 1e-3, 3), SEEDP)):
         q, r, _ = out.evaluate(X, T)
         assert np.all(np.isfinite(q))
@@ -227,24 +225,12 @@ def test_reduced_path_evaluates_representatives_once(monkeypatch):
     n_fold(general(sset), SEEDP).Q(X, T)
     # the partners wrap their representative's counted closures
     assert calls == {"components": 12, "stacks": 2}
-
-    # extended path: mp_components once per representative per block
-    for d in sset.data:
-        d.mp_components = counted(d.mp_components)
-    real_dd = dx.dd_batched_det
-
-    def counted_dd(mat):
-        calls["stacks"] += 1
-        return real_dd(mat)
-    monkeypatch.setattr(dx, "dd_batched_det", counted_dd)
-    calls.update(components=0, stacks=0)
-    ext = n_fold(sset, SEEDP, precision="extended")
-    ext.Q(X[:5], T[:5])
-    assert calls == {"components": 3, "stacks": 1}
+    # once per representative per block, counted on one thread
     calls.update(components=0, stacks=0)
     monkeypatch.setattr(grid_mod, "_BLOCK_NODES", 6)
-    kd.sample(ext.Q, kd.Grid2D(-1, 1, -1, 1, 3, 5))     # three blocks of one row
-    assert calls == {"components": 3 * 3, "stacks": 3}
+    monkeypatch.setattr(grid_mod, "_workers", lambda: 1)
+    kd.sample(n_fold(sset, SEEDP).Q, kd.Grid2D(-1, 1, -1, 1, 3, 5))     # three blocks of one row
+    assert calls == {"components": 6 * 3, "stacks": 3}
 
 
 def test_engine_eliminates_each_stack_in_place(monkeypatch):
@@ -272,10 +258,9 @@ def _wrapped_eigenfunction(make):
     instrumenting caller does after construction."""
     def wrapped(*args, **kwargs):
         datum = make(*args, **kwargs)
-        phi, varphi, mp_components = datum.phi, datum.varphi, datum.mp_components
+        phi, varphi = datum.phi, datum.varphi
         datum.phi = lambda x, t: phi(x, t)
         datum.varphi = lambda x, t: varphi(x, t)
-        datum.mp_components = lambda x, t: mp_components(x, t)
         return datum
     return wrapped
 
@@ -286,7 +271,7 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     lams = [0.5 + 0.5j, 0.4 + 0.9j]
     plain = build_reduced_set(lams, SEEDP)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    plain_ext = degenerate_limit(spec, SEEDP, precision="extended").Q(X[:5], T[:5])
+    plain_radius = finite_radius(spec, SEEDP).Q(X, T)
     monkeypatch.setattr(dx, "plane_wave_eigenfunction",
                         _wrapped_eigenfunction(dx.plane_wave_eigenfunction))
     wrapped = build_reduced_set(lams, SEEDP)
@@ -295,8 +280,7 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
         e for lam in lams for e in (lam, np.conj(lam))]
     for a, b in ((plain, wrapped), (general(plain), general(wrapped))):
         assert np.array_equal(n_fold(a, SEEDP).Q(X, T), n_fold(b, SEEDP).Q(X, T))
-    assert np.array_equal(degenerate_limit(spec, SEEDP, precision="extended").Q(X[:5], T[:5]),
-                          plain_ext)
+    assert np.array_equal(finite_radius(spec, SEEDP).Q(X, T), plain_radius)
 
 
 def _benchmark_tracing():
@@ -311,9 +295,11 @@ def _benchmark_tracing():
     return tracing
 
 
-def test_benchmark_tracer_records_both_precisions():
+def test_benchmark_tracer_records_double_and_exact_fields():
     # the benchmark's tracer replaces components after construction; run one
-    # double and one extended evaluation under it
+    # double n-fold field and one exact limit under it.  The exact limit's
+    # rows are Taylor coefficients, not components, and its one stack is
+    # eliminated by `batched_det`
     import kundu_dnls.darboux as dx
     tracing = _benchmark_tracing()
     tracer = tracing.Tracer()
@@ -323,26 +309,28 @@ def test_benchmark_tracer_records_both_precisions():
     tracer.active = True
     try:
         q = dx.n_fold(dx.build_reduced_set([0.5 + 0.5j], SEEDP), SEEDP).Q(X, T)
-        qe = dx.degenerate_limit(dx.DegenerationSpec(1 + 1j, 1e-3, 1), SEEDP,
-                                 precision="extended").Q(X, T)
+        exact = dx.degenerate_limit(dx.DegenerationSpec(1 + 1j, 1e-5, 3), SEEDP)
+        qe = exact.Q(X, T)
     finally:
         tracer.active = False
         inst.uninstall()
+    assert exact.precision == "exact"
     assert np.all(np.isfinite(q)) and np.all(np.isfinite(qe))
-    names = {span[tracing.NAME] for span in tracer.spans}
-    assert {"lax.components", "lax.mp_components", "darboux.q",
-            "numerics.doubledouble.dd_batched_det"} <= names
-    metrics = tracing.layer_metrics(tracer.spans, tracer.fallback_nodes, 1)
-    assert metrics["darboux.extended_nodes"] == X.size
-    # one call per block for the n = 1 representative and one for its mirror's
-    assert metrics["lax.mp_component_calls"] == 2
+    spans = tracer.spans
+    names = {span[tracing.NAME] for span in spans}
+    assert "lax.mp_components" not in names
+    roots = [i for i, span in enumerate(spans) if span[tracing.NAME] == "darboux.q"]
+    assert len(roots) == 2
+    for root, components in zip(roots, (2, 0)):
+        under = [span[tracing.NAME] for span in spans if span[tracing.PARENT] == root]
+        assert under.count("numerics.determinant.batched_det") == 1
+        assert under.count("lax.components") == components
+    metrics = tracing.layer_metrics(spans, tracer.fallback_nodes, 1)
+    assert metrics["darboux.extended_nodes"] == 0
+    assert metrics["numerics.determinant.matrices"] == 2 * X.size
 
 
-@pytest.mark.parametrize("precision, elimination, components", [
-    ("double", "numerics.determinant.batched_det", "lax.components"),
-    ("extended", "numerics.doubledouble.dd_batched_det", "lax.mp_components")])
-def test_benchmark_tracer_sees_each_elimination_of_a_general_set(precision, elimination,
-                                                                  components):
+def test_benchmark_tracer_sees_each_elimination_of_a_general_set():
     # the tracer wraps the elimination entries by module name and each datum's
     # components; a reduced block eliminates one stack and a general block two,
     # and tracing changes no bit of the field
@@ -354,7 +342,7 @@ def test_benchmark_tracer_sees_each_elimination_of_a_general_set(precision, elim
 
     def fields():
         reduced = dx.build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
-        return [dx.n_fold(s, SEEDP, precision).Q(X, T) for s in (reduced, general(reduced))]
+        return [dx.n_fold(s, SEEDP).Q(X, T) for s in (reduced, general(reduced))]
     plain = fields()
     inst.install()
     tracer.active = True
@@ -370,11 +358,10 @@ def test_benchmark_tracer_sees_each_elimination_of_a_general_set(precision, elim
     def under(root, name):
         return sum(1 for span in spans
                    if span[tracing.NAME] == name and span[tracing.PARENT] == root)
-    assert [under(r, elimination) for r in roots] == [1, 2]
-    # per datum, phi and varphi or, extended, both in one call; a partner's
-    # components call its representative's
-    per_datum = 2 if precision == "double" else 1
-    assert [under(r, components) for r in roots] == [2 * per_datum, 4 * per_datum]
+    assert [under(r, "numerics.determinant.batched_det") for r in roots] == [1, 2]
+    # per datum, phi and varphi; a partner's components call its
+    # representative's
+    assert [under(r, "lax.components") for r in roots] == [4, 8]
 
 
 def test_benchmark_tracer_times_the_catalog_determinant():
@@ -599,78 +586,6 @@ def test_n_fold_rejects_unsupported_order():
         n_fold(sset, SEED0)
 
 
-@pytest.mark.parametrize("phase", [{}, {"S1": 50.0, "S2": 2e3}], ids=["unsplit", "split"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_extended_path_matches_a_per_node_mpmath_reference(n, phase):
-    # the vectorized double-double path against 40-digit mpmath determinants,
-    # node by node, over the coalescence radii where double breaks down
-    import kundu_dnls.darboux as dx
-    xs, ts = np.linspace(-2, 2, 3), np.linspace(-1.5, 1.5, 3)
-    offsets = dx._default_offsets(n)
-    for eps in (1e-5, 1e-4, 1e-3):
-        spec = DegenerationSpec(1 + 1j, eps, n, **phase)
-        sets = [dx._degenerate_set(spec, SEEDP, offsets)]
-        if n == 1:
-            sets.append(dx._degenerate_set(spec, SEEDP, [-o for o in offsets]))
-        want = mp_reference.degenerate_q(sets, SEEDP, xs, ts)
-        got = degenerate_limit(spec, SEEDP, precision="extended").Q(xs[:, None], ts[None, :])
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def test_extended_path_masks_overflowing_components():
-    # phi overflows double's range at x = 1e4 (its exponent is about 1050
-    # there); pyproject turns RuntimeWarnings into errors
-    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
-    q = n_fold(sset, SEED0, precision="extended").Q(np.array([0.3, 1e4]), np.zeros(2))
-    assert np.isfinite(q[0]) and np.isnan(q[1])
-
-
-def test_extended_path_mpmath_work_does_not_grow_with_the_block(monkeypatch):
-    # the engine's mpmath work is its constants (the exponential sums' and
-    # the eigenvalue powers'), split by `from_mp`: none of it is per node
-    from kundu_dnls.numerics.doubledouble import DDComplexArray
-    from_mp, values = DDComplexArray.__dict__["from_mp"].__func__, []
-
-    def counted(cls, vals):
-        values.append(np.size(vals))
-        return from_mp(cls, vals)
-    monkeypatch.setattr(DDComplexArray, "from_mp", classmethod(counted))
-    per_block = []
-    for shape in ((2, 2), (40, 30)):
-        values.clear()
-        spec = DegenerationSpec(1 + 1j, 1e-4, 3)
-        kd.sample(degenerate_limit(spec, SEEDP, precision="extended").Q,
-                  kd.Grid2D(-1, 1, -1, 1, *shape))
-        per_block.append(sum(values))
-    assert per_block[0] == per_block[1] > 0
-
-
-def test_extended_precision_path_agrees_with_double():
-    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
-    qd = n_fold(sset, SEED0, precision="double").Q
-    qe = n_fold(sset, SEED0, precision="extended").Q
-    for x, t in grid_pts(6, -2, 2):
-        assert complex(qd(x, t)) == pytest.approx(complex(qe(x, t)), rel=1e-10)
-
-
-def test_extended_path_refuses_data_without_mp_components():
-    synthetic = _synthetic_pole_set()
-    n_fold(synthetic, SEED0)
-    with pytest.raises(ValueError):
-        n_fold(synthetic, SEED0, precision="extended")
-    # a listed partner must carry its own; a reduced set derives it
-    sset = build_reduced_set([0.7 + 0.3j], SEED0)
-    listed = general(sset)
-    n_fold(listed, SEED0, precision="extended")
-    listed.data[1].mp_components = None
-    with pytest.raises(ValueError):
-        n_fold(listed, SEED0, precision="extended")
-    sset.data[0].mp_components = None
-    for s in (sset, general(sset)):
-        with pytest.raises(ValueError):
-            n_fold(s, SEED0, precision="extended")
-
-
 def test_condition_estimate_grows_toward_degeneracy():
     seed = SEED0
     lam = 0.8 + 0.8j
@@ -712,7 +627,7 @@ def test_positon_family_converges_and_is_monotone():
 
     def family(eps):
         spec = DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=eps, n=2)
-        return kd.sample(degenerate_limit(spec, SEED0, precision="double").Q, ref.grid)
+        return kd.sample(degenerate_limit(spec, SEED0).Q, ref.grid)
 
     rows, monotone = kd.convergence_study(family, ref, [1e-1, 1e-2])
     assert monotone and rows[-1][1] <= 0.05 * rows[0][1]
@@ -725,7 +640,7 @@ def test_degenerate_two_solitons_differ_then_converge():
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         spec = DegenerationSpec(lambda_c=0.8 + 0.8j, epsilon=eps, n=2)
-        fld = kd.sample(degenerate_limit(spec, SEED0, precision="double").Q, ref.grid)
+        fld = kd.sample(degenerate_limit(spec, SEED0).Q, ref.grid)
         err, _ = kd.compare_fields(fld, ref)
         errs.append(err)
         assert err > 0
@@ -743,7 +658,7 @@ def test_rogue_limit_matches_catalog_probe_lattice():
 
 def test_rogue2_limit_matches_catalog():
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-2, n=2)
-    out = degenerate_limit(spec, SEEDP, precision="double")
+    out = degenerate_limit(spec, SEEDP)
     pts = [(0.0, 0.0), (0.6, 0.2), (-1.5, 0.7), (2.0, 1.0)]
     for x, t in pts:
         Ie = abs(complex(out.Q(np.array(x), np.array(t)))) ** 2
@@ -761,35 +676,35 @@ def test_split_weights_produce_three_humps():
 
 def test_degenerate_limit_engages_the_exact_limit_automatically(monkeypatch):
     # per order, the exact limit just below its radius, with no n-fold field,
-    # and double at and just above it; an explicit precision wins on either side
+    # and the finite radius in double at and just above it; `finite_radius`
+    # runs the radius below it too
     import kundu_dnls.darboux as dx
     orig, captured = dx.n_fold, []
 
-    def spy(sset, seed, precision="double"):
-        captured.append(precision)
-        return orig(sset, seed, precision=precision)
+    def spy(sset, seed):
+        captured.append(sset.order)
+        return orig(sset, seed)
 
     monkeypatch.setattr(dx, "n_fold", spy)
-    for n, radius in dx.EXTENDED_EPS_RADIUS.items():
-        for eps, given, used in ((0.99 * radius, None, "exact"),
-                                 (radius, None, "double"), (1.01 * radius, None, "double"),
-                                 (0.99 * radius, "double", "double"),
-                                 (0.99 * radius, "extended", "extended"),
-                                 (1.01 * radius, "extended", "extended")):
+    for n, radius in dx.EXACT_LIMIT_RADIUS.items():
+        for eps, build, used in ((0.99 * radius, degenerate_limit, "exact"),
+                                 (radius, degenerate_limit, "double"),
+                                 (1.01 * radius, degenerate_limit, "double"),
+                                 (0.99 * radius, finite_radius, "double")):
             captured.clear()
-            spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n)
-            out = degenerate_limit(spec, SEEDP, precision=given)
-            assert np.isfinite(out.Q(0.0, 0.0)) and out.precision == used, (n, eps, given)
-            assert captured == ([] if used == "exact" else [used] * (1 if n > 1 else 2))
+            out = build(DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n), SEEDP)
+            assert np.isfinite(out.Q(0.0, 0.0)) and out.precision == used, (n, eps, build)
+            assert captured == ([] if used == "exact" else [n] * (1 if n > 1 else 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_precision_table_keeps_its_coarse_shape(n):
     # the table the radii are read from, on the 11 x 11 coalescence window:
-    # 3x above an order's radius double's rounding error is within the
-    # rule's share of the truncation error, and 10x below it is not
+    # 3x above an order's radius double's rounding error (against 40-digit
+    # mpmath) is within the rule's share of the truncation error, and 10x
+    # below it is not
     window = precision_table.WINDOWS["coalescence"]
-    radius = EXTENDED_EPS_RADIUS[n]
+    radius = EXACT_LIMIT_RADIUS[n]
     above, below = (precision_table.measure(window, n, eps) for eps in (3 * radius, radius / 10))
     assert precision_table.resolved(above) and precision_table.double_serves(above), above
     assert precision_table.resolved(below) and not precision_table.double_serves(below), below
@@ -822,12 +737,13 @@ def test_exact_limit_of_order_three_has_crest_49():
 
 @pytest.mark.parametrize("n, S1, errors", [
     (2, 0.0, (1.37e-4, 1.37e-6)), (3, 0.0, (1.16e-6, 1.16e-9)), (2, 2.0, (2.99e-3, 2.99e-5))])
-def test_extended_converges_to_the_exact_limit_at_its_order(n, S1, errors):
-    # |Q_eps - Q_0| at one node, eps = 1e-2 then 1e-3: order 2, or 3 at n = 3
+def test_the_finite_radius_converges_to_the_exact_limit_at_its_order(n, S1, errors):
+    # |Q_eps - Q_0| at one node, eps = 1e-2 then 1e-3, with Q_eps the
+    # finite-radius field in 40-digit mpmath: order 2, or 3 at n = 3
     limit = complex(exact_limit(DegenerationSpec(1 + 1j, 1e-3, n, S1=S1), SEEDP).Q(0.3, -0.2))
     for eps, want in zip((1e-2, 1e-3), errors):
         spec = DegenerationSpec(1 + 1j, eps, n, S1=S1)
-        got = complex(degenerate_limit(spec, SEEDP, precision="extended").Q(0.3, -0.2))
+        got = complex(mp_reference.finite_radius_q(spec, SEEDP, 0.3, -0.2))
         assert abs(got - limit) == pytest.approx(want, rel=5e-3), eps
 
 
@@ -841,12 +757,12 @@ def test_exact_limit_is_the_coalescence_limit_on_and_off_the_branch_points(seed,
     # off the zeros of s(lam)^2 the Taylor orders start at 0 and both branch
     # terms enter; at the four zeros on (-2, 1) they start at 1 where u-+
     # vanish (the critical eigenvalue and its conjugate) and at 0 where they
-    # are 2 (the mirrors).  Either way the finite-radius field converges to
-    # the limit at its order
+    # are 2 (the mirrors).  Either way the finite-radius field, in 40-digit
+    # mpmath, converges to the limit at its order
     X, T = grid_pts(6, -2, 2, seed=7).T
     limit = exact_limit(DegenerationSpec(lambda_c, 1e-3, n), seed).Q(X, T)
-    err = [np.max(np.abs(degenerate_limit(DegenerationSpec(lambda_c, eps, n), seed,
-                                          precision="extended").Q(X, T) - limit))
+    err = [np.max(np.abs(mp_reference.finite_radius_q(DegenerationSpec(lambda_c, eps, n), seed,
+                                                      X, T) - limit))
            for eps in (1e-2, 1e-3)]
     assert 0 < err[1] <= err[0] / 50, err
 
@@ -894,13 +810,14 @@ def test_exact_limit_on_either_side_of_the_recentring_switch(delta):
     # within NEAR_BRANCH_POINT the rows are carried from the branch point,
     # beyond it expanded at lambda_c, whose branch terms cancel most just
     # beyond it: measured 6.4e-14 within and 1.6e-11 at 2.1e-2 of the
-    # finite-radius field at eps = 1e-5, which the order 3 has converged
+    # finite-radius field at eps = 1e-5 (in 40-digit mpmath), which the
+    # order 3 has converged
     from kundu_dnls.darboux import NEAR_BRANCH_POINT
     assert 5e-3 < NEAR_BRANCH_POINT < 5e-2
     X, T = grid_pts(6, -6, 6, seed=3).T
     lam = kd.critical_eigenvalue(SEEDP) * (1 + delta * np.exp(0.7j))
     limit = exact_limit(DegenerationSpec(lam, 1e-3, 3), SEEDP).Q(X, T)
-    near = degenerate_limit(DegenerationSpec(lam, 1e-5, 3), SEEDP, precision="extended").Q(X, T)
+    near = mp_reference.finite_radius_q(DegenerationSpec(lam, 1e-5, 3), SEEDP, X, T)
     assert np.max(np.abs(limit - near)) <= 1e-10 * np.max(np.abs(near))
 
 

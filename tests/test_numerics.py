@@ -1,7 +1,6 @@
-"""Grid, stencil, determinant, and extended-precision unit tests."""
+"""Grid, stencil, determinant, and double-double unit tests."""
 import importlib
 import inspect
-import math
 import os
 import sys
 import threading
@@ -20,11 +19,10 @@ from kundu_dnls import catalog
 from kundu_dnls.cli import build_field
 from kundu_dnls.darboux import DegenerationSpec, build_reduced_set, degenerate_limit
 from kundu_dnls.lax import make_plane_wave_seed, zero_seed, zero_seed_eigenfunction
-from kundu_dnls.numerics import (ComplexField2D, DDComplexArray, Grid2D,
-                                 batched_det, dd_batched_det, det, sample, thread_safe)
+from kundu_dnls.numerics import ComplexField2D, Grid2D, batched_det, det, sample, thread_safe
 from kundu_dnls.numerics import grid as grid_mod
 from kundu_dnls.numerics import printing
-from kundu_dnls.numerics.doubledouble import dd_cos_sin, dd_exp
+from kundu_dnls.numerics.doubledouble import DDComplexArray, dd_batched_det
 
 import published_forms
 from oracles import one_fold
@@ -58,8 +56,7 @@ _PUBLIC = {
         "__version__"],
     "kundu_dnls.numerics": [
         "Grid2D", "ComplexField2D", "sample", "thread_safe", "intensity",
-        "det", "batched_det",
-        "DDComplexArray", "dd_batched_det"],
+        "det", "batched_det"],
 }
 
 
@@ -657,10 +654,9 @@ def _engine_fields():
     yield pytest.param(one_fold(build_reduced_set([1 + 2j], seed0), seed0).Q, (-3, 3, -1, 1),
                        (21, 17), _MULTI, id="one_fold")
     yield pytest.param(_fig9(), (-40, 40, -40, 40), (23, 19), _MULTI, id="n_fold-fig9")
-    # the extended path costs about 50 us a node: the smallest two-block grid
-    extended = degenerate_limit(DegenerationSpec(1 + 1j, 5e-4, 2), seed, precision="extended")
-    yield pytest.param(extended.Q, (-2, 2, -1.5, 1.5), (5, 5), ((2, 8192), 2),
-                       id="degenerate_limit-extended")
+    exact = degenerate_limit(DegenerationSpec(1 + 1j, 1e-4, 3), seed)
+    yield pytest.param(exact.Q, (-2, 2, -1.5, 1.5), (21, 17), _MULTI,
+                       id="degenerate_limit-exact")
 
 
 def _fig9():
@@ -712,12 +708,13 @@ def test_sampling_the_positon_holds_bounded_memory():
     assert peak <= 64 * 2 ** 20
 
 
-def test_sampling_the_extended_path_holds_bounded_memory():
-    # every temporary of the double-double path is per block (peak about
-    # 44 MiB on a 201^2 grid in blocks of 81 rows)
-    f = degenerate_limit(DegenerationSpec(1 + 1j, 1e-4, 3), make_plane_wave_seed(-2.0, 1.0, 1.0),
-                         precision="extended").Q
-    g = Grid2D(-2, 2, -2, 2, 201, 201)
+def test_sampling_the_exact_limit_holds_bounded_memory():
+    # every temporary of the exact limit's rows is per block: peak about
+    # 30 MiB on a 401^2 grid, where its 6 x 7 stacks over the whole grid
+    # alone would take 108 MB
+    f = degenerate_limit(DegenerationSpec(1 + 1j, 1e-4, 3),
+                         make_plane_wave_seed(-2.0, 1.0, 1.0)).Q
+    g = Grid2D(-2, 2, -2, 2, 401, 401)
     tracemalloc.start()
     try:
         fld = sample(f, g)
@@ -725,7 +722,7 @@ def test_sampling_the_extended_path_holds_bounded_memory():
     finally:
         tracemalloc.stop()
     assert not fld.invalid.any()
-    assert peak <= 72 * 2 ** 20
+    assert peak <= 40 * 2 ** 20
 
 
 def test_field_shape_validation():
@@ -779,55 +776,6 @@ def test_dd_from_mp_preserves_extra_digits():
         dd = DDComplexArray.from_mp(np.array([[val]], dtype=object))
         err = abs(mp.mpf(dd.re_hi[0, 0]) + mp.mpf(dd.re_lo[0, 0]) - mp.mpf(1) / 3)
     assert err < mp.mpf(10) ** -30
-
-
-def _dd_split(values):
-    """Double-double (hi, lo) arrays of mpmath reals, and the values they hold exactly."""
-    hi = np.array([float(v) for v in values])
-    lo = np.array([float(v - mp.mpf(h)) for v, h in zip(values, hi)])
-    return hi, lo, [mp.mpf(h) + mp.mpf(lo) for h, lo in zip(hi, lo)]
-
-
-def _dd_error(pair, refs, scale=None):
-    """Worst error of double-double results against mpmath values, relative
-    to each value or to `scale`."""
-    return max(abs(mp.mpf(h) + mp.mpf(lo) - r) / (scale or abs(r))
-               for h, lo, r in zip(*pair, refs))
-
-
-def test_dd_exp_matches_mpmath():
-    rng = np.random.default_rng(8)
-    with mp.workdps(40):
-        # below about exp(-680) the low word would be subnormal
-        values = [mp.mpf(v) * (1 + mp.mpf(2) ** -70 * rng.standard_normal())
-                  for v in [*rng.uniform(-670, 700, 200), *rng.uniform(-1, 1, 50), 0.0,
-                            -0.5 * math.log(2), 0.5 * math.log(2), 700.0, -670.0]]
-        hi, lo, exact = _dd_split(values)
-        assert _dd_error(dd_exp(hi, lo), [mp.exp(v) for v in exact]) <= 1e-28
-
-
-def test_dd_cos_sin_match_mpmath():
-    rng = np.random.default_rng(9)
-    with mp.workdps(40):
-        values = [mp.mpf(v) * (1 + mp.mpf(2) ** -70 * rng.standard_normal())
-                  for v in [*rng.uniform(-1e4, 1e4, 200), *rng.uniform(-1, 1, 50)]]
-        # multiples of pi/2, where one of the two vanishes and the quadrant turns
-        values += [k * mp.pi / 2 for k in (*range(-9, 10), 6366, -6367)]
-        hi, lo, exact = _dd_split(values)
-        cos, sin = dd_cos_sin(hi, lo)
-        # |cos|, |sin| <= 1: errors are taken relative to the unit circle
-        assert _dd_error(cos, [mp.cos(v) for v in exact], scale=1) <= 1e-28
-        assert _dd_error(sin, [mp.sin(v) for v in exact], scale=1) <= 1e-28
-
-
-def test_dd_exp_underflows_to_zero_and_overflows_without_warning():
-    # pyproject turns RuntimeWarnings into errors
-    hi = np.array([-800.0, -1e5, 710.0, 1e5, np.nan])
-    eh, el = dd_exp(hi, np.zeros_like(hi))
-    assert np.all(eh[:2] == 0) and np.all(el[:2] == 0)
-    assert np.all(np.isposinf(eh[2:4])) and np.isnan(eh[4])
-    (ch, _), (sh, _) = dd_cos_sin(np.array([np.inf, np.nan]), np.zeros(2))
-    assert np.all(np.isnan(ch)) and np.all(np.isnan(sh))
 
 
 def batch_first_dd_batched_det(mat):
