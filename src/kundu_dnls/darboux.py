@@ -297,8 +297,11 @@ def n_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
     powers = _row_powers(spectral_set)
 
     def evaluate(x, t):
-        return _combine(seed, spectral_set.reduction,
-                        _omega_dets(spectral_set, powers, x, t), x, t)
+        # beyond double's range components and determinants are inf or NaN,
+        # which `_combine` masks, without a warning
+        with np.errstate(all="ignore"):
+            dets = _omega_dets(spectral_set, powers, x, t)
+        return _combine(seed, spectral_set.reduction, dets, x, t)
 
     return DTOutput(evaluate)
 

@@ -137,7 +137,8 @@ class ExpSum:
     two phase factors cost one complex exp per row and per column instead
     of one per node.  The real exponent stays one sum over the block, so it
     over- and underflows where the whole exponent does, and a term whose x
-    and t parts are each huge but cancel stays finite.
+    and t parts are each huge but cancel stays finite.  Beyond exp's range
+    a term is inf or NaN, without a warning, and the n-fold map masks it.
     """
 
     def __init__(self, terms):
@@ -149,8 +150,9 @@ class ExpSum:
 
     def __call__(self, x, t):
         x, t = np.asarray(x), np.asarray(t)
-        return sum(np.exp(rx * x + rt * t) * (c * np.exp(ix * x) * np.exp(it * t))
-                   for c, rx, rt, ix, it in self._double)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(np.exp(rx * x + rt * t) * (c * np.exp(ix * x) * np.exp(it * t))
+                       for c, rx, rt, ix, it in self._double)
 
 
 def zero_seed_eigenfunction(lam: complex) -> SpectralDatum:

@@ -1,4 +1,5 @@
 """Transformation-engine tests: one-fold, n-fold, reduction, degeneration."""
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -584,6 +585,74 @@ def test_n_fold_rejects_unsupported_order():
     sset = build_reduced_set(lams, SEED0)
     with pytest.raises(ValueError):
         n_fold(sset, SEED0)
+
+
+@pytest.mark.parametrize("entry, params", [
+    pytest.param(n_fold, ["spectral_set", "seed"], id="n_fold"),
+    pytest.param(finite_radius, ["spec", "seed"], id="finite_radius"),
+    pytest.param(exact_limit, ["spec", "seed"], id="exact_limit"),
+    pytest.param(degenerate_limit, ["spec", "seed"], id="degenerate_limit")])
+def test_engine_entry_takes_no_precision(entry, params):
+    # the engine evaluates in double only: no entry selects a precision
+    assert list(inspect.signature(entry).parameters) == params
+
+
+@pytest.mark.parametrize("layout", ["reduced", "general"])
+def test_n_fold_agrees_with_a_per_node_mpmath_reference(layout):
+    # a two-fold field on the zero seed against 40-digit mpmath determinants,
+    # node by node (measured 1.3e-14); a general listing of the reduced set
+    # has the same matrices, so the reduced set's reference serves both
+    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
+    X, T = grid_pts(6, -2, 2).T
+    q = n_fold(sset if layout == "reduced" else general(sset), SEED0).Q(X, T)
+    for x, t, got in zip(X, T, q):
+        assert got == pytest.approx(mp_reference.n_fold_q(sset, SEED0, x, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("layout", ["reduced", "general"])
+def test_n_fold_masks_overflowing_components(layout):
+    # phi overflows double's range at x = 1e4 (its exponent is about 1050
+    # there): the node is NaN, and no RuntimeWarning escapes (pyproject
+    # turns them into errors)
+    sset = build_reduced_set([0.7 + 0.3j, 0.5 + 0.5j], SEED0)
+    out = n_fold(sset if layout == "reduced" else general(sset), SEED0)
+    q = out.Q(np.array([0.3, 1e4]), np.zeros(2))
+    assert np.isfinite(q[0]) and np.isnan(q[1])
+
+
+# double's rounding error at each order's radius, relative to max |Q| on the
+# 3 x 3 window below: measured 1.0e-13, 2.1e-11 and 1.2e-10, times 10
+_ROUNDING_AT_RADIUS = {1: 1e-12, 2: 2e-10, 3: 1.2e-9}
+
+
+@pytest.mark.parametrize("phase", [{}, {"S1": 50.0, "S2": 2e3}], ids=["unsplit", "split"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_finite_radius_matches_a_per_node_mpmath_reference(n, phase):
+    # the vectorized double field against 40-digit mpmath determinants, node
+    # by node, from the order's radius up, where `degenerate_limit` runs it:
+    # the rounding error falls as eps^-(n-1) away from the radius
+    xs, ts = np.linspace(-2, 2, 3)[:, None], np.linspace(-1.5, 1.5, 3)[None, :]
+    radius = EXACT_LIMIT_RADIUS[n]
+    for eps in (radius, 10 * radius, min(100 * radius, 0.1)):
+        spec = DegenerationSpec(1 + 1j, eps, n, **phase)
+        want = mp_reference.finite_radius_q(spec, SEEDP, xs, ts)
+        got = finite_radius(spec, SEEDP).Q(xs, ts)
+        bound = _ROUNDING_AT_RADIUS[n] * (radius / eps) ** (n - 1)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degenerate_limit_gives_the_bits_of_the_path_its_radius_picks(n):
+    # below the order's radius the exact limit's field, at and above it the
+    # finite radius's, bit for bit
+    X, T = grid_pts(8, -2, 2, seed=5).T
+    radius = EXACT_LIMIT_RADIUS[n]
+    for eps, build in ((0.5 * radius, exact_limit), (radius, finite_radius),
+                       (2 * radius, finite_radius)):
+        spec = DegenerationSpec(1 + 1j, eps, n)
+        want = build(spec, SEEDP).Q(X, T)
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(degenerate_limit(spec, SEEDP).Q(X, T), want), eps
 
 
 def test_condition_estimate_grows_toward_degeneracy():

@@ -127,6 +127,21 @@ def test_zero_seed_rejects_zero_eigenvalue():
         zero_seed_eigenfunction(0.0)
 
 
+def test_zero_seed_components_take_the_block_shape():
+    # the components of a block broadcast x against t, as `sample` passes
+    # them, and match the closed form; a point is a 0-d block
+    lam = 0.9 + 1.1j
+    d = zero_seed_eigenfunction(lam)
+    x, t = np.array([[0.37], [1.2]]), np.array([[-0.81, 0.5, 2.0]])
+    p, v = d.phi(x, t), d.varphi(x, t)
+    assert p.shape == v.shape == (2, 3)
+    closed = np.exp(-0.125j * (2 * lam ** 2 * x - lam ** 4 * t))
+    assert np.allclose(p, closed, rtol=1e-14, atol=0)
+    assert np.allclose(v, 1 / closed, rtol=1e-14, atol=0)
+    point = d.phi(0.37, -0.81)
+    assert np.ndim(point) == 0 and complex(point) == pytest.approx(complex(closed[0, 0]), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # branch quantity and plane-wave eigenfunctions
 # ---------------------------------------------------------------------------
@@ -330,6 +345,37 @@ def test_exponential_sum_with_cancelling_huge_exponents_stays_finite():
             for j, tj in enumerate(x):
                 ref = mp_reference.exp_sum(s, xi, tj)
                 assert abs(values[i, j] - complex(ref)) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("re_x, im_x", [(3.3, 20.0), (-1.2, 30.0), (0.7, -1e3), (0.0, 1e3)])
+def test_exponential_sum_in_double_matches_mpmath(re_x, im_x):
+    # exponents with |Re| up to 660 and |Im| up to 1e4 over x, t in [-10, 10]:
+    # double's relative error follows the exponent's size, measured at most
+    # 1.3e-16 times its largest |kx x| + |kt t|
+    with mp.workdps(40):
+        s = ExpSum([(mp.mpc(0.3, -1.1), mp.mpc(re_x, im_x) / 3, mp.mpc(-re_x, 0.5) * 20),
+                    (mp.mpf(2) / 3, mp.mpc(-0.25, im_x), mp.mpc(0, -im_x) / 7)])
+    x = np.linspace(-10.0, 10.0, 7)[:, None]
+    t = np.array([[-10.0, -3.3, 0.0, 9.9]])
+    values = s(x, t)
+    assert values.shape == (7, 4)
+    with mp.workdps(40):
+        for i in range(7):
+            for j in range(4):
+                xi, tj = x[i, 0], t[0, j]
+                size = max(abs(complex(kx)) * abs(xi) + abs(complex(kt)) * abs(tj)
+                           for _, kx, kt in s.terms)
+                ref = mp_reference.exp_sum(s, xi, tj)
+                assert abs(values[i, j] - complex(ref)) <= 1e-15 * max(size, 1) * abs(ref)
+
+
+def test_exponential_sum_in_double_overflows_without_warning():
+    # pyproject turns RuntimeWarnings into errors: beyond exp's range a term
+    # is not finite, and below it exactly 0
+    with mp.workdps(40):
+        s = ExpSum([(1, mp.mpc(1, 0.3), mp.mpc(0, 1))])
+    values = s(np.array([-800.0, 0.0, 800.0]), 0.0)
+    assert values[0] == 0 and np.isfinite(values[1]) and not np.isfinite(values[2])
 
 
 # ---------------------------------------------------------------------------
