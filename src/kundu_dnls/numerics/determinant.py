@@ -3,7 +3,8 @@
 The batched forms take arrays of shape (..., m, m) so whole grids of small
 transformation determinants evaluate in a handful of vectorized passes.
 Elimination runs on an (m, m, N) layout: every step then works on
-contiguous length-N rows instead of strided gathers across the batch.
+contiguous length-N rows instead of strided gathers across the batch, and
+swaps rows by masked in-place copies of those rows, node by node.
 `batched_det` eliminates a stack whose memory is already in that layout in
 place and copies any other stack once.  Alongside the determinant it
 reports the pivot-magnitude ratio max|p_k| / min|p_k|, the conditioning
@@ -22,10 +23,9 @@ import numpy as np
 Array = np.ndarray
 
 
-# `one` and `where` kept for `dd_batched_det`, which benchmarks/tracing.py patches on darboux
 @np.errstate(divide="ignore", invalid="ignore")
-def eliminate(a, one, where) -> tuple:
-    """Pivoted elimination of an (m, m+e, N) stack in place: (det, pivot_ratio).
+def eliminate(a) -> tuple:
+    """Pivoted elimination of a complex (m, m+e, N) stack in place: (det, pivot_ratio).
 
     Pivots are searched in the first m - 1 columns; the rows below a pivot
     update the columns right of it, trailing ones included.  det has shape
@@ -36,41 +36,49 @@ def eliminate(a, one, where) -> tuple:
     max|p| / min|p| over the m - 1 pivots and the last-row entry of column
     m - 1, the pivots of the first of those matrices.
 
-    Serves complex and double-double arrays alike: `abs` gives the pivot
-    magnitudes, `where(mask, x, y)` selects per entry, and `one` is the unit
-    of the entry type (shape (), broadcast over N).  A zero pivot yields det 0
-    and pivot_ratio inf; the factors it would divide are masked to 0.
+    The pivot of step k is the first largest magnitude in column k (the
+    first NaN, if any), as `np.argmax` finds it.  The row swaps are masked
+    in-place copies, not gathers: each candidate row r > k is copied into
+    row k at the nodes whose pivot it holds, and the saved row k is written
+    back into every such row r in one pass.  A node whose pivot is already
+    in row k moves nothing.  A zero pivot yields det 0 and pivot_ratio inf;
+    the factors it would divide are masked to 0.
     """
     m, n = a.shape[0], a.shape[-1]
+    one = np.ones((), dtype=complex)
     sign = np.ones(n)
     piv_max = np.zeros(n)
     piv_min = np.full(n, np.inf)
     det = one
     for k in range(m - 1):
-        rel = np.argmax(abs(a[k:, k]), axis=0) + k
-        swap = np.flatnonzero(rel != k)
-        if swap.size:
-            # columns left of k are never read again, so only k: moves
-            r = rel[swap]
-            tmp = a[k, k:, swap]
-            a[k, k:, swap] = a[r, k:, swap]
-            a[r, k:, swap] = tmp
-            sign[swap] = -sign[swap]
+        rel = np.argmax(abs(a[k:, k]), axis=0)
+        # sel[r - 1]: the nodes whose pivot is in row k + r; columns left of
+        # k are never read again, so only k: moves
+        sel = rel == np.arange(1, m - k)[:, None]
+        top = a[k, k:].copy()
+        for r in range(1, m - k):
+            np.copyto(a[k, k:], a[k + r, k:], where=sel[r - 1])
+        np.copyto(a[k + 1:, k:], top, where=sel[:, None, :])
+        np.negative(sign, out=sign, where=rel != 0)
         piv = a[k, k]
         ap = abs(piv)
         piv_max = np.maximum(piv_max, ap)
         piv_min = np.minimum(piv_min, ap)
         det = det * piv
         nonzero = ap > 0
+        masked = not nonzero.all()
         # column k below the pivot is never read again: it is left as it is
         for i in range(k + 1, m):
-            a[i, k + 1:] -= where(nonzero, a[i, k] / piv, 0.0) * a[k, k + 1:]
+            factor = a[i, k] / piv
+            if masked:
+                factor = np.where(nonzero, factor, 0.0)
+            a[i, k + 1:] -= factor * a[k, k + 1:]
     last = a[m - 1, m - 1:]
     ap = abs(last[0])
     piv_max = np.maximum(piv_max, ap)
     piv_min = np.minimum(piv_min, ap)
     # multiplying by a unit, not negating det, keeps the signs of zeros
-    det = det * last * where(sign > 0, one, -one)
+    det = det * last * np.where(sign > 0, one, -one)
     return det, np.where(piv_min > 0, piv_max / piv_min, np.inf)
 
 
@@ -108,7 +116,7 @@ def batched_det(mats: Array) -> tuple[Array, Array]:
     # batch on the last axis, so a[i, j] is a contiguous row: a view of a
     # stack already in that layout, the one copy of any other
     a = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)).reshape((m, w, -1)))
-    det_val, ratio = eliminate(a, np.ones((), dtype=complex), np.where)
+    det_val, ratio = eliminate(a)
     return det_val.reshape(det_lead), ratio.reshape(lead)
 
 

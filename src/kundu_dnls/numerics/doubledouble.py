@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinant import eliminate, stack_dims
+from .determinant import stack_dims
 
 Array = np.ndarray
 
@@ -179,12 +179,50 @@ class DDComplexArray:
                               np.where(mask, x.im_hi, y.im_hi), np.where(mask, x.im_lo, y.im_lo))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _eliminate(a: DDComplexArray) -> tuple:
+    """`determinant.eliminate` on a double-double (m, m+e, N) stack, in place,
+    with the same contract; the row swaps here are gathers and scatters."""
+    m, n = a.shape[0], a.shape[-1]
+    one, where = DDComplexArray.from_complex(np.ones(())), DDComplexArray.where
+    sign = np.ones(n)
+    piv_max = np.zeros(n)
+    piv_min = np.full(n, np.inf)
+    det = one
+    for k in range(m - 1):
+        rel = np.argmax(abs(a[k:, k]), axis=0) + k
+        swap = np.flatnonzero(rel != k)
+        if swap.size:
+            # columns left of k are never read again, so only k: moves
+            r = rel[swap]
+            tmp = a[k, k:, swap]
+            a[k, k:, swap] = a[r, k:, swap]
+            a[r, k:, swap] = tmp
+            sign[swap] = -sign[swap]
+        piv = a[k, k]
+        ap = abs(piv)
+        piv_max = np.maximum(piv_max, ap)
+        piv_min = np.minimum(piv_min, ap)
+        det = det * piv
+        nonzero = ap > 0
+        # column k below the pivot is never read again: it is left as it is
+        for i in range(k + 1, m):
+            a[i, k + 1:] -= where(nonzero, a[i, k] / piv, 0.0) * a[k, k + 1:]
+    last = a[m - 1, m - 1:]
+    ap = abs(last[0])
+    piv_max = np.maximum(piv_max, ap)
+    piv_min = np.minimum(piv_min, ap)
+    # multiplying by a unit, not negating det, keeps the signs of zeros
+    det = det * last * where(sign > 0, one, -one)
+    return det, np.where(piv_min > 0, piv_max / piv_min, np.inf)
+
+
 # kept: benchmarks/tracing.py patches `darboux.dd_batched_det`
 def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     """Pivoted elimination determinants over a (..., m, m+e) double-double stack.
 
-    The stack is eliminated by `determinant.eliminate`, the routine behind
-    `batched_det`, with the same contract: (det, pivot_ratio), det of shape
+    The stack is eliminated as `determinant.eliminate` eliminates a complex
+    one, with the same contract: (det, pivot_ratio), det of shape
     lead for a square stack and (e + 1,) + lead for e > 0.  A stack whose
     parts are already in elimination's (m, m+e, N) layout is eliminated in
     place: a stack stored matrix-first, whose parts are (..., m, m+e) views
@@ -197,6 +235,5 @@ def dd_batched_det(mat: DDComplexArray) -> tuple[DDComplexArray, Array]:
     # one copy of any other
     a = mat.map(lambda part: np.ascontiguousarray(
         np.moveaxis(part, (-2, -1), (0, 1)).reshape((m, w, -1))))
-    det, ratio = eliminate(a, DDComplexArray.from_complex(np.ones(())),
-                           DDComplexArray.where)
+    det, ratio = _eliminate(a)
     return det.map(lambda part: part.reshape(det_lead)), ratio.reshape(lead)

@@ -185,13 +185,24 @@ def test_batched_det_bit_identical_to_row_major_reference(m):
     a[2, :, :, 0] = 0                               # zero pivot in the first column
     a[3, :, 1] = a[3, :, 0]                         # singular: tiny pivot later on
     a[4] = np.round(a[4])                           # many ties among small integers
+    # non-finite pivot columns: argmax takes the first NaN over any inf, and
+    # the first of equal infs, so the row it picks is not row 0
+    a[5, :8, 1, 0], a[5, :8, m - 1, 0] = np.inf, np.nan
+    a[5, 8:16, 1:, 0] = np.nan
+    a[5, 16:, m - 1, 0] = -np.inf
+    # a dominant entry at (i, i + 1 mod m) puts every step's pivot in the
+    # last row, so every node swaps at every step; on the diagonal, none does
+    a[6] += 1e3 * np.roll(np.eye(m), 1, axis=1)
+    a[7] += 1e3 * np.eye(m)
     keep = a.copy()
     d, r = batched_det(a)
-    d_ref, r_ref = row_major_batched_det(a)
+    with np.errstate(invalid="ignore"):
+        d_ref, r_ref = row_major_batched_det(a)
     assert d.shape == r.shape == (12, 25)
     assert d.tobytes() == d_ref.tobytes() and r.tobytes() == r_ref.tobytes()
     assert np.isinf(r[2]).all() and (r[3] > 1e12).all()
-    assert np.array_equal(a, keep)                  # the input is never modified
+    assert not np.isfinite(d[5]).any()
+    assert a.tobytes() == keep.tobytes()            # the input is never modified
 
 
 def _square(a, m, j):
