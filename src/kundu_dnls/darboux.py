@@ -156,8 +156,12 @@ class DTOutput:
 
 
 def _seed_terms(seed: Seed, x, t):
-    """The seed, exp(-i theta) (its conjugate is exp(i theta) bit for bit), sqrt(alpha)."""
-    return seed.value(x, t), np.exp(-1j * seed.theta(x, t)), np.sqrt(seed.alpha)
+    """The seed, exp(-i theta) as exp(-ipx) exp(-iqt) (so its conjugate is
+    exp(ipx) exp(iqt) bit for bit), sqrt(alpha); like the seed, one complex
+    exp per x value and one per t value on broadcast axes."""
+    eim = (np.exp(-1j * (seed.theta_p * np.asarray(x)))
+           * np.exp(-1j * (seed.theta_q * np.asarray(t))))
+    return seed.value(x, t), eim, np.sqrt(seed.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,10 @@ class Seed:
         return -k * k - C * C * k - self.theta_q
 
     def value(self, x, t):
-        return self.c * np.exp(1j * (self.a * np.asarray(x) + self.b * np.asarray(t)))
+        """c exp(iax) exp(ibt): on broadcast x and t axes, one complex exp per
+        x value and one per t value, not one per node."""
+        return (self.c * np.exp(1j * (self.a * np.asarray(x)))
+                * np.exp(1j * (self.b * np.asarray(t))))
 
     def value_x(self, x, t):
         """Exact x-derivative of `value`: i a times the seed."""

@@ -549,12 +549,11 @@ class _NanSeed:
     """A zero background whose value is not finite at the origin."""
 
     alpha: float = 1.0
+    theta_p: float = 1.0
+    theta_q: float = 1.0
 
     def value(self, x, t):
         return np.where((np.asarray(x) == 0) & (np.asarray(t) == 0), np.nan, 0.0) + 0j
-
-    def theta(self, x, t):
-        return x + t
 
 
 def test_evaluate_masks_flagged_points(monkeypatch):
