@@ -6,11 +6,14 @@ rescaling of a row cancels (gauge covariance).  They come in two pairs, each
 an unshifted matrix and its shifted twin, which differ in the leading column
 only, so each pair is eliminated once, as one 2n x (2n+1) stack.  On
 conjugate-reduced sets one pair follows from the other by conjugation, so
-only one stack is eliminated and R is -conj(Q).  Degenerate (coalescing)
-configurations are evaluated at a small perturbation radius or, below the
-radius where double's rounding would show, as the exact limit of
-Taylor-coefficient rows (Guo, Ling & Liu, PRE 85, 026607 (2012); He et al.,
-PRE 87, 052914 (2013)).  Everything is evaluated in double.
+only one stack is eliminated and R is -conj(Q).  That stack holds the n
+representatives' rows, then n partner rows, which one step
+(`_reduced_dets`) conjugates in place and eliminates, for both `n_fold`
+and `exact_limit`.  Degenerate (coalescing) configurations are evaluated
+at a small perturbation radius or, below the radius where double's
+rounding would show, as the exact limit of Taylor-coefficient rows (Guo,
+Ling & Liu, PRE 85, 026607 (2012); He et al., PRE 87, 052914 (2013)).
+Everything is evaluated in double.
 """
 from __future__ import annotations
 
@@ -170,36 +173,34 @@ def _seed_terms(seed: Seed, x, t):
 
 def _row_powers(spectral_set: SpectralSet):
     """The 2n x (2n+1) table lam_j^p, p = 0 .. 2n, for the eigenvalue of each
-    of the 2n rows, a reduced set's partners at lam*."""
-    lams = [lam for d in spectral_set.data for lam in
-            ((d.lam, np.conj(d.lam)) if spectral_set.reduction else (d.lam,))]
+    of the 2n rows; a reduced set's n partner rows, after its n
+    representatives', repeat their representatives' powers."""
+    lams = [d.lam for d in spectral_set.data] * (2 if spectral_set.reduction else 1)
     return np.array([[lam ** p for p in range(len(lams) + 1)] for lam in lams])
 
 
-def _omega_matrix(powers, phis, vphs, swap: bool):
+def _omega_matrix(powers, evens, odds):
     """Stack of the paired 2n x (2n+1) determinant matrices over the point shape.
 
     Row j of the unshifted matrix alternates descending powers of lam_j,
-    from 2n - 1 down to 0, against the two components: odd powers weight
-    varphi, even powers weight phi (swap exchanges roles).  The shifted
-    matrix differs in its leading column only, lam^{2n} times the even-power
-    component.  The pair is laid out as one stack for `_omega_dets`: the
-    unshifted columns 1 .. 2n-1, then the unshifted column 0, then the
-    shifted column 0 (`_column_powers`).  The entries are stored
-    matrix-first, so the returned (..., m, m+1) view is already in the
-    batch-last layout of elimination, and `batched_det` eliminates it in
-    place.
+    from 2n - 1 down to 0, against two components: even powers weight
+    evens[j], odd powers odds[j] (phi and varphi on a datum's own row).
+    The shifted matrix differs in its leading column only, lam^{2n} times
+    the even-power component.  The pair is laid out as one stack for
+    `_omega_dets`: the unshifted columns 1 .. 2n-1, then the unshifted
+    column 0, then the shifted column 0 (`_column_powers`).  The entries
+    are stored matrix-first, so the returned (..., m, m+1) view is already
+    in the batch-last layout of elimination, and `batched_det` eliminates
+    it in place.
     """
-    m = len(phis)
+    m = len(evens)
     order = _column_powers(m)
-    shape = np.broadcast_shapes(np.shape(phis[0]), np.shape(vphs[0]))
+    shape = np.broadcast_shapes(np.shape(evens[0]), np.shape(odds[0]))
     M = np.empty((m, m + 1) + shape, dtype=complex)
     # lam_j^p in column order, broadcast over the point shape
     row_powers = powers[(slice(None), order) + (None,) * len(shape)]
     for j in range(m):
-        f, v = (vphs[j], phis[j]) if swap else (phis[j], vphs[j])
-        for col, power in enumerate(order):
-            M[j, col] = v if power % 2 == 1 else f
+        M[j, 0::2], M[j, 1::2] = evens[j], odds[j]
         # the powers first: numpy's complex product is not commutative bit for
         # bit; the row is scaled in place, with no block-sized temporary
         np.multiply(row_powers[j], M[j], out=M[j])
@@ -208,8 +209,9 @@ def _omega_matrix(powers, phis, vphs, swap: bool):
 
 def _column_powers(m: int) -> list:
     """The power of lam in each of the m + 1 columns of an `_omega_matrix`
-    stack: m - 2 down to 0, then m - 1 and m.  Even powers take phi, in the
-    even columns 0, 2, .., m; odd powers varphi, in the odd columns."""
+    stack: m - 2 down to 0, then m - 1 and m.  Even powers sit in the even
+    columns 0, 2, .., m, which a datum's own row fills with phi; odd powers
+    in the odd columns, with varphi."""
     return [*range(m - 2, -1, -1), m - 1, m]
 
 
@@ -221,43 +223,23 @@ def _batch_last(M):
 def _omega_dets(spectral_set: SpectralSet, powers, x, t):
     """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
 
-    Each datum's `phi` and `varphi` are taken once per block; on a reduced
-    set each representative is followed by its conjugate partner, whose
-    components are the representative's, conjugated exactly and exchanged.
-
-    The unshifted and shifted matrices share all columns but the leading
-    one, so one elimination over the shared columns gives both determinants
-    (see `_omega_matrix` for the column order).  On a reduced set the
-    swapped matrix is the conjugate of the main one with each
-    representative's row exchanged with its partner's, so swapped =
-    (-1)^n conj(main), and likewise for the shifted pair: one elimination
-    instead of two.  The sign is left out, because the transformation only
-    uses swapped^2 and swapped * swapped_shift.
+    Each datum's `phi` and `varphi` are taken once per block.  The unshifted
+    and shifted matrices share all columns but the leading one, so one
+    elimination over the shared columns gives both (`_omega_matrix`).  The
+    swapped stack is the main one's with the component lists exchanged; a
+    reduced set needs none, and its partner rows start as their
+    representatives' with phi and varphi exchanged (`_reduced_dets`).
     """
-    phis, vphs = [], []
-    for d in spectral_set.data:
-        p = np.asarray(d.phi(x, t), dtype=complex)
-        v = np.asarray(d.varphi(x, t), dtype=complex)
-        phis.append(p)
-        vphs.append(v)
-        if spectral_set.reduction:
-            phis.append(v.conjugate())
-            vphs.append(p.conjugate())
-    del p, v        # the lists hold the only references, which dets clears
-
-    def dets(swap):
-        M = _omega_matrix(powers, phis, vphs, swap)
-        if swap or spectral_set.reduction:
-            # the last stack built holds copies: free the components
-            # before elimination
-            phis.clear()
-            vphs.clear()
-        return _eliminate(M)
-
+    phis = [np.asarray(d.phi(x, t), dtype=complex) for d in spectral_set.data]
+    vphs = [np.asarray(d.varphi(x, t), dtype=complex) for d in spectral_set.data]
     if spectral_set.reduction:
-        return _reduced_dets(*dets(False))
-    main, main_shift, ratios = dets(False)
-    swapped, swapped_shift, _ = dets(True)
+        M = _omega_matrix(powers, phis + vphs, vphs + phis)
+        del phis, vphs      # the stack holds copies: free the components first
+        return _reduced_dets(M)
+    main, main_shift, ratios = _eliminate(_omega_matrix(powers, phis, vphs))
+    M = _omega_matrix(powers, vphs, phis)
+    del phis, vphs
+    swapped, swapped_shift, _ = _eliminate(M)
     return main, swapped, main_shift, swapped_shift, ratios
 
 
@@ -268,9 +250,21 @@ def _eliminate(M):
     return -pair[0], -pair[1], ratios
 
 
-def _reduced_dets(main, main_shift, ratios):
-    """The five of `_omega_dets` on a reduced set, whose swapped pair is the
-    main pair's conjugate (the sign (-1)^n left out)."""
+def _reduced_dets(M):
+    """The five of `_omega_dets` from a reduced set's batch-last stack: n
+    representatives' rows, then n partner rows, each its representative's
+    with phi and varphi exchanged, which the conjugation here, in place,
+    turns into the row of the partner (lam*, varphi*, phi*), bit for bit.
+    The swapped matrix is the conjugate of the main one with representatives
+    and partners exchanged, so swapped = (-1)^n conj(main), and likewise for
+    the shifted pair: one elimination instead of two.  The sign is left out,
+    as is (-1)^(n(n-1)/2) against a general set, which interleaves each
+    representative with its partner: `_combine` uses only squares and
+    products of paired determinants.
+    """
+    partners = M[..., M.shape[-2] // 2:, :]
+    np.conjugate(partners, out=partners)
+    main, main_shift, ratios = _eliminate(M)
     return main, np.conj(main), main_shift, np.conj(main_shift), ratios
 
 
@@ -474,8 +468,9 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     `ExpSum` exp(kx_0 x + kt_0 t) multiplies the series of exp((kx - kx_0) x +
     (kt - kt_0) t), contracted with that of lam^p c.  The finite-eps common
     factor (Vandermonde in eps omega_j, its conjugate, a power of eps)
-    cancels, as row scalings do; the elimination, combine and mask are
-    `n_fold`'s.
+    cancels, as row scalings do.  The stack is laid out as `n_fold`'s on a
+    reduced set, the partner rows unconjugated, and the conjugation,
+    elimination, combine and mask are `n_fold`'s (`_reduced_dets`).
     """
     _check_split_phase(spec, seed)
     lc = complex(spec.lambda_c)
@@ -521,8 +516,7 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
                 own, other = slice(f, None, 2), slice(1 - f, None, 2)
                 M[:n, own] += P[own].swapaxes(0, 1)
                 M[n:, other] += P[other].swapaxes(0, 1)
-            np.conjugate(M[n:], out=M[n:])
-            dets = _reduced_dets(*_eliminate(_batch_last(M)))
+            dets = _reduced_dets(_batch_last(M))
         return _combine(seed, True, dets, x, t)
 
     return DTOutput(evaluate, "exact")

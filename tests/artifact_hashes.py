@@ -3,10 +3,11 @@
 The jobs are every mapped figure (`cli.FIGURE_MAP`) as pgm, csv and json,
 and Darboux-engine jobs on the zero background (a, c) = (0, 0) and on the
 plane wave (a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
-`engine-degenerate` at n = 2 and at n = 3 with eps = 1e-4, which is below
-order 3's `EXACT_LIMIT_RADIUS` and so the exact limit, each as csv and as json
-with the complex parts, all
-with a non-default coupling and gauge.  On the plane wave,
+`engine-degenerate` at the default n = 1 and eps = 1e-2 (the mirror average
+of `finite_radius`), at n = 2, and as the exact limit below each order's
+`EXACT_LIMIT_RADIUS`: n = 1 with eps = 1e-7, n = 2 with eps = 1e-5 and n = 3
+with eps = 1e-4.  Each is written as csv and as json with the complex parts,
+all with a non-default coupling and gauge.  On the plane wave,
 `engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together
 with its `.meta.json` sidecar, one line each: `<sha256>  <file name>`.
 Then each criterion-2 window (`acceptance._FIGURE_WINDOWS`) gets one line
@@ -68,10 +69,11 @@ def jobs() -> dict[str, list[str]]:
             engine[f"nfold-{seed}-n{n}"] = ["--solution", "engine-nfold", *_params(**lams)]
         # the zero background has no critical eigenvalue: a positon's instead
         base = _params(lc_re=0.8, lc_im=0.8) if seed == "zero" else []
-        engine[f"degenerate-{seed}-n2"] = ["--solution", "engine-degenerate", *base,
-                                           *_params(n=2)]
-        engine[f"degenerate-{seed}-n3-exact"] = ["--solution", "engine-degenerate", *base,
-                                                 *_params(n=3, eps=1e-4)]
+        for name, params in {"n1": {}, "n1-exact": {"eps": 1e-7}, "n2": {"n": 2},
+                             "n2-exact": {"n": 2, "eps": 1e-5},
+                             "n3-exact": {"n": 3, "eps": 1e-4}}.items():
+            engine[f"degenerate-{seed}-{name}"] = ["--solution", "engine-degenerate", *base,
+                                                   *_params(**params)]
         for name, args in engine.items():
             args += [*_params(**wave, **ENGINE_PARAMS), "--grid", ENGINE_GRID]
             out[f"{name}.csv"] = [*args, "--format", "csv"]

@@ -8,8 +8,8 @@ import pytest
 import kundu_dnls as kd
 from kundu_dnls import catalog
 from kundu_dnls.darboux import (EXACT_LIMIT_RADIUS, DegenerationSpec, SpectralSet,
-                                _scaled_weights, build_reduced_set, degenerate_limit,
-                                exact_limit, finite_radius, n_fold)
+                                _omega_dets, _row_powers, _scaled_weights, build_reduced_set,
+                                degenerate_limit, exact_limit, finite_radius, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
 
 import mp_reference
@@ -195,6 +195,18 @@ def test_reduced_path_matches_general_path(seed, lams):
     assert np.max(np.abs(q - qg)) <= 1e-12 * np.max(np.abs(qg))
     assert np.max(np.abs(r - rg)) <= 1e-12 * np.max(np.abs(rg))
     assert np.array_equal(cond, condg)
+    # the reduced stack holds the general one's rows, representatives first
+    # where the general set interleaves each with its partner: the same
+    # elimination, bit for bit, up to the order's sign (-1)^(n(n-1)/2); the
+    # axis nodes tie pivot magnitudes on the zero seed
+    X, T = np.append(X, [0, 0, 0, 1.3, -1.3]), np.append(T, [0, 0.7, -0.7, 0, 0])
+    gset = general(sset)
+    main, _, shift, _, ratio = _omega_dets(sset, _row_powers(sset), X, T)
+    gmain, _, gshift, _, gratio = _omega_dets(gset, _row_powers(gset), X, T)
+    if len(lams) * (len(lams) - 1) // 2 % 2:
+        main, shift = -main, -shift
+    assert (main.tobytes(), shift.tobytes(), ratio.tobytes()) == (
+        gmain.tobytes(), gshift.tobytes(), gratio.tobytes())
 
 
 def test_reduced_path_evaluates_representatives_once(monkeypatch):
