@@ -11,8 +11,9 @@ representatives' rows, then n partner rows, which one step
 (`_reduced_dets`) conjugates in place and eliminates, for both `n_fold`
 and `exact_limit`.  Degenerate (coalescing) configurations are evaluated
 at a small perturbation radius or, below the radius where double's
-rounding would show, as the exact limit of Taylor-coefficient rows (Guo,
-Ling & Liu, PRE 85, 026607 (2012); He et al., PRE 87, 052914 (2013)).
+rounding would show and at order 1 always, as the exact limit of
+Taylor-coefficient rows (Guo, Ling & Liu, PRE 85, 026607 (2012); He et
+al., PRE 87, 052914 (2013)).
 Everything is evaluated in double.
 """
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .numerics.grid import thread_safe
 # degenerate_limit serves the exact limit below the order's radius: there
 # double's rounding error (against 40-digit mpmath) would exceed 0.1 of the
 # truncation error (against the exact limit), the share at which the table
-# tests/precision_table.py prints crosses
-EXACT_LIMIT_RADIUS = {1: 3.7e-7, 2: 5.3e-5, 3: 2.0e-3}
+# tests/precision_table.py prints crosses.  Order 1 is the limit at every
+# radius: a single eigenvalue's finite-radius field is off it by O(eps)
+EXACT_LIMIT_RADIUS = {1: math.inf, 2: 5.3e-5, 3: 2.0e-3}
 DEFAULT_CONDITION_BOUND = 1e12
 # exact_limit expands at a branch point lam* when |lambda_c/lam* - 1| < NEAR_BRANCH_POINT,
 # where terms at lambda_c cancel as its (1/2 - n)-th power; B's powers stop at RECENTRING_TAIL
@@ -309,8 +311,6 @@ def n_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
 # ---------------------------------------------------------------------------
 
 def _default_offsets(n: int) -> list[complex]:
-    if n == 1:
-        return [1.0 + 0j]
     if n == 2:
         return [1.0 + 0j, -1.0 + 0j]
     return [complex(np.exp(2j * np.pi * k / n)) for k in range(n)]
@@ -526,32 +526,19 @@ def finite_radius(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     """The order-n degenerate solution approximated at the radius eps.
 
     Perturbed eigenvalues sit at lambda_c (1 + eps * offset_j), with the
-    n-th roots of unity as offsets.  For n = 1 the single offset makes the
-    leading error linear in eps, so the output averages the +offset and
-    -offset evaluations, restoring quadratic convergence; for n >= 2 the
-    root-of-unity symmetry already cancels the linear term.  Below the
-    order's `EXACT_LIMIT_RADIUS` double's rounding error grows past the
-    truncation error it approximates.
+    n-th roots of unity as offsets; the field is off the limit by
+    O(eps^n).  Below the order's `EXACT_LIMIT_RADIUS` double's rounding
+    error grows past the truncation error it approximates.
     """
-    offsets = _default_offsets(spec.n)
-    main = n_fold(_degenerate_set(spec, seed, offsets), seed)
-    if spec.n > 1:
-        return main
-    mirror = n_fold(_degenerate_set(spec, seed, [-o for o in offsets]), seed)
-
-    def evaluate(x, t):
-        qa, ra, ca = main.evaluate(x, t)
-        qb, rb, cb = mirror.evaluate(x, t)
-        return 0.5 * (qa + qb), 0.5 * (ra + rb), np.maximum(ca, cb)
-
-    return DTOutput(evaluate)
+    return n_fold(_degenerate_set(spec, seed, _default_offsets(spec.n)), seed)
 
 
 def degenerate_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     """The order-n degenerate solution: below the order's
     `EXACT_LIMIT_RADIUS` the limit itself (`exact_limit`), otherwise the
-    field at the radius eps (`finite_radius`).  `precision` records which
-    ran, "exact" or "double"."""
+    field at the radius eps (`finite_radius`); order 1's radius is
+    infinite, so its eps does not enter.  `precision` records which ran,
+    "exact" or "double"."""
     if spec.epsilon < EXACT_LIMIT_RADIUS[spec.n]:
         return exact_limit(spec, seed)
     return finite_radius(spec, seed)

@@ -3,11 +3,13 @@
 The jobs are every mapped figure (`cli.FIGURE_MAP`) as pgm, csv and json,
 and Darboux-engine jobs on the zero background (a, c) = (0, 0) and on the
 plane wave (a, c) = (-2, 1): `engine-nfold` at orders 1, 2 and 3, and
-`engine-degenerate` at the default n = 1 and eps = 1e-2 (the mirror average
-of `finite_radius`), at n = 2, and as the exact limit below each order's
+`engine-degenerate` at the default n = 1 and eps = 1e-2, at n = 2 (the
+finite-radius field), and as the exact limit below each order's
 `EXACT_LIMIT_RADIUS`: n = 1 with eps = 1e-7, n = 2 with eps = 1e-5 and n = 3
-with eps = 1e-4.  Each is written as csv and as json with the complex parts,
-all with a non-default coupling and gauge.  On the plane wave,
+with eps = 1e-4.  Order 1 is the exact limit at every eps, so its two jobs
+write the same field and differ only in the `eps` their `params` record.  Each
+job is written as csv and as json with the complex parts, all with a
+non-default coupling and gauge.  On the plane wave,
 `engine-degenerate` runs at the seed's own critical eigenvalue.  Every artifact is hashed together
 with its `.meta.json` sidecar, one line each: `<sha256>  <file name>`.
 Then each criterion-2 window (`acceptance._FIGURE_WINDOWS`) gets one line

@@ -65,14 +65,10 @@ def n_fold_q(spectral_set, seed, x, t):
 
 def finite_radius_q(spec, seed, x, t):
     """Q of `darboux.finite_radius` at each node of the broadcast x and t,
-    node by node, from its spectral sets (two for n = 1, whose Q is the
-    average)."""
-    offsets = darboux._default_offsets(spec.n)
-    sets = [darboux._degenerate_set(spec, seed, offsets)]
-    if spec.n == 1:
-        sets.append(darboux._degenerate_set(spec, seed, [-o for o in offsets]))
+    node by node, from its spectral set."""
+    sset = darboux._degenerate_set(spec, seed, darboux._default_offsets(spec.n))
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     out = np.empty(x.shape, dtype=complex)
     for idx in np.ndindex(x.shape):
-        out[idx] = sum(n_fold_q(s, seed, x[idx], t[idx]) for s in sets) / len(sets)
+        out[idx] = n_fold_q(sset, seed, x[idx], t[idx])
     return out

@@ -19,7 +19,7 @@ def test_traced_benchmark_run_is_correct_and_complete(workload):
     # the tracer wraps the catalog constructors, the engine's entry points
     # and each datum's components after construction; an edit to any of
     # them that breaks that wrapping fails here: coalescence runs the
-    # finite-radius double field (n = 1, 2) and the exact limit (n = 3),
+    # exact limit (n = 1, 3) and the finite-radius double field (n = 2),
     # residual the catalog, figures the double engine and export the CLI's
     # closed forms and its writers
     res = subprocess.run([sys.executable, str(BENCH), "--workload", workload,

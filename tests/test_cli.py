@@ -414,7 +414,10 @@ def _at_radius(n):
     (["--solution", "rogue2"], "double"),
     (["--solution", "rogue3"], "double"),
     (["--solution", "soliton1"], "double"),
-    *(row for n in (1, 2, 3) for row in _at_radius(n)),
+    *(row for n in (2, 3) for row in _at_radius(n)),
+    # order 1 has no radius: the exact limit at the default eps and the largest
+    *(pytest.param(["--solution", "engine-degenerate", "--param", f"eps={eps!r}"], "exact",
+                   id=f"n1-eps{eps!r}") for eps in (1e-2, 0.1)),
 ])
 def test_sidecar_records_the_precision_used(tmp_path, argv, used):
     out = tmp_path / "x.csv"
@@ -435,8 +438,10 @@ def test_no_automatic_path_enters_double_double(monkeypatch):
         raise AssertionError("double-double entered")
     monkeypatch.setattr(darboux, "dd_batched_det", refuse)
     monkeypatch.setattr(DDComplexArray, "from_mp", classmethod(refuse))
-    jobs = [*FIGURE_MAP.values(), *acceptance.PATTERN_CONFIGS.values()]
-    for n, radius in EXACT_LIMIT_RADIUS.items():
+    jobs = [*FIGURE_MAP.values(), *acceptance.PATTERN_CONFIGS.values(),
+            ("engine-degenerate", {}, "-2:2:5,-2:2:5")]       # the default order 1
+    for n in (2, 3):
+        radius = EXACT_LIMIT_RADIUS[n]
         for eps in (radius, math.nextafter(radius, 0)):
             jobs.append(("engine-degenerate", {"n": n, "eps": eps}, "-2:2:5,-2:2:5"))
     for solution in ("rogue2", "rogue3"):
@@ -718,20 +723,22 @@ def test_sidecar_counts_masked_nodes(tmp_path, monkeypatch):
     assert meta["overflow_nodes"] == 0
 
 
-@pytest.mark.parametrize("precision, eps", [("double", 1e-2), ("exact", 1e-7)])
-def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision, eps):
+@pytest.mark.parametrize("precision, n, eps", [
+    pytest.param("double", 2, 1e-2, id="double-0.01"),
+    pytest.param("exact", 1, 1e-7, id="exact-1e-07")])
+def test_eigenfunction_constants_beyond_double_mask_every_node(tmp_path, precision, n, eps):
     # a = -1e300 puts eigenfunction constants beyond double's range: every
     # node is masked on either path, and no RuntimeWarning (an error under
     # pyproject's filterwarnings, so exit 1) escapes the split or the Taylor
     # series.  A grid of masked nodes shows nothing: the job exits 2 naming
-    # the count.  The order-1 radius rule picks the path from eps
-    assert (eps < EXACT_LIMIT_RADIUS[1]) == (precision == "exact")
+    # the count.  The order's radius rule picks the path from eps
+    assert (eps < EXACT_LIMIT_RADIUS[n]) == (precision == "exact")
     out = tmp_path / "x.csv"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = run(["generate", "--solution", "engine-degenerate", "--param", "a=-1e300",
                   "--param", "lc_re=1", "--param", "lc_im=1", "--param", "theta_q=0",
-                  "--param", f"eps={eps!r}", "--grid", "0:30:6,38:56:7",
+                  "--param", f"n={n}", "--param", f"eps={eps!r}", "--grid", "0:30:6,38:56:7",
                   "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
     assert "all 42 nodes of engine-degenerate are masked" in err.getvalue()

@@ -157,8 +157,8 @@ def test_reduction_symmetry_companion_field():
 
 
 def test_reduced_r_is_exactly_minus_conj_q():
-    # a reduced set's R is -conj(Q) bit for bit, through the n = 1 average
-    # of `finite_radius`, and in the exact limit
+    # a reduced set's R is -conj(Q) bit for bit, in `n_fold`, in
+    # `finite_radius` and in the exact limit
     X, T = grid_pts(8, -2, 2, seed=3).T
     sset = build_reduced_set([0.5 + 0.5j, 0.4 + 0.9j], SEEDP)
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
@@ -283,6 +283,7 @@ def test_wrapped_components_give_the_same_field(monkeypatch):
     X, T = grid_pts(40).T
     lams = [0.5 + 0.5j, 0.4 + 0.9j]
     plain = build_reduced_set(lams, SEEDP)
+    # a finite-radius set is built by the same constructor
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
     plain_radius = finite_radius(spec, SEEDP).Q(X, T)
     monkeypatch.setattr(dx, "plane_wave_eigenfunction",
@@ -631,13 +632,13 @@ def test_n_fold_masks_overflowing_components(layout):
     assert np.isfinite(q[0]) and np.isnan(q[1])
 
 
-# double's rounding error at each order's radius, relative to max |Q| on the
-# 3 x 3 window below: measured 1.0e-13, 2.1e-11 and 1.2e-10, times 10
-_ROUNDING_AT_RADIUS = {1: 1e-12, 2: 2e-10, 3: 1.2e-9}
+# double's rounding error at each finite radius, relative to max |Q| on the
+# 3 x 3 window below: measured 2.1e-11 and 1.2e-10, times 10
+_ROUNDING_AT_RADIUS = {2: 2e-10, 3: 1.2e-9}
 
 
 @pytest.mark.parametrize("phase", [{}, {"S1": 50.0, "S2": 2e3}], ids=["unsplit", "split"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 def test_finite_radius_matches_a_per_node_mpmath_reference(n, phase):
     # the vectorized double field against 40-digit mpmath determinants, node
     # by node, from the order's radius up, where `degenerate_limit` runs it:
@@ -655,11 +656,13 @@ def test_finite_radius_matches_a_per_node_mpmath_reference(n, phase):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_degenerate_limit_gives_the_bits_of_the_path_its_radius_picks(n):
     # below the order's radius the exact limit's field, at and above it the
-    # finite radius's, bit for bit
+    # finite radius's, bit for bit; order 1 has no radius and gives the
+    # limit's at every eps
     X, T = grid_pts(8, -2, 2, seed=5).T
     radius = EXACT_LIMIT_RADIUS[n]
-    for eps, build in ((0.5 * radius, exact_limit), (radius, finite_radius),
-                       (2 * radius, finite_radius)):
+    cases = ([(eps, exact_limit) for eps in (1e-7, 1e-3, 1e-2, 0.1)] if n == 1 else
+             [(0.5 * radius, exact_limit), (radius, finite_radius), (2 * radius, finite_radius)])
+    for eps, build in cases:
         spec = DegenerationSpec(1 + 1j, eps, n)
         want = build(spec, SEEDP).Q(X, T)
         assert np.all(np.isfinite(want))
@@ -728,12 +731,14 @@ def test_degenerate_two_solitons_differ_then_converge():
 
 
 def test_rogue_limit_matches_catalog_probe_lattice():
+    # order 1 is the exact limit at every eps: measured 2.4e-15, under two
+    # ulp of the crest 9 (1.8e-15 each); the bound allows about five
     spec = DegenerationSpec(lambda_c=1 + 1j, epsilon=1e-3, n=1)
-    out = degenerate_limit(spec, SEEDP)  # auto-selects double at this radius
+    out = degenerate_limit(spec, SEEDP)
     lat = np.linspace(-2, 2, 5)
     X, T = np.meshgrid(lat, lat, indexing="ij")
     Ic = np.abs(catalog.rogue1().eval(X, T)) ** 2
-    assert np.max(np.abs(np.abs(out.Q(X, T)) ** 2 - Ic)) <= 1e-3
+    assert np.max(np.abs(np.abs(out.Q(X, T)) ** 2 - Ic)) <= 1e-14
 
 
 def test_rogue2_limit_matches_catalog():
@@ -755,9 +760,10 @@ def test_split_weights_produce_three_humps():
 
 
 def test_degenerate_limit_engages_the_exact_limit_automatically(monkeypatch):
-    # per order, the exact limit just below its radius, with no n-fold field,
+    # per finite radius, the exact limit just below it, with no n-fold field,
     # and the finite radius in double at and just above it; `finite_radius`
-    # runs the radius below it too
+    # runs the radius below it too.  Order 1 has no radius: the limit at the
+    # CLI's default eps, and `finite_radius` one n-fold field there
     import kundu_dnls.darboux as dx
     orig, captured = dx.n_fold, []
 
@@ -766,18 +772,21 @@ def test_degenerate_limit_engages_the_exact_limit_automatically(monkeypatch):
         return orig(sset, seed)
 
     monkeypatch.setattr(dx, "n_fold", spy)
-    for n, radius in dx.EXACT_LIMIT_RADIUS.items():
-        for eps, build, used in ((0.99 * radius, degenerate_limit, "exact"),
-                                 (radius, degenerate_limit, "double"),
-                                 (1.01 * radius, degenerate_limit, "double"),
-                                 (0.99 * radius, finite_radius, "double")):
-            captured.clear()
-            out = build(DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n), SEEDP)
-            assert np.isfinite(out.Q(0.0, 0.0)) and out.precision == used, (n, eps, build)
-            assert captured == ([] if used == "exact" else [n] * (1 if n > 1 else 2))
+    cases = [(1, 1e-2, degenerate_limit, "exact"), (1, 1e-2, finite_radius, "double")]
+    for n in (2, 3):
+        radius = dx.EXACT_LIMIT_RADIUS[n]
+        cases += [(n, 0.99 * radius, degenerate_limit, "exact"),
+                  (n, radius, degenerate_limit, "double"),
+                  (n, 1.01 * radius, degenerate_limit, "double"),
+                  (n, 0.99 * radius, finite_radius, "double")]
+    for n, eps, build, used in cases:
+        captured.clear()
+        out = build(DegenerationSpec(lambda_c=1 + 1j, epsilon=eps, n=n), SEEDP)
+        assert np.isfinite(out.Q(0.0, 0.0)) and out.precision == used, (n, eps, build)
+        assert captured == ([] if used == "exact" else [n])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
 def test_precision_table_keeps_its_coarse_shape(n):
     # the table the radii are read from, on the 11 x 11 coalescence window:
     # 3x above an order's radius double's rounding error (against 40-digit
@@ -838,13 +847,14 @@ def test_exact_limit_is_the_coalescence_limit_on_and_off_the_branch_points(seed,
     # terms enter; at the four zeros on (-2, 1) they start at 1 where u-+
     # vanish (the critical eigenvalue and its conjugate) and at 0 where they
     # are 2 (the mirrors).  Either way the finite-radius field, in 40-digit
-    # mpmath, converges to the limit at its order
+    # mpmath, converges to the limit at order n: measured 10^n per decade of
+    # eps to within 2%
     X, T = grid_pts(6, -2, 2, seed=7).T
     limit = exact_limit(DegenerationSpec(lambda_c, 1e-3, n), seed).Q(X, T)
     err = [np.max(np.abs(mp_reference.finite_radius_q(DegenerationSpec(lambda_c, eps, n), seed,
                                                       X, T) - limit))
            for eps in (1e-2, 1e-3)]
-    assert 0 < err[1] <= err[0] / 50, err
+    assert err[1] > 0 and err[0] / err[1] == pytest.approx(10 ** n, rel=0.05), err
 
 
 def test_the_orders_start_at_one_where_u_vanishes_at_the_nearest_branch_point():
@@ -965,11 +975,9 @@ def test_n_fold_on_the_plane_wave_family_solves_the_equation(frame, lams):
 @pytest.mark.parametrize("frame", _FAMILY[:3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rogue_waves_at_the_seed_critical_eigenvalue_solve_the_equation(frame, n):
-    # n = 1 averages two exact solutions, whose residual has a floor of
-    # order eps^2: a radius of 1e-4 keeps it below the stencil error
     from kundu_dnls.verify import ConventionVariant, pde_residual
     seed = make_plane_wave_seed(*frame)
-    spec = DegenerationSpec(kd.critical_eigenvalue(seed), 1e-4 if n == 1 else 1e-2, n)
+    spec = DegenerationSpec(kd.critical_eigenvalue(seed), 1e-2, n)
     out = degenerate_limit(spec, seed)
     rep = pde_residual(out.Q, seed, ConventionVariant(), _FAMILY_WINDOW, 2)
     assert 1.7 <= rep.estimated_order <= 2.3, rep.norms
@@ -981,7 +989,7 @@ def test_rogue_waves_at_the_seed_critical_eigenvalue_solve_the_equation(frame, n
 @pytest.mark.parametrize("frame", _FAMILY[:3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_exact_limit_solves_the_equation(frame, n):
-    # no eps, so no residual floor, at n = 1 too
+    # eps does not enter the limit
     from kundu_dnls.verify import ConventionVariant, pde_residual
     seed = make_plane_wave_seed(*frame)
     out = exact_limit(DegenerationSpec(kd.critical_eigenvalue(seed), 1e-3, n), seed)
