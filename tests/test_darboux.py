@@ -632,19 +632,22 @@ def test_n_fold_masks_overflowing_components(layout):
     assert np.isfinite(q[0]) and np.isnan(q[1])
 
 
-# double's rounding error at each finite radius, relative to max |Q| on the
-# 3 x 3 window below: measured 2.1e-11 and 1.2e-10, times 10
-_ROUNDING_AT_RADIUS = {2: 2e-10, 3: 1.2e-9}
+# double's rounding error at each finite radius, and at eps = 1e-6 for order
+# 1, which has none, relative to max |Q| on the 3 x 3 window below: measured
+# 3.8e-13, 2.1e-11 and 1.2e-10, times 10
+_ROUNDING_AT_RADIUS = {1: 4e-12, 2: 2e-10, 3: 1.2e-9}
 
 
 @pytest.mark.parametrize("phase", [{}, {"S1": 50.0, "S2": 2e3}], ids=["unsplit", "split"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_finite_radius_matches_a_per_node_mpmath_reference(n, phase):
     # the vectorized double field against 40-digit mpmath determinants, node
     # by node, from the order's radius up, where `degenerate_limit` runs it:
-    # the rounding error falls as eps^-(n-1) away from the radius
+    # the rounding error falls as eps^-(n-1) away from the radius.  Order 1,
+    # served by the exact limit at every eps, keeps its one n-fold field in
+    # `finite_radius`: checked from eps = 1e-6 up, under one bound
     xs, ts = np.linspace(-2, 2, 3)[:, None], np.linspace(-1.5, 1.5, 3)[None, :]
-    radius = EXACT_LIMIT_RADIUS[n]
+    radius = EXACT_LIMIT_RADIUS[n] if n > 1 else 1e-6
     for eps in (radius, 10 * radius, min(100 * radius, 0.1)):
         spec = DegenerationSpec(1 + 1j, eps, n, **phase)
         want = mp_reference.finite_radius_q(spec, SEEDP, xs, ts)
@@ -825,10 +828,13 @@ def test_exact_limit_of_order_three_has_crest_49():
 
 
 @pytest.mark.parametrize("n, S1, errors", [
-    (2, 0.0, (1.37e-4, 1.37e-6)), (3, 0.0, (1.16e-6, 1.16e-9)), (2, 2.0, (2.99e-3, 2.99e-5))])
+    (1, 0.0, (5.29e-2, 5.31e-3)), (2, 0.0, (1.37e-4, 1.37e-6)), (3, 0.0, (1.16e-6, 1.16e-9)),
+    (2, 2.0, (2.99e-3, 2.99e-5))])
 def test_the_finite_radius_converges_to_the_exact_limit_at_its_order(n, S1, errors):
     # |Q_eps - Q_0| at one node, eps = 1e-2 then 1e-3, with Q_eps the
-    # finite-radius field in 40-digit mpmath: order 2, or 3 at n = 3
+    # finite-radius field in 40-digit mpmath: order n.  At n = 1 the field is
+    # still 5e-2 from the limit at the CLI's default eps, which is why
+    # `degenerate_limit` serves the limit there
     limit = complex(exact_limit(DegenerationSpec(1 + 1j, 1e-3, n, S1=S1), SEEDP).Q(0.3, -0.2))
     for eps, want in zip((1e-2, 1e-3), errors):
         spec = DegenerationSpec(1 + 1j, eps, n, S1=S1)
