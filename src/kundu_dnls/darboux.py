@@ -223,7 +223,9 @@ def _batch_last(M):
 
 
 def _omega_dets(spectral_set: SpectralSet, powers, x, t):
-    """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t).
+    """(main, swapped, main_shift, swapped_shift, pivot ratio of main) at (x, t),
+    up to a common sign, which `_combine` cancels: here (-1)^(2n-1), column 0
+    moved past the 2n - 1 others (`_omega_matrix`).
 
     Each datum's `phi` and `varphi` are taken once per block.  The unshifted
     and shifted matrices share all columns but the leading one, so one
@@ -238,18 +240,11 @@ def _omega_dets(spectral_set: SpectralSet, powers, x, t):
         M = _omega_matrix(powers, phis + vphs, vphs + phis)
         del phis, vphs      # the stack holds copies: free the components first
         return _reduced_dets(M)
-    main, main_shift, ratios = _eliminate(_omega_matrix(powers, phis, vphs))
+    (main, main_shift), ratios = batched_det(_omega_matrix(powers, phis, vphs))
     M = _omega_matrix(powers, vphs, phis)
     del phis, vphs
-    swapped, swapped_shift, _ = _eliminate(M)
+    (swapped, swapped_shift), _ = batched_det(M)
     return main, swapped, main_shift, swapped_shift, ratios
-
-
-def _eliminate(M):
-    """(det, shifted det, pivot ratios) of an `_omega_matrix` stack; column 0
-    was moved past the 2n - 1 others, a factor (-1)^(2n-1)."""
-    pair, ratios = batched_det(M)
-    return -pair[0], -pair[1], ratios
 
 
 def _reduced_dets(M):
@@ -261,12 +256,12 @@ def _reduced_dets(M):
     and partners exchanged, so swapped = (-1)^n conj(main), and likewise for
     the shifted pair: one elimination instead of two.  The sign is left out,
     as is (-1)^(n(n-1)/2) against a general set, which interleaves each
-    representative with its partner: `_combine` uses only squares and
-    products of paired determinants.
+    representative with its partner: a common sign, which `_combine`
+    cancels, as it uses only squares and products of paired determinants.
     """
     partners = M[..., M.shape[-2] // 2:, :]
     np.conjugate(partners, out=partners)
-    main, main_shift, ratios = _eliminate(M)
+    (main, main_shift), ratios = batched_det(M)
     return main, np.conj(main), main_shift, np.conj(main_shift), ratios
 
 
@@ -310,16 +305,12 @@ def n_fold(spectral_set: SpectralSet, seed: Seed) -> DTOutput:
 # numeric degeneration
 # ---------------------------------------------------------------------------
 
-def _default_offsets(n: int) -> list[complex]:
-    if n == 2:
-        return [1.0 + 0j, -1.0 + 0j]
-    return [complex(np.exp(2j * np.pi * k / n)) for k in range(n)]
-
-
 @dataclass
 class DegenerationSpec:
     """Coalescence recipe: base eigenvalue, radius, order, and the split phase
-    S(e) = S0 + S1 e + S2 e^2 that moves the humps apart, on a plane wave only."""
+    S(e) = S0 + S1 e + S2 e^2 that moves the humps apart, on a plane wave only.
+    A lambda_c on either axis is refused, as `build_reduced_set` refuses
+    such a lambda: at every radius and in the limit, its pair collapses."""
 
     lambda_c: complex
     epsilon: float
@@ -329,7 +320,10 @@ class DegenerationSpec:
     S2: float = 0.0
 
     def __post_init__(self):
-        _check_finite(lambda_c=complex(self.lambda_c), S0=self.S0, S1=self.S1, S2=self.S2)
+        lc = complex(self.lambda_c)
+        _check_finite(lambda_c=lc, S0=self.S0, S1=self.S1, S2=self.S2)
+        if lc.real == 0.0 or lc.imag == 0.0:
+            raise ValueError(f"lambda_c {lc} on an axis collapses its conjugate pair")
         if not (0 < self.epsilon <= 0.1):
             raise ValueError("epsilon must lie in (0, 0.1]")
         if self.n not in (1, 2, 3):
@@ -343,9 +337,13 @@ def _check_split_phase(spec: DegenerationSpec, seed: Seed):
                          f"{spec.S1}, {spec.S2}: it enters only on a plane wave")
 
 
-def _degenerate_set(spec: DegenerationSpec, seed: Seed, offsets) -> SpectralSet:
+def _degenerate_set(spec: DegenerationSpec, seed: Seed) -> SpectralSet:
+    """`finite_radius`' reduced set: lambda_c (1 + eps omega_j), omega_j the n-th
+    roots of unity, exactly +-1 at n = 2, weighted by exp(-+i s S)."""
     _check_split_phase(spec, seed)
     lams, weights = [], []
+    n = spec.n
+    offsets = [1.0, -1.0] if n == 2 else [complex(np.exp(2j * np.pi * k / n)) for k in range(n)]
     for off in offsets:
         eps_j = spec.epsilon * off
         lams.append(spec.lambda_c * (1 + eps_j))
@@ -473,9 +471,6 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     elimination, combine and mask are `n_fold`'s (`_reduced_dets`).
     """
     _check_split_phase(spec, seed)
-    lc = complex(spec.lambda_c)
-    if lc.real == 0.0 or lc.imag == 0.0:
-        raise ValueError(f"lambda_c {lc} on an axis collapses its conjugate pair")
     n, m = spec.n, 2 * spec.n
     order = _column_powers(m)
     with np.errstate(all="ignore"):
@@ -525,12 +520,12 @@ def exact_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:
 def finite_radius(spec: DegenerationSpec, seed: Seed) -> DTOutput:
     """The order-n degenerate solution approximated at the radius eps.
 
-    Perturbed eigenvalues sit at lambda_c (1 + eps * offset_j), with the
-    n-th roots of unity as offsets; the field is off the limit by
-    O(eps^n).  Below the order's `EXACT_LIMIT_RADIUS` double's rounding
-    error grows past the truncation error it approximates.
+    The eigenvalues sit at lambda_c (1 + eps omega_j), omega_j the n-th roots
+    of unity, exactly +-1 at n = 2; the field is off the limit by O(eps^n).
+    Below the order's `EXACT_LIMIT_RADIUS` double's rounding error grows
+    past the truncation error it approximates.
     """
-    return n_fold(_degenerate_set(spec, seed, _default_offsets(spec.n)), seed)
+    return n_fold(_degenerate_set(spec, seed), seed)
 
 
 def degenerate_limit(spec: DegenerationSpec, seed: Seed) -> DTOutput:

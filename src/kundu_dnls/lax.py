@@ -16,7 +16,6 @@ order-1 field's residual does not fall under grid refinement
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -194,15 +193,20 @@ def branch_quantity(lam: complex, seed: Seed):
     return np.sqrt(rad.astype(complex) if hasattr(rad, "astype") else complex(rad))
 
 
+def _branch_parts(seed: Seed):
+    """(C, r = sqrt(C^2 + 2k)): s(lam)^2 vanishes at +-C +- r; r is inf past C^2's range."""
+    C = np.float64(seed.C)
+    with np.errstate(all="ignore"):
+        return C, np.sqrt(np.complex128(C * C + 2 * np.float64(seed.k)))
+
+
 def nearest_branch_point(lam: complex, seed: Seed):
     """(lam*, vanishing): the zero of s(lam)^2 = (lam^2 - 2C lam - 2k)(lam^2 +
     2C lam - 2k) nearest lam, and whether u-+ vanish there: at the roots
     C +- r of the first factor, r = sqrt(C^2 + 2k), `critical_eigenvalue`
     among them, where the roots -C +- r of the second have u-+ = 2.  None
     without a simple zero: the zero background, or r = 0."""
-    C = np.float64(seed.C)
-    with np.errstate(all="ignore"):
-        r = np.sqrt(np.complex128(C * C + 2 * np.float64(seed.k)))
+    C, r = _branch_parts(seed)
     if not seed.c or r == 0 or not np.isfinite(r):
         return None
     star, vanishing = min(((u * C + v * r, u > 0) for u in (1, -1) for v in (1, -1)),
@@ -212,15 +216,15 @@ def nearest_branch_point(lam: complex, seed: Seed):
 
 def critical_eigenvalue(seed: Seed) -> complex:
     """The first-quadrant zero of s(lam), where the breather turns into the
-    rogue wave.  The radicand vanishes at lam^2 = 2(k+C^2) +- 2C
-    sqrt(C^2+2k); this is the principal root of the + branch.  The zero
-    background has none, and a real root has no conjugate partner: both
-    raise ValueError."""
+    rogue wave: C + r, r = sqrt(C^2 + 2k), the root `nearest_branch_point`
+    finds, bit for bit.  Where it is not real, r is imaginary, so its real
+    part is C exactly.  The zero background has none, and a real root has
+    no conjugate partner: both raise ValueError."""
     if seed.c == 0:
         raise ValueError("the zero background (c = 0) has no critical eigenvalue: "
                          "give one (lc_re and lc_im)")
-    k, C = seed.k, seed.C
-    lam = cmath.sqrt(2 * (k + C * C) + 2 * C * cmath.sqrt(C * C + 2 * k))
+    C, r = _branch_parts(seed)
+    lam = complex(C + r)
     if lam.imag == 0:
         raise ValueError(f"critical eigenvalue {lam} is real for a={seed.a}, c={seed.c}, "
                          f"alpha={seed.alpha}, theta_p={seed.theta_p}")

@@ -66,7 +66,7 @@ def n_fold_q(spectral_set, seed, x, t):
 def finite_radius_q(spec, seed, x, t):
     """Q of `darboux.finite_radius` at each node of the broadcast x and t,
     node by node, from its spectral set."""
-    sset = darboux._degenerate_set(spec, seed, darboux._default_offsets(spec.n))
+    sset = darboux._degenerate_set(spec, seed)
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     out = np.empty(x.shape, dtype=complex)
     for idx in np.ndindex(x.shape):

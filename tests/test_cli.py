@@ -151,16 +151,22 @@ _GEN = ["generate", "--grid", "-1:1:11,-1:1:11"]
     [*_GEN, "--solution", "engine-degenerate", "--param", "lc_im=0.8"],
     # (a, c) = (-1.3, 0.8) has a real critical root, which has no conjugate partner
     [*_GEN, "--solution", "engine-degenerate", "--param", "a=-1.3", "--param", "c=0.8"],
+    # a given lambda_c on an axis, refused whole, not as a perturbed lambda
+    [*_GEN, "--solution", "engine-degenerate", "--param", "n=2", "--param", "lc_re=0.8",
+     "--param", "lc_im=0"],
 ], ids=["negative-coupling-engine", "pair-on-axis", "negative-coupling-catalog",
         "unparsable-order", "unparsable-radius", "non-finite-value", "half-given-eigenvalue",
         "analyze-grid-too-coarse", "infinite-grid-extent", "overflowing-grid-extent",
         "eps-on-unsplit-rogue2", "single-sample-axis", "wavenumber-on-zero-background",
         "split-phase-on-zero-background", "zero-background-without-eigenvalue",
-        "half-given-critical-eigenvalue", "real-critical-eigenvalue"])
-def test_bad_parameter_values_exit_2(tmp_path, argv):
+        "half-given-critical-eigenvalue", "real-critical-eigenvalue",
+        "critical-eigenvalue-on-axis"])
+def test_bad_parameter_values_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     rc = run([*argv, "--output", str(out), "--quiet"])
     assert rc == 2 and not out.exists()
+    if "lc_im=0" in argv:
+        assert "lambda_c (0.8+0j) on an axis" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw, message", [

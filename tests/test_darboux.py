@@ -1,5 +1,6 @@
 """Transformation-engine tests: one-fold, n-fold, reduction, degeneration."""
 import inspect
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import kundu_dnls as kd
 from kundu_dnls import catalog
-from kundu_dnls.darboux import (EXACT_LIMIT_RADIUS, DegenerationSpec, SpectralSet,
+from kundu_dnls.darboux import (EXACT_LIMIT_RADIUS, DegenerationSpec, SpectralSet, _combine,
                                 _omega_dets, _row_powers, _scaled_weights, build_reduced_set,
                                 degenerate_limit, exact_limit, finite_radius, n_fold)
 from kundu_dnls.lax import SpectralDatum, make_plane_wave_seed, zero_seed
@@ -201,12 +202,20 @@ def test_reduced_path_matches_general_path(seed, lams):
     # axis nodes tie pivot magnitudes on the zero seed
     X, T = np.append(X, [0, 0, 0, 1.3, -1.3]), np.append(T, [0, 0.7, -0.7, 0, 0])
     gset = general(sset)
-    main, _, shift, _, ratio = _omega_dets(sset, _row_powers(sset), X, T)
-    gmain, _, gshift, _, gratio = _omega_dets(gset, _row_powers(gset), X, T)
+    dets = _omega_dets(sset, _row_powers(sset), X, T)
+    gdets = _omega_dets(gset, _row_powers(gset), X, T)
+    (main, _, shift, _, ratio), (gmain, _, gshift, _, gratio) = dets, gdets
     if len(lams) * (len(lams) - 1) // 2 % 2:
         main, shift = -main, -shift
     assert (main.tobytes(), shift.tobytes(), ratio.tobytes()) == (
         gmain.tobytes(), gshift.tobytes(), gratio.tobytes())
+    # so the determinants need no sign: `_combine` uses only squares and
+    # products of paired ones, and negation is exact, so a common sign on
+    # all four leaves Q, R and the ratio bit for bit
+    for s, d in ((sset, dets), (gset, gdets)):
+        flipped = (*(-v for v in d[:4]), d[4])
+        assert [v.tobytes() for v in _combine(seed, s.reduction, d, X, T)] == [
+            v.tobytes() for v in _combine(seed, s.reduction, flipped, X, T)]
 
 
 def test_reduced_path_evaluates_representatives_once(monkeypatch):
@@ -920,9 +929,13 @@ def test_exact_limit_on_either_side_of_the_recentring_switch(delta):
 def test_exact_limit_refuses_what_the_finite_radius_refuses():
     with pytest.raises(ValueError, match="split phase"):
         exact_limit(DegenerationSpec(0.8 + 0.8j, 1e-3, 2, S1=1.0), SEED0)
+    # the spec itself refuses a lambda_c on an axis, with one message, so
+    # neither path ever runs on one
     for lc in (1.0 + 0j, 1j):
-        with pytest.raises(ValueError, match="axis"):
-            exact_limit(DegenerationSpec(lc, 1e-3, 3), SEEDP)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"lambda_c {lc} on an axis collapses its conjugate pair")):
+                DegenerationSpec(lc, 1e-3, n)
 
 
 def test_engine_respects_general_gauge_and_coupling():

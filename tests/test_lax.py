@@ -9,7 +9,7 @@ import kundu_dnls as kd
 from kundu_dnls import lax
 from kundu_dnls.darboux import SpectralSet, n_fold
 from kundu_dnls.lax import (ExpSum, SpectralDatum, branch_quantity, check_lax_residual,
-                            critical_eigenvalue, make_plane_wave_seed,
+                            critical_eigenvalue, make_plane_wave_seed, nearest_branch_point,
                             plane_wave_eigenfunction, zero_seed, zero_seed_eigenfunction)
 from kundu_dnls.verify import ConventionVariant, pde_residual
 
@@ -156,7 +156,7 @@ def test_branch_quantity_reduces_on_reference_background():
 def test_branch_point_at_critical_eigenvalue():
     seed = make_plane_wave_seed(-2.0, 1.0, 1.0)
     assert abs(branch_quantity(1 + 1j, seed)) <= 1e-12
-    assert critical_eigenvalue(seed) == 1 + 1j   # sqrt(2i), exactly
+    assert critical_eigenvalue(seed) == 1 + 1j   # 1 + sqrt(-1), exactly
 
 
 @pytest.mark.parametrize("a, c, newton_root", [
@@ -170,6 +170,21 @@ def test_critical_eigenvalue_matches_newton_root(a, c, newton_root):
     assert abs(root - newton_root) <= 1e-12
     assert root.real > 0 and root.imag > 0
     assert abs(branch_quantity(root, seed)) <= 1e-7
+
+
+@pytest.mark.parametrize("a, c, alpha, p", [
+    (-3.0, 0.5, 1.0, 1.0), (-2.5, 1.2, 1.0, 1.0),
+    *((a, c, alpha, p) for a in (-2.0, -3.5) for c in (0.5, 1.0) for alpha in (0.7, 1.3)
+      for p in (0.3, 1.0)),
+])
+def test_critical_eigenvalue_is_the_branch_point_it_is_compared_against(a, c, alpha, p):
+    # one root, C + sqrt(C^2 + 2k): the exact limit expands at the nearest
+    # branch point, so at the seed's own lambda_c the two agree bit for bit,
+    # and the root's real part is C, its imaginary part from an imaginary r
+    seed = make_plane_wave_seed(a, c, alpha, theta_p=p)
+    lc = critical_eigenvalue(seed)
+    assert nearest_branch_point(lc, seed) == (lc, True)
+    assert lc.real == seed.C
 
 
 def test_critical_eigenvalue_rejects_a_real_root():
